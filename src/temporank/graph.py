@@ -19,6 +19,17 @@ from .timefuncs import TimeFunction
 __all__ = ["DiscreteTemporalNetwork", "ContinuousTemporalNetwork", "validate"]
 
 
+def _entries_to_csr(entries: dict, n: int) -> sparse.csr_array:
+    """n x n CSR matrix from a {(i, j): weight} mapping of 0-based pairs."""
+    if not entries:
+        return sparse.csr_array((n, n))
+    items = sorted(entries.items())
+    rows = np.array([key[0] for key, _ in items], dtype=np.int64)
+    cols = np.array([key[1] for key, _ in items], dtype=np.int64)
+    data = np.array([value for _, value in items], dtype=float)
+    return sparse.csr_array((data, (rows, cols)), shape=(n, n))
+
+
 def _as_csr(matrix) -> sparse.csr_array:
     if sparse.issparse(matrix):
         return sparse.csr_array(matrix)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConsistencyError, EventParseError, InvalidInputError
-from .graph import DiscreteTemporalNetwork
+from .graph import DiscreteTemporalNetwork, _entries_to_csr
 
 __all__ = [
     "EdgeEvent", "ParsedEvents", "IngestSummary",
@@ -191,22 +191,12 @@ def build_snapshots(events, sample_instants, n: int | None = None,
             else:
                 running[key] = value
             cursor += 1
-        snapshots.append(_dict_to_csr(running, n))
+        snapshots.append(_entries_to_csr(running, n))
 
     network = DiscreteTemporalNetwork(
         n=n, instants=instants / instant_scale, snapshots=tuple(snapshots),
         initial_adjacency=baseline)
     return network, clamped
-
-
-def _dict_to_csr(running: dict, n: int) -> sparse.csr_array:
-    if not running:
-        return sparse.csr_array((n, n))
-    items = sorted(running.items())
-    rows = np.array([key[0] for key, _ in items], dtype=np.int64)
-    cols = np.array([key[1] for key, _ in items], dtype=np.int64)
-    data = np.array([value for _, value in items], dtype=float)
-    return sparse.csr_array((data, (rows, cols)), shape=(n, n))
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,17 @@ column minimum and the diagonal entry, whatever v is chosen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy import linalg
 
 from . import _kernels
-from .accumulate import StochasticSnapshot, accumulate_continuous, accumulate_discrete, row_normalize
+from .accumulate import InstantSetup, StochasticSnapshot, iter_instants
 from .errors import InternalError, InvalidInputError
 from .graph import DiscreteTemporalNetwork
 from .pagerank import DIRECT_SOLVE_MAX_N, _check_probability, _run_instants
 from .quadrature import QuadratureConfig
-from .schedules import (DampingSchedule, DecayKernel, PersonalizationSchedule,
-                        damping_at, personalization_at)
+from .schedules import DampingSchedule, DecayKernel, PersonalizationSchedule
 
 __all__ = [
     "ResolventColumn", "LocalizationBounds",
@@ -169,14 +167,12 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
     default theirs to the personalization schedule, so pass the same one
     here to bound them).
     """
-    discrete = isinstance(net, DiscreteTemporalNetwork)
-    if discrete:
+    if isinstance(net, DiscreteTemporalNetwork):
         instants = np.asarray(net.instants, dtype=float)
     else:
         if grid is None:
             raise InvalidInputError("continuous networks need an evaluation grid")
         instants = np.asarray(grid, dtype=float)
-    count = len(instants)
     if nodes is None:
         if net.n > DIRECT_SOLVE_MAX_N:
             raise InvalidInputError(
@@ -186,21 +182,11 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
     if nodes.size and not ((0 <= nodes) & (nodes < net.n)).all():
         raise InvalidInputError(f"node subset outside 0..{net.n - 1}")
 
-    def bounds_at(k: int):
-        if discrete:
-            snapshot = row_normalize(accumulate_discrete(net, kernel, k))
-            adjacency = net.snapshot_at(k)
-        else:
-            snapshot = accumulate_continuous(net, kernel, float(instants[k - 1]), quad)
-            adjacency = net.adjacency_at(float(instants[k - 1]))
-        t_k = float(instants[k - 1])
-        lam = damping_at(damping, k, count, t_k)
-        u = None
-        if snapshot.dangling.any():
-            if dangling_dist is None:
-                raise InvalidInputError(
-                    f"dangling rows at instant {k}; a dangling distribution is required")
-            u = personalization_at(dangling_dist, adjacency, k, t_k)
+    def bounds_at(setup: InstantSetup):
+        snapshot, lam, u = setup.snapshot, setup.damping, setup.u
+        if snapshot.dangling.any() and u is None:
+            raise InvalidInputError(
+                f"dangling rows at instant {setup.k}; a dangling distribution is required")
         if snapshot.n <= DIRECT_SOLVE_MAX_N:
             columns = _resolvent_columns_direct(snapshot, lam, nodes, u)
         else:
@@ -212,7 +198,10 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
         return (np.array([lo for lo, _ in pairs]),
                 np.array([hi for _, hi in pairs]))
 
-    results = _run_instants([partial(bounds_at, k) for k in range(1, count + 1)], threads)
+    setups = iter_instants(net, kernel, damping, dangling_dist=dangling_dist,
+                           grid=instants, quad=quad)
+    results = _run_instants(setups, bounds_at, threads)
+    count = len(results)
     lo = np.vstack([pair[0] for pair in results]) if count else np.zeros((0, nodes.size))
     hi = np.vstack([pair[1] for pair in results]) if count else np.zeros((0, nodes.size))
     return LocalizationBounds(instants, nodes, lo, hi)

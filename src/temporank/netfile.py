@@ -25,12 +25,10 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-import numpy as np
-from scipy import sparse
-
 from . import timefuncs
 from .errors import NetworkFormatError, TemporankError
-from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork, validate
+from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _entries_to_csr,
+                    validate)
 
 __all__ = ["load_network", "loads_network", "save_network", "dumps_network"]
 
@@ -217,16 +215,6 @@ def _finish(p: _Parser):
     if problems:
         raise NetworkFormatError("; ".join(problems))
     return network
-
-
-def _entries_to_csr(entries: dict, n: int) -> sparse.csr_array:
-    if not entries:
-        return sparse.csr_array((n, n))
-    items = sorted(entries.items())
-    rows = np.array([key[0] for key, _ in items], dtype=np.int64)
-    cols = np.array([key[1] for key, _ in items], dtype=np.int64)
-    data = np.array([value for _, value in items], dtype=float)
-    return sparse.csr_array((data, (rows, cols)), shape=(n, n))
 
 
 def save_network(network, target):

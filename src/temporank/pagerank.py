@@ -8,20 +8,19 @@ iteration handles the rest.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import sparse
 
 from . import _kernels
-from .accumulate import accumulate_continuous, accumulate_discrete, row_normalize, StochasticSnapshot
+from .accumulate import InstantSetup, StochasticSnapshot, iter_instants
 from .errors import ConvergenceError, InternalError, InvalidInputError
 from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
 from .quadrature import QuadratureConfig
-from .schedules import (DampingSchedule, DecayKernel, PersonalizationSchedule,
-                        damping_at, personalization_at)
+from .schedules import DampingSchedule, DecayKernel, PersonalizationSchedule
 
 __all__ = [
     "GoogleOperator", "PageRankTrajectory",
@@ -164,17 +163,18 @@ class PageRankTrajectory:
         return self.vectors[k - 1]
 
 
-def _solve_snapshot(snapshot: StochasticSnapshot, damping: float, v: np.ndarray,
-                    u: np.ndarray | None, solver: str, tol: float,
-                    max_iter: int) -> tuple[np.ndarray, int, float]:
+def _solve_setup(setup: InstantSetup, solver: str, tol: float,
+                 max_iter: int) -> tuple[np.ndarray, int, float]:
+    snapshot = setup.snapshot
     if solver == "auto":
         solver = "direct" if snapshot.n <= DIRECT_SOLVE_MAX_N else "power"
     if solver == "direct":
-        pi = pagerank_direct(snapshot, damping, v, u)
+        pi = pagerank_direct(snapshot, setup.damping, setup.v, setup.u)
         iterations, residual = 0, 0.0
     elif solver == "power":
         pi, iterations, residual = pagerank_power(
-            GoogleOperator(snapshot, damping, v, u), tol=tol, max_iter=max_iter)
+            GoogleOperator(snapshot, setup.damping, setup.v, setup.u),
+            tol=tol, max_iter=max_iter)
     else:
         raise InvalidInputError(f"unknown solver {solver!r}")
     if (pi <= 0).any() or abs(pi.sum() - 1.0) > _SUM_TOL:
@@ -182,17 +182,29 @@ def _solve_snapshot(snapshot: StochasticSnapshot, damping: float, v: np.ndarray,
     return pi, iterations, residual
 
 
-def _run_instants(tasks, threads: int):
-    """Evaluate per-instant closures, optionally on a thread pool.
+def _run_instants(setups, solve, threads: int) -> list:
+    """``solve`` every streamed instant setup, with at most ``threads`` in flight.
 
-    Each task is independent and deterministic, so results are identical at
-    any thread count; assembly preserves instant order.
+    The setups arrive one at a time from :func:`iter_instants`; the next
+    is only drawn once a solve slot is free, so no more than ``threads``
+    snapshots are alive at once.  Each solve is deterministic, so results
+    are identical at any thread count; they come back in instant order.
     """
-    if threads <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
+    results = {}
+    if threads <= 1:
+        for setup in setups:
+            results[setup.k] = solve(setup)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            pending = deque()
+            for setup in setups:
+                pending.append((setup.k, pool.submit(solve, setup)))
+                if len(pending) == threads:
+                    k, future = pending.popleft()
+                    results[k] = future.result()
+            for k, future in pending:
+                results[k] = future.result()
+    return [results[k] for k in sorted(results)]
 
 
 def _assemble(instants, results, metadata) -> PageRankTrajectory:
@@ -214,19 +226,9 @@ def trajectory_discrete(net: DiscreteTemporalNetwork, kernel: DecayKernel,
     rows with the dangling distribution (defaults to the personalization
     vector), and solve.
     """
-    count = net.instant_count
-
-    def solve_at(k: int):
-        snapshot = row_normalize(accumulate_discrete(net, kernel, k))
-        adjacency = net.snapshot_at(k)
-        t_k = float(net.instants[k - 1])
-        lam = damping_at(damping, k, count, t_k)
-        v = personalization_at(personalization, adjacency, k, t_k)
-        u = None if dangling_dist is None else \
-            personalization_at(dangling_dist, adjacency, k, t_k)
-        return _solve_snapshot(snapshot, lam, v, u, solver, tol, max_iter)
-
-    results = _run_instants([partial(solve_at, k) for k in range(1, count + 1)], threads)
+    setups = iter_instants(net, kernel, damping, personalization, dangling_dist)
+    solve = partial(_solve_setup, solver=solver, tol=tol, max_iter=max_iter)
+    results = _run_instants(setups, solve, threads)
     return _assemble(net.instants, results, {
         "scale": "discrete", "kernel": repr(kernel), "damping": repr(damping),
         "personalization": repr(personalization), "solver": solver, "tol": tol,
@@ -246,19 +248,10 @@ def trajectory_continuous(net: ContinuousTemporalNetwork, kernel: DecayKernel,
     :func:`accumulate_continuous`.
     """
     grid = np.asarray(grid, dtype=float)
-    count = len(grid)
-
-    def solve_at(k: int):
-        t = float(grid[k - 1])
-        snapshot = accumulate_continuous(net, kernel, t, quad)
-        adjacency = net.adjacency_at(t)
-        lam = damping_at(damping, k, count, t)
-        v = personalization_at(personalization, adjacency, k, t)
-        u = None if dangling_dist is None else \
-            personalization_at(dangling_dist, adjacency, k, t)
-        return _solve_snapshot(snapshot, lam, v, u, solver, tol, max_iter)
-
-    results = _run_instants([partial(solve_at, k) for k in range(1, count + 1)], threads)
+    setups = iter_instants(net, kernel, damping, personalization, dangling_dist,
+                           grid=grid, quad=quad)
+    solve = partial(_solve_setup, solver=solver, tol=tol, max_iter=max_iter)
+    results = _run_instants(setups, solve, threads)
     return _assemble(grid, results, {
         "scale": "continuous", "kernel": repr(kernel), "damping": repr(damping),
         "personalization": repr(personalization), "solver": solver, "tol": tol,

@@ -11,7 +11,13 @@ __all__ = ["QuadratureConfig", "adaptive_simpson"]
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Absolute tolerance and the per-integral bisection budget."""
+    """Absolute tolerance and the per-integral bisection budget.
+
+    Trajectories with an exponential kernel integrate each stretch between
+    consecutive grid instants once, with its share of ``tol``, so ``tol``
+    bounds the accumulated integral at every grid instant (for rates >= 0);
+    ``max_subdivisions`` is then the budget of each stretch.
+    """
 
     tol: float = 1e-10
     max_subdivisions: int = 2 ** 16

@@ -1,26 +1,35 @@
 """Time-decayed accumulation and row-stochastic normalization."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import oracles
 from temporank import (
+    ConstantDamping,
     CustomDecay,
     DiscreteTemporalNetwork,
     ExponentialDecay,
     IntegrationError,
     InvalidInputError,
     QuadratureConfig,
+    TemporankError,
     accumulate_continuous,
     accumulate_discrete,
     adaptive_simpson,
+    cli,
     row_normalize,
+    save_network,
     synthetic_five_node,
     truncate,
 )
+from temporank.accumulate import _continuous_accumulated, iter_instants
+from temporank.pagerank import _run_instants
 
 
 def two_snapshot_network(step=1.0):
@@ -187,3 +196,163 @@ class TestTruncate:
 
     def test_node_count_carried_over(self):
         assert truncate(synthetic_five_node(), 3).n == 5
+
+
+def overflow_network():
+    """Two nodes on instants 0/500/1000: e^{500 |r|} stays finite, e^{1000 |r|} does not."""
+    A = np.array([[0.0, 1.0], [0.0, 0.0]])
+    B = np.array([[0.0, 0.0], [1.0, 0.0]])
+    return DiscreteTemporalNetwork(2, np.array([0.0, 500.0, 1000.0]), (A, B, 2.0 * A))
+
+
+class TestOverflowIsAnError:
+    def test_reference_discrete_overflow_raises(self):
+        with pytest.raises(TemporankError, match="overflows"):
+            accumulate_discrete(overflow_network(), ExponentialDecay(-1.0), 3)
+
+    def test_reference_continuous_overflow_raises(self):
+        with pytest.raises(TemporankError, match="overflows"):
+            accumulate_continuous(synthetic_five_node(), ExponentialDecay(-1000.0), 1.0)
+
+    def test_non_finite_custom_kernel_raises(self):
+        kernel = CustomDecay(lambda s, t: math.inf if s < t else 1.0)
+        with pytest.raises(TemporankError, match="not finite"):
+            accumulate_discrete(two_snapshot_network(), kernel, 2)
+
+    @pytest.mark.parametrize("rate", [-1.0, 1.0, 5.0])
+    def test_streamed_trajectory_is_finite_at_either_sign(self, rate):
+        setups = list(iter_instants(overflow_network(), ExponentialDecay(rate),
+                                    ConstantDamping(0.85)))
+        # exact rows: B_2 has e^{-500 r} A_1 + A_2, so no row of it is zero
+        assert list(setups[1].snapshot.dangling) == [0, 0]
+        assert np.array_equal(setups[1].snapshot.matrix.toarray(),
+                              np.array([[0.0, 1.0], [1.0, 0.0]]))
+        for setup in setups:
+            assert np.isfinite(setup.snapshot.matrix.data).all()
+
+
+def discrete_networks():
+    """Random small discrete nets with a rate whose weights stay in range.
+
+    e^{|r| * span} < 1e300 keeps every reference weight a normal float,
+    so the reference dangling mask is the exact one.
+    """
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(1, 6))
+        count = draw(st.integers(1, 6))
+        rate = draw(st.floats(-2.0, 6.0))
+        gaps = draw(st.lists(st.floats(1e-3, 30.0), min_size=count, max_size=count))
+        instants = np.cumsum(gaps)
+        span = float(instants[-1] - instants[0])
+        if abs(rate) * span >= math.log(1e300):
+            scale = 0.99 * math.log(1e300) / (abs(rate) * span)
+            instants = instants[0] + (instants - instants[0]) * scale
+        cells = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+        snapshots = [np.array(draw(st.lists(cells, min_size=n * n, max_size=n * n)))
+                     .reshape(n, n) for _ in range(count)]
+        return DiscreteTemporalNetwork(n, instants, snapshots), ExponentialDecay(rate)
+    return build()
+
+
+class TestStreamedAccumulation:
+    @given(discrete_networks())
+    def test_discrete_recurrence_matches_reference(self, case):
+        net, kernel = case
+        setups = list(iter_instants(net, kernel, ConstantDamping(0.5)))
+        assert [setup.k for setup in setups] == list(range(1, net.instant_count + 1))
+        for setup in setups:
+            reference = row_normalize(accumulate_discrete(net, kernel, setup.k))
+            assert setup.instant == reference.instant
+            assert np.array_equal(setup.snapshot.dangling, reference.dangling)
+            assert np.abs(setup.snapshot.matrix.toarray()
+                          - reference.matrix.toarray()).max(initial=0.0) <= 1e-12
+
+    @settings(max_examples=15)
+    @given(rate=st.floats(0.0, 6.0),
+           times=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    def test_continuous_recurrence_matches_reference(self, rate, times):
+        # quad.tol bounds the accumulated integral at every grid instant, as it
+        # bounds each full-length integral of accumulate_continuous
+        net = synthetic_five_node()
+        kernel = ExponentialDecay(rate)
+        quad = QuadratureConfig(tol=1e-9)
+        times = np.sort(np.array(times))
+        for t, matrix, log_scale in _continuous_accumulated(net, kernel, times, quad):
+            streamed = np.exp(log_scale)[:, None] * matrix.toarray()
+            weight = kernel.profile(t)
+            for (i, j), fn in net.edges.items():
+                scalar = fn.scalar_fn
+                reference = adaptive_simpson(lambda s: weight(s) * scalar(s), 0.0, t, quad)
+                assert abs(streamed[i, j] - reference) <= 2 * quad.tol
+            if t > 0.0:
+                snapshot = accumulate_continuous(net, kernel, t, quad)
+                assert np.array_equal(row_normalize(matrix).dangling, snapshot.dangling)
+
+    def test_unsorted_grid_comes_back_in_caller_order(self):
+        net = synthetic_five_node()
+        grid = np.array([0.5, 0.0, 1.0, 0.25, 0.5])
+        setups = list(iter_instants(net, ExponentialDecay(1.0), ConstantDamping(0.85),
+                                    grid=grid))
+        assert [setup.k for setup in setups] == [2, 4, 1, 5, 3]
+        by_k = {setup.k: setup for setup in setups}
+        for k, t in enumerate(grid, start=1):
+            reference = accumulate_continuous(net, ExponentialDecay(1.0), t)
+            assert by_k[k].instant == t
+            assert np.abs(by_k[k].snapshot.matrix.toarray()
+                          - reference.matrix.toarray()).max() <= 1e-9
+
+    def test_grid_outside_interval_rejected(self):
+        with pytest.raises(InvalidInputError, match="outside"):
+            list(iter_instants(synthetic_five_node(), ExponentialDecay(1.0),
+                               ConstantDamping(0.85), grid=[0.5, 1.5]))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_at_most_threads_setups_in_flight(self, threads):
+        alive = set()
+        peak = []
+
+        def setups():
+            for k in range(1, 11):
+                alive.add(k)
+                peak.append(len(alive))
+                yield SimpleNamespace(k=k)
+
+        def solve(setup):
+            alive.discard(setup.k)
+            return setup.k
+
+        assert _run_instants(setups(), solve, threads) == list(range(1, 11))
+        assert max(peak) <= threads
+
+
+def compute_bytes(workdir, *argv) -> list[bytes]:
+    """CLI `compute` output at --threads 1 and 2, as written to files."""
+    outputs = []
+    for threads in ("1", "2"):
+        target = workdir / f"scores-{threads}.csv"
+        code = cli.main(["compute", *argv, "--no-header", "--threads", threads,
+                         "--output", str(target)])
+        assert code == 0
+        outputs.append(target.read_bytes())
+    return outputs
+
+
+class TestThreadCountIndependence:
+    @settings(max_examples=10)
+    @given(case=discrete_networks())
+    def test_discrete_network(self, tmp_path_factory, case):
+        net, kernel = case
+        workdir = tmp_path_factory.mktemp("discrete")
+        save_network(net, str(workdir / "net.txt"))
+        one, two = compute_bytes(workdir, "--network", str(workdir / "net.txt"),
+                                 f"--rate={kernel.rate!r}")
+        assert one == two
+
+    @settings(max_examples=5)
+    @given(rate=st.floats(-4.0, 6.0), count=st.integers(2, 40))
+    def test_preset(self, tmp_path_factory, rate, count):
+        workdir = tmp_path_factory.mktemp("preset")
+        one, two = compute_bytes(workdir, "--preset", "paper-synthetic",
+                                 f"--rate={rate!r}", "--grid-count", str(count))
+        assert one == two

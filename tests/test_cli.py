@@ -142,6 +142,19 @@ class TestCompute:
         assert code == 1
         assert "no network source" in err
 
+    def test_negative_rate_over_a_long_span(self, capsys, tmp_path):
+        # e^{1000} overflows a float; the streamed accumulation never forms it
+        path = tmp_path / "long.txt"
+        path.write_text("nodes 2\ninstant 0.0\n1 2 1.0\ninstant 500.0\n2 1 1.0\n"
+                        "instant 1000.0\n1 2 2.0\n")
+        code, out, err = run_cli(capsys, "compute", "--network", str(path),
+                                 "--rate", "-1", "--no-header")
+        assert code == 0, err
+        _, rows = csv_rows(out)
+        scores = np.array([float(row[2]) for row in rows])
+        assert len(scores) == 6 and np.isfinite(scores).all()
+        assert scores[2:] == pytest.approx(np.full(4, 0.5), abs=1e-12)
+
     def test_bad_damping_specs(self, capsys, synthetic5_file):
         code, _, err = run_cli(capsys, "compute", "--network", synthetic5_file,
                                "--damping", "linear:0.5")
