@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -27,7 +28,7 @@ from . import config as configmod
 from . import ingest as ingestmod
 from . import netfile
 from .accumulate import truncate
-from .errors import InvalidInputError, TemporankError
+from .errors import EventParseError, InvalidInputError, TemporankError, not_utf8
 from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork, validate
 from .localization import bounds_trajectory
 from .pagerank import trajectory_continuous, trajectory_discrete
@@ -53,8 +54,25 @@ def main(argv=None) -> int:
 
 # ---------------------------------------------------------------- parsing
 
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser that reads `-1e-05` and `-1,2,3` as values, like `-1.5`.
+
+    argparse takes a word for a value rather than an option when it matches
+    ``_negative_number_matcher``; the stock pattern knows no exponents and
+    no comma-separated lists.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            rf"^-{_NUMBER}(?:,[-+]?{_NUMBER})*$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="temporank",
         description="Time-dependent personalized PageRank for temporal networks.")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -260,8 +278,9 @@ def _fmt(value) -> str:
 
 # --------------------------------------------------------------- commands
 
-def _trajectory_for(cfg: configmod.RunConfig):
-    network = configmod.build_network(cfg)
+def _trajectory_for(cfg: configmod.RunConfig, network=None):
+    if network is None:
+        network = configmod.build_network(cfg)
     kernel = configmod.build_kernel(cfg)
     damping = configmod.build_damping(cfg)
     personalization = configmod.build_personalization(cfg)
@@ -383,8 +402,9 @@ def cmd_compare(args) -> int:
                                      threads=args.threads)
     cfg_b = configmod.resolve_config(configmod.read_config(args.config_b),
                                      threads=args.threads)
-    _, trajectory_a = _trajectory_for(cfg_a)
-    _, trajectory_b = _trajectory_for(cfg_b)
+    network, trajectory_a = _trajectory_for(cfg_a)
+    _, trajectory_b = _trajectory_for(
+        cfg_b, network if _network_source(cfg_b) == _network_source(cfg_a) else None)
     series = compare_trajectories(
         trajectory_a, trajectory_b,
         labels=(cfg_a.personalization_kind, cfg_b.personalization_kind))
@@ -402,6 +422,12 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _network_source(cfg: configmod.RunConfig):
+    """What ``build_network(cfg)`` reads: the resolved file path, or the preset name."""
+    path = cfg.network_file and os.path.realpath(cfg.network_file)
+    return path, cfg.network_preset
+
+
 def cmd_ingest(args) -> int:
     start, step, count = _grid_spec(args.grid)
     unit = _UNIT_SECONDS[args.unit]
@@ -409,8 +435,11 @@ def cmd_ingest(args) -> int:
     if not os.path.exists(args.events):
         raise FileNotFoundError(f"event file not found: {args.events}")
     with open(args.events, "r", encoding="utf-8") as handle:
-        parsed = ingestmod.parse_events(handle, strict=not args.lenient,
-                                        t_max=float(grid_seconds[-1]))
+        try:
+            parsed = ingestmod.parse_events(handle, strict=not args.lenient,
+                                            t_max=float(grid_seconds[-1]))
+        except UnicodeDecodeError:
+            raise not_utf8(args.events, EventParseError) from None
     initial = None
     if args.initial is not None:
         seed = netfile.load_network(args.initial)

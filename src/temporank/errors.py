@@ -64,3 +64,19 @@ class UndefinedTauError(TemporankError):
 
 class InternalError(TemporankError):
     """A guaranteed mathematical property failed; indicates a solver bug."""
+
+
+def not_utf8(path, error: type) -> TemporankError:
+    """``error`` naming the first line of ``path`` that is not valid UTF-8.
+
+    For a file whose text decoding failed: the message gives the line, the
+    column and the first bad byte.
+    """
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                return error(f"not UTF-8 text: byte 0x{raw[err.start]:02x} "
+                             f"at column {err.start + 1}", line_number=number)
+    return error("not UTF-8 text")

@@ -21,13 +21,19 @@ __all__ = ["DiscreteTemporalNetwork", "ContinuousTemporalNetwork", "validate"]
 
 def _entries_to_csr(entries: dict, n: int) -> sparse.csr_array:
     """n x n CSR matrix from a {(i, j): weight} mapping of 0-based pairs."""
-    if not entries:
-        return sparse.csr_array((n, n))
     items = sorted(entries.items())
-    rows = np.array([key[0] for key, _ in items], dtype=np.int64)
-    cols = np.array([key[1] for key, _ in items], dtype=np.int64)
-    data = np.array([value for _, value in items], dtype=float)
-    return sparse.csr_array((data, (rows, cols)), shape=(n, n))
+    return _sorted_to_csr(np.array([key[0] for key, _ in items], dtype=np.int64),
+                          np.array([key[1] for key, _ in items], dtype=np.int64),
+                          np.array([value for _, value in items], dtype=float), n)
+
+
+def _sorted_to_csr(rows, cols, data, n: int) -> sparse.csr_array:
+    """n x n CSR matrix from 0-based int64 entries sorted by (row, col), none repeated."""
+    if not len(data):
+        return sparse.csr_array((n, n))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sparse.csr_array((data, cols, indptr), shape=(n, n))
 
 
 def _as_csr(matrix) -> sparse.csr_array:

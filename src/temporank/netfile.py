@@ -18,17 +18,28 @@ round-trip precision, so save/load reproduces matrices bit for bit.
 Symmetric networks reload with both directions stored explicitly; saving
 one back writes the full directed edge list without the `symmetric`
 shorthand.
+
+Files are UTF-8.  Keyword and comment lines go through the per-line
+handlers; the triples between them are parsed a block at a time with
+whole-array operations.  Whenever that block parser is not sure of its
+result (a check fails, or the text holds anything but printable ASCII,
+tabs and newlines), the per-line parser reads the whole input again, so
+both give the same network or the same line-numbered error.  The
+per-line parser also reads iterables of lines.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
+import numpy as np
+
 from . import timefuncs
-from .errors import NetworkFormatError, TemporankError
+from .errors import NetworkFormatError, TemporankError, not_utf8
 from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _entries_to_csr,
-                    validate)
+                    _sorted_to_csr, validate)
 
 __all__ = ["load_network", "loads_network", "save_network", "dumps_network"]
 
@@ -37,12 +48,16 @@ def load_network(source):
     """Parse a network description from a path or an iterable of lines."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
-            return _parse(handle)
+            try:
+                text = handle.read()
+            except UnicodeDecodeError:
+                raise not_utf8(source, NetworkFormatError) from None
+        return _parse_text(text, lambda: text.split("\n"))
     return _parse(source)
 
 
 def loads_network(text: str):
-    return _parse(text.splitlines())
+    return _parse_text(text, text.splitlines)
 
 
 class _Parser:
@@ -51,9 +66,9 @@ class _Parser:
         self.symmetric = False
         self.interval = None
         self.edges = {}
-        self.blocks = []            # (instant, {(i, j): w}) in file order
-        self.initial = None
-        self.current = None         # dict the next bare triple goes into
+        self.blocks = []            # (instant, entries) in file order
+        self.initial = None         # entries of the `initial` block
+        self.current = None         # entries the next bare triple goes into
         self.line_number = 0
 
     def fail(self, message: str):
@@ -81,30 +96,142 @@ class _Parser:
 
 
 def _parse(lines):
+    """The per-line parser: reference for the block parser, and its error reporter."""
     p = _Parser()
     for p.line_number, line in enumerate(lines, start=1):
         text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        keyword = parts[0]
-        if keyword == "nodes":
-            _parse_nodes(p, parts)
-        elif keyword == "symmetric":
-            if len(parts) != 1:
-                p.fail("`symmetric` takes no arguments")
-            p.symmetric = True
-        elif keyword == "interval":
-            _parse_interval(p, parts)
-        elif keyword == "edge":
-            _parse_edge(p, text)
-        elif keyword == "initial":
-            _parse_initial(p, parts)
-        elif keyword == "instant":
-            _parse_instant(p, parts)
-        else:
-            _parse_triple(p, parts)
+        if text and not text.startswith("#"):
+            _parse_line(p, text)
+    if p.initial is not None:
+        p.initial = _entries_to_csr(p.initial, p.n)
+    p.blocks = [(t, _entries_to_csr(entries, p.n)) for t, entries in p.blocks]
     return _finish(p)
+
+
+#: a comment line, or a line opening with a keyword, each after its newline
+_KEYWORD_LINE = re.compile(
+    rb"\n[ \t]*(?:#|(nodes|symmetric|interval|edge|initial|instant)(?![^ \t\n])).*")
+#: the characters the block parser reads: tab, newline and printable ASCII
+_PLAIN = bytes([ord("\t"), ord("\n"), *range(ord(" "), ord("~") + 1)])
+#: the block parser's node count limit, so that i*n + j fits in int64
+_MAX_BLOCK_NODES = 2**31
+_NO_TRIPLES = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
+class _NotSure(Exception):
+    """The block parser cannot vouch for its result."""
+
+
+def _parse_text(text: str, lines):
+    """Parse ``text`` a block at a time; if unsure, run ``_parse(lines())``."""
+    if text.isascii():
+        raw = ("\n" + text).encode("ascii")
+        if not raw.translate(None, _PLAIN):
+            try:
+                return _parse_blocks(raw)
+            except _NotSure:
+                pass
+    return _parse(lines())
+
+
+def _parse_blocks(raw: bytes):
+    """The block parser: keyword lines one by one, the triples between them as arrays.
+
+    ``raw`` is the text after a newline.  Raises :class:`_NotSure` wherever
+    the per-line parser could read it differently; any `NetworkFormatError`
+    comes from a keyword line, with the parser state the per-line parser
+    would have there.
+    """
+    p = _Parser()
+    pieces = []                 # (rows, cols, weights) of the open block
+    start = 1                   # offset of the first line not yet parsed
+    p.line_number = 1           # and its line number
+    for match in _KEYWORD_LINE.finditer(raw):
+        _add_body(p, pieces, raw[start:match.start() + 1])
+        keyword = match.group(1)
+        if keyword in (b"initial", b"instant"):
+            _close_block(p, pieces)
+        elif keyword is not None and p.current is not None:
+            raise _NotSure      # a header amid blocks: never in a valid discrete file
+        if keyword is not None:
+            _parse_line(p, match.group().decode("ascii").strip())
+        start = match.end() + 1
+        p.line_number += 1
+    _add_body(p, pieces, raw[start:])
+    _close_block(p, pieces)
+    return _finish(p)
+
+
+def _add_body(p: _Parser, pieces: list, body: bytes):
+    """Parse the lines ``body`` between two keyword or comment lines."""
+    if body and not body.isspace():
+        if p.current is None or p.n >= _MAX_BLOCK_NODES:
+            raise _NotSure
+        pieces.append(_triples(body, p.n))
+    p.line_number += body.count(b"\n")
+
+
+def _triples(body: bytes, n: int):
+    """0-based rows, columns and weights of ``body``'s `i j w` lines."""
+    chars = np.frombuffer(body, dtype=np.uint8)
+    gap = np.concatenate(([True], chars <= ord(" "), [True]))
+    edges = np.flatnonzero(gap[1:] != gap[:-1])     # token starts and ends, alternating
+    line = np.searchsorted(np.flatnonzero(chars == ord("\n")), edges[0::2])
+    if (len(line) % 3 or (line[0::3] != line[2::3]).any()
+            or (np.diff(line[0::3]) <= 0).any()):
+        raise _NotSure          # some line does not hold exactly three tokens
+    tokens = body.split()
+    try:
+        index = np.array([tokens[0::3], tokens[1::3]], dtype=np.int64)
+        weights = np.array(tokens[2::3], dtype=np.float64)
+    except (ValueError, OverflowError):
+        raise _NotSure from None
+    if ((index < 1) | (index > n)).any() or not np.isfinite(weights).all() \
+            or (weights < 0).any():
+        raise _NotSure
+    return index[0] - 1, index[1] - 1, weights
+
+
+def _close_block(p: _Parser, pieces: list):
+    """Store the open block as a CSR matrix; no entry may repeat."""
+    if p.current is None:
+        return
+    rows, cols, weights = (np.concatenate(part) for part in zip(*pieces or [_NO_TRIPLES]))
+    key = rows * p.n + cols
+    if not (np.diff(key) > 0).all():
+        order = np.argsort(key)
+        key, rows, cols, weights = key[order], rows[order], cols[order], weights[order]
+        if not (np.diff(key) > 0).all():
+            raise _NotSure      # a duplicate entry
+    matrix = _sorted_to_csr(rows, cols, weights, p.n)
+    if p.current is p.initial:
+        p.initial = matrix
+    else:
+        p.blocks[-1] = (p.blocks[-1][0], matrix)
+    p.current = None
+    pieces.clear()
+
+
+def _parse_line(p: _Parser, text: str):
+    """One stripped line that is neither blank nor a comment."""
+    parts = text.split()
+    keyword = parts[0]
+    if keyword == "nodes":
+        _parse_nodes(p, parts)
+    elif keyword == "symmetric":
+        if len(parts) != 1:
+            p.fail("`symmetric` takes no arguments")
+        p.symmetric = True
+    elif keyword == "interval":
+        _parse_interval(p, parts)
+    elif keyword == "edge":
+        _parse_edge(p, text)
+    elif keyword == "initial":
+        _parse_initial(p, parts)
+    elif keyword == "instant":
+        _parse_instant(p, parts)
+    else:
+        _parse_triple(p, parts)
 
 
 def _parse_nodes(p: _Parser, parts):
@@ -208,9 +335,8 @@ def _finish(p: _Parser):
         network = DiscreteTemporalNetwork(
             n=p.n,
             instants=[t for t, _ in p.blocks],
-            snapshots=[_entries_to_csr(entries, p.n) for _, entries in p.blocks],
-            initial_adjacency=(_entries_to_csr(p.initial, p.n)
-                               if p.initial is not None else None))
+            snapshots=[matrix for _, matrix in p.blocks],
+            initial_adjacency=p.initial)
     problems = validate(network)
     if problems:
         raise NetworkFormatError("; ".join(problems))
@@ -252,6 +378,11 @@ def dumps_network(network) -> str:
 
 
 def _matrix_lines(matrix):
-    coo = matrix.tocoo()
-    entries = sorted(zip(coo.row, coo.col, coo.data))
-    return [f"{i + 1} {j + 1} {float(w)!r}" for i, j, w in entries if w != 0]
+    """`i j w` lines of the nonzero entries, from a canonical copy of ``matrix``."""
+    if not matrix.has_canonical_format:
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
+    rows = np.repeat(np.arange(1, matrix.shape[0] + 1), np.diff(matrix.indptr))
+    return [f"{i} {j + 1} {w!r}"
+            for i, j, w in zip(rows.tolist(), matrix.indices.tolist(), matrix.data.tolist())
+            if w != 0]

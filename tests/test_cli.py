@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, driven in process via cli.main."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -155,6 +156,34 @@ class TestCompute:
         assert len(scores) == 6 and np.isfinite(scores).all()
         assert scores[2:] == pytest.approx(np.full(4, 0.5), abs=1e-12)
 
+    def test_negative_rate_in_exponent_form(self, capsys):
+        # argparse alone reads `-1e-05` as an option and exits 2
+        outputs = []
+        for rate in (["--rate", "-1e-05"], ["--rate=-1e-05"]):
+            code, out, err = run_cli(capsys, "compute", "--preset", "paper-synthetic",
+                                     "--grid-count", "3", "--no-header", *rate)
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv,dest,expected", [
+        (["compute", "--tol", "-2.5E+3"], "tol", -2500.0),
+        (["converge", "--quad-tol", "-.5e1"], "quad_tol", -5.0),
+        (["localize", "--damping", "-1e-3"], "damping", "-1e-3"),
+        (["compute", "--grid", "-1e-3,0.5,3"], "grid", "-1e-3,0.5,3"),
+        (["ingest", "--events", "x", "--grid", "-2,1E1,3"], "grid", "-2,1E1,3"),
+    ])
+    def test_negative_exponent_values_parse(self, argv, dest, expected):
+        args = cli._build_parser().parse_args(argv)
+        assert getattr(args, dest) == expected
+
+    def test_non_utf8_network_file(self, capsys, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_bytes(b"nodes 2\ninstant 0\n1 2 1\xff\n")
+        code, _, err = run_cli(capsys, "compute", "--network", str(path))
+        assert code == 1
+        assert err == "error: line 3: not UTF-8 text: byte 0xff at column 6\n"
+
     def test_bad_damping_specs(self, capsys, synthetic5_file):
         code, _, err = run_cli(capsys, "compute", "--network", synthetic5_file,
                                "--damping", "linear:0.5")
@@ -301,6 +330,27 @@ class TestCompare:
         assert payload[0]["pair_label"] == "uniform vs input"
         assert payload[-1]["tau"] == 1.0
 
+    def test_shared_network_is_loaded_once(self, capsys, monkeypatch, tmp_path,
+                                           config_pair, synthetic5_file):
+        calls = []
+        load = tr.netfile.load_network
+        monkeypatch.setattr(tr.netfile, "load_network",
+                            lambda source: calls.append(source) or load(source))
+        code, shared, _ = run_cli(capsys, "compare", *config_pair, "--no-header")
+        assert code == 0
+        assert calls == [synthetic5_file]
+        # a second copy of the file is a different source: loaded again
+        copy = tmp_path / "copy.txt"
+        shutil.copyfile(synthetic5_file, copy)
+        other = tmp_path / "other.cfg"
+        other.write_text(f"[network]\nfile = {copy}\n\n[personalization]\nkind = input\n")
+        calls.clear()
+        code, separate, _ = run_cli(capsys, "compare", config_pair[0], str(other),
+                                    "--no-header")
+        assert code == 0
+        assert calls == [synthetic5_file, str(copy)]
+        assert separate == shared
+
     def test_missing_config(self, capsys, tmp_path, config_pair):
         code, _, err = run_cli(capsys, "compare", config_pair[0],
                                str(tmp_path / "gone.cfg"))
@@ -399,6 +449,14 @@ class TestIngest:
         assert code == 2
         assert "event file not found" in err
 
+    def test_non_utf8_events(self, capsys, tmp_path):
+        path = tmp_path / "events.txt"
+        path.write_bytes(b"1 2 +1 0\n% caf\xe9\n2 1 +1 5\n")
+        code, _, err = run_cli(capsys, "ingest", "--events", str(path),
+                               "--grid", "0,1,2")
+        assert code == 1
+        assert err == "error: line 2: not UTF-8 text: byte 0xe9 at column 6\n"
+
     def test_bad_grid_spec(self, capsys, tmp_path):
         events = self.events_file(tmp_path, "1 2 +1 0\n")
         code, _, err = run_cli(capsys, "ingest", "--events", events,
@@ -433,6 +491,14 @@ class TestValidate:
         code, out, err = run_cli(capsys, "validate", str(path))
         assert code == 1
         assert "unknown construct" in err
+
+    def test_non_utf8_file_reported(self, capsys, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_bytes(b"# \xff\xfe\nnodes 2\ninstant 0\n")
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "line 1: not UTF-8 text: byte 0xff at column 3\n"
 
     def test_invariant_violation_reported(self, capsys, tmp_path):
         path = tmp_path / "net.txt"

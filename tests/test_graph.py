@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import sparse
 
 from temporank import (
@@ -10,6 +12,7 @@ from temporank import (
     InvalidInputError,
     validate,
 )
+from temporank.graph import _entries_to_csr
 from temporank.timefuncs import parse
 
 
@@ -65,6 +68,27 @@ class TestDiscrete:
             initial_adjacency=np.array([[0.0, -2.0], [0.0, 0.0]]))
         problems = validate(net)
         assert any("initial adjacency" in p and "negative" in p for p in problems)
+
+
+class TestEntriesToCsr:
+    @given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                           st.floats(0.0, 1e300)))
+    def test_bit_identical_to_scipy_coo_build(self, entries):
+        # the array builder must give what scipy's COO -> CSR conversion gives
+        n = 7
+        items = sorted(entries.items())
+        if items:
+            expected = sparse.csr_array(
+                (np.array([w for _, w in items], dtype=float),
+                 (np.array([i for (i, _), _ in items], dtype=np.int64),
+                  np.array([j for (_, j), _ in items], dtype=np.int64))), shape=(n, n))
+        else:
+            expected = sparse.csr_array((n, n))
+        got = _entries_to_csr(entries, n)
+        assert got.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestContinuous:

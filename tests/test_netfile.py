@@ -1,9 +1,14 @@
 """The plain-text network description format."""
 
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import sparse
 
 from temporank import (
     ContinuousTemporalNetwork,
@@ -15,6 +20,7 @@ from temporank import (
     save_network,
     synthetic_five_node,
 )
+from temporank import netfile
 from temporank.timefuncs import TimeFunction
 
 CONTINUOUS = """\
@@ -157,8 +163,207 @@ class TestRoundTrip:
             assert np.array_equal(again.snapshot_at(k).toarray(),
                                   net.snapshot_at(k).toarray())
 
+    def test_duplicate_csr_entries_are_summed(self):
+        # a CSR matrix may hold (0, 1) twice; the file must hold it once
+        snap = sparse.csr_array((np.array([1.0, 2.0, 0.5]), np.array([1, 1, 0]),
+                                 np.array([0, 3, 3])), shape=(2, 2))
+        net = DiscreteTemporalNetwork(2, [0.0], (snap,), initial_adjacency=snap)
+        text = dumps_network(net)
+        assert text == "nodes 2\ninitial\n1 1 0.5\n1 2 3.0\ninstant 0.0\n1 1 0.5\n1 2 3.0\n"
+        again = loads_network(text)
+        assert np.array_equal(again.snapshot_at(1).toarray(), snap.toarray())
+        assert net.snapshot_at(1).nnz == 3      # the network itself is untouched
+
     def test_save_to_file_object(self):
-        import io
         buffer = io.StringIO()
         save_network(loads_network(DISCRETE), buffer)
         assert loads_network(buffer.getvalue()).n == 3
+
+
+# ---------------------------------------------------------------------------
+# the block parser against the per-line reference parser
+
+def reference(text):
+    return netfile._parse(text.splitlines())
+
+
+def fingerprint(net):
+    """Everything a loaded network is made of, down to array bytes and dtypes."""
+    if isinstance(net, ContinuousTemporalNetwork):
+        return ("continuous", net.n, net.interval, net.symmetric,
+                sorted((pair, fn.source) for pair, fn in net.edges.items()))
+    matrices = list(net.snapshots)
+    if net.initial_adjacency is not None:
+        matrices.append(net.initial_adjacency)
+    return ("discrete", net.n, net.instants.dtype.str, net.instants.tobytes(),
+            net.initial_adjacency is None,
+            [(m.shape, *((a.dtype.str, a.tobytes()) for a in (m.indptr, m.indices, m.data)))
+             for m in matrices])
+
+
+def outcome(parse, text):
+    try:
+        return ("ok", fingerprint(parse(text)))
+    except Exception as err:  # any failure must be the same failure
+        return (type(err).__name__, str(err), getattr(err, "line_number", None))
+
+
+PAD = st.sampled_from(["", " ", "\t", "  \t"])
+SEP = st.sampled_from([" ", "\t", "  ", " \t "])
+FILLER = st.sampled_from(["", "   ", "\t", "# a comment", "  # indented 1 2 3", "#"])
+WEIGHT_WORDS = ["0", "-0", "0.0", "1e2", "1E-3", ".5", "5.", "+3", "1_0", "1_0.5",
+                "007", "1e-320", "2.5e+300"]
+
+
+@st.composite
+def index_tokens(draw, i):
+    forms = [str(i), f"+{i}", f"0{i}", f"00{i}"]
+    if i >= 10:
+        forms.append(f"{str(i)[0]}_{str(i)[1:]}")
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def weight_tokens(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(WEIGHT_WORDS))
+    w = draw(st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))
+    return draw(st.sampled_from([repr(w), f"{w:.3e}", f"+{w!r}", f"{w:.17g}"]))
+
+
+@st.composite
+def discrete_files(draw):
+    """Lines of a valid discrete file, and the index of each block's first line."""
+    n = draw(st.integers(1, 12))
+    lines = draw(st.lists(FILLER, max_size=2))
+    lines.append(f"{draw(PAD)}nodes{draw(SEP)}{n}{draw(PAD)}")
+    count = draw(st.integers(1, 4))
+    instants = sorted(draw(st.sets(st.floats(-1e3, 1e3, allow_nan=False),
+                                   min_size=count, max_size=count)))
+    headers = [f"{draw(PAD)}instant{draw(SEP)}{t!r}{draw(PAD)}" for t in instants]
+    if draw(st.booleans()):
+        headers.insert(draw(st.integers(0, count)), f"{draw(PAD)}initial{draw(PAD)}")
+    starts = []
+    for header in headers:
+        starts.append(len(lines))
+        lines.append(header)
+        pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                              unique=True, max_size=12))
+        for i, j in pairs:
+            lines.extend(draw(st.lists(FILLER, max_size=1)))
+            lines.append(f"{draw(PAD)}{draw(index_tokens(i))}{draw(SEP)}"
+                         f"{draw(index_tokens(j))}{draw(SEP)}{draw(weight_tokens())}"
+                         f"{draw(PAD)}")
+    return lines, starts
+
+
+def joined(lines, trailing=True):
+    return "\n".join(lines) + ("\n" if trailing else "")
+
+
+class TestBlockParser:
+    @given(case=discrete_files(), trailing=st.booleans())
+    def test_valid_files_load_bit_identically_without_fallback(self, case, trailing):
+        text = joined(case[0], trailing)
+        with mock.patch.object(netfile, "_parse", side_effect=AssertionError("fell back")):
+            fast = outcome(loads_network, text)
+        assert fast[0] == "ok", fast
+        assert fast == outcome(reference, text)
+
+    @given(case=discrete_files(), data=st.data())
+    def test_corrupt_files_fail_identically(self, case, data):
+        lines, starts = case
+        n = int(lines[starts[0] - 1].split()[1])
+        triples = [k for k, line in enumerate(lines)
+                   if line.split() and line.split()[0][0] in "+0123456789"]
+        bad = data.draw(st.sampled_from([
+            "1 2", "1 2 3 4", "0 1 1.0", f"{n + 1} 1 1.0", "1 -1 1.0", "1.5 1 1.0",
+            "x 1 1.0", "1e1 1 1.0", "9" * 25 + " 1 1.0", "1 1 nan", "1 1 inf",
+            "1 1 -1", "1 1 -1e-3", "1 1 infinity", "1 1 1,5", "foo", "foo 1 2",
+            "instants 1", "nodes 3", "symmetric", "interval 0 1", "edge 1 1 t",
+            "initial", "instant 1e9", "1 1 1.0\r", "1 1 1.0 # note", "# caf\u00e9",
+            "1\x0b1 1.0"]))
+        if triples and data.draw(st.booleans()):
+            source = data.draw(st.sampled_from(triples))   # a duplicate, later on
+            at = data.draw(st.integers(source + 1, len(lines)))
+            lines = lines[:at] + [lines[source]] + lines[at:]
+        else:
+            at = data.draw(st.integers(0, len(lines)))
+            lines = lines[:at] + [bad] + lines[at:]
+        text = joined(lines)
+        assert outcome(loads_network, text) == outcome(reference, text)
+
+    @pytest.mark.parametrize("text", [
+        "nodes 2\n1 2 1.0\ninstant 0\n",             # triple before any block
+        "nodes 2\ninstant 0\n1 2 1\n# c\n1 2 2\n",   # duplicate across a comment
+        "nodes 2\ninstant 0\n1 2\t1\n2\n",          # one token
+        "nodes 2\ninstant 0\n1 2 1 2\n",             # four tokens
+        "nodes 2\ninitial\n1 2 1\ninitial\n",        # duplicate block
+        "nodes 2\ninstant 0\n1 2 1\ninterval 0 1\n",  # ends up continuous
+        "nodes 2\ninstant 0\n1 2 1\n1 2 1\nedge 1 2 t\n",  # the duplicate comes first
+        "nodes 2\ninstant 0\n1 99999999999999999999999 1\n",
+    ])
+    def test_known_corruptions(self, text):
+        assert outcome(loads_network, text) == outcome(reference, text)
+
+    def test_windows_line_endings_take_the_block_parser(self, tmp_path):
+        text = "# made elsewhere\nnodes 3\ninstant 0.5\n1 2 1.5\n3 1 2\ninitial\n2 2 1\n"
+        path = tmp_path / "net.txt"
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        with mock.patch.object(netfile, "_parse", side_effect=AssertionError("fell back")):
+            fast = outcome(load_network, path)
+        assert fast[0] == "ok"
+        assert fast == outcome(reference, text)
+
+    def test_errors_after_unusual_characters_keep_their_line(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("# caf\u00e9\nnodes 2\ninstant 0\n1 2 1\n1 2 1\n", encoding="utf-8")
+        with pytest.raises(NetworkFormatError, match="^line 5: duplicate entry"):
+            load_network(path)
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_bytes(b"nodes 2\ninstant 0\n1 2 \xc3\n")
+        with pytest.raises(NetworkFormatError) as err:
+            load_network(path)
+        assert err.value.line_number == 3
+        assert str(err.value) == "line 3: not UTF-8 text: byte 0xc3 at column 5"
+
+
+def coo_writer(network):
+    """The writer the CSR writer replaced: entries sorted from a COO view."""
+    def lines(matrix):
+        coo = matrix.tocoo()
+        return [f"{i + 1} {j + 1} {float(w)!r}"
+                for i, j, w in sorted(zip(coo.row, coo.col, coo.data)) if w != 0]
+    out = [f"nodes {network.n}"]
+    if network.initial_adjacency is not None:
+        out += ["initial", *lines(network.initial_adjacency)]
+    for t, snapshot in zip(network.instants, network.snapshots):
+        out += [f"instant {float(t)!r}", *lines(snapshot)]
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def canonical_networks(draw):
+    n = draw(st.integers(1, 8))
+    weights = st.one_of(st.floats(0.0, 1e300, allow_nan=False),
+                        st.sampled_from([0.0, 1.0 / 3.0, 5e-324, 0.1]))
+
+    def matrix():
+        entries = draw(st.dictionaries(st.tuples(st.integers(0, n - 1),
+                                                 st.integers(0, n - 1)), weights))
+        return netfile._entries_to_csr(entries, n)
+
+    count = draw(st.integers(1, 3))
+    instants = sorted(draw(st.sets(st.floats(-1e6, 1e6, allow_nan=False),
+                                   min_size=count, max_size=count)))
+    initial = matrix() if draw(st.booleans()) else None
+    return DiscreteTemporalNetwork(n, instants, tuple(matrix() for _ in instants),
+                                   initial_adjacency=initial)
+
+
+class TestWriter:
+    @given(canonical_networks())
+    def test_text_matches_the_coo_writer(self, net):
+        assert dumps_network(net) == coo_writer(net)
