@@ -272,8 +272,9 @@ def _json_document(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+def _fmts(values) -> list[str]:
+    """Shortest round-trip text of every entry of a float array."""
+    return [repr(value) for value in np.asarray(values, dtype=float).tolist()]
 
 
 # --------------------------------------------------------------- commands
@@ -304,9 +305,9 @@ def cmd_compute(args) -> int:
     cfg = _resolve(args)
     network, trajectory = _trajectory_for(cfg)
     if cfg.output_format == "csv":
-        rows = [f"{_fmt(t)},{node},{_fmt(score)}"
-                for k, t in enumerate(trajectory.instants)
-                for node, score in enumerate(trajectory.vectors[k], start=1)]
+        rows = [f"{t},{node},{score!r}"
+                for t, scores in zip(_fmts(trajectory.instants), trajectory.vectors.tolist())
+                for node, score in enumerate(scores, start=1)]
         text = _csv_document("instant,node,score", rows, cfg.output_header)
     else:
         text = _json_document([
@@ -351,10 +352,10 @@ def cmd_converge(args) -> int:
               file=sys.stderr)
 
     if cfg.output_format == "csv":
-        rows = [f"{size},{_fmt(t)},{node},{_fmt(err)}"
+        rows = [f"{size},{t},{node},{err!r}"
                 for size, instants, errors in results
-                for k, t in enumerate(instants)
-                for node, err in enumerate(errors[k], start=1)]
+                for t, row in zip(_fmts(instants), errors.tolist())
+                for node, err in enumerate(row, start=1)]
         text = _csv_document("size,instant,node,abs_error", rows, cfg.output_header)
     else:
         text = _json_document([
@@ -380,9 +381,11 @@ def cmd_localize(args) -> int:
         dangling_dist=configmod.build_personalization(cfg),
         tol=cfg.solver_tol, threads=cfg.threads)
     if cfg.output_format == "csv":
-        rows = [f"{_fmt(t)},{node + 1},{_fmt(bounds.lo[k, m])},{_fmt(bounds.hi[k, m])}"
-                for k, t in enumerate(bounds.instants)
-                for m, node in enumerate(bounds.nodes)]
+        nodes = (bounds.nodes + 1).tolist()
+        rows = [f"{t},{node},{lo!r},{hi!r}"
+                for t, los, his in zip(_fmts(bounds.instants), bounds.lo.tolist(),
+                                       bounds.hi.tolist())
+                for node, lo, hi in zip(nodes, los, his)]
         text = _csv_document("instant,node,lo,hi", rows, cfg.output_header)
     else:
         text = _json_document([
@@ -411,8 +414,8 @@ def cmd_compare(args) -> int:
     pair_label = f"{series.labels[0]} vs {series.labels[1]}"
     out_format = args.format or "csv"
     if out_format == "csv":
-        rows = [f"{_fmt(t)},{_fmt(tau)},{pair_label}"
-                for t, tau in zip(series.instants, series.taus)]
+        rows = [f"{t},{tau},{pair_label}"
+                for t, tau in zip(_fmts(series.instants), _fmts(series.taus))]
         text = _csv_document("instant,tau,pair_label", rows, not args.no_header)
     else:
         text = _json_document([

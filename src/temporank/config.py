@@ -46,13 +46,15 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import os
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from . import netfile, presets
-from .errors import InvalidInputError
+from .errors import InvalidInputError, not_utf8
 from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
 from .quadrature import QuadratureConfig
 from .schedules import (ConstantDamping, ExponentialDecay, InputPersonalization,
@@ -134,8 +136,14 @@ def read_config(path: str) -> RunConfig:
     """Load a config file on top of the defaults."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=(";", "#"))
-    with open(path, "r", encoding="utf-8") as handle:
-        parser.read_file(handle, source=path)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            parser.read_file(handle, source=path)
+    except UnicodeDecodeError:
+        raise not_utf8(path, partial(_config_error, path)) from None
+    except configparser.Error as err:
+        raise _config_error(path, str(err).splitlines()[0],
+                            getattr(err, "lineno", None)) from None
     values = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
@@ -152,6 +160,12 @@ def read_config(path: str) -> RunConfig:
                 raise InvalidInputError(
                     f"{path}: bad value for [{section}] {key}: {raw!r}") from None
     return RunConfig(**values)
+
+
+def _config_error(path: str, message: str,
+                  line_number: int | None = None) -> InvalidInputError:
+    where = path if line_number is None else f"{path}: line {line_number}"
+    return InvalidInputError(f"{where}: {message}")
 
 
 def resolve_config(base: RunConfig | None = None, env=os.environ,
@@ -193,6 +207,9 @@ def _check(cfg: RunConfig):
         raise InvalidInputError(f"unknown solver method {cfg.solver_method!r}")
     if cfg.output_format not in ("csv", "json"):
         raise InvalidInputError(f"unknown output format {cfg.output_format!r}")
+    for name, tol in (("solver tol", cfg.solver_tol), ("quadrature tol", cfg.quad_tol)):
+        if not (math.isfinite(tol) and tol > 0):
+            raise InvalidInputError(f"{name} must be positive and finite, got {tol!r}")
     if cfg.threads < 1:
         raise InvalidInputError(f"threads must be >= 1, got {cfg.threads}")
     if (cfg.grid_start is None) != (cfg.grid_step is None):

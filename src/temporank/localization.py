@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
-from . import _kernels
 from .accumulate import InstantSetup, StochasticSnapshot, iter_instants
 from .errors import InternalError, InvalidInputError
 from .graph import DiscreteTemporalNetwork
@@ -55,9 +53,7 @@ class LocalizationBounds:
 
 
 def _apply_m(snapshot: StochasticSnapshot, u: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    matrix = snapshot.matrix
-    y = _kernels.csr_matvec(matrix.indptr, matrix.indices, matrix.data,
-                            x, snapshot.n)
+    y = snapshot.matrix @ x
     if u is not None:
         # dangling rows of M contain u^T: (d u^T) x = d * <u, x>
         y += snapshot.dangling * float(u @ x)
@@ -112,8 +108,7 @@ def _resolvent_columns_direct(snapshot: StochasticSnapshot, damping: float,
     system = np.eye(n) - damping * m
     rhs = np.zeros((n, len(nodes)))
     rhs[list(nodes), range(len(nodes))] = 1.0
-    lu, piv = linalg.lu_factor(system)
-    return (1.0 - damping) * linalg.lu_solve((lu, piv), rhs)
+    return (1.0 - damping) * np.linalg.solve(system, rhs)
 
 
 def _resolvent_column_neumann(snapshot: StochasticSnapshot, damping: float,

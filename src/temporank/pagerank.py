@@ -11,11 +11,10 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
-from . import _kernels
 from .accumulate import InstantSetup, StochasticSnapshot, iter_instants
 from .errors import ConvergenceError, InternalError, InvalidInputError
 from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
@@ -66,7 +65,8 @@ class GoogleOperator:
     def _check_sampled_rows(self):
         n = self.snapshot.n
         sample = np.unique(np.linspace(0, n - 1, min(n, 8)).astype(int))
-        rows = np.asarray(self.snapshot.matrix[sample, :].sum(axis=1)).ravel()
+        indptr, data = self.snapshot.matrix.indptr, self.snapshot.matrix.data
+        rows = np.array([data[indptr[i]:indptr[i + 1]].sum() for i in sample])
         sums = self.damping * (rows + self.snapshot.dangling[sample]) + (1.0 - self.damping)
         if np.max(np.abs(sums - 1.0)) > _ROWSUM_TOL:
             raise InternalError("google matrix row sums differ from 1 on sampled rows")
@@ -74,6 +74,16 @@ class GoogleOperator:
     @property
     def n(self) -> int:
         return self.snapshot.n
+
+    @cached_property
+    def transition_transposed(self):
+        """P^T as CSR, built on first use: only power iteration applies it."""
+        return self.snapshot.matrix.T.tocsr()
+
+    @cached_property
+    def dangling_rows(self) -> np.ndarray:
+        """Indices of the dangling rows of P."""
+        return np.flatnonzero(self.snapshot.dangling == 1)
 
     def apply_transpose(self, x: np.ndarray) -> np.ndarray:
         return google_apply_transpose(self, x)
@@ -86,10 +96,8 @@ def google_apply_transpose(op: GoogleOperator, x: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"vector has shape {x.shape}, expected ({op.n},)")
     if not np.isfinite(x).all():
         raise InvalidInputError("vector must be finite")
-    matrix = op.snapshot.matrix
-    y = _kernels.csr_t_matvec(matrix.indptr, matrix.indices,
-                              matrix.data, x, op.n)
-    dangling_mass = float(x[op.snapshot.dangling == 1].sum())
+    y = op.transition_transposed @ x
+    dangling_mass = float(x[op.dangling_rows].sum())
     return op.damping * (y + dangling_mass * op.u) + (1.0 - op.damping) * x.sum() * op.v
 
 
@@ -113,7 +121,7 @@ def pagerank_direct(snapshot: StochasticSnapshot, damping: float, v: np.ndarray,
 
 def _dense_m_transposed(op: GoogleOperator) -> np.ndarray:
     m = op.snapshot.matrix.toarray().T
-    dangling = np.flatnonzero(op.snapshot.dangling == 1)
+    dangling = op.dangling_rows
     if dangling.size:
         m[:, dangling] += op.u[:, None]
     return m

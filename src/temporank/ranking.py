@@ -8,7 +8,8 @@ with C/D the concordant/discordant pair counts, n0 = n(n-1)/2 and
 T_x/T_y the tie-pair counts of each vector.  tau-b is 1 exactly when the
 two weak orders coincide, ties included, and -1 for opposite strict
 orders; the plain untied variant cannot reach 1 in the presence of ties.
-Discordances are counted by merge sort, so a comparison costs O(n log n).
+Discordances are counted by merge sort (Knight 1966), one whole merge
+level at a time, so a comparison costs O(n log^2 n) in array operations.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import InvalidInputError, UndefinedTauError
 from .pagerank import PageRankTrajectory
 
@@ -53,6 +53,33 @@ def _joint_tie_pairs(xs: np.ndarray, ys: np.ndarray) -> int:
     return int((runs * (runs - 1) // 2).sum())
 
 
+def _inversions(ranks: np.ndarray, n_ranks: int) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], for integer ranks in [0, n_ranks).
+
+    Bottom-up merge sort.  While every block of ``width`` entries is sorted,
+    the key ``block * n_ranks + rank`` is sorted over the whole array, so
+    one ``searchsorted`` finds, for every entry of an odd block, how many
+    entries of the block before it are <= it; the others are its
+    inversions.  Halving the block numbers and sorting the keys once
+    merges the level.
+    """
+    n = ranks.size
+    position = np.arange(n, dtype=np.int64)
+    keys = position * n_ranks + ranks
+    inversions = 0
+    width = 1
+    while width < n:
+        block = position // width
+        odd = (block & 1) == 1
+        not_above = (np.searchsorted(keys, keys[odd] - n_ranks, side="right")
+                     - (block[odd] - 1) * width)
+        inversions += int(odd.sum()) * width - int(not_above.sum())
+        keys -= (block - block // 2) * n_ranks
+        keys.sort()
+        width *= 2
+    return inversions
+
+
 def _as_scores(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size < 2:
@@ -65,8 +92,8 @@ def _as_scores(values, name: str) -> np.ndarray:
 def kendall_tau(x, y) -> float:
     """Kendall tau-b between two equally long score vectors.
 
-    Scores are compared directly; only their order matters, so converting
-    to integer ranks first would change nothing.  Raises
+    Only the order of the scores matters, so discordances are counted on
+    integer dense ranks.  Raises
     :class:`UndefinedTauError` when either vector is entirely tied (the
     denominator vanishes and no order comparison is possible).
     """
@@ -83,8 +110,9 @@ def kendall_tau(x, y) -> float:
     # is exactly one discordant pair
     t_x = _tie_pairs(xs)
     t_xy = _joint_tie_pairs(xs, ys)
-    discordant, ys_sorted = _kernels.merge_count_inversions(ys)
-    t_y = _tie_pairs(ys_sorted)
+    _, ranks, counts = np.unique(ys, return_inverse=True, return_counts=True)
+    discordant = _inversions(ranks, counts.size)
+    t_y = int((counts * (counts - 1) // 2).sum())
     n0 = n * (n - 1) // 2
     if n0 == t_x or n0 == t_y:
         raise UndefinedTauError(

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
-from scipy import sparse
 
 settings.register_profile(
     "suite", deadline=None, max_examples=50,
@@ -13,15 +12,3 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # the first call into the hot kernels may trigger jit compilation;
-    # do it once here so timed sections never pay for it
-    import temporank as tr
-
-    snap = tr.row_normalize(sparse.csr_array(np.array([[0.0, 1.0], [1.0, 1.0]])))
-    op = tr.GoogleOperator(snap, 0.85, np.array([0.5, 0.5]))
-    tr.pagerank_power(op, tol=1e-10)
-    tr.kendall_tau([1.0, 2.0, 3.0], [3.0, 1.0, 2.0])

@@ -117,6 +117,59 @@ def pair_tau(x, y):
         float(n0 - ties_x) * float(n0 - ties_y))
 
 
+def brute_inversions(y):
+    """Pairs i < j with y[i] > y[j], by enumerating every pair."""
+    y = np.asarray(y, dtype=float)
+    return sum(int(np.sum(y[i] > y[i + 1:])) for i in range(len(y)))
+
+
+def merge_count_inversions(y):
+    """Inversions of ``y`` by a bottom-up merge sort with a Python loop over blocks.
+
+    Ties do not count.
+    """
+    y = np.array(y, dtype=np.float64)
+    n = y.shape[0]
+    inv = 0
+    width = 1
+    while width < n:
+        for lo in range(0, n - width, 2 * width):
+            mid = lo + width
+            hi = min(lo + 2 * width, n)
+            left = y[lo:mid]
+            right = y[mid:hi]
+            # pairs (l, r) with l > r  ==  |left|*|right| - #(l <= r)
+            inv += left.size * right.size - int(
+                np.searchsorted(left, right, side="right").sum())
+            y[lo:hi] = np.sort(y[lo:hi], kind="stable")
+        width *= 2
+    return inv
+
+
+# ---------------------------------------------------------------------------
+# sparse products by scatter-add
+#
+# Both sum each output entry from 0 in CSR storage order, the order a scipy
+# CSR product (of A, or of A.T converted to CSR) uses, so equal results are
+# expected bit for bit.
+
+
+def csr_matvec(matrix, x):
+    """A @ x for a CSR array, by ``np.add.at`` over the stored entries."""
+    n_rows = matrix.shape[0]
+    rows = np.repeat(np.arange(n_rows), np.diff(matrix.indptr))
+    y = np.zeros(n_rows, dtype=np.float64)
+    np.add.at(y, rows, matrix.data * x[matrix.indices])
+    return y
+
+
+def csr_t_matvec(matrix, x):
+    """A.T @ x for a CSR array: scatter each row of A, in storage order."""
+    y = np.zeros(matrix.shape[1], dtype=np.float64)
+    np.add.at(y, matrix.indices, matrix.data * np.repeat(x, np.diff(matrix.indptr)))
+    return y
+
+
 # ---------------------------------------------------------------------------
 # dense eigensolver PageRank
 

@@ -184,6 +184,28 @@ class TestCompute:
         assert code == 1
         assert err == "error: line 3: not UTF-8 text: byte 0xff at column 6\n"
 
+    @pytest.mark.parametrize("content,message", [
+        (b"[network]\npreset = caf\xe9\n",
+         "line 2: not UTF-8 text: byte 0xe9 at column 13"),
+        (b"preset = paper-synthetic\n", "line 1: File contains no section headers."),
+    ])
+    def test_unreadable_config(self, capsys, tmp_path, content, message):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "compute", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("flag,name", [("--tol", "solver tol"),
+                                           ("--quad-tol", "quadrature tol")])
+    def test_negative_tolerance_rejected(self, capsys, flag, name):
+        code, out, err = run_cli(capsys, "compute", "--preset", "paper-synthetic",
+                                 "--grid-count", "3", flag, "-1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {name} must be positive and finite, got -1.0\n"
+
     def test_bad_damping_specs(self, capsys, synthetic5_file):
         code, _, err = run_cli(capsys, "compute", "--network", synthetic5_file,
                                "--damping", "linear:0.5")

@@ -105,6 +105,23 @@ class TestReadConfig:
         with pytest.raises(InvalidInputError, match="expected yes/no"):
             read_config(path)
 
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"[network]\npreset = caf\xe9\n")
+        with pytest.raises(InvalidInputError,
+                           match="run.cfg: line 2: not UTF-8 text: byte 0xe9 at column 13"):
+            read_config(str(path))
+
+    @pytest.mark.parametrize("text,fragment", [
+        ("preset = x\n", "line 1: File contains no section headers"),
+        ("[network]\ngarbage line\n", "parsing errors"),
+        ("[network]\npreset = a\npreset = b\n", "line 3: .* already exists"),
+        ("[network]\n[network]\n", "line 2: .* already exists"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text, fragment):
+        with pytest.raises(InvalidInputError, match=fragment):
+            read_config(write(tmp_path, text))
+
     def test_message_names_the_file(self, tmp_path):
         path = write(tmp_path, "[solver]\nspeed = 11\n")
         with pytest.raises(InvalidInputError, match="run.cfg"):
@@ -152,6 +169,11 @@ class TestResolveConfig:
         (dict(grid_start=0.0), "given together"),
         (dict(grid_step=0.5), "given together"),
         (dict(grid_count=0), "grid count must be >= 1"),
+        (dict(solver_tol=0.0), "solver tol must be positive"),
+        (dict(solver_tol=-1.0), "solver tol must be positive"),
+        (dict(solver_tol=float("inf")), "solver tol must be positive"),
+        (dict(quad_tol=-1.0), "quadrature tol must be positive"),
+        (dict(quad_tol=float("nan")), "quadrature tol must be positive"),
     ])
     def test_validation(self, overrides, fragment):
         with pytest.raises(InvalidInputError, match=fragment):

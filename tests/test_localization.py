@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import sparse
 
 import oracles
@@ -23,6 +25,7 @@ from temporank import (
     trajectory_discrete,
     truncate,
 )
+from temporank.localization import _apply_m
 
 TWO_NODE = np.array([[0.0, 1.0], [1.0, 1.0]])
 
@@ -35,6 +38,28 @@ def full_x(snap, damping, u=None, method="direct"):
     cols = [resolvent_column(snap, damping, i, u=u, method=method).column
             for i in range(snap.n)]
     return np.column_stack(cols)
+
+
+class TestApplyM:
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60),
+           density=st.floats(0.0, 1.0), dangling=st.booleans())
+    def test_matches_scatter_add_bit_for_bit(self, seed, n, density, dangling):
+        rng = np.random.default_rng(seed)
+        A = rng.random((n, n)) * (rng.random((n, n)) < density)
+        if dangling:
+            A[rng.integers(0, n), :] = 0.0
+        snap = snapshot_of(A)
+        u = oracles.random_simplex_vector(rng, n) if snap.dangling.any() else None
+        x = rng.normal(size=n)
+        expected = oracles.csr_matvec(snap.matrix, x)
+        if u is not None:
+            expected += snap.dangling * float(u @ x)
+        assert np.array_equal(_apply_m(snap, u, x), expected)
+
+    def test_empty_rows_contribute_nothing(self):
+        snap = snapshot_of(np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, 1.0]]))
+        y = _apply_m(snap, None, np.array([1.0, 10.0, 100.0]))
+        np.testing.assert_array_equal(y, [10.0, 0.0, 25.75])
 
 
 class TestResolventColumn:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import sparse
 
 import oracles
@@ -13,7 +15,9 @@ from temporank import (
     DiscreteTemporalNetwork,
     ExponentialDecay,
     GoogleOperator,
+    InternalError,
     InvalidInputError,
+    StochasticSnapshot,
     UniformPersonalization,
     google_apply_transpose,
     pagerank_direct,
@@ -74,6 +78,43 @@ class TestGoogleOperator:
             G = oracles.dense_google(A, 0.6, v, u)
             x = rng.normal(size=n)
             assert google_apply_transpose(op, x) == pytest.approx(G.T @ x, abs=1e-12)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60),
+           density=st.floats(0.0, 1.0), dangling=st.booleans())
+    def test_transpose_matches_scatter_add_bit_for_bit(self, seed, n, density, dangling):
+        rng = np.random.default_rng(seed)
+        A = rng.random((n, n)) * (rng.random((n, n)) < density)
+        if dangling:
+            A[rng.integers(0, n), :] = 0.0
+        snap = snapshot_of(A)
+        v = oracles.random_simplex_vector(rng, n)
+        u = oracles.random_simplex_vector(rng, n)
+        op = GoogleOperator(snap, 0.85, v, u)
+        x = rng.normal(size=n)
+        dangling_mass = float(x[snap.dangling == 1].sum())
+        expected = (0.85 * (oracles.csr_t_matvec(snap.matrix, x) + dangling_mass * u)
+                    + (1.0 - 0.85) * x.sum() * v)
+        assert np.array_equal(google_apply_transpose(op, x), expected)
+
+    def test_direct_solve_never_builds_the_transpose(self, rng, monkeypatch):
+        def refuse(self):
+            raise AssertionError("P^T built for a direct solve")
+
+        monkeypatch.setattr(GoogleOperator, "transition_transposed", property(refuse))
+        snap, A = random_snapshot(rng, 10)
+        v = oracles.random_simplex_vector(rng, 10)
+        pi = pagerank_direct(snap, 0.85, v)
+        assert pi == pytest.approx(oracles.eig_pagerank(A, 0.85, v), abs=1e-10)
+
+    def test_row_sums_checked_to_1e_12(self):
+        snap = snapshot_of(np.ones((20, 20)))
+        for scale, ok in ((1.0 + 1e-14, True), (1.0 + 1e-11, False)):
+            scaled = StochasticSnapshot(snap.matrix * scale, snap.dangling, 0.0)
+            if ok:
+                GoogleOperator(scaled, 0.85, np.full(20, 0.05))
+            else:
+                with pytest.raises(InternalError):
+                    GoogleOperator(scaled, 0.85, np.full(20, 0.05))
 
     def test_u_defaults_to_v(self):
         op = GoogleOperator(snapshot_of(TWO_NODE), 0.85, np.array([0.3, 0.7]))

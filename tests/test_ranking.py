@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from temporank import (
@@ -18,6 +20,42 @@ from temporank import (
     trajectory_discrete,
     truncate,
 )
+from temporank.ranking import _inversions
+
+
+def count_inversions(y):
+    _, ranks, counts = np.unique(np.asarray(y, dtype=float),
+                                 return_inverse=True, return_counts=True)
+    return _inversions(ranks, counts.size)
+
+
+class TestInversions:
+    def test_known_counts(self):
+        assert count_inversions([3.0, 1.0, 2.0, 1.0]) == 4
+        assert count_inversions([1.0, 2.0, 3.0]) == 0
+        assert count_inversions([3.0, 2.0, 1.0]) == 3
+        assert count_inversions([2.0, 2.0, 2.0]) == 0
+
+    def test_tiny_inputs(self):
+        assert count_inversions([]) == 0
+        assert count_inversions([5.0]) == 0
+
+    def test_preserves_input(self, rng):
+        ranks = rng.integers(0, 7, size=50)
+        original = ranks.copy()
+        assert _inversions(ranks, 7) == oracles.brute_inversions(ranks)
+        np.testing.assert_array_equal(ranks, original)
+
+    def test_random_against_brute_force(self, rng):
+        for trial in range(300):
+            y = oracles.tie_bearing_vector(rng, int(rng.integers(0, 300)))
+            count = count_inversions(y)
+            assert count == oracles.brute_inversions(y)
+            assert count == oracles.merge_count_inversions(y)
+
+    @given(st.lists(st.integers(min_value=-5, max_value=5), max_size=60))
+    def test_property_matches_brute_force(self, values):
+        assert count_inversions(values) == oracles.brute_inversions(values)
 
 
 class TestKendallTau:
