@@ -137,30 +137,28 @@ def accumulate_continuous(net: ContinuousTemporalNetwork, kernel: DecayKernel,
         raise InvalidInputError(f"t={t} outside the network interval [{t0}, {t1}]")
     _check_kernel_at(kernel, t)
     if t == t0:
-        snapshot = row_normalize(net.adjacency_at(t0))
-        return StochasticSnapshot(snapshot.matrix, snapshot.dangling, t0)
+        return replace(row_normalize(net.adjacency_at(t0)), instant=t0)
 
     weight = kernel.profile(t)
-    rows, cols, vals = [], [], []
-    for (i, j), fn in sorted(net.edges.items()):
+    values = []
+    for label, fn in zip(_edge_labels(net), net.edge_order.functions):
         scalar = fn.scalar_fn
-        label = f"edge ({i + 1}, {j + 1})"
         try:
-            value = adaptive_simpson(lambda s: weight(s) * scalar(s), t0, t,
-                                     quad, label=label)
+            values.append(adaptive_simpson(lambda s: weight(s) * scalar(s), t0, t,
+                                           quad, label=label))
         except OverflowError:
             raise InvalidInputError(
                 f"integrand of {label} overflows on [{t0}, {t}]; {kernel!r} "
                 "is out of floating-point range over this time span") from None
-        rows.append(i)
-        cols.append(j)
-        vals.append(value)
-    accumulated = sparse.csr_array(
-        sparse.coo_array((vals, (rows, cols)), shape=(net.n, net.n)))
+    accumulated = net.edge_csr(values)
     _check_finite(accumulated, t)
-    accumulated.eliminate_zeros()
-    snapshot = row_normalize(accumulated)
-    return StochasticSnapshot(snapshot.matrix, snapshot.dangling, t)
+    return replace(row_normalize(accumulated), instant=t)
+
+
+def _edge_labels(net: ContinuousTemporalNetwork) -> list[str]:
+    """1-based names of the edges in :attr:`~ContinuousTemporalNetwork.edge_order`."""
+    rows, cols, _ = net.edge_order
+    return [f"edge ({i + 1}, {j + 1})" for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 def truncate(net: ContinuousTemporalNetwork, count: int) -> DiscreteTemporalNetwork:
@@ -172,19 +170,9 @@ def truncate(net: ContinuousTemporalNetwork, count: int) -> DiscreteTemporalNetw
         raise InvalidInputError(f"partition needs at least 2 points, got {count}")
     t0, t1 = net.interval
     instants = t0 + (t1 - t0) * np.arange(count) / (count - 1)
-    edge_items = sorted(net.edges.items())
-    values = np.empty((len(edge_items), count))
-    for row, ((i, j), fn) in enumerate(edge_items):
-        values[row] = fn(instants)
-    rows = np.array([i for (i, _), _ in edge_items], dtype=int)
-    cols = np.array([j for (_, j), _ in edge_items], dtype=int)
-    snapshots = []
-    for k in range(count):
-        matrix = sparse.csr_array(
-            sparse.coo_array((values[:, k], (rows, cols)), shape=(net.n, net.n)))
-        matrix.eliminate_zeros()
-        snapshots.append(matrix)
-    return DiscreteTemporalNetwork(net.n, instants, tuple(snapshots))
+    values = np.array([fn(instants) for fn in net.edge_order.functions]).reshape(-1, count)
+    return DiscreteTemporalNetwork(
+        net.n, instants, tuple(net.edge_csr(values[:, k]) for k in range(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +287,7 @@ def _discrete_snapshots(net: DiscreteTemporalNetwork,
         matrix = _scale_rows(matrix, old_factor) + _scale_rows(adjacency, new_factor)
         _check_finite(matrix, t)
         previous = t
-        snapshot = row_normalize(matrix)
-        yield StochasticSnapshot(snapshot.matrix, snapshot.dangling, t)
+        yield replace(row_normalize(matrix), instant=t)
 
 
 def _continuous_snapshots(net: ContinuousTemporalNetwork, kernel: DecayKernel,
@@ -314,8 +301,7 @@ def _continuous_snapshots(net: ContinuousTemporalNetwork, kernel: DecayKernel,
     for t, matrix, _ in _continuous_accumulated(net, kernel, times, quad):
         if t == net.t0:
             matrix = net.adjacency_at(t)
-        snapshot = row_normalize(matrix)
-        yield StochasticSnapshot(snapshot.matrix, snapshot.dangling, t)
+        yield replace(row_normalize(matrix), instant=t)
 
 
 def _continuous_accumulated(net: ContinuousTemporalNetwork, kernel: ExponentialDecay,
@@ -335,13 +321,10 @@ def _continuous_accumulated(net: ContinuousTemporalNetwork, kernel: ExponentialD
             f"t={float(outside[0])} outside the network interval [{t0}, {t1}]")
     span = float(times[-1]) - t0 if len(times) else 0.0
     rate = _checked_rate(kernel, span)
-    edges = sorted(net.edges.items())
-    rows = np.array([i for (i, _), _ in edges], dtype=np.int64)
-    cols = np.array([j for (_, j), _ in edges], dtype=np.int64)
-    indptr = np.searchsorted(rows, np.arange(net.n + 1))   # edges are in CSR order
-    labels = [f"edge ({i + 1}, {j + 1})" for (i, j), _ in edges]
-    scalars = [fn.scalar_fn for _, fn in edges]
-    values = np.zeros(len(edges))   # entries of B, row i divided by e^{log_scale[i]}
+    rows, _, functions = net.edge_order
+    labels = _edge_labels(net)
+    scalars = [fn.scalar_fn for fn in functions]
+    values = np.zeros(len(functions))   # entries of B, row i divided by e^{log_scale[i]}
     log_scale = np.zeros(net.n)
     previous = t0
     for t in times:
@@ -362,8 +345,6 @@ def _continuous_accumulated(net: ContinuousTemporalNetwork, kernel: ExponentialD
                 np.bincount(rows, piece, minlength=net.n) != 0)
             values = old_factor[rows] * values + new_factor[rows] * piece
             previous = t
-        matrix = sparse.csr_array((values.copy(), cols.copy(), indptr.copy()),
-                                  shape=(net.n, net.n))
+        matrix = net.edge_csr(values)
         _check_finite(matrix, t)
-        matrix.eliminate_zeros()
         yield t, matrix, log_scale

@@ -44,7 +44,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except TemporankError as err:
@@ -374,6 +374,8 @@ def cmd_localize(args) -> int:
         nodes = None
     else:
         nodes = [_int(part, "node") - 1 for part in args.nodes.split(",")]
+        if not all(0 <= node < network.n for node in nodes):
+            raise InvalidInputError(f"node subset outside 1..{network.n}")
     bounds = bounds_trajectory(
         network, configmod.build_kernel(cfg), configmod.build_damping(cfg),
         nodes=nodes, grid=configmod.build_grid(cfg, network),

@@ -267,10 +267,15 @@ def build_personalization(cfg: RunConfig):
         return InputPersonalization()
     if kind == "inverse-input":
         return InverseInputPersonalization()
-    if not os.path.exists(cfg.personalization_file):
-        raise FileNotFoundError(
-            f"personalization file not found: {cfg.personalization_file}")
-    table = np.loadtxt(cfg.personalization_file, ndmin=2)
+    path = cfg.personalization_file
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"personalization file not found: {path}")
+    try:
+        table = np.loadtxt(path, ndmin=2)
+    except UnicodeDecodeError:
+        raise not_utf8(path, partial(_config_error, path)) from None
+    except ValueError as err:
+        raise _config_error(path, f"not a table of numbers: {err}") from None
     return TabulatedPersonalization(tuple(np.asarray(row) for row in table))
 
 

@@ -9,6 +9,8 @@ operations assume a network that validates cleanly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -77,6 +79,14 @@ class DiscreteTemporalNetwork:
         return self.snapshots[k - 1]
 
 
+class EdgeOrder(NamedTuple):
+    """The edges of a continuous network sorted by (row, col), i.e. in CSR order."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    functions: tuple
+
+
 @dataclass(frozen=True)
 class ContinuousTemporalNetwork:
     """A fixed node set whose edge weights are functions of continuous time.
@@ -112,18 +122,29 @@ class ContinuousTemporalNetwork:
     def t1(self) -> float:
         return self.interval[1]
 
+    @cached_property
+    def edge_order(self) -> EdgeOrder:
+        """The edges as int64 rows and columns and their functions, sorted once."""
+        items = sorted(self.edges.items())
+        return EdgeOrder(np.array([i for (i, _), _ in items], dtype=np.int64),
+                         np.array([j for (_, j), _ in items], dtype=np.int64),
+                         tuple(fn for _, fn in items))
+
+    def edge_csr(self, values) -> sparse.csr_array:
+        """n x n CSR matrix holding ``values[e]`` on edge e of :attr:`edge_order`.
+
+        Zero entries are dropped.  ``eliminate_zeros`` compacts the index
+        arrays in place, so each matrix gets its own copy of the columns.
+        """
+        rows, cols, _ = self.edge_order
+        matrix = _sorted_to_csr(rows, cols.copy(), np.array(values, dtype=float), self.n)
+        matrix.eliminate_zeros()
+        return matrix
+
     def adjacency_at(self, t: float) -> sparse.csr_array:
         """Pointwise evaluation A(t) as a sparse matrix."""
         t = float(t)
-        rows, cols, vals = [], [], []
-        for (i, j), fn in sorted(self.edges.items()):
-            rows.append(i)
-            cols.append(j)
-            vals.append(fn(t))
-        matrix = sparse.csr_array(
-            sparse.coo_array((vals, (rows, cols)), shape=(self.n, self.n)))
-        matrix.eliminate_zeros()
-        return matrix
+        return self.edge_csr([fn(t) for fn in self.edge_order.functions])
 
 
 #: number of sample points used for the sampled checks on edge functions
@@ -181,7 +202,8 @@ def _validate_continuous(net: ContinuousTemporalNetwork) -> list[str]:
         problems.append(f"interval [{t0}, {t1}] is empty")
         return problems
     grid = np.linspace(t0, t1, _CONTINUOUS_SAMPLES)
-    for (i, j), fn in sorted(net.edges.items()):
+    rows, cols, functions = net.edge_order
+    for i, j, fn in zip(rows.tolist(), cols.tolist(), functions):
         if not (0 <= i < net.n and 0 <= j < net.n):
             problems.append(f"edge ({i}, {j}) outside node range 0..{net.n - 1}")
             continue

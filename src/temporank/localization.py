@@ -16,7 +16,8 @@ import numpy as np
 from .accumulate import InstantSetup, StochasticSnapshot, iter_instants
 from .errors import InternalError, InvalidInputError
 from .graph import DiscreteTemporalNetwork
-from .pagerank import DIRECT_SOLVE_MAX_N, _check_probability, _run_instants
+from .pagerank import (DIRECT_SOLVE_MAX_N, _check_probability, _run_instants,
+                       dense_transition)
 from .quadrature import QuadratureConfig
 from .schedules import DampingSchedule, DecayKernel, PersonalizationSchedule
 
@@ -60,16 +61,6 @@ def _apply_m(snapshot: StochasticSnapshot, u: np.ndarray | None, x: np.ndarray) 
     return y
 
 
-def _require_u(snapshot: StochasticSnapshot, u: np.ndarray | None) -> np.ndarray | None:
-    if snapshot.dangling.any():
-        if u is None:
-            raise InvalidInputError(
-                "network has dangling rows at this instant; "
-                "a dangling distribution u is required")
-        return _check_probability(u, snapshot.n, "dangling distribution")
-    return None
-
-
 def resolvent_column(snapshot: StochasticSnapshot, damping: float, node: int,
                      u: np.ndarray | None = None, tol: float = 1e-12,
                      method: str = "auto") -> ResolventColumn:
@@ -86,29 +77,40 @@ def resolvent_column(snapshot: StochasticSnapshot, damping: float, node: int,
     n = snapshot.n
     if not 0 <= node < n:
         raise InvalidInputError(f"node {node} outside 0..{n - 1}")
-    u = _require_u(snapshot, u)
-    if method == "auto":
-        method = "direct" if n <= DIRECT_SOLVE_MAX_N else "neumann"
-    if method == "direct":
-        column = _resolvent_columns_direct(snapshot, damping, [node], u)[:, 0]
-    elif method == "neumann":
-        column = _resolvent_column_neumann(snapshot, damping, node, u, tol)
-    else:
-        raise InvalidInputError(f"unknown method {method!r}")
+    column = _resolvent_columns(snapshot, damping, [node], u, tol, method,
+                                "this instant")[:, 0]
     return ResolventColumn(node, column, damping, snapshot.instant)
 
 
-def _resolvent_columns_direct(snapshot: StochasticSnapshot, damping: float,
-                              nodes, u: np.ndarray | None) -> np.ndarray:
+def _resolvent_columns(snapshot: StochasticSnapshot, damping: float, nodes,
+                       u: np.ndarray | None, tol: float, method: str,
+                       instant: str) -> np.ndarray:
+    """Columns ``nodes`` of X as an (n, len(nodes)) array, by ``method``.
+
+    ``u`` is read only when the snapshot has dangling rows, and is
+    required then; ``instant`` names the instant in that error.
+    """
     n = snapshot.n
-    m = snapshot.matrix.toarray()
-    if u is not None:
-        dangling = np.flatnonzero(snapshot.dangling == 1)
-        m[dangling, :] += u[None, :]
-    system = np.eye(n) - damping * m
-    rhs = np.zeros((n, len(nodes)))
-    rhs[list(nodes), range(len(nodes))] = 1.0
-    return (1.0 - damping) * np.linalg.solve(system, rhs)
+    if snapshot.dangling.any():
+        if u is None:
+            raise InvalidInputError(
+                f"network has dangling rows at {instant}; "
+                "a dangling distribution u is required")
+        u = _check_probability(u, n, "dangling distribution")
+    else:
+        u = None
+    if method == "auto":
+        method = "direct" if n <= DIRECT_SOLVE_MAX_N else "neumann"
+    if method not in ("direct", "neumann"):
+        raise InvalidInputError(f"unknown method {method!r}")
+    columns = np.zeros((n, len(nodes)))
+    if method == "direct":
+        columns[list(nodes), range(len(nodes))] = 1.0
+        system = np.eye(n) - damping * dense_transition(snapshot, u)
+        return (1.0 - damping) * np.linalg.solve(system, columns)
+    for m, node in enumerate(nodes):
+        columns[:, m] = _resolvent_column_neumann(snapshot, damping, node, u, tol)
+    return columns
 
 
 def _resolvent_column_neumann(snapshot: StochasticSnapshot, damping: float,
@@ -178,25 +180,12 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
         raise InvalidInputError(f"node subset outside 0..{net.n - 1}")
 
     def bounds_at(setup: InstantSetup):
-        snapshot, lam, u = setup.snapshot, setup.damping, setup.u
-        if snapshot.dangling.any() and u is None:
-            raise InvalidInputError(
-                f"dangling rows at instant {setup.k}; a dangling distribution is required")
-        if snapshot.n <= DIRECT_SOLVE_MAX_N:
-            columns = _resolvent_columns_direct(snapshot, lam, nodes, u)
-        else:
-            columns = np.column_stack([
-                _resolvent_column_neumann(snapshot, lam, node, u, tol)
-                for node in nodes])
-        pairs = [_column_bounds(columns[:, m], node)
-                 for m, node in enumerate(nodes)]
-        return (np.array([lo for lo, _ in pairs]),
-                np.array([hi for _, hi in pairs]))
+        columns = _resolvent_columns(setup.snapshot, setup.damping, nodes, setup.u,
+                                     tol, "auto", f"instant {setup.k}")
+        return [_column_bounds(columns[:, m], node) for m, node in enumerate(nodes)]
 
     setups = iter_instants(net, kernel, damping, dangling_dist=dangling_dist,
                            grid=instants, quad=quad)
     results = _run_instants(setups, bounds_at, threads)
-    count = len(results)
-    lo = np.vstack([pair[0] for pair in results]) if count else np.zeros((0, nodes.size))
-    hi = np.vstack([pair[1] for pair in results]) if count else np.zeros((0, nodes.size))
-    return LocalizationBounds(instants, nodes, lo, hi)
+    pairs = np.array(results, dtype=float).reshape(len(results), nodes.size, 2)
+    return LocalizationBounds(instants, nodes, pairs[:, :, 0], pairs[:, :, 1])

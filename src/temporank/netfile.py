@@ -357,7 +357,8 @@ def dumps_network(network) -> str:
     if isinstance(network, ContinuousTemporalNetwork):
         lines = [f"nodes {network.n}",
                  f"interval {float(network.t0)!r} {float(network.t1)!r}"]
-        for (i, j), fn in sorted(network.edges.items()):
+        rows, cols, functions = network.edge_order
+        for i, j, fn in zip(rows.tolist(), cols.tolist(), functions):
             if fn.source is None:
                 raise NetworkFormatError(
                     f"edge ({i + 1}, {j + 1}) wraps an opaque callable and "

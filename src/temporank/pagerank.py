@@ -23,7 +23,7 @@ from .schedules import DampingSchedule, DecayKernel, PersonalizationSchedule
 
 __all__ = [
     "GoogleOperator", "PageRankTrajectory",
-    "google_apply_transpose", "pagerank_direct", "pagerank_power",
+    "dense_transition", "google_apply_transpose", "pagerank_direct", "pagerank_power",
     "trajectory_discrete", "trajectory_continuous",
     "DIRECT_SOLVE_MAX_N",
 ]
@@ -85,9 +85,6 @@ class GoogleOperator:
         """Indices of the dangling rows of P."""
         return np.flatnonzero(self.snapshot.dangling == 1)
 
-    def apply_transpose(self, x: np.ndarray) -> np.ndarray:
-        return google_apply_transpose(self, x)
-
 
 def google_apply_transpose(op: GoogleOperator, x: np.ndarray) -> np.ndarray:
     """G^T x via the sparse P plus the dangling and teleport rank-one terms."""
@@ -109,8 +106,7 @@ def pagerank_direct(snapshot: StochasticSnapshot, damping: float, v: np.ndarray,
     unit 1-norm to absorb rounding.
     """
     op = GoogleOperator(snapshot, damping, v, u)
-    n = op.n
-    system = np.eye(n) - op.damping * _dense_m_transposed(op)
+    system = np.eye(op.n) - op.damping * dense_transition(op.snapshot, op.u).T
     try:
         pi = np.linalg.solve(system, (1.0 - op.damping) * op.v)
     except np.linalg.LinAlgError as exc:  # cannot happen for damping < 1
@@ -119,11 +115,15 @@ def pagerank_direct(snapshot: StochasticSnapshot, damping: float, v: np.ndarray,
     return pi
 
 
-def _dense_m_transposed(op: GoogleOperator) -> np.ndarray:
-    m = op.snapshot.matrix.toarray().T
-    dangling = op.dangling_rows
-    if dangling.size:
-        m[:, dangling] += op.u[:, None]
+def dense_transition(snapshot: StochasticSnapshot, u: np.ndarray | None) -> np.ndarray:
+    """M = P + d u^T as a dense array; with ``u`` None the dangling rows stay zero.
+
+    The direct PageRank solve and the direct resolvent solve both use it,
+    so the localization bounds come from the matrix the ranks come from.
+    """
+    m = snapshot.matrix.toarray()
+    if u is not None:
+        m[np.flatnonzero(snapshot.dangling == 1), :] += u[None, :]
     return m
 
 
@@ -131,8 +131,10 @@ def pagerank_power(op: GoogleOperator, tol: float = 1e-12,
                    max_iter: int = 100_000) -> tuple[np.ndarray, int, float]:
     """Power iteration x <- normalize1(G^T x) started from the teleport vector.
 
-    Returns (vector, iterations, final residual); the residual is the
-    1-norm of the last successive difference.
+    Returns (vector, iterations, final residual).  The residual r is the
+    1-norm of the last change between iterates, and iteration stops once
+    r <= ``tol``: ``tol`` bounds r, not the error.  In exact arithmetic
+    the error is then at most damping / (1 - damping) * r in the 1-norm.
     """
     if tol <= 0:
         raise InvalidInputError(f"tolerance must be positive, got {tol}")

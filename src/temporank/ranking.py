@@ -38,17 +38,12 @@ class TauSeries:
             raise InvalidInputError("instants and taus must align")
 
 
-def _tie_pairs(values: np.ndarray) -> int:
-    # values sorted ascending; pairs inside runs of equal entries
-    change = np.flatnonzero(values[1:] != values[:-1])
-    bounds = np.concatenate(([0], change + 1, [values.size]))
-    runs = np.diff(bounds)
-    return int((runs * (runs - 1) // 2).sum())
+def _tie_pairs(changes: np.ndarray) -> int:
+    """Pairs inside runs of equal entries of a sorted sequence.
 
-
-def _joint_tie_pairs(xs: np.ndarray, ys: np.ndarray) -> int:
-    change = np.flatnonzero((xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]))
-    bounds = np.concatenate(([0], change + 1, [xs.size]))
+    ``changes[i]`` is True where entry i + 1 differs from entry i.
+    """
+    bounds = np.concatenate(([0], np.flatnonzero(changes) + 1, [changes.size + 1]))
     runs = np.diff(bounds)
     return int((runs * (runs - 1) // 2).sum())
 
@@ -108,8 +103,9 @@ def kendall_tau(x, y) -> float:
     # after the lexicographic sort, y is ascending inside each run of tied
     # x, so every remaining y-inversion crosses strictly increasing x and
     # is exactly one discordant pair
-    t_x = _tie_pairs(xs)
-    t_xy = _joint_tie_pairs(xs, ys)
+    x_changes = xs[1:] != xs[:-1]
+    t_x = _tie_pairs(x_changes)
+    t_xy = _tie_pairs(x_changes | (ys[1:] != ys[:-1]))
     _, ranks, counts = np.unique(ys, return_inverse=True, return_counts=True)
     discordant = _inversions(ranks, counts.size)
     t_y = int((counts * (counts - 1) // 2).sum())

@@ -9,6 +9,7 @@ with the package is evidence, not tautology.
 import math
 
 import numpy as np
+from scipy import sparse
 
 # ---------------------------------------------------------------------------
 # closed-form integrals for the five-node synthetic network
@@ -168,6 +169,45 @@ def csr_t_matvec(matrix, x):
     y = np.zeros(matrix.shape[1], dtype=np.float64)
     np.add.at(y, matrix.indices, matrix.data * np.repeat(x, np.diff(matrix.indptr)))
     return y
+
+
+# ---------------------------------------------------------------------------
+# continuous adjacency by COO -> CSR
+#
+# Sort the edge dict, convert COO to CSR, drop zeros.  The package builds
+# the same matrices from the network's cached edge order straight into
+# CSR; the tests require the two bit for bit, index dtypes included.
+
+
+def coo_adjacency_at(net, t):
+    """A(t) of a continuous network, each edge through its scalar evaluator."""
+    t = float(t)
+    rows, cols, vals = [], [], []
+    for (i, j), fn in sorted(net.edges.items()):
+        rows.append(i)
+        cols.append(j)
+        vals.append(fn(t))
+    matrix = sparse.csr_array(
+        sparse.coo_array((vals, (rows, cols)), shape=(net.n, net.n)))
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def coo_truncate_snapshots(net, instants):
+    """Snapshots A(s_k) at ``instants``, each edge through its array evaluator."""
+    edge_items = sorted(net.edges.items())
+    values = np.empty((len(edge_items), len(instants)))
+    for row, ((i, j), fn) in enumerate(edge_items):
+        values[row] = fn(instants)
+    rows = np.array([i for (i, _), _ in edge_items], dtype=int)
+    cols = np.array([j for (_, j), _ in edge_items], dtype=int)
+    snapshots = []
+    for k in range(len(instants)):
+        matrix = sparse.csr_array(
+            sparse.coo_array((values[:, k], (rows, cols)), shape=(net.n, net.n)))
+        matrix.eliminate_zeros()
+        snapshots.append(matrix)
+    return snapshots
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,22 @@ class TestCompute:
         assert out == ""
         assert err == f"error: {name} must be positive and finite, got -1.0\n"
 
+    @pytest.mark.parametrize("content,fragment", [
+        (b"0.2 0.2 0.2 0.2 0.2\nabc 0.2 0.2 0.2 0.2\n", "not a table of numbers"),
+        (b"0.2 0.2 0.2 0.2 0.2\n0.5 0.5\n", "not a table of numbers"),
+        (b"0.2 0.2 0.2 0.2 0.2\n0.2 0.2 \xff 0.2 0.2\n",
+         "line 2: not UTF-8 text: byte 0xff at column 9"),
+    ])
+    def test_malformed_personalization_file(self, capsys, tmp_path, content, fragment):
+        path = tmp_path / "v.txt"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "compute", "--preset", "paper-synthetic",
+                                 "--grid-count", "3", "--personalization", f"file:{path}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
+        assert fragment in err
+
     def test_bad_damping_specs(self, capsys, synthetic5_file):
         code, _, err = run_cli(capsys, "compute", "--network", synthetic5_file,
                                "--damping", "linear:0.5")
@@ -314,6 +330,14 @@ class TestLocalize:
             lo, hi = float(row[2]), float(row[3])
             assert 0.0 <= lo <= hi <= 1.0
 
+    @pytest.mark.parametrize("nodes", ["6", "1,6", "0"])
+    def test_node_outside_range_named_one_based(self, capsys, nodes):
+        code, out, err = run_cli(capsys, "localize", "--preset", "paper-synthetic",
+                                 "--grid-count", "3", "--nodes", nodes)
+        assert code == 1
+        assert out == ""
+        assert err == "error: node subset outside 1..5\n"
+
     def test_bad_node_flag(self, capsys, tmp_path):
         path = tmp_path / "cycle.txt"
         path.write_text(TWO_CYCLE)
@@ -321,6 +345,23 @@ class TestLocalize:
                                "--nodes", "first")
         assert code == 1
         assert "not an integer" in err
+
+
+class TestFileSystemErrors:
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--network", "{dir}"],
+        ["compute", "--preset", "paper-synthetic", "--grid-count", "3", "--output", "{dir}"],
+        ["compute", "--config", "{dir}"],
+        ["compare", "{dir}", "{dir}"],
+        ["validate", "{dir}"],
+        ["ingest", "--events", "{dir}", "--grid", "0,1,2"],
+    ])
+    def test_directory_in_place_of_a_file(self, capsys, tmp_path, argv):
+        code, _, err = run_cli(capsys, *[arg.format(dir=tmp_path) for arg in argv])
+        assert code == 2
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert str(tmp_path) in err
 
 
 class TestCompare:

@@ -263,6 +263,20 @@ class TestBuilders:
         schedule = build_personalization(cfg)
         assert len(schedule.vectors) == 1
 
+    @pytest.mark.parametrize("content,fragment", [
+        (b"0.5 0.5\n0.5 x\n", "not a table of numbers"),
+        (b"0.5 0.5\n1.0\n", "not a table of numbers"),
+        (b"0.5 0.5\n\xe9 0.5\n", "line 2: not UTF-8 text: byte 0xe9 at column 1"),
+    ])
+    def test_personalization_malformed_file(self, tmp_path, content, fragment):
+        path = tmp_path / "v.txt"
+        path.write_bytes(content)
+        cfg = RunConfig(personalization_kind="file", personalization_file=str(path))
+        with pytest.raises(InvalidInputError) as info:
+            build_personalization(cfg)
+        assert str(info.value).startswith(f"{path}: ")
+        assert fragment in str(info.value)
+
     def test_personalization_missing_file(self, tmp_path):
         cfg = RunConfig(personalization_kind="file",
                         personalization_file=str(tmp_path / "gone.txt"))

@@ -6,10 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import sparse
 
+import oracles
 from temporank import (
     ContinuousTemporalNetwork,
     DiscreteTemporalNetwork,
     InvalidInputError,
+    truncate,
     validate,
 )
 from temporank.graph import _entries_to_csr
@@ -139,3 +141,70 @@ class TestContinuous:
     def test_non_network_rejected(self):
         with pytest.raises(InvalidInputError):
             validate("not a network")
+
+
+#: edge functions, several of them zero on part of [0, 1] or at its ends
+EDGE_EXPRESSIONS = ("0", "0.0*t", "t", "1 - t", "t*t", "(t - 0.5)**2",
+                    "sin(pi*t)", "0.5*(sin(2*pi*t)+1)", "exp(-t)", "3", "1e-300*t")
+
+
+@st.composite
+def continuous_networks(draw):
+    n = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=n * n, unique=True))
+    edges = {pair: parse(draw(st.sampled_from(EDGE_EXPRESSIONS))) for pair in pairs}
+    return ContinuousTemporalNetwork(n, (0.0, 1.0), edges, symmetric=draw(st.booleans()))
+
+
+def assert_same_csr(got, expected):
+    assert got.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestEdgeOrder:
+    @given(continuous_networks(),
+           st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                    min_size=1, max_size=4))
+    def test_adjacency_matches_coo_build_bit_for_bit(self, net, times):
+        # several builds in a row: each must leave the shared edge order intact
+        for t in times:
+            assert_same_csr(net.adjacency_at(t), oracles.coo_adjacency_at(net, t))
+
+    @given(continuous_networks(), st.integers(2, 7))
+    def test_truncate_matches_coo_build_bit_for_bit(self, net, count):
+        truncated = truncate(net, count)
+        expected = oracles.coo_truncate_snapshots(net, truncated.instants)
+        for got, want in zip(truncated.snapshots, expected, strict=True):
+            assert_same_csr(got, sparse.csr_array(want))
+
+    def test_sorted_by_row_then_column(self):
+        net = ContinuousTemporalNetwork(
+            n=3, interval=(0.0, 1.0),
+            edges={(2, 0): parse("3"), (0, 2): parse("t"), (0, 1): parse("1")})
+        rows, cols, functions = net.edge_order
+        assert rows.tolist() == [0, 0, 2] and cols.tolist() == [1, 2, 0]
+        assert rows.dtype == cols.dtype == np.int64
+        assert [fn.source for fn in functions] == ["1", "t", "3"]
+
+    def test_dropping_zeros_keeps_the_shared_columns(self):
+        net = ContinuousTemporalNetwork(
+            n=2, interval=(0.0, 1.0),
+            edges={(0, 0): parse("t"), (0, 1): parse("1"), (1, 0): parse("1 - t")})
+        cols = net.edge_order.cols.copy()
+        first = net.adjacency_at(0.0)
+        assert first.nnz == 2 and first.indices.tolist() == [1, 0]
+        assert np.array_equal(net.edge_order.cols, cols)
+        assert net.adjacency_at(0.5).indices.tolist() == [0, 1, 0]
+        assert first.indices.tolist() == [1, 0]
+        values = np.array([0.0, 2.0, 0.0])
+        assert net.edge_csr(values).data.tolist() == [2.0]
+        assert values.tolist() == [0.0, 2.0, 0.0]
+
+    def test_no_edges(self):
+        net = ContinuousTemporalNetwork(n=3, interval=(0.0, 1.0))
+        assert_same_csr(net.adjacency_at(0.5), oracles.coo_adjacency_at(net, 0.5))
+        assert net.edge_csr([]).shape == (3, 3)

@@ -1,5 +1,7 @@
 """Resolvent columns and localization bounds."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from temporank import (
     CustomDamping,
     DiscreteTemporalNetwork,
     ExponentialDecay,
+    InputPersonalization,
     InvalidInputError,
     TabulatedPersonalization,
     UniformPersonalization,
@@ -231,6 +234,17 @@ class TestBoundsTrajectory:
             bounds_trajectory(net, ExponentialDecay(1.0), ConstantDamping(0.85),
                               nodes=[0, 5])
 
+    @pytest.mark.parametrize("n", [5, 2001])
+    def test_empty_node_subset_on_either_solver(self, n):
+        # n = 2001 takes the Neumann series, n = 5 the direct solve
+        matrix = sparse.csr_array((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)),
+                                  shape=(n, n))
+        net = DiscreteTemporalNetwork(n, np.array([0.0, 1.0]), (matrix, matrix))
+        bounds = bounds_trajectory(net, ExponentialDecay(1.0), ConstantDamping(0.85),
+                                   nodes=[])
+        assert bounds.nodes.shape == (0,)
+        assert bounds.lo.shape == bounds.hi.shape == (2, 0)
+
     def test_huge_network_requires_explicit_subset(self):
         n = 2001
         matrix = sparse.csr_array((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)),
@@ -242,3 +256,50 @@ class TestBoundsTrajectory:
                                    nodes=[0, 1000])
         assert bounds.lo.shape == (1, 2)
         assert (bounds.hi <= 1.0 + 1e-12).all()
+
+
+@st.composite
+def discrete_problems(draw):
+    """A random discrete network with a decay rate, a damping factor and a relabelling."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, instants, snapshots = oracles.random_discrete_network(rng, n_max=12, instant_max=4)
+    return SimpleNamespace(
+        n=n, instants=instants, snapshots=snapshots,
+        kernel=ExponentialDecay(draw(st.floats(-1.0, 3.0))),
+        damping=ConstantDamping(draw(st.floats(0.05, 0.95))),
+        scale=rng.uniform(0.01, 100.0, size=n), perm=rng.permutation(n))
+
+
+def trajectory_and_bounds(problem, snapshots, personalization):
+    net = DiscreteTemporalNetwork(problem.n, problem.instants, tuple(snapshots))
+    traj = trajectory_discrete(net, problem.kernel, problem.damping, personalization,
+                               solver="direct")
+    bounds = bounds_trajectory(net, problem.kernel, problem.damping,
+                               dangling_dist=personalization)
+    return traj.vectors, bounds.lo, bounds.hi
+
+
+class TestInvariances:
+    @given(discrete_problems())
+    def test_positive_row_scaling_changes_nothing(self, problem):
+        # the same factor for row i at every instant: row normalization removes it
+        personalization = UniformPersonalization()
+        base = trajectory_and_bounds(problem, problem.snapshots, personalization)
+        scaled = trajectory_and_bounds(
+            problem, [problem.scale[:, None] * A for A in problem.snapshots],
+            personalization)
+        for got, want in zip(scaled, base):
+            assert np.abs(got - want).max() <= 1e-12
+
+    @given(discrete_problems())
+    def test_relabelling_nodes_permutes_trajectory_and_bounds(self, problem):
+        # node i becomes node perm[i]; the input recipe reads column sums,
+        # which follow the relabelling
+        personalization = InputPersonalization()
+        inverse = np.argsort(problem.perm)
+        base = trajectory_and_bounds(problem, problem.snapshots, personalization)
+        relabelled = trajectory_and_bounds(
+            problem, [A[np.ix_(inverse, inverse)] for A in problem.snapshots],
+            personalization)
+        for got, want in zip(relabelled, base):
+            assert np.abs(got[:, problem.perm] - want).max() <= 1e-12

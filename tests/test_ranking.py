@@ -98,6 +98,20 @@ class TestKendallTau:
                 continue
             assert forward == kendall_tau(y, x)
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), length=st.integers(2, 120))
+    def test_relabelling_is_exact(self, seed, length):
+        rng = np.random.default_rng(seed)
+        x = oracles.tie_bearing_vector(rng, length)
+        y = oracles.tie_bearing_vector(rng, length)
+        perm = rng.permutation(length)
+        try:
+            base = kendall_tau(x, y)
+        except UndefinedTauError:
+            with pytest.raises(UndefinedTauError):
+                kendall_tau(x[perm], y[perm])
+            return
+        assert kendall_tau(x[perm], y[perm]) == base
+
     def test_monotone_map_invariance_is_exact(self, rng):
         # maps chosen to be exact in float64 on small integers, so the
         # order is provably unchanged and tau must not move a bit
