@@ -139,26 +139,48 @@ def accumulate_continuous(net: ContinuousTemporalNetwork, kernel: DecayKernel,
     if t == t0:
         return replace(row_normalize(net.adjacency_at(t0)), instant=t0)
 
-    weight = kernel.profile(t)
-    values = []
-    for label, fn in zip(_edge_labels(net), net.edge_order.functions):
-        scalar = fn.scalar_fn
-        try:
-            values.append(adaptive_simpson(lambda s: weight(s) * scalar(s), t0, t,
-                                           quad, label=label))
-        except OverflowError:
-            raise InvalidInputError(
-                f"integrand of {label} overflows on [{t0}, {t}]; {kernel!r} "
-                "is out of floating-point range over this time span") from None
-    accumulated = net.edge_csr(values)
+    # a kernel of unknown decay is split toward s = t as far as floats go
+    rate = kernel.rate if isinstance(kernel, ExponentialDecay) else math.inf
+    values = _edge_integrals(net, lambda s: kernel.weights(s, t), np.array([t0, t]),
+                             rate, quad)
+    accumulated = net.edge_csr(values[:, 0])
     _check_finite(accumulated, t)
     return replace(row_normalize(accumulated), instant=t)
 
 
-def _edge_labels(net: ContinuousTemporalNetwork) -> list[str]:
-    """1-based names of the edges in :attr:`~ContinuousTemporalNetwork.edge_order`."""
-    rows, cols, _ = net.edge_order
-    return [f"edge ({i + 1}, {j + 1})" for i, j in zip(rows.tolist(), cols.tolist())]
+def _edge_integrals(net: ContinuousTemporalNetwork, weight, breakpoints: np.ndarray,
+                    rate: float, quad: QuadratureConfig) -> np.ndarray:
+    """(edges, pieces) integrals of weight(s) * a_e(s); a non-finite value names its edge.
+
+    A weight like e^{-|rate| d}, d the distance from the right end of a
+    piece (the left for rate < 0), has its mass within 1/|rate| of that
+    end, too thin a layer for the nodes of a w-wide piece once |rate| w > 16:
+    each piece is split at w/2, w/4, ... from that end until the part
+    there is at most 16/|rate| wide, or as far as floats go.
+    """
+    functions = net.edge_order.functions
+
+    def integrand(s):
+        with np.errstate(all="ignore"):
+            values = np.reshape([fn(s) for fn in functions], (len(functions), s.size))
+            values = values * weight(s)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            edge, point = np.argwhere(bad)[0]
+            raise InvalidInputError(
+                f"integrand of {net.edge_labels[edge]} overflows at s={s[point]:.6g}; "
+                "the decay kernel or the edge weight is out of floating-point range")
+        return values
+
+    widths = np.diff(breakpoints)
+    ratio = abs(rate) * widths.max(initial=0.0) / 16
+    levels = math.ceil(min(52.0, math.log2(max(ratio, 1.0))))
+    ends = breakpoints[:-1, None] if rate < 0 else breakpoints[1:, None]
+    parts = np.sort(ends - np.sign(rate) * widths[:, None] * 0.5 ** np.arange(1, levels + 1),
+                    axis=1)
+    points = np.append(np.column_stack((breakpoints[:-1], parts)), breakpoints[-1])
+    return np.add.reduceat(adaptive_simpson(integrand, points, quad, labels=net.edge_labels),
+                           np.arange(widths.size) * (levels + 1), axis=1)
 
 
 def truncate(net: ContinuousTemporalNetwork, count: int) -> DiscreteTemporalNetwork:
@@ -208,7 +230,10 @@ def iter_instants(net, kernel: DecayKernel, damping: DampingSchedule,
     ``grid``, which is evaluated in sorted order whatever order it comes
     in (``k`` still names the caller's position).  Only the running
     accumulated matrix is kept between instants, so a consumer that drops
-    each setup after use holds one snapshot at a time.
+    each setup after use holds one snapshot at a time, plus, for an
+    :class:`ExponentialDecay` kernel on a continuous network, the
+    (edges x instants) integrals over the grid's pieces from one
+    quadrature call before the first instant.
     """
     if isinstance(net, DiscreteTemporalNetwork):
         times = np.asarray(net.instants, dtype=float)
@@ -309,8 +334,8 @@ def _continuous_accumulated(net: ContinuousTemporalNetwork, kernel: ExponentialD
     """(t, matrix, log_scale) at ascending ``times``, B(t) = diag(e^{log_scale}) @ matrix.
 
     B(t_k) = e^{-r(t_k - t_{k-1})} B(t_{k-1}) + integral over [t_{k-1}, t_k]
-    of e^{-r(t_k - s)} a(s) ds, from B(t0) = 0, so each piece of the
-    interval is integrated once.  Piece k gets the tolerance
+    of e^{-r(t_k - s)} a(s) ds, from B(t0) = 0.  One quadrature call
+    integrates every edge over every piece; piece k gets the tolerance
     quad.tol * (t_k - t_{k-1}) / (t_K - t0); for rate >= 0 the old pieces
     only shrink, so the error of B at every instant stays within quad.tol.
     """
@@ -321,30 +346,28 @@ def _continuous_accumulated(net: ContinuousTemporalNetwork, kernel: ExponentialD
             f"t={float(outside[0])} outside the network interval [{t0}, {t1}]")
     span = float(times[-1]) - t0 if len(times) else 0.0
     rate = _checked_rate(kernel, span)
-    rows, _, functions = net.edge_order
-    labels = _edge_labels(net)
-    scalars = [fn.scalar_fn for fn in functions]
-    values = np.zeros(len(functions))   # entries of B, row i divided by e^{log_scale[i]}
+    breakpoints = np.concatenate(([t0], times))
+    # integrand factor e^{-r(anchor - s)} <= 1 on each piece; the rest,
+    # e^{-r(t - anchor)}, is carried in the piece's log scale
+    anchors = breakpoints[:-1] if rate < 0 else breakpoints[1:]
+
+    def weight(s):
+        # no quadrature node sits on a breakpoint, so s names its piece
+        return np.exp(-rate * (anchors[np.searchsorted(breakpoints[1:-1], s)] - s))
+
+    pieces = _edge_integrals(net, weight, breakpoints, rate, quad)
+    rows = net.edge_order.rows
+    values = np.zeros(len(rows))   # entries of B, row i divided by e^{log_scale[i]}
     log_scale = np.zeros(net.n)
-    previous = t0
-    for t in times:
-        t = float(t)
+    for k, (t, piece) in enumerate(zip(times.tolist(), pieces.T)):
+        previous = float(breakpoints[k])
         if t > previous:
-            # integrand factor e^{-r(anchor - s)} <= 1 on the piece; the
-            # rest, e^{-r(t - anchor)}, is carried in the piece's log scale
-            anchor = previous if rate < 0 else t
-            piece_quad = replace(quad, tol=quad.tol * (t - previous) / span)
-            piece = np.array([
-                adaptive_simpson(lambda s: math.exp(-rate * (anchor - s)) * scalar(s),
-                                 previous, t, piece_quad, label=label)
-                for scalar, label in zip(scalars, labels)])
             log_scale, old_factor, new_factor = _merge_scales(
                 log_scale - rate * (t - previous),
                 np.bincount(rows, values, minlength=net.n) != 0,
-                -rate * (t - anchor),
+                -rate * (t - float(anchors[k])),
                 np.bincount(rows, piece, minlength=net.n) != 0)
             values = old_factor[rows] * values + new_factor[rows] * piece
-            previous = t
         matrix = net.edge_csr(values)
         _check_finite(matrix, t)
         yield t, matrix, log_scale

@@ -271,9 +271,14 @@ def build_personalization(cfg: RunConfig):
     if not os.path.exists(path):
         raise FileNotFoundError(f"personalization file not found: {path}")
     try:
-        table = np.loadtxt(path, ndmin=2)
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
     except UnicodeDecodeError:
         raise not_utf8(path, partial(_config_error, path)) from None
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise _config_error(path, "no rows of numbers")
+    try:
+        table = np.loadtxt(lines, ndmin=2)
     except ValueError as err:
         raise _config_error(path, f"not a table of numbers: {err}") from None
     return TabulatedPersonalization(tuple(np.asarray(row) for row in table))

@@ -130,6 +130,12 @@ class ContinuousTemporalNetwork:
                          np.array([j for (_, j), _ in items], dtype=np.int64),
                          tuple(fn for _, fn in items))
 
+    @cached_property
+    def edge_labels(self) -> list[str]:
+        """1-based names ``edge (i, j)`` of the edges in :attr:`edge_order`."""
+        rows, cols, _ = self.edge_order
+        return [f"edge ({i + 1}, {j + 1})" for i, j in zip(rows.tolist(), cols.tolist())]
+
     def edge_csr(self, values) -> sparse.csr_array:
         """n x n CSR matrix holding ``values[e]`` on edge e of :attr:`edge_order`.
 
@@ -143,7 +149,6 @@ class ContinuousTemporalNetwork:
 
     def adjacency_at(self, t: float) -> sparse.csr_array:
         """Pointwise evaluation A(t) as a sparse matrix."""
-        t = float(t)
         return self.edge_csr([fn(t) for fn in self.edge_order.functions])
 
 
@@ -203,13 +208,14 @@ def _validate_continuous(net: ContinuousTemporalNetwork) -> list[str]:
         return problems
     grid = np.linspace(t0, t1, _CONTINUOUS_SAMPLES)
     rows, cols, functions = net.edge_order
-    for i, j, fn in zip(rows.tolist(), cols.tolist(), functions):
+    for i, j, fn, label in zip(rows.tolist(), cols.tolist(), functions, net.edge_labels):
         if not (0 <= i < net.n and 0 <= j < net.n):
-            problems.append(f"edge ({i}, {j}) outside node range 0..{net.n - 1}")
+            problems.append(f"{label} outside node range 1..{net.n}")
             continue
-        values = fn(grid)
+        with np.errstate(all="ignore"):
+            values = fn(grid)
         if not np.isfinite(values).all():
-            problems.append(f"edge ({i}, {j}): non-finite value on sample grid")
+            problems.append(f"{label}: non-finite value on sample grid")
         elif (values < 0).any():
-            problems.append(f"edge ({i}, {j}): negative value on sample grid")
+            problems.append(f"{label}: negative value on sample grid")
     return problems

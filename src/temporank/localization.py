@@ -104,7 +104,7 @@ def _resolvent_columns(snapshot: StochasticSnapshot, damping: float, nodes,
     if method not in ("direct", "neumann"):
         raise InvalidInputError(f"unknown method {method!r}")
     columns = np.zeros((n, len(nodes)))
-    if method == "direct":
+    if method == "direct" and len(nodes):
         columns[list(nodes), range(len(nodes))] = 1.0
         system = np.eye(n) - damping * dense_transition(snapshot, u)
         return (1.0 - damping) * np.linalg.solve(system, columns)

@@ -42,10 +42,6 @@ class DecayKernel:
         """Vectorized weight over an array of source times."""
         return np.array([self.weight(si, t) for si in np.asarray(s, dtype=float)])
 
-    def profile(self, t: float) -> Callable[[float], float]:
-        """Scalar s -> w(s, t) for s <= t, used as a quadrature factor."""
-        return lambda s: self.weight(s, t)
-
     def __call__(self, s, t):
         return kernel_eval(self, s, t)
 
@@ -73,10 +69,6 @@ class ExponentialDecay(DecayKernel):
     def weights(self, s, t):
         s = np.asarray(s, dtype=float)
         return np.where(s > t, 0.0, np.exp(-self.rate * (t - s)))
-
-    def profile(self, t):
-        rate = self.rate
-        return lambda s: math.exp(-rate * (t - s))
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,6 @@ __all__ = ["TimeFunction", "parse"]
 _ALLOWED_CALLS = ("sin", "cos", "exp")
 _ALLOWED_NAMES = ("t", "pi", "e")
 
-_SCALAR_NS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-              "pi": math.pi, "e": math.e}
 _ARRAY_NS = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
              "pi": math.pi, "e": math.e}
 
@@ -77,15 +75,15 @@ def _check_tree(tree: ast.AST, source: str) -> None:
 class TimeFunction:
     """A pure scalar function of time, from the expression vocabulary or a callable.
 
-    Evaluation accepts a float or an ndarray of times.  Instances are
-    immutable and safe to share.
+    Evaluation accepts a float or an ndarray of times; both go through the
+    one array evaluator, so a float gives the same bits as the same time
+    inside an array.  Instances are immutable and safe to share.
     """
 
-    __slots__ = ("source", "_scalar", "_array")
+    __slots__ = ("source", "_array")
 
-    def __init__(self, source: str | None, scalar_fn: Callable, array_fn: Callable):
+    def __init__(self, source: str | None, array_fn: Callable):
         object.__setattr__(self, "source", source)
-        object.__setattr__(self, "_scalar", scalar_fn)
         object.__setattr__(self, "_array", array_fn)
 
     def __setattr__(self, name, value):
@@ -103,45 +101,33 @@ class TimeFunction:
         except SyntaxError as exc:
             raise InvalidInputError(f"cannot parse {source!r}: {exc.msg}") from None
         _check_tree(tree, source)
-        # the namespaces must be the lambdas' globals: a lambda resolves
+        # the namespace must be the lambda's globals: a lambda resolves
         # free names through __globals__, never through eval's locals
-        scalar = eval(compile(ast.parse(f"lambda t: ({normalized})", mode="eval"),
-                              "<timefunction>", "eval"),
-                      {"__builtins__": {}, **_SCALAR_NS})
         array = eval(compile(ast.parse(f"lambda t: ({normalized})", mode="eval"),
                              "<timefunction>", "eval"),
                      {"__builtins__": {}, **_ARRAY_NS})
-        return cls(source, scalar, array)
+        return cls(source, array)
 
     @classmethod
     def constant(cls, value: float) -> "TimeFunction":
         value = float(value)
-        return cls(repr(value), lambda t: value,
-                   lambda t: np.full_like(np.asarray(t, dtype=float), value))
+        return cls(repr(value), lambda t: np.full_like(t, value))
 
     @classmethod
     def from_callable(cls, fn: Callable[[float], float]) -> "TimeFunction":
         """Wrap an opaque evaluator.  Not serializable to network files."""
-        def array_fn(t):
-            return np.array([fn(ti) for ti in np.asarray(t, dtype=float).ravel()])
-        return cls(None, fn, array_fn)
-
-    @property
-    def scalar_fn(self) -> Callable[[float], float]:
-        """The underlying scalar evaluator, for tight inner loops."""
-        return self._scalar
+        return cls(None, np.vectorize(fn, otypes=[float]))
 
     def __call__(self, t):
-        if isinstance(t, np.ndarray):
-            out = self._array(t)
-            # constants in the expression collapse arrays, e.g. "0.5"
-            return np.broadcast_to(np.asarray(out, dtype=float), t.shape).copy()
-        return float(self._scalar(float(t)))
+        times = np.asarray(t, dtype=float)
+        # constants in the expression collapse arrays, e.g. "0.5"
+        out = np.broadcast_to(np.asarray(self._array(times), dtype=float), times.shape)
+        return out.copy() if isinstance(t, np.ndarray) else float(out)
 
     def __repr__(self):
         if self.source is not None:
             return f"TimeFunction({self.source!r})"
-        return f"TimeFunction(<callable {self._scalar!r}>)"
+        return "TimeFunction(<callable>)"
 
 
 def parse(expression: str) -> TimeFunction:

@@ -192,17 +192,17 @@ def test_criterion_6_quadrature_vs_antiderivative():
         worst = 0.0
         pairs = sorted((i, j) for (i, j) in net.edges if i < j)
         assert len(pairs) == 6
-        for i, j in pairs:
-            fn = net.edges[(i, j)]
-            for alpha in (-4.0, 0.0, 1.0, 6.0):
-                kernel = ExponentialDecay(alpha)
-                for t in np.linspace(0.0, 1.0, 21):
-                    numeric = adaptive_simpson(
-                        lambda s: kernel.weight(s, t) * fn(s), 0.0, float(t),
-                        quad, label=f"edge ({i + 1}, {j + 1})")
-                    exact = oracles.accumulated_weight(i + 1, j + 1, alpha,
-                                                       float(t))
-                    worst = max(worst, abs(numeric - exact))
+        functions = [net.edges[pair] for pair in pairs]
+        labels = [f"edge ({i + 1}, {j + 1})" for i, j in pairs]
+        for alpha in (-4.0, 0.0, 1.0, 6.0):
+            kernel = ExponentialDecay(alpha)
+            for t in np.linspace(0.0, 1.0, 21):
+                numeric = adaptive_simpson(
+                    lambda s: kernel.weights(s, t) * np.array([fn(s) for fn in functions]),
+                    [0.0, float(t)], quad, labels=labels)[:, 0]
+                exact = [oracles.accumulated_weight(i + 1, j + 1, alpha, float(t))
+                         for i, j in pairs]
+                worst = max(worst, np.abs(numeric - exact).max())
         elapsed = time.perf_counter() - started
         assert worst <= 1e-8, f"worst deviation {worst:.3e}"
         assert elapsed < 1.0, f"took {elapsed:.2f} s, budget is 1 s"

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -28,7 +28,7 @@ from temporank import (
     synthetic_five_node,
     truncate,
 )
-from temporank.accumulate import _continuous_accumulated, iter_instants
+from temporank.accumulate import _continuous_accumulated, _edge_integrals, iter_instants
 from temporank.pagerank import _run_instants
 
 
@@ -129,13 +129,27 @@ class TestAccumulateContinuous:
         net = synthetic_five_node()
         kernel = ExponentialDecay(1.0)
         quad = QuadratureConfig()
+        functions = [net.edges[(i - 1, j - 1)] for (i, j) in oracles.SYNTHETIC_EDGES]
         for t in (0.3, 0.7, 1.0):
-            weight = kernel.profile(t)
-            for (i, j) in oracles.SYNTHETIC_EDGES:
-                fn = net.edges[(i - 1, j - 1)].scalar_fn
-                got = adaptive_simpson(lambda s: weight(s) * fn(s), 0.0, t, quad)
-                assert got == pytest.approx(
+            got = adaptive_simpson(
+                lambda s: kernel.weights(s, t) * np.array([fn(s) for fn in functions]),
+                [0.0, t], quad)[:, 0]
+            for value, (i, j) in zip(got, oracles.SYNTHETIC_EDGES):
+                assert value == pytest.approx(
                     oracles.accumulated_weight(i, j, 1.0, t), abs=1e-8)
+
+    @given(rate=st.floats(-6.0, 6.0), t=st.floats(0.0, 1.0, exclude_min=True))
+    @example(rate=1.9, t=0.5)
+    def test_edge_integrals_meet_the_tolerance(self, rate, t):
+        net = synthetic_five_node()
+        kernel = ExponentialDecay(rate)
+        quad = QuadratureConfig(tol=1e-9)
+        got = _edge_integrals(net, lambda s: kernel.weights(s, t), np.array([0.0, t]),
+                              rate, quad)[:, 0]
+        rows, cols, _ = net.edge_order
+        exact = [oracles.accumulated_weight(i + 1, j + 1, rate, t)
+                 for i, j in zip(rows.tolist(), cols.tolist())]
+        assert np.abs(got - exact).max() <= quad.tol
 
     def test_normalized_rows_match_oracle(self):
         net = synthetic_five_node()
@@ -271,6 +285,7 @@ class TestStreamedAccumulation:
     @settings(max_examples=15)
     @given(rate=st.floats(0.0, 6.0),
            times=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    @example(rate=1.9, times=[1.0, 0.5])
     def test_continuous_recurrence_matches_reference(self, rate, times):
         # quad.tol bounds the accumulated integral at every grid instant, as it
         # bounds each full-length integral of accumulate_continuous
@@ -280,14 +295,37 @@ class TestStreamedAccumulation:
         times = np.sort(np.array(times))
         for t, matrix, log_scale in _continuous_accumulated(net, kernel, times, quad):
             streamed = np.exp(log_scale)[:, None] * matrix.toarray()
-            weight = kernel.profile(t)
-            for (i, j), fn in net.edges.items():
-                scalar = fn.scalar_fn
-                reference = adaptive_simpson(lambda s: weight(s) * scalar(s), 0.0, t, quad)
-                assert abs(streamed[i, j] - reference) <= 2 * quad.tol
+            for (i, j) in net.edges:
+                exact = oracles.accumulated_weight(i + 1, j + 1, rate, t)
+                assert abs(streamed[i, j] - exact) <= quad.tol
             if t > 0.0:
                 snapshot = accumulate_continuous(net, kernel, t, quad)
                 assert np.array_equal(row_normalize(matrix).dangling, snapshot.dangling)
+
+    @pytest.mark.parametrize("rate", [-1e6, 1e4, 1e6, 1e8])
+    def test_layer_at_large_rates_is_resolved(self, rate):
+        # the weight's mass lies within 1/|rate| of one end of each 0.01-wide
+        # piece, nearer than any quadrature node of the whole piece
+        net = synthetic_five_node()
+        times = np.linspace(0.0, 1.0, 101)[1:]
+        nodes, weights = np.polynomial.legendre.leggauss(200)
+        rows, cols, functions = net.edge_order
+        q = abs(rate)
+        for t, matrix, _ in _continuous_accumulated(net, ExponentialDecay(rate), times,
+                                                    QuadratureConfig()):
+            # B(t) up to a factor: the integral of e^{-u} a(s) over u in [0, q t],
+            # with s = t - u / q (or u / q for a negative rate); e^{-60} is negligible
+            u = 0.5 * min(q * t, 60.0) * (nodes + 1.0)
+            s = t - u / q if rate > 0 else u / q
+            exact = np.zeros((5, 5))
+            exact[rows, cols] = [weights @ (np.exp(-u) * fn(s)) for fn in functions]
+            expected = row_normalize(exact).matrix.toarray()
+            assert np.abs(row_normalize(matrix).matrix.toarray() - expected).max() <= 1e-12
+            if rate > 0:   # the reference path overflows for rates below zero
+                for kernel in (ExponentialDecay(rate),
+                               CustomDecay(lambda s, t: math.exp(-rate * (t - s)))):
+                    snapshot = accumulate_continuous(net, kernel, t)
+                    assert np.abs(snapshot.matrix.toarray() - expected).max() <= 1e-12
 
     def test_unsorted_grid_comes_back_in_caller_order(self):
         net = synthetic_five_node()

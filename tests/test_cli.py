@@ -222,6 +222,30 @@ class TestCompute:
         assert err.startswith(f"error: {path}: ")
         assert fragment in err
 
+    def test_empty_personalization_file(self, tmp_path):
+        path = tmp_path / "EMPTY"
+        path.write_bytes(b"")
+        result = subprocess.run(
+            [sys.executable, "-m", "temporank", "compute", "--preset", "paper-synthetic",
+             "--grid-count", "3", "--personalization", f"file:{path}"],
+            capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: {path}: no rows of numbers\n"
+
+    def test_integrand_overflow_names_the_edge(self, capsys, tmp_path):
+        # passes the sampled validation, but e^800 at t = 0.51 overflows
+        path = tmp_path / "net.txt"
+        path.write_text("nodes 2\ninterval 0 1\n"
+                        "edge 1 2 exp(800-1e7*(t-0.51)^2)\nedge 2 1 1\n")
+        assert run_cli(capsys, "validate", str(path))[0] == 0
+        code, out, err = run_cli(capsys, "compute", "--network", str(path),
+                                 "--grid-count", "101")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: integrand of edge (1, 2) overflows at s=")
+        assert err.count("\n") == 1
+
     def test_bad_damping_specs(self, capsys, synthetic5_file):
         code, _, err = run_cli(capsys, "compute", "--network", synthetic5_file,
                                "--damping", "linear:0.5")
@@ -569,6 +593,22 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", str(path))
         assert code == 1
         assert "negative" in err
+
+    def test_edges_named_one_based(self, capsys, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("nodes 2\ninterval 0 1\nedge 1 2 t-2\n")
+        code, _, err = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert err == "edge (1, 2): negative value on sample grid\n"
+
+    def test_overflowing_edge_reported_without_a_warning(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("nodes 2\ninterval 0 1000\nedge 1 2 exp(t)\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "temporank", "validate", str(path)],
+            capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stderr == "edge (1, 2): non-finite value on sample grid\n"
 
     def test_module_entry_point(self, tmp_path):
         path = tmp_path / "net.txt"

@@ -267,6 +267,8 @@ class TestBuilders:
         (b"0.5 0.5\n0.5 x\n", "not a table of numbers"),
         (b"0.5 0.5\n1.0\n", "not a table of numbers"),
         (b"0.5 0.5\n\xe9 0.5\n", "line 2: not UTF-8 text: byte 0xe9 at column 1"),
+        (b"", "no rows of numbers"),
+        (b"# a comment\n\n", "no rows of numbers"),
     ])
     def test_personalization_malformed_file(self, tmp_path, content, fragment):
         path = tmp_path / "v.txt"

@@ -1,5 +1,7 @@
 """Temporal network data model and validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -137,6 +139,18 @@ class TestContinuous:
         net = ContinuousTemporalNetwork(
             n=2, interval=(0.0, 1.0), edges={(0, 1): parse("t - 0.5")})
         assert any("negative value" in p for p in validate(net))
+
+    def test_edges_named_one_based(self):
+        net = ContinuousTemporalNetwork(
+            n=2, interval=(0.0, 1.0), edges={(0, 1): parse("t - 2")})
+        assert validate(net) == ["edge (1, 2): negative value on sample grid"]
+
+    def test_overflow_reported_without_a_warning(self):
+        net = ContinuousTemporalNetwork(
+            n=2, interval=(0.0, 1000.0), edges={(1, 0): parse("exp(t)")})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate(net) == ["edge (2, 1): non-finite value on sample grid"]
 
     def test_non_network_rejected(self):
         with pytest.raises(InvalidInputError):

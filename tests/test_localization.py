@@ -245,6 +245,16 @@ class TestBoundsTrajectory:
         assert bounds.nodes.shape == (0,)
         assert bounds.lo.shape == bounds.hi.shape == (2, 0)
 
+    def test_empty_node_subset_runs_no_solve(self, monkeypatch):
+        def solve(*args):
+            raise AssertionError("solved for no columns")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        net = truncate(synthetic_five_node(), 3)
+        bounds = bounds_trajectory(net, ExponentialDecay(1.0), ConstantDamping(0.85),
+                                   nodes=[])
+        assert bounds.lo.shape == (3, 0)
+
     def test_huge_network_requires_explicit_subset(self):
         n = 2001
         matrix = sparse.csr_array((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)),
