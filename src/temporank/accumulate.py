@@ -158,12 +158,9 @@ def _edge_integrals(net: ContinuousTemporalNetwork, weight, breakpoints: np.ndar
     each piece is split at w/2, w/4, ... from that end until the part
     there is at most 16/|rate| wide, or as far as floats go.
     """
-    functions = net.edge_order.functions
-
     def integrand(s):
         with np.errstate(all="ignore"):
-            values = np.reshape([fn(s) for fn in functions], (len(functions), s.size))
-            values = values * weight(s)
+            values = net.values_at(s) * weight(s)
         bad = ~np.isfinite(values)
         if bad.any():
             edge, point = np.argwhere(bad)[0]
@@ -192,9 +189,8 @@ def truncate(net: ContinuousTemporalNetwork, count: int) -> DiscreteTemporalNetw
         raise InvalidInputError(f"partition needs at least 2 points, got {count}")
     t0, t1 = net.interval
     instants = t0 + (t1 - t0) * np.arange(count) / (count - 1)
-    values = np.array([fn(instants) for fn in net.edge_order.functions]).reshape(-1, count)
     return DiscreteTemporalNetwork(
-        net.n, instants, tuple(net.edge_csr(values[:, k]) for k in range(count)))
+        net.n, instants, tuple(map(net.edge_csr, net.values_at(instants).T)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,27 +226,29 @@ def iter_instants(net, kernel: DecayKernel, damping: DampingSchedule,
     ``grid``, which is evaluated in sorted order whatever order it comes
     in (``k`` still names the caller's position).  Only the running
     accumulated matrix is kept between instants, so a consumer that drops
-    each setup after use holds one snapshot at a time, plus, for an
-    :class:`ExponentialDecay` kernel on a continuous network, the
-    (edges x instants) integrals over the grid's pieces from one
-    quadrature call before the first instant.
+    each setup after use holds one snapshot at a time, plus, on a
+    continuous network, the edge values at every grid instant and, for an
+    :class:`ExponentialDecay` kernel, the (edges x instants) integrals over
+    the grid's pieces from one quadrature call before the first instant.
     """
     if isinstance(net, DiscreteTemporalNetwork):
         times = np.asarray(net.instants, dtype=float)
         order = np.arange(len(times))
-        snapshots = _discrete_snapshots(net, kernel)
+        pairs = zip(_discrete_snapshots(net, kernel), net.snapshots)
     else:
         if grid is None:
             raise InvalidInputError("continuous networks need an evaluation grid")
         times = np.asarray(grid, dtype=float).ravel()
+        outside = times[~((net.t0 <= times) & (times <= net.t1))]
+        if outside.size:
+            raise InvalidInputError(f"t={float(outside[0])} outside the network "
+                                    f"interval [{net.t0}, {net.t1}]")
         order = np.argsort(times, kind="stable")
-        snapshots = _continuous_snapshots(net, kernel, times[order], quad)
+        pairs = _continuous_snapshots(net, kernel, times[order], quad)
     count = len(times)
-    for position, snapshot in zip(order, snapshots):
+    for position, (snapshot, adjacency) in zip(order, pairs):
         k = int(position) + 1
         t = float(times[position])
-        adjacency = net.snapshot_at(k) if isinstance(net, DiscreteTemporalNetwork) \
-            else net.adjacency_at(t)
         v = None if personalization is None else \
             personalization_at(personalization, adjacency, k, t)
         u = None
@@ -316,17 +314,26 @@ def _discrete_snapshots(net: DiscreteTemporalNetwork,
 
 
 def _continuous_snapshots(net: ContinuousTemporalNetwork, kernel: DecayKernel,
-                          times: np.ndarray, quad: QuadratureConfig
-                          ) -> Iterator[StochasticSnapshot]:
-    """Snapshots at ascending ``times``; t == t0 follows :func:`accumulate_continuous`."""
-    if not isinstance(kernel, ExponentialDecay):
-        for t in times:
-            yield accumulate_continuous(net, kernel, float(t), quad)
-        return
-    for t, matrix, _ in _continuous_accumulated(net, kernel, times, quad):
-        if t == net.t0:
-            matrix = net.adjacency_at(t)
-        yield replace(row_normalize(matrix), instant=t)
+                          times: np.ndarray, quad: QuadratureConfig):
+    """(snapshot, A(t)) at ascending in-interval ``times``; at t == t0, B is A(t0).
+
+    The grid is sampled in one call after the first snapshot, so that the
+    exponential path's quadrature, and its clean errors, come first.
+    """
+    if isinstance(kernel, ExponentialDecay):
+        snapshots = (None if t == net.t0 else replace(row_normalize(matrix), instant=t)
+                     for t, matrix, _ in _continuous_accumulated(net, kernel, times, quad))
+    else:
+        snapshots = (None if t == net.t0 else accumulate_continuous(net, kernel, t, quad)
+                     for t in times.tolist())
+    samples = None
+    for column, (t, snapshot) in enumerate(zip(times.tolist(), snapshots)):
+        if samples is None:
+            samples = net.values_at(times)
+        adjacency = net.edge_csr(samples[:, column])
+        if snapshot is None:
+            snapshot = replace(row_normalize(adjacency), instant=t)
+        yield snapshot, adjacency
 
 
 def _continuous_accumulated(net: ContinuousTemporalNetwork, kernel: ExponentialDecay,
@@ -338,12 +345,9 @@ def _continuous_accumulated(net: ContinuousTemporalNetwork, kernel: ExponentialD
     integrates every edge over every piece; piece k gets the tolerance
     quad.tol * (t_k - t_{k-1}) / (t_K - t0); for rate >= 0 the old pieces
     only shrink, so the error of B at every instant stays within quad.tol.
+    ``times`` must lie in the network interval.
     """
-    t0, t1 = net.interval
-    outside = times[~((t0 <= times) & (times <= t1))]
-    if outside.size:
-        raise InvalidInputError(
-            f"t={float(outside[0])} outside the network interval [{t0}, {t1}]")
+    t0 = net.t0
     span = float(times[-1]) - t0 if len(times) else 0.0
     rate = _checked_rate(kernel, span)
     breakpoints = np.concatenate(([t0], times))

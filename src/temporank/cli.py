@@ -279,7 +279,8 @@ def _fmts(values) -> list[str]:
 
 # --------------------------------------------------------------- commands
 
-def _trajectory_for(cfg: configmod.RunConfig, network=None):
+def _trajectory_for(cfg: configmod.RunConfig, network=None, grid=None):
+    """The configured trajectory; a continuous network runs on ``grid`` if given."""
     if network is None:
         network = configmod.build_network(cfg)
     kernel = configmod.build_kernel(cfg)
@@ -293,7 +294,7 @@ def _trajectory_for(cfg: configmod.RunConfig, network=None):
     else:
         trajectory = trajectory_continuous(
             network, kernel, damping, personalization,
-            configmod.build_grid(cfg, network),
+            configmod.build_grid(cfg, network) if grid is None else grid,
             quad=configmod.build_quadrature(cfg),
             solver=cfg.solver_method, tol=cfg.solver_tol,
             max_iter=cfg.solver_max_iter, threads=cfg.threads)
@@ -330,22 +331,11 @@ def cmd_converge(args) -> int:
     sizes = sorted({_int(part, "partition size") for part in args.sizes.split(",")})
     if any(size < 2 for size in sizes):
         raise InvalidInputError("partition sizes must be >= 2")
-    kernel = configmod.build_kernel(cfg)
-    damping = configmod.build_damping(cfg)
-    personalization = configmod.build_personalization(cfg)
-    quad = configmod.build_quadrature(cfg)
-
     results = []
     for size in sizes:
         truncated = truncate(network, size)
-        discrete = trajectory_discrete(
-            truncated, kernel, damping, personalization,
-            solver=cfg.solver_method, tol=cfg.solver_tol,
-            max_iter=cfg.solver_max_iter, threads=cfg.threads)
-        continuous = trajectory_continuous(
-            network, kernel, damping, personalization, truncated.instants,
-            quad=quad, solver=cfg.solver_method, tol=cfg.solver_tol,
-            max_iter=cfg.solver_max_iter, threads=cfg.threads)
+        _, discrete = _trajectory_for(cfg, truncated)
+        _, continuous = _trajectory_for(cfg, network, truncated.instants)
         errors = np.abs(discrete.vectors - continuous.vectors)
         results.append((size, truncated.instants, errors))
         print(f"N={size}: max |discrete - continuous| = {errors.max():.6e}",

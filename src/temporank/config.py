@@ -212,6 +212,11 @@ def _check(cfg: RunConfig):
             raise InvalidInputError(f"{name} must be positive and finite, got {tol!r}")
     if cfg.threads < 1:
         raise InvalidInputError(f"threads must be >= 1, got {cfg.threads}")
+    if cfg.solver_max_iter < 1:
+        raise InvalidInputError(f"solver max-iter must be >= 1, got {cfg.solver_max_iter}")
+    if cfg.quad_max_subdiv < 0:
+        raise InvalidInputError(
+            f"quadrature max-subdiv must be >= 0, got {cfg.quad_max_subdiv}")
     if (cfg.grid_start is None) != (cfg.grid_step is None):
         raise InvalidInputError("grid start and step must be given together")
     if cfg.grid_count < 1:

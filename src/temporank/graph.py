@@ -147,9 +147,15 @@ class ContinuousTemporalNetwork:
         matrix.eliminate_zeros()
         return matrix
 
+    def values_at(self, times) -> np.ndarray:
+        """(edges, times) values of the :attr:`edge_order` functions, one array call each."""
+        times = np.asarray(times, dtype=float).ravel()
+        return np.reshape([fn(times) for fn in self.edge_order.functions],
+                          (len(self.edges), times.size))
+
     def adjacency_at(self, t: float) -> sparse.csr_array:
         """Pointwise evaluation A(t) as a sparse matrix."""
-        return self.edge_csr([fn(t) for fn in self.edge_order.functions])
+        return self.edge_csr(self.values_at([t])[:, 0])
 
 
 #: number of sample points used for the sampled checks on edge functions
@@ -206,15 +212,13 @@ def _validate_continuous(net: ContinuousTemporalNetwork) -> list[str]:
     if not t0 < t1:
         problems.append(f"interval [{t0}, {t1}] is empty")
         return problems
-    grid = np.linspace(t0, t1, _CONTINUOUS_SAMPLES)
-    rows, cols, functions = net.edge_order
-    for i, j, fn, label in zip(rows.tolist(), cols.tolist(), functions, net.edge_labels):
+    with np.errstate(all="ignore"):
+        samples = net.values_at(np.linspace(t0, t1, _CONTINUOUS_SAMPLES))
+    rows, cols, _ = net.edge_order
+    for i, j, values, label in zip(rows.tolist(), cols.tolist(), samples, net.edge_labels):
         if not (0 <= i < net.n and 0 <= j < net.n):
             problems.append(f"{label} outside node range 1..{net.n}")
-            continue
-        with np.errstate(all="ignore"):
-            values = fn(grid)
-        if not np.isfinite(values).all():
+        elif not np.isfinite(values).all():
             problems.append(f"{label}: non-finite value on sample grid")
         elif (values < 0).any():
             problems.append(f"{label}: negative value on sample grid")

@@ -33,8 +33,20 @@ __all__ = ["TimeFunction", "parse"]
 _ALLOWED_CALLS = ("sin", "cos", "exp")
 _ALLOWED_NAMES = ("t", "pi", "e")
 
-_ARRAY_NS = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
+_ARRAY_NS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "float64": np.float64,
              "pi": math.pi, "e": math.e}
+
+
+class _Float64Literals(ast.NodeTransformer):
+    """Wrap every literal in float64, so constant arithmetic follows IEEE rules.
+
+    In Python numbers ``2^5000`` or ``1/0`` would raise; as float64 they
+    give inf or nan, which the sampled check reports as non-finite.
+    """
+
+    def visit_Constant(self, node):
+        return ast.Call(ast.Name("float64", ast.Load()), [node], [])
+
 
 _ALLOWED_NODES = (
     ast.Expression,
@@ -103,8 +115,8 @@ class TimeFunction:
         _check_tree(tree, source)
         # the namespace must be the lambda's globals: a lambda resolves
         # free names through __globals__, never through eval's locals
-        array = eval(compile(ast.parse(f"lambda t: ({normalized})", mode="eval"),
-                             "<timefunction>", "eval"),
+        tree = _Float64Literals().visit(ast.parse(f"lambda t: ({normalized})", mode="eval"))
+        array = eval(compile(ast.fix_missing_locations(tree), "<timefunction>", "eval"),
                      {"__builtins__": {}, **_ARRAY_NS})
         return cls(source, array)
 

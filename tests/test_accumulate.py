@@ -1,6 +1,7 @@
 """Time-decayed accumulation and row-stochastic normalization."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy import sparse
 import oracles
 from temporank import (
     ConstantDamping,
+    ContinuousTemporalNetwork,
     CustomDecay,
     DiscreteTemporalNetwork,
     ExponentialDecay,
@@ -28,8 +30,13 @@ from temporank import (
     synthetic_five_node,
     truncate,
 )
-from temporank.accumulate import _continuous_accumulated, _edge_integrals, iter_instants
+from temporank.accumulate import (InstantSetup, _continuous_accumulated, _edge_integrals,
+                                  iter_instants)
 from temporank.pagerank import _run_instants
+from temporank.schedules import (InputPersonalization, InverseInputPersonalization,
+                                 LinearDamping, damping_at, personalization_at)
+from temporank.timefuncs import TimeFunction
+from test_graph import assert_same_csr, continuous_networks
 
 
 def two_snapshot_network(step=1.0):
@@ -394,3 +401,88 @@ class TestThreadCountIndependence:
         one, two = compute_bytes(workdir, "--preset", "paper-synthetic",
                                  f"--rate={rate!r}", "--grid-count", str(count))
         assert one == two
+
+
+def reference_setups(net, kernel, damping, personalization, dangling_dist, grid, quad):
+    """Setups assembled per instant, each A(t) built from the per-edge scalar evaluators."""
+    grid = np.asarray(grid, dtype=float)
+    order = np.argsort(grid, kind="stable")
+    times = grid[order]
+    if isinstance(kernel, ExponentialDecay):
+        streamed = [replace(row_normalize(matrix), instant=t)
+                    for t, matrix, _ in _continuous_accumulated(net, kernel, times, quad)]
+    else:
+        streamed = [None if t == net.t0 else accumulate_continuous(net, kernel, t, quad)
+                    for t in times]
+    setups = []
+    for position, t, snapshot in zip(order, times.tolist(), streamed):
+        k, adjacency = int(position) + 1, oracles.coo_adjacency_at(net, t)
+        if t == net.t0:
+            snapshot = replace(row_normalize(adjacency), instant=t)
+        v = personalization_at(personalization, adjacency, k, t)
+        u = None
+        if dangling_dist is not None and snapshot.dangling.any():
+            u = personalization_at(dangling_dist, adjacency, k, t)
+        setups.append(InstantSetup(k, t, snapshot, damping_at(damping, k, len(grid), t), v, u))
+    return setups
+
+
+def assert_same_array(got, expected):
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+class TestGridSampledOnce:
+    @settings(max_examples=30)
+    @given(net=continuous_networks(), rate=st.floats(-2.0, 4.0), custom=st.booleans(),
+           times=st.lists(st.sampled_from([0.5, 1.0]) | st.floats(0.0, 1.0), max_size=5),
+           personalization=st.sampled_from([InputPersonalization(),
+                                            InverseInputPersonalization()]),
+           dangling_dist=st.sampled_from([None, InputPersonalization(),
+                                          InverseInputPersonalization()]),
+           data=st.data())
+    def test_setups_match_per_instant_scalar_build(self, net, rate, custom, times,
+                                                   personalization, dangling_dist, data):
+        # t0 and a repeated instant in every grid, in a drawn order; a custom
+        # kernel takes the per-instant reference path for B
+        grid = data.draw(st.permutations([0.0, *times, ([0.0, *times])[-1]]))
+        kernel = CustomDecay(lambda s, t: math.exp(-rate * (t - s))) if custom \
+            else ExponentialDecay(rate)
+        damping, quad = LinearDamping(0.3, 0.9), QuadratureConfig()
+        got = list(iter_instants(net, kernel, damping, personalization, dangling_dist,
+                                 grid=grid, quad=quad))
+        expected = reference_setups(net, kernel, damping, personalization, dangling_dist,
+                                    grid, quad)
+        assert len(got) == len(expected)
+        for setup, reference in zip(got, expected):
+            assert (setup.k, setup.instant, setup.damping) == \
+                (reference.k, reference.instant, reference.damping)
+            assert_same_csr(setup.snapshot.matrix, reference.snapshot.matrix)
+            assert_same_array(setup.snapshot.dangling, reference.snapshot.dangling)
+            assert setup.snapshot.instant == reference.snapshot.instant
+            assert_same_array(setup.v, reference.v)
+            assert_same_array(setup.u, reference.u)
+
+    def test_each_edge_is_sampled_once_per_trajectory(self):
+        base = synthetic_five_node()
+        calls = {pair: [] for pair in base.edges}
+
+        def recording(pair, fn):
+            def array_fn(t):
+                calls[pair].append(np.array(t))
+                return fn(t)
+            return TimeFunction(None, array_fn)
+
+        net = ContinuousTemporalNetwork(
+            base.n, base.interval, {pair: recording(pair, fn) for pair, fn in base.edges.items()})
+        grid = np.array([0.5, 0.0, 1.0, 0.25, 0.5])
+        setups = list(iter_instants(net, ExponentialDecay(1.0), ConstantDamping(0.85),
+                                    InputPersonalization(), InputPersonalization(), grid=grid))
+        assert len(setups) == len(grid)
+        for pair, arguments in calls.items():
+            # the quadrature's nodes lie strictly inside its panels, never on a grid instant
+            sampled = [t for t in arguments if np.isin(t, grid).all()]
+            assert len(sampled) == 1, pair
+            assert np.array_equal(sampled[0], np.sort(grid))
+            assert all(t.ndim == 1 for t in arguments), pair

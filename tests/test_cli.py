@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, driven in process via cli.main."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -23,6 +24,14 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """`python -m temporank ARGV` in a child process that imports this same package."""
+    src = os.path.dirname(os.path.dirname(tr.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "temporank", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def csv_rows(text):
@@ -206,6 +215,25 @@ class TestCompute:
         assert out == ""
         assert err == f"error: {name} must be positive and finite, got -1.0\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--max-iter", "0"], "solver max-iter must be >= 1, got 0"),
+        (["--max-iter", "-5"], "solver max-iter must be >= 1, got -5"),
+        (["--max-iter", "0", "--solver", "power"], "solver max-iter must be >= 1, got 0"),
+        (["--quad-max-subdiv", "-1"], "quadrature max-subdiv must be >= 0, got -1"),
+    ])
+    def test_bad_budget_rejected(self, capsys, argv, message):
+        # the direct solver never reads max-iter, so only the check can catch it
+        code, out, err = run_cli(capsys, "compute", "--preset", "paper-synthetic",
+                                 "--grid-count", "3", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_zero_subdivisions_is_a_budget(self, capsys):
+        code, _, err = run_cli(capsys, "compute", "--preset", "paper-synthetic",
+                               "--grid-count", "3", "--quad-max-subdiv", "0", "--no-header")
+        assert code == 0, err
+
     @pytest.mark.parametrize("content,fragment", [
         (b"0.2 0.2 0.2 0.2 0.2\nabc 0.2 0.2 0.2 0.2\n", "not a table of numbers"),
         (b"0.2 0.2 0.2 0.2 0.2\n0.5 0.5\n", "not a table of numbers"),
@@ -225,10 +253,8 @@ class TestCompute:
     def test_empty_personalization_file(self, tmp_path):
         path = tmp_path / "EMPTY"
         path.write_bytes(b"")
-        result = subprocess.run(
-            [sys.executable, "-m", "temporank", "compute", "--preset", "paper-synthetic",
-             "--grid-count", "3", "--personalization", f"file:{path}"],
-            capture_output=True, text=True)
+        result = run_module("compute", "--preset", "paper-synthetic",
+                            "--grid-count", "3", "--personalization", f"file:{path}")
         assert result.returncode == 1
         assert result.stdout == ""
         assert result.stderr == f"error: {path}: no rows of numbers\n"
@@ -604,17 +630,25 @@ class TestValidate:
     def test_overflowing_edge_reported_without_a_warning(self, tmp_path):
         path = tmp_path / "net.txt"
         path.write_text("nodes 2\ninterval 0 1000\nedge 1 2 exp(t)\n")
-        result = subprocess.run(
-            [sys.executable, "-m", "temporank", "validate", str(path)],
-            capture_output=True, text=True)
+        result = run_module("validate", str(path))
         assert result.returncode == 1
         assert result.stderr == "edge (1, 2): non-finite value on sample grid\n"
+
+    @pytest.mark.parametrize("expression", ["10.0^400*t", "2^5000*t", "1/0*t", "0^-1+t",
+                                            "(-1)^0.5*t"])
+    def test_non_finite_constant_arithmetic_reported(self, capsys, tmp_path, expression):
+        path = tmp_path / "net.txt"
+        path.write_text(f"nodes 2\ninterval 0 1\nedge 1 2 {expression}\nedge 2 1 1\n")
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert (code, out, err) == (1, "", "edge (1, 2): non-finite value on sample grid\n")
+        code, out, err = run_cli(capsys, "compute", "--network", str(path),
+                                 "--grid-count", "5")
+        assert (code, out) == (1, "")
+        assert err == "error: edge (1, 2): non-finite value on sample grid\n"
 
     def test_module_entry_point(self, tmp_path):
         path = tmp_path / "net.txt"
         path.write_text(THREE_NODE)
-        result = subprocess.run(
-            [sys.executable, "-m", "temporank", "validate", str(path)],
-            capture_output=True, text=True)
+        result = run_module("validate", str(path))
         assert result.returncode == 0
         assert result.stdout == "ok: discrete network, n=3\n"

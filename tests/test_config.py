@@ -174,6 +174,9 @@ class TestResolveConfig:
         (dict(solver_tol=float("inf")), "solver tol must be positive"),
         (dict(quad_tol=-1.0), "quadrature tol must be positive"),
         (dict(quad_tol=float("nan")), "quadrature tol must be positive"),
+        (dict(solver_max_iter=0), "solver max-iter must be >= 1, got 0"),
+        (dict(solver_max_iter=-5), "solver max-iter must be >= 1, got -5"),
+        (dict(quad_max_subdiv=-1), "quadrature max-subdiv must be >= 0, got -1"),
     ])
     def test_validation(self, overrides, fragment):
         with pytest.raises(InvalidInputError, match=fragment):

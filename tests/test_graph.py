@@ -188,6 +188,15 @@ class TestEdgeOrder:
         for t in times:
             assert_same_csr(net.adjacency_at(t), oracles.coo_adjacency_at(net, t))
 
+    @given(continuous_networks(),
+           st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), max_size=6))
+    def test_values_at_matches_scalar_calls_bit_for_bit(self, net, times):
+        values = net.values_at(times)
+        functions = net.edge_order.functions
+        expected = np.array([[fn(t) for t in times] for fn in functions], dtype=float)
+        assert values.shape == (len(functions), len(times))
+        assert values.tobytes() == expected.reshape(values.shape).tobytes()
+
     @given(continuous_networks(), st.integers(2, 7))
     def test_truncate_matches_coo_build_bit_for_bit(self, net, count):
         truncated = truncate(net, count)

@@ -72,6 +72,33 @@ def test_function_name_usable_only_in_call_position():
         parse("sin")
 
 
+NON_FINITE_CONSTANTS = ["10.0^400*t", "2^5000*t", "1/0*t", "0^-1+t", "(-1)^0.5*t"]
+
+
+@pytest.mark.parametrize("expression", NON_FINITE_CONSTANTS)
+def test_constant_arithmetic_is_float64(expression):
+    # overflow, division by zero and a fractional power of a negative number
+    # give inf or nan, not a Python error or a complex number
+    fn = parse(expression)
+    with np.errstate(all="ignore"):
+        values = fn(np.linspace(0.0, 1.0, 5))
+        scalar = fn(0.5)
+    assert values.dtype == np.float64
+    assert not np.isfinite(values).any()
+    assert not math.isfinite(scalar)
+
+
+@pytest.mark.parametrize("expression,expected", [
+    ("7/2*t", lambda t: 7 / 2 * t),
+    ("2^10 + 3*t^2", lambda t: 2 ** 10 + 3 * t ** 2),
+    ("-1e-3*t + 1/3", lambda t: -1e-3 * t + 1 / 3),
+    ("0.5*(sin(2*pi*t)+1)", lambda t: 0.5 * (np.sin(2 * math.pi * t) + 1)),
+])
+def test_finite_constant_arithmetic_is_unchanged(expression, expected):
+    ts = np.linspace(0.0, 1.0, 9)
+    assert parse(expression)(ts).tobytes() == np.asarray(expected(ts), dtype=float).tobytes()
+
+
 def test_wrapped_callable_has_no_source():
     fn = TimeFunction.from_callable(lambda t: 2.0 * t)
     assert fn.source is None
