@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InvalidInputError
-from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
+from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork, _column_csrs
 from .quadrature import QuadratureConfig, adaptive_simpson
 from .schedules import (DampingSchedule, DecayKernel, ExponentialDecay,
                         PersonalizationSchedule, damping_at, personalization_at)
@@ -189,8 +189,7 @@ def truncate(net: ContinuousTemporalNetwork, count: int) -> DiscreteTemporalNetw
         raise InvalidInputError(f"partition needs at least 2 points, got {count}")
     t0, t1 = net.interval
     instants = t0 + (t1 - t0) * np.arange(count) / (count - 1)
-    return DiscreteTemporalNetwork(
-        net.n, instants, tuple(map(net.edge_csr, net.values_at(instants).T)))
+    return DiscreteTemporalNetwork(net.n, instants, tuple(net.edge_csrs(net.values_at(instants))))
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +223,13 @@ def iter_instants(net, kernel: DecayKernel, damping: DampingSchedule,
 
     A discrete network uses its own instants; a continuous one needs
     ``grid``, which is evaluated in sorted order whatever order it comes
-    in (``k`` still names the caller's position).  Only the running
-    accumulated matrix is kept between instants, so a consumer that drops
-    each setup after use holds one snapshot at a time, plus, on a
-    continuous network, the edge values at every grid instant and, for an
-    :class:`ExponentialDecay` kernel, the (edges x instants) integrals over
-    the grid's pieces from one quadrature call before the first instant.
+    in (``k`` still names the caller's position).  A consumer that drops
+    each setup after use holds one snapshot at a time.  A discrete network
+    keeps only the running accumulated matrix between instants.  A
+    continuous one holds the edge values at every grid instant and, for
+    an :class:`ExponentialDecay` kernel, the (edges x instants) integrals
+    over the grid's pieces from one quadrature call and the normalized B
+    of every instant, all computed before the first instant.
     """
     if isinstance(net, DiscreteTemporalNetwork):
         times = np.asarray(net.instants, dtype=float)
@@ -317,28 +317,61 @@ def _continuous_snapshots(net: ContinuousTemporalNetwork, kernel: DecayKernel,
                           times: np.ndarray, quad: QuadratureConfig):
     """(snapshot, A(t)) at ascending in-interval ``times``; at t == t0, B is A(t0).
 
-    The grid is sampled in one call after the first snapshot, so that the
-    exponential path's quadrature, and its clean errors, come first.
+    The grid is sampled in one call after the first snapshot's quadrature,
+    so that its clean errors come first.  On the exponential path B is
+    accumulated at every instant before the first is yielded and all
+    instants are row-normalized in one pass; each snapshot and each A(t)
+    is then one CSR constructor over its instant's slice of the result.
     """
     if isinstance(kernel, ExponentialDecay):
-        snapshots = (None if t == net.t0 else replace(row_normalize(matrix), instant=t)
-                     for t, matrix, _ in _continuous_accumulated(net, kernel, times, quad))
-    else:
-        snapshots = (None if t == net.t0 else accumulate_continuous(net, kernel, t, quad)
-                     for t in times.tolist())
-    samples = None
-    for column, (t, snapshot) in enumerate(zip(times.tolist(), snapshots)):
-        if samples is None:
-            samples = net.values_at(times)
-        adjacency = net.edge_csr(samples[:, column])
+        accumulated = np.empty((len(net.edges), len(times)))
+        for column, (_, values, _) in enumerate(
+                _continuous_accumulated(net, kernel, times, quad)):
+            accumulated[:, column] = values
+        samples = net.values_at(times)
+        at_t0 = times == net.t0
+        accumulated[:, at_t0] = samples[:, at_t0]
+        data, indices, indptr, starts = net.nonzero_columns(accumulated)
+        normalized, dangling = _normalize_columns(data, indptr, starts)
+        matrices = _column_csrs(net.n, normalized, indices, indptr, starts)
+        yield from zip((StochasticSnapshot(matrix, dangling[column], t) for column, (t, matrix)
+                        in enumerate(zip(times.tolist(), matrices))),
+                       net.edge_csrs(samples))
+        return
+    adjacencies = None
+    for t in times.tolist():
+        snapshot = None if t == net.t0 else accumulate_continuous(net, kernel, t, quad)
+        if adjacencies is None:
+            adjacencies = net.edge_csrs(net.values_at(times))
+        adjacency = next(adjacencies)
         if snapshot is None:
             snapshot = replace(row_normalize(adjacency), instant=t)
         yield snapshot, adjacency
 
 
+def _normalize_columns(data: np.ndarray, indptr: np.ndarray, starts: list):
+    """:func:`row_normalize` of every matrix of
+    :meth:`~ContinuousTemporalNetwork.nonzero_columns`, in one pass.
+
+    Returns (normalized data, (K, n) dangling flags).  The row sums are one
+    ``np.add.reduceat`` over the nonzero entries of each nonempty row, the
+    arithmetic of scipy's ``csr.sum(axis=1)``: an explicit zero in a row
+    would move its sum by an ulp.
+    """
+    counts = np.diff(indptr, axis=1)
+    filled = counts > 0
+    row_sums = np.zeros(counts.shape)
+    if data.size:
+        row_sums[filled] = np.add.reduceat(
+            data, (np.array(starts[:-1])[:, None] + indptr[:, :-1])[filled])
+    per_entry = np.repeat(np.where(row_sums > 0, row_sums, 1.0).ravel(), counts.ravel())
+    return data / per_entry, (row_sums == 0).astype(np.int8)
+
+
 def _continuous_accumulated(net: ContinuousTemporalNetwork, kernel: ExponentialDecay,
                             times: np.ndarray, quad: QuadratureConfig):
-    """(t, matrix, log_scale) at ascending ``times``, B(t) = diag(e^{log_scale}) @ matrix.
+    """(t, values, log_scale) at ascending ``times``: B(t) = diag(e^{log_scale}) @ B0,
+    B0 holding ``values[e]`` on edge e of the edge order.
 
     B(t_k) = e^{-r(t_k - t_{k-1})} B(t_{k-1}) + integral over [t_{k-1}, t_k]
     of e^{-r(t_k - s)} a(s) ds, from B(t0) = 0.  One quadrature call
@@ -372,6 +405,6 @@ def _continuous_accumulated(net: ContinuousTemporalNetwork, kernel: ExponentialD
                 -rate * (t - float(anchors[k])),
                 np.bincount(rows, piece, minlength=net.n) != 0)
             values = old_factor[rows] * values + new_factor[rows] * piece
-        matrix = net.edge_csr(values)
-        _check_finite(matrix, t)
-        yield t, matrix, log_scale
+        if not np.isfinite(values).all():
+            _check_finite(net.edge_csr(values), t)
+        yield t, values, log_scale

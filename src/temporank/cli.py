@@ -426,7 +426,10 @@ def _network_source(cfg: configmod.RunConfig):
 def cmd_ingest(args) -> int:
     start, step, count = _grid_spec(args.grid)
     unit = _UNIT_SECONDS[args.unit]
-    grid_seconds = ingestmod.sample_grid(start, step, count) * unit
+    with np.errstate(over="ignore"):
+        grid_seconds = ingestmod.sample_grid(start, step, count) * unit
+    if not np.isfinite(grid_seconds).all():
+        raise InvalidInputError(f"grid {args.grid}: a point overflows in seconds")
     if not os.path.exists(args.events):
         raise FileNotFoundError(f"event file not found: {args.events}")
     with open(args.events, "r", encoding="utf-8") as handle:

@@ -18,6 +18,7 @@ produces bit-identical snapshots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,10 +112,15 @@ def parse_events(lines, strict: bool = True, t_max: float | None = None) -> Pars
 
 def sample_grid(start: float, step: float, count: int) -> np.ndarray:
     """Arithmetic progression start, start+step, ..., with `count` points."""
+    spec = f"grid {start!r},{step!r},{count!r}"
+    if not (math.isfinite(start) and math.isfinite(step)):
+        raise InvalidInputError(f"{spec}: start and step must be finite")
     if step <= 0:
         raise InvalidInputError(f"step must be positive, got {step}")
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
+    if not math.isfinite(start + step * (count - 1)):
+        raise InvalidInputError(f"{spec}: the last point overflows")
     return start + step * np.arange(count, dtype=float)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .accumulate import InstantSetup, StochasticSnapshot, iter_instants
 from .errors import InternalError, InvalidInputError
 from .graph import DiscreteTemporalNetwork
-from .pagerank import (DIRECT_SOLVE_MAX_N, _check_probability, _run_instants,
+from .pagerank import (DIRECT_SOLVE_MAX_N, _check_probabilities, _run_instants,
                        dense_transition)
 from .quadrature import QuadratureConfig
 from .schedules import DampingSchedule, DecayKernel, PersonalizationSchedule
@@ -96,7 +96,7 @@ def _resolvent_columns(snapshot: StochasticSnapshot, damping: float, nodes,
             raise InvalidInputError(
                 f"network has dangling rows at {instant}; "
                 "a dangling distribution u is required")
-        u = _check_probability(u, n, "dangling distribution")
+        u = _check_probabilities([u], n, "dangling distribution")[0]
     else:
         u = None
     if method == "auto":
@@ -186,6 +186,7 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
 
     setups = iter_instants(net, kernel, damping, dangling_dist=dangling_dist,
                            grid=instants, quad=quad)
-    results = _run_instants(setups, bounds_at, threads)
+    results = _run_instants(setups, lambda chunk: [bounds_at(setup) for setup in chunk],
+                            threads, net.n)
     pairs = np.array(results, dtype=float).reshape(len(results), nodes.size, 2)
     return LocalizationBounds(instants, nodes, pairs[:, :, 0], pairs[:, :, 1])

@@ -2,8 +2,9 @@
 
 The operator G = damping * (P + d u^T) + (1 - damping) e v^T is never
 materialized: solvers apply its transpose through the sparse P plus two
-rank-one corrections.  A direct dense solve handles small problems; power
-iteration handles the rest.
+rank-one corrections.  Direct dense solves handle small problems, a
+chunk of instants at a time in one stacked LAPACK call; power iteration
+handles the rest.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import islice
 
 import numpy as np
 
@@ -31,17 +33,56 @@ __all__ = [
 #: above this size the automatic solver choice switches to power iteration
 DIRECT_SOLVE_MAX_N = 2000
 
+#: a chunk of instants holds at most this many dense system entries (8 MB)
+_CHUNK_ENTRIES = 2 ** 20
+
 _SUM_TOL = 1e-10
 _ROWSUM_TOL = 1e-12
 
 
-def _check_probability(vector: np.ndarray, n: int, name: str) -> np.ndarray:
-    vector = np.asarray(vector, dtype=float).ravel()
-    if vector.shape != (n,):
-        raise InvalidInputError(f"{name} has shape {vector.shape}, expected ({n},)")
-    if (vector <= 0).any() or abs(vector.sum() - 1.0) > 1e-10:
+def _check_probabilities(vectors, n: int, name: str) -> np.ndarray:
+    """The (len(vectors), n) stack of ``vectors``, each finite and positive with unit 1-norm."""
+    stack = []
+    for vector in vectors:
+        vector = np.asarray(vector, dtype=float).ravel()
+        if vector.shape != (n,):
+            raise InvalidInputError(f"{name} has shape {vector.shape}, expected ({n},)")
+        stack.append(vector)
+    stack = np.array(stack)
+    if not (np.isfinite(stack).all() and (stack > 0).all()
+            and (np.abs(stack.sum(axis=1) - 1.0) <= 1e-10).all()):
         raise InvalidInputError(f"{name} must be positive with unit 1-norm")
-    return vector
+    return stack
+
+
+def _checked_inputs(n: int, dampings, vs, us):
+    """Damping (K,), v (K, n) and u (K, n) of K instants, checked; u defaults to v."""
+    for damping in dampings:
+        if not 0.0 < damping < 1.0:
+            raise InvalidInputError(f"damping {damping} outside (0, 1)")
+    v = _check_probabilities(vs, n, "personalization")
+    u = v.copy()
+    given = [k for k, vector in enumerate(us) if vector is not None]
+    if given:
+        u[given] = _check_probabilities([us[k] for k in given], n, "dangling distribution")
+    return np.array(dampings, dtype=float), v, u
+
+
+def _sampled_rows(n: int) -> np.ndarray:
+    return np.unique(np.linspace(0, n - 1, min(n, 8)).astype(int))
+
+
+def _check_row_sums(rows: np.ndarray, dangling: np.ndarray, dampings: np.ndarray):
+    """Rows of G sum to one, from (K, s) sums of sampled rows of P and their dangling flags."""
+    sums = dampings[:, None] * (rows + dangling) + (1.0 - dampings[:, None])
+    if not (np.abs(sums - 1.0) <= _ROWSUM_TOL).all():
+        raise InternalError("google matrix row sums differ from 1 on sampled rows")
+
+
+def _check_simplex(pi: np.ndarray):
+    """Every row of the (K, n) ``pi`` is positive with unit 1-norm."""
+    if not ((pi > 0).all() and (np.abs(pi.sum(axis=1) - 1.0) <= _SUM_TOL).all()):
+        raise InternalError("solver left the probability simplex")
 
 
 @dataclass(frozen=True)
@@ -54,22 +95,13 @@ class GoogleOperator:
     u: np.ndarray | None = None
 
     def __post_init__(self):
-        n = self.snapshot.n
-        if not 0.0 < self.damping < 1.0:
-            raise InvalidInputError(f"damping {self.damping} outside (0, 1)")
-        object.__setattr__(self, "v", _check_probability(self.v, n, "personalization"))
-        u = self.v if self.u is None else _check_probability(self.u, n, "dangling distribution")
-        object.__setattr__(self, "u", u)
-        self._check_sampled_rows()
-
-    def _check_sampled_rows(self):
-        n = self.snapshot.n
-        sample = np.unique(np.linspace(0, n - 1, min(n, 8)).astype(int))
+        dampings, v, u = _checked_inputs(self.n, [self.damping], [self.v], [self.u])
+        object.__setattr__(self, "v", v[0])
+        object.__setattr__(self, "u", u[0])
+        sample = _sampled_rows(self.n)
         indptr, data = self.snapshot.matrix.indptr, self.snapshot.matrix.data
         rows = np.array([data[indptr[i]:indptr[i + 1]].sum() for i in sample])
-        sums = self.damping * (rows + self.snapshot.dangling[sample]) + (1.0 - self.damping)
-        if np.max(np.abs(sums - 1.0)) > _ROWSUM_TOL:
-            raise InternalError("google matrix row sums differ from 1 on sampled rows")
+        _check_row_sums(rows[None], self.snapshot.dangling[None, sample], dampings)
 
     @property
     def n(self) -> int:
@@ -103,15 +135,37 @@ def pagerank_direct(snapshot: StochasticSnapshot, damping: float, v: np.ndarray,
     """Solve (Id - damping*(P + d u^T))^T pi = (1 - damping) v by dense factorization.
 
     Intended for n up to a couple thousand; the result is renormalized to
-    unit 1-norm to absorb rounding.
+    unit 1-norm to absorb rounding.  This is the one-instant call of the
+    solver trajectories use for a chunk of instants.
     """
-    op = GoogleOperator(snapshot, damping, v, u)
-    system = np.eye(op.n) - op.damping * dense_transition(op.snapshot, op.u).T
+    return _direct_solve([snapshot], [damping], [v], [u])[0]
+
+
+def _direct_solve(snapshots, dampings, vs, us) -> np.ndarray:
+    """(K, n) rank vectors of K instants of one n, by one stacked ``np.linalg.solve``.
+
+    Runs the checks of :class:`GoogleOperator` on every instant, the
+    sampled row sums read from the dense M, and checks that every result
+    lies on the simplex.  LAPACK factorizes each system of the stack on
+    its own, so every vector has the bits of a one-instant solve.
+    """
+    n = snapshots[0].n
+    dampings, v, u = _checked_inputs(n, dampings, vs, us)
+    transitions = np.stack([dense_transition(snapshot, u_k)
+                            for snapshot, u_k in zip(snapshots, u)])
+    dangling = np.array([snapshot.dangling for snapshot in snapshots])
+    sample = _sampled_rows(n)
+    flags = dangling[:, sample]
+    _check_row_sums(np.where(flags == 1, 0.0, transitions[:, sample].sum(axis=2)), flags,
+                    dampings)
+    systems = dampings[:, None, None] * transitions.transpose(0, 2, 1)
+    np.subtract(np.eye(n), systems, out=systems)
     try:
-        pi = np.linalg.solve(system, (1.0 - op.damping) * op.v)
+        pi = np.linalg.solve(systems, ((1.0 - dampings)[:, None] * v)[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:  # cannot happen for damping < 1
         raise InternalError(f"direct PageRank factorization failed: {exc}") from exc
-    pi /= pi.sum()
+    pi /= pi.sum(axis=1, keepdims=True)
+    _check_simplex(pi)
     return pi
 
 
@@ -173,47 +227,51 @@ class PageRankTrajectory:
         return self.vectors[k - 1]
 
 
-def _solve_setup(setup: InstantSetup, solver: str, tol: float,
-                 max_iter: int) -> tuple[np.ndarray, int, float]:
-    snapshot = setup.snapshot
+def _solve_chunk(setups: list[InstantSetup], solver: str, tol: float,
+                 max_iter: int) -> list[tuple[np.ndarray, int, float]]:
+    """(pi, iterations, residual) of every setup of a chunk, in order."""
     if solver == "auto":
-        solver = "direct" if snapshot.n <= DIRECT_SOLVE_MAX_N else "power"
+        solver = "direct" if setups[0].snapshot.n <= DIRECT_SOLVE_MAX_N else "power"
     if solver == "direct":
-        pi = pagerank_direct(snapshot, setup.damping, setup.v, setup.u)
-        iterations, residual = 0, 0.0
-    elif solver == "power":
-        pi, iterations, residual = pagerank_power(
-            GoogleOperator(snapshot, setup.damping, setup.v, setup.u),
-            tol=tol, max_iter=max_iter)
-    else:
+        pi = _direct_solve(*zip(*((setup.snapshot, setup.damping, setup.v, setup.u)
+                                  for setup in setups)))
+        return [(vector, 0, 0.0) for vector in pi]
+    if solver != "power":
         raise InvalidInputError(f"unknown solver {solver!r}")
-    if (pi <= 0).any() or abs(pi.sum() - 1.0) > _SUM_TOL:
-        raise InternalError("solver left the probability simplex")
-    return pi, iterations, residual
+    results = [pagerank_power(GoogleOperator(setup.snapshot, setup.damping, setup.v, setup.u),
+                              tol=tol, max_iter=max_iter) for setup in setups]
+    _check_simplex(np.array([pi for pi, _, _ in results]))
+    return results
 
 
-def _run_instants(setups, solve, threads: int) -> list:
-    """``solve`` every streamed instant setup, with at most ``threads`` in flight.
+def _run_instants(setups, solve, threads: int, n: int) -> list:
+    """``solve`` the streamed instant setups of n nodes, a chunk of consecutive ones at a time.
 
-    The setups arrive one at a time from :func:`iter_instants`; the next
-    is only drawn once a solve slot is free, so no more than ``threads``
-    snapshots are alive at once.  Each solve is deterministic, so results
-    are identical at any thread count; they come back in instant order.
+    A chunk holds max(1, _CHUNK_ENTRIES // n**2) instants, so its dense
+    systems take at most 8 MB; ``solve`` maps a list of setups to a list
+    of results.  The setups arrive one at a time from
+    :func:`iter_instants`, and the next chunk is only drawn once a solve
+    slot is free, so no more than ``threads`` chunks are in flight.
+    Chunks do not depend on ``threads`` and each solve is deterministic,
+    so results are identical at any thread count; they come back in
+    instant order.
     """
+    setups = iter(setups)
+    chunks = iter(lambda: list(islice(setups, max(1, _CHUNK_ENTRIES // n ** 2))), [])
     results = {}
     if threads <= 1:
-        for setup in setups:
-            results[setup.k] = solve(setup)
+        for chunk in chunks:
+            results.update(zip([setup.k for setup in chunk], solve(chunk)))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             pending = deque()
-            for setup in setups:
-                pending.append((setup.k, pool.submit(solve, setup)))
+            for chunk in chunks:
+                pending.append(([setup.k for setup in chunk], pool.submit(solve, chunk)))
                 if len(pending) == threads:
-                    k, future = pending.popleft()
-                    results[k] = future.result()
-            for k, future in pending:
-                results[k] = future.result()
+                    ks, future = pending.popleft()
+                    results.update(zip(ks, future.result()))
+            for ks, future in pending:
+                results.update(zip(ks, future.result()))
     return [results[k] for k in sorted(results)]
 
 
@@ -237,8 +295,8 @@ def trajectory_discrete(net: DiscreteTemporalNetwork, kernel: DecayKernel,
     vector), and solve.
     """
     setups = iter_instants(net, kernel, damping, personalization, dangling_dist)
-    solve = partial(_solve_setup, solver=solver, tol=tol, max_iter=max_iter)
-    results = _run_instants(setups, solve, threads)
+    solve = partial(_solve_chunk, solver=solver, tol=tol, max_iter=max_iter)
+    results = _run_instants(setups, solve, threads, net.n)
     return _assemble(net.instants, results, {
         "scale": "discrete", "kernel": repr(kernel), "damping": repr(damping),
         "personalization": repr(personalization), "solver": solver, "tol": tol,
@@ -260,8 +318,8 @@ def trajectory_continuous(net: ContinuousTemporalNetwork, kernel: DecayKernel,
     grid = np.asarray(grid, dtype=float)
     setups = iter_instants(net, kernel, damping, personalization, dangling_dist,
                            grid=grid, quad=quad)
-    solve = partial(_solve_setup, solver=solver, tol=tol, max_iter=max_iter)
-    results = _run_instants(setups, solve, threads)
+    solve = partial(_solve_chunk, solver=solver, tol=tol, max_iter=max_iter)
+    results = _run_instants(setups, solve, threads, net.n)
     return _assemble(grid, results, {
         "scale": "continuous", "kernel": repr(kernel), "damping": repr(damping),
         "personalization": repr(personalization), "solver": solver, "tol": tol,

@@ -182,13 +182,14 @@ def csr_t_matvec(matrix, x):
 def coo_adjacency_at(net, t):
     """A(t) of a continuous network, each edge through its scalar evaluator."""
     t = float(t)
-    rows, cols, vals = [], [], []
-    for (i, j), fn in sorted(net.edges.items()):
-        rows.append(i)
-        cols.append(j)
-        vals.append(fn(t))
-    matrix = sparse.csr_array(
-        sparse.coo_array((vals, (rows, cols)), shape=(net.n, net.n)))
+    return coo_edge_matrix(net, [fn(t) for _, fn in sorted(net.edges.items())])
+
+
+def coo_edge_matrix(net, values):
+    """CSR matrix holding ``values[e]`` on the e-th edge of the sorted edge dict."""
+    pairs = sorted(net.edges)
+    matrix = sparse.csr_array(sparse.coo_array(
+        (list(values), ([i for i, _ in pairs], [j for _, j in pairs])), shape=(net.n, net.n)))
     matrix.eliminate_zeros()
     return matrix
 
@@ -208,6 +209,35 @@ def coo_truncate_snapshots(net, instants):
         matrix.eliminate_zeros()
         snapshots.append(matrix)
     return snapshots
+
+
+# ---------------------------------------------------------------------------
+# the per-instant direct path
+#
+# One row normalization of one CSR matrix and one dense solve per instant,
+# each with the arithmetic the package used before it normalized a whole
+# grid in one pass and solved a chunk of instants in one stacked LAPACK
+# call.  The tests require the two bit for bit.
+
+
+def row_normalize_csr(matrix):
+    """(P, dangling) of a CSR matrix: positive rows divided by scipy's row sums."""
+    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
+    normalized = matrix.copy()
+    if normalized.nnz:
+        normalized.data = normalized.data / np.repeat(
+            np.where(row_sums > 0, row_sums, 1.0), np.diff(normalized.indptr))
+    return normalized, (row_sums == 0).astype(np.int8)
+
+
+def direct_pagerank(matrix, dangling, damping, v, u=None):
+    """Solve (I - damping (P + d u^T))^T pi = (1 - damping) v densely; u defaults to v."""
+    u = v if u is None else u
+    m = matrix.toarray()
+    m[np.flatnonzero(dangling == 1), :] += u[None, :]
+    pi = np.linalg.solve(np.eye(len(v)) - damping * m.T, (1.0 - damping) * v)
+    pi /= pi.sum()
+    return pi
 
 
 # ---------------------------------------------------------------------------

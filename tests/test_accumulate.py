@@ -30,8 +30,10 @@ from temporank import (
     synthetic_five_node,
     truncate,
 )
+from temporank import pagerank
 from temporank.accumulate import (InstantSetup, _continuous_accumulated, _edge_integrals,
-                                  iter_instants)
+                                  _normalize_columns, iter_instants)
+from temporank.graph import _column_csrs
 from temporank.pagerank import _run_instants
 from temporank.schedules import (InputPersonalization, InverseInputPersonalization,
                                  LinearDamping, damping_at, personalization_at)
@@ -300,7 +302,8 @@ class TestStreamedAccumulation:
         kernel = ExponentialDecay(rate)
         quad = QuadratureConfig(tol=1e-9)
         times = np.sort(np.array(times))
-        for t, matrix, log_scale in _continuous_accumulated(net, kernel, times, quad):
+        for t, values, log_scale in _continuous_accumulated(net, kernel, times, quad):
+            matrix = net.edge_csr(values)
             streamed = np.exp(log_scale)[:, None] * matrix.toarray()
             for (i, j) in net.edges:
                 exact = oracles.accumulated_weight(i + 1, j + 1, rate, t)
@@ -318,8 +321,9 @@ class TestStreamedAccumulation:
         nodes, weights = np.polynomial.legendre.leggauss(200)
         rows, cols, functions = net.edge_order
         q = abs(rate)
-        for t, matrix, _ in _continuous_accumulated(net, ExponentialDecay(rate), times,
+        for t, values, _ in _continuous_accumulated(net, ExponentialDecay(rate), times,
                                                     QuadratureConfig()):
+            matrix = net.edge_csr(values)
             # B(t) up to a factor: the integral of e^{-u} a(s) over u in [0, q t],
             # with s = t - u / q (or u / q for a negative rate); e^{-60} is negligible
             u = 0.5 * min(q * t, 60.0) * (nodes + 1.0)
@@ -353,22 +357,28 @@ class TestStreamedAccumulation:
                                ConstantDamping(0.85), grid=[0.5, 1.5]))
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_at_most_threads_setups_in_flight(self, threads):
-        alive = set()
-        peak = []
+    def test_at_most_threads_setups_in_flight(self, threads, monkeypatch):
+        # with n = 1 a chunk holds _CHUNK_ENTRIES consecutive setups
+        for size in (1, 3, 4):
+            monkeypatch.setattr(pagerank, "_CHUNK_ENTRIES", size)
+            alive, peak, chunks = set(), [], []
 
-        def setups():
-            for k in range(1, 11):
-                alive.add(k)
-                peak.append(len(alive))
-                yield SimpleNamespace(k=k)
+            def setups():
+                for k in range(1, 11):
+                    alive.add(k)
+                    peak.append(len(alive))
+                    yield SimpleNamespace(k=k)
 
-        def solve(setup):
-            alive.discard(setup.k)
-            return setup.k
+            def solve(chunk):
+                ks = [setup.k for setup in chunk]
+                chunks.append(ks)
+                alive.difference_update(ks)
+                return ks
 
-        assert _run_instants(setups(), solve, threads) == list(range(1, 11))
-        assert max(peak) <= threads
+            assert _run_instants(setups(), solve, threads, 1) == list(range(1, 11))
+            assert max(peak) <= threads * size
+            assert sorted(chunks) == [list(range(k, min(k + size, 11)))
+                                      for k in range(1, 11, size)]
 
 
 def compute_bytes(workdir, *argv) -> list[bytes]:
@@ -409,8 +419,8 @@ def reference_setups(net, kernel, damping, personalization, dangling_dist, grid,
     order = np.argsort(grid, kind="stable")
     times = grid[order]
     if isinstance(kernel, ExponentialDecay):
-        streamed = [replace(row_normalize(matrix), instant=t)
-                    for t, matrix, _ in _continuous_accumulated(net, kernel, times, quad)]
+        streamed = [replace(row_normalize(oracles.coo_edge_matrix(net, values)), instant=t)
+                    for t, values, _ in _continuous_accumulated(net, kernel, times, quad)]
     else:
         streamed = [None if t == net.t0 else accumulate_continuous(net, kernel, t, quad)
                     for t in times]
@@ -486,3 +496,31 @@ class TestGridSampledOnce:
             assert len(sampled) == 1, pair
             assert np.array_equal(sampled[0], np.sort(grid))
             assert all(t.ndim == 1 for t in arguments), pair
+
+
+class TestNormalizeColumns:
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), count=st.integers(0, 6),
+           full_row=st.booleans())
+    def test_row_sums_over_nonzeros_match_row_normalize(self, seed, n, count, full_row):
+        # values over 16 decades and rows of up to 12 entries, so the order of
+        # the additions shows in the bits; an explicit zero would shift it
+        rng = np.random.default_rng(seed)
+        mask = rng.random((n, n)) < rng.uniform(0.0, 1.0)
+        mask[0] |= full_row
+        rows, cols = np.nonzero(mask)
+        net = ContinuousTemporalNetwork(
+            n, (0.0, 1.0), {(int(i), int(j)): 1.0 for i, j in zip(rows, cols)})
+        values = rng.uniform(0.0, 1.0, (len(rows), count)) \
+            * 10.0 ** rng.integers(-8, 8, (len(rows), count))
+        values[rng.random(values.shape) < 0.3] = 0.0
+        data, indices, indptr, starts = net.nonzero_columns(values)
+        assert len(starts) == count + 1
+        normalized, dangling = _normalize_columns(data, indptr, starts)
+        raw = _column_csrs(n, data, indices, indptr, starts)
+        scaled = _column_csrs(n, normalized, indices, indptr, starts)
+        for k, (matrix, snapshot) in enumerate(zip(raw, scaled, strict=True)):
+            adjacency = oracles.coo_edge_matrix(net, values[:, k])
+            expected = row_normalize(adjacency)
+            assert_same_csr(matrix, adjacency)
+            assert_same_csr(snapshot, expected.matrix)
+            assert_same_array(dangling[k], expected.dangling)

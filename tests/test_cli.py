@@ -26,12 +26,30 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
-    """`python -m temporank ARGV` in a child process that imports this same package."""
+def run_python(*args):
+    """`python ARGS` in a child process that imports this same package."""
     src = os.path.dirname(os.path.dirname(tr.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "temporank", *argv], capture_output=True,
+    return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def run_module(*argv):
+    """`python -m temporank ARGV` in a child process that imports this same package."""
+    return run_python("-m", "temporank", *argv)
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # scipy.linalg adds about 0.1 s to each process's start-up; solves use np.linalg
+    result = run_python("-c", "import sys, temporank.cli; print(sorted("
+                              "m for m in sys.modules if m.startswith('scipy.linalg')))")
+    assert (result.returncode, result.stdout) == (0, "[]\n")
+
+
+NON_FINITE_GRIDS = [("0,inf,3", "grid 0.0,inf,3: start and step must be finite"),
+                    ("0,nan,3", "grid 0.0,nan,3: start and step must be finite"),
+                    ("nan,1,3", "grid nan,1.0,3: start and step must be finite"),
+                    ("0,1e308,3", "grid 0.0,1e+308,3: the last point overflows")]
 
 
 def csv_rows(text):
@@ -287,6 +305,12 @@ class TestCompute:
                                "--personalization", "fame")
         assert code == 1
         assert "inverse-input or file:PATH" in err
+
+    @pytest.mark.parametrize("grid, message", NON_FINITE_GRIDS)
+    def test_non_finite_grid(self, capsys, grid, message):
+        code, out, err = run_cli(capsys, "compute", "--preset", "paper-synthetic",
+                                 "--grid", grid)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_grid_flags_conflict(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--preset", "paper-synthetic",
@@ -569,6 +593,15 @@ class TestIngest:
                                "--grid", "0,1,2")
         assert code == 1
         assert err == "error: line 2: not UTF-8 text: byte 0xe9 at column 6\n"
+
+    @pytest.mark.parametrize("grid, message", NON_FINITE_GRIDS + [
+        ("0,1e304,3 --unit day", "grid 0,1e304,3: a point overflows in seconds"),
+        ("-1e304,1,2 --unit day", "grid -1e304,1,2: a point overflows in seconds")])
+    def test_non_finite_grid(self, capsys, tmp_path, grid, message):
+        events = self.events_file(tmp_path, "1 2 +1 0\n")
+        spec, *unit = grid.split()
+        code, out, err = run_cli(capsys, "ingest", "--events", events, f"--grid={spec}", *unit)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_bad_grid_spec(self, capsys, tmp_path):
         events = self.events_file(tmp_path, "1 2 +1 0\n")

@@ -1,5 +1,8 @@
 """Edge-event stream parsing and snapshot construction."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,17 @@ class TestSampleGrid:
             sample_grid(0.0, 0.0, 3)
         with pytest.raises(InvalidInputError):
             sample_grid(0.0, 1.0, 0)
+
+    @pytest.mark.parametrize("start, step, count", [
+        (0.0, math.inf, 3), (0.0, math.nan, 3), (math.nan, 1.0, 3), (-math.inf, 1.0, 2),
+        (0.0, 1e308, 3), (1e308, 1e308, 2)])
+    def test_non_finite_grid_rejected(self, start, step, count):
+        spec = re.escape(f"grid {start!r},{step!r},{count}:")
+        with pytest.raises(InvalidInputError, match=spec):
+            sample_grid(start, step, count)
+
+    def test_largest_finite_grid_accepted(self):
+        assert sample_grid(0.0, 1e308, 2)[-1] == 1e308
 
 
 class TestBuildSnapshots:

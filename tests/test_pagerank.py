@@ -1,8 +1,11 @@
 """Google operator, solvers, and rank trajectories."""
 
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -28,6 +31,13 @@ from temporank import (
     trajectory_discrete,
     truncate,
 )
+from temporank import accumulate, cli, pagerank
+from temporank.accumulate import _continuous_accumulated, iter_instants
+from temporank.quadrature import QuadratureConfig
+from temporank.schedules import (InputPersonalization, InverseInputPersonalization,
+                                 LinearDamping, damping_at, personalization_at)
+from temporank.timefuncs import parse
+from test_graph import EDGE_EXPRESSIONS
 
 TWO_NODE = np.array([[0.0, 1.0], [1.0, 1.0]])
 HALF = np.array([0.5, 0.5])
@@ -131,6 +141,25 @@ class TestGoogleOperator:
         with pytest.raises(InvalidInputError):
             GoogleOperator(snapshot_of(TWO_NODE), 0.85, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5],
+                                     [np.nan, np.nan, np.nan]])
+    def test_non_finite_vectors_rejected(self, bad):
+        snap = snapshot_of(np.ones((3, 3)))
+        third = np.full(3, 1 / 3)
+        for v, u in ((bad, None), (third, bad)):
+            with pytest.raises(InvalidInputError, match="positive with unit 1-norm"):
+                GoogleOperator(snap, 0.85, np.array(v), None if u is None else np.array(u))
+            with pytest.raises(InvalidInputError, match="positive with unit 1-norm"):
+                pagerank_direct(snap, 0.85, np.array(v), None if u is None else np.array(u))
+
+    def test_nan_on_a_sampled_row_rejected(self):
+        snap = snapshot_of(np.ones((3, 3)))
+        snap.matrix.data[0] = np.nan
+        with pytest.raises(InternalError, match="row sums"):
+            GoogleOperator(snap, 0.85, np.full(3, 1 / 3))
+        with pytest.raises(InternalError, match="row sums"):
+            pagerank_direct(snap, 0.85, np.full(3, 1 / 3))
+
     def test_vector_shape_checked(self):
         op = GoogleOperator(snapshot_of(TWO_NODE), 0.85, HALF)
         with pytest.raises(InvalidInputError):
@@ -189,6 +218,13 @@ class TestSolvers:
             v = oracles.random_simplex_vector(rng, n)
             pi = pagerank_direct(snap, 0.01, v)
             assert np.abs(pi - v).sum() <= 0.02
+
+    def test_nan_solve_result_rejected(self):
+        # of 10 rows, 0 1 2 3 5 6 7 9 are sampled for the row-sum check
+        snap = snapshot_of(np.ones((10, 10)))
+        snap.matrix.data[snap.matrix.indptr[4]] = np.nan
+        with pytest.raises(InternalError, match="simplex"):
+            pagerank_direct(snap, 0.85, np.full(10, 0.1))
 
     def test_power_iteration_budget_exceeded(self):
         op = GoogleOperator(snapshot_of(TWO_NODE), 0.85, HALF)
@@ -318,3 +354,105 @@ class TestTrajectoryContinuous:
         traj = trajectory_continuous(net, ExponentialDecay(1.0), ConstantDamping(0.85),
                                      UniformPersonalization(), grid=[0.0, 0.5])
         assert traj.metadata["scale"] == "continuous"
+
+
+@st.composite
+def discrete_problems(draw):
+    """Random discrete networks with explicit zeros, dense and dangling rows, n up to 12."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 12))
+    count = draw(st.integers(1, 5))
+    density = rng.uniform(0.1, 1.0)
+    snapshots = []
+    for _ in range(count):
+        mask = rng.random((n, n)) < density
+        mask[0] |= draw(st.booleans())           # a full row: n entries
+        mask[rng.integers(0, n)] = False         # a zero row
+        values = np.where(rng.random((n, n)) < 0.2, 0.0, rng.uniform(1e-3, 10.0, (n, n)))
+        rows, cols = np.nonzero(mask)
+        snapshots.append(sparse.csr_array((values[rows, cols], (rows, cols)), shape=(n, n)))
+    instants = np.cumsum(rng.uniform(0.1, 1.0, count))
+    return DiscreteTemporalNetwork(n, instants, snapshots), None
+
+
+@st.composite
+def continuous_problems(draw):
+    """Random continuous networks with zero-valued and absent edges, dense and dangling rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 10))
+    mask = rng.random((n, n)) < rng.uniform(0.1, 1.0)
+    mask[0] |= draw(st.booleans())
+    mask[rng.integers(0, n)] = False
+    expressions = rng.choice(EDGE_EXPRESSIONS, size=(n, n))
+    edges = {(int(i), int(j)): parse(str(expressions[i, j])) for i, j in zip(*np.nonzero(mask))}
+    grid = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                         min_size=1, max_size=12))
+    return ContinuousTemporalNetwork(n, (0.0, 1.0), edges), np.array(grid)
+
+
+def per_instant_vectors(net, kernel, damping, personalization, dangling_dist, grid):
+    """Rank vectors in the caller's order: one normalization and one dense solve per instant."""
+    if isinstance(net, DiscreteTemporalNetwork):
+        setups = iter_instants(net, kernel, damping, personalization, dangling_dist)
+        return [oracles.direct_pagerank(setup.snapshot.matrix, setup.snapshot.dangling,
+                                        setup.damping, setup.v, setup.u) for setup in setups]
+    order = np.argsort(grid, kind="stable")
+    vectors = [None] * len(grid)
+    accumulated = _continuous_accumulated(net, kernel, grid[order], QuadratureConfig())
+    for position, (t, values, _) in zip(order.tolist(), accumulated):
+        k, adjacency = position + 1, oracles.coo_adjacency_at(net, t)
+        matrix, dangling = oracles.row_normalize_csr(
+            adjacency if t == net.t0 else oracles.coo_edge_matrix(net, values))
+        v = personalization_at(personalization, adjacency, k, t)
+        u = None
+        if dangling_dist is not None and dangling.any():
+            u = personalization_at(dangling_dist, adjacency, k, t)
+        vectors[position] = oracles.direct_pagerank(
+            matrix, dangling, damping_at(damping, k, len(grid), t), v, u)
+    return vectors
+
+
+class TestStackedDirectPath:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @settings(max_examples=30)
+    @given(problem=discrete_problems() | continuous_problems(), rate=st.floats(-2.0, 4.0),
+           personalization=st.sampled_from([UniformPersonalization(), InputPersonalization(),
+                                            InverseInputPersonalization()]),
+           dangling_dist=st.sampled_from([None, InputPersonalization(),
+                                          InverseInputPersonalization()]),
+           entries=st.sampled_from([1, 30, 100, 2 ** 20]))
+    def test_matches_per_instant_solves_bit_for_bit(self, threads, problem, rate,
+                                                    personalization, dangling_dist, entries):
+        # a chunk holds max(1, entries // n**2) instants, so small entries
+        # cut the grid into many chunks
+        net, grid = problem
+        kernel, damping = ExponentialDecay(rate), LinearDamping(0.3, 0.9)
+        with mock.patch.object(pagerank, "_CHUNK_ENTRIES", entries):
+            if grid is None:
+                trajectory = trajectory_discrete(net, kernel, damping, personalization,
+                                                 dangling_dist, threads=threads)
+            else:
+                trajectory = trajectory_continuous(net, kernel, damping, personalization, grid,
+                                                   dangling_dist=dangling_dist, threads=threads)
+        expected = per_instant_vectors(net, kernel, damping, personalization, dangling_dist,
+                                       grid)
+        assert trajectory.vectors.tobytes() == np.array(expected).tobytes()
+
+    def test_one_solve_and_no_per_instant_matrix_build(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+        monkeypatch.setattr(ContinuousTemporalNetwork, "edge_csr",
+                            counting("edge_csr", ContinuousTemporalNetwork.edge_csr))
+        monkeypatch.setattr(accumulate, "row_normalize",
+                            counting("row_normalize", accumulate.row_normalize))
+        code = cli.main(["compute", "--preset", "paper-synthetic", "--grid-count", "1001",
+                         "--threads", "1", "--no-header", "--output", str(tmp_path / "s.csv")])
+        assert code == 0
+        assert calls == {"solve": 1}
