@@ -35,6 +35,10 @@ __all__ = [
     "iter_instants",
 ]
 
+#: a block of grid instants row-normalized in one pass has at most this
+#: many entries in its (instants x (edges + nodes + 1)) index arrays
+_BLOCK_ENTRIES = 2 ** 20
+
 
 @dataclass(frozen=True)
 class AccumulatedMatrix:
@@ -107,20 +111,20 @@ def accumulate_discrete(net: DiscreteTemporalNetwork, kernel: DecayKernel,
 
 
 def row_normalize(accumulated) -> StochasticSnapshot:
-    """Divide each positive row by its sum; zero rows become dangling."""
+    """Divide each positive row by its sum; zero rows become dangling.
+
+    Each row sum adds the row's stored entries, as scipy's
+    ``csr.sum(axis=1)`` does; this is :func:`_normalize_columns` on one matrix.
+    """
     if isinstance(accumulated, AccumulatedMatrix):
         matrix, instant = accumulated.matrix, accumulated.instant
     else:
         matrix, instant = sparse.csr_array(accumulated), float("nan")
     matrix = sparse.csr_array(matrix, dtype=float)
-    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-    dangling = (row_sums == 0).astype(np.int8)
     normalized = matrix.copy()
-    if normalized.nnz:
-        per_entry = np.repeat(np.where(row_sums > 0, row_sums, 1.0),
-                              np.diff(normalized.indptr))
-        normalized.data = normalized.data / per_entry
-    return StochasticSnapshot(normalized, dangling, instant)
+    normalized.data, dangling = _normalize_columns(matrix.data, matrix.indptr[None],
+                                                   [0, matrix.nnz])
+    return StochasticSnapshot(normalized, dangling[0], instant)
 
 
 def accumulate_continuous(net: ContinuousTemporalNetwork, kernel: DecayKernel,
@@ -319,9 +323,12 @@ def _continuous_snapshots(net: ContinuousTemporalNetwork, kernel: DecayKernel,
 
     The grid is sampled in one call after the first snapshot's quadrature,
     so that its clean errors come first.  On the exponential path B is
-    accumulated at every instant before the first is yielded and all
-    instants are row-normalized in one pass; each snapshot and each A(t)
-    is then one CSR constructor over its instant's slice of the result.
+    accumulated at every instant before the first is yielded; the instants
+    are then row-normalized a block at a time, each block in one pass,
+    and each snapshot and each A(t) is one CSR constructor over its
+    instant's slice of the result.  Blocks are cut at _BLOCK_ENTRIES, so
+    beyond the (edges x instants) values of B and A the memory of a pass
+    does not grow with the grid.
     """
     if isinstance(kernel, ExponentialDecay):
         accumulated = np.empty((len(net.edges), len(times)))
@@ -331,12 +338,15 @@ def _continuous_snapshots(net: ContinuousTemporalNetwork, kernel: DecayKernel,
         samples = net.values_at(times)
         at_t0 = times == net.t0
         accumulated[:, at_t0] = samples[:, at_t0]
-        data, indices, indptr, starts = net.nonzero_columns(accumulated)
-        normalized, dangling = _normalize_columns(data, indptr, starts)
-        matrices = _column_csrs(net.n, normalized, indices, indptr, starts)
-        yield from zip((StochasticSnapshot(matrix, dangling[column], t) for column, (t, matrix)
-                        in enumerate(zip(times.tolist(), matrices))),
-                       net.edge_csrs(samples))
+        width = max(1, _BLOCK_ENTRIES // (len(net.edges) + net.n + 1))
+        for start in range(0, len(times), width):
+            block = slice(start, start + width)
+            data, indices, indptr, starts = net.nonzero_columns(accumulated[:, block])
+            normalized, dangling = _normalize_columns(data, indptr, starts)
+            snapshots = map(StochasticSnapshot,
+                            _column_csrs(net.n, normalized, indices, indptr, starts),
+                            dangling, times[block].tolist())
+            yield from zip(snapshots, net.edge_csrs(samples[:, block]))
         return
     adjacencies = None
     for t in times.tolist():
@@ -350,13 +360,15 @@ def _continuous_snapshots(net: ContinuousTemporalNetwork, kernel: DecayKernel,
 
 
 def _normalize_columns(data: np.ndarray, indptr: np.ndarray, starts: list):
-    """:func:`row_normalize` of every matrix of
-    :meth:`~ContinuousTemporalNetwork.nonzero_columns`, in one pass.
+    """Row normalization of K CSR matrices stored one after another, in one pass.
 
-    Returns (normalized data, (K, n) dangling flags).  The row sums are one
-    ``np.add.reduceat`` over the nonzero entries of each nonempty row, the
-    arithmetic of scipy's ``csr.sum(axis=1)``: an explicit zero in a row
-    would move its sum by an ulp.
+    Matrix k has data ``data[starts[k]:starts[k + 1]]`` and row pointer
+    ``indptr[k]``, as :meth:`~ContinuousTemporalNetwork.nonzero_columns`
+    returns them.  Returns (normalized data, (K, n) dangling flags).  The
+    row sums are one ``np.add.reduceat`` over the stored entries of each
+    nonempty row, the arithmetic of scipy's ``csr.sum(axis=1)``; stored
+    entries are the nonzeros here, and an explicit zero in a row would
+    move its sum by an ulp.
     """
     counts = np.diff(indptr, axis=1)
     filled = counts > 0

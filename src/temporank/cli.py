@@ -426,10 +426,7 @@ def _network_source(cfg: configmod.RunConfig):
 def cmd_ingest(args) -> int:
     start, step, count = _grid_spec(args.grid)
     unit = _UNIT_SECONDS[args.unit]
-    with np.errstate(over="ignore"):
-        grid_seconds = ingestmod.sample_grid(start, step, count) * unit
-    if not np.isfinite(grid_seconds).all():
-        raise InvalidInputError(f"grid {args.grid}: a point overflows in seconds")
+    grid_seconds = ingestmod.sample_grid(start, step, count, unit)
     if not os.path.exists(args.events):
         raise FileNotFoundError(f"event file not found: {args.events}")
     with open(args.events, "r", encoding="utf-8") as handle:

@@ -110,8 +110,11 @@ def parse_events(lines, strict: bool = True, t_max: float | None = None) -> Pars
     return ParsedEvents(len(ids), events, tuple(ids), tuple(warnings))
 
 
-def sample_grid(start: float, step: float, count: int) -> np.ndarray:
-    """Arithmetic progression start, start+step, ..., with `count` points."""
+def sample_grid(start: float, step: float, count: int, unit: float = 1.0) -> np.ndarray:
+    """Arithmetic progression start, start+step, ..., with `count` points, times `unit`.
+
+    `unit` converts the grid to seconds, the unit of event timestamps.
+    """
     spec = f"grid {start!r},{step!r},{count!r}"
     if not (math.isfinite(start) and math.isfinite(step)):
         raise InvalidInputError(f"{spec}: start and step must be finite")
@@ -119,9 +122,12 @@ def sample_grid(start: float, step: float, count: int) -> np.ndarray:
         raise InvalidInputError(f"step must be positive, got {step}")
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
-    if not math.isfinite(start + step * (count - 1)):
-        raise InvalidInputError(f"{spec}: the last point overflows")
-    return start + step * np.arange(count, dtype=float)
+    with np.errstate(over="ignore"):
+        grid = (start + step * np.arange(count, dtype=float)) * unit
+    if not np.isfinite(grid).all():
+        raise InvalidInputError(f"{spec}: a point overflows"
+                                + ("" if unit == 1.0 else " in seconds"))
+    return grid
 
 
 def build_snapshots(events, sample_instants, n: int | None = None,

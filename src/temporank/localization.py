@@ -187,6 +187,6 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
     setups = iter_instants(net, kernel, damping, dangling_dist=dangling_dist,
                            grid=instants, quad=quad)
     results = _run_instants(setups, lambda chunk: [bounds_at(setup) for setup in chunk],
-                            threads, net.n)
+                            threads)
     pairs = np.array(results, dtype=float).reshape(len(results), nodes.size, 2)
     return LocalizationBounds(instants, nodes, pairs[:, :, 0], pairs[:, :, 1])

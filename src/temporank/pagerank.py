@@ -227,37 +227,49 @@ class PageRankTrajectory:
         return self.vectors[k - 1]
 
 
-def _solve_chunk(setups: list[InstantSetup], solver: str, tol: float,
-                 max_iter: int) -> list[tuple[np.ndarray, int, float]]:
-    """(pi, iterations, residual) of every setup of a chunk, in order."""
+def _chunk_solver(solver: str, n: int, tol: float, max_iter: int):
+    """(solve, size): ``solve`` maps a chunk of up to ``size`` consecutive setups
+    to their (pi, iterations, residual), in order.
+
+    The direct solver stacks max(1, _CHUNK_ENTRIES // n**2) instants, at
+    most 8 MB of dense systems, into one LAPACK call; power iteration
+    solves one instant per chunk, so its instants spread over threads.
+    """
     if solver == "auto":
-        solver = "direct" if setups[0].snapshot.n <= DIRECT_SOLVE_MAX_N else "power"
+        solver = "direct" if n <= DIRECT_SOLVE_MAX_N else "power"
     if solver == "direct":
-        pi = _direct_solve(*zip(*((setup.snapshot, setup.damping, setup.v, setup.u)
-                                  for setup in setups)))
-        return [(vector, 0, 0.0) for vector in pi]
+        return _direct_chunk, max(1, _CHUNK_ENTRIES // n ** 2)
     if solver != "power":
         raise InvalidInputError(f"unknown solver {solver!r}")
+    return partial(_power_chunk, tol=tol, max_iter=max_iter), 1
+
+
+def _direct_chunk(setups: list[InstantSetup]) -> list[tuple[np.ndarray, int, float]]:
+    pi = _direct_solve(*zip(*((setup.snapshot, setup.damping, setup.v, setup.u)
+                              for setup in setups)))
+    return [(vector, 0, 0.0) for vector in pi]
+
+
+def _power_chunk(setups: list[InstantSetup], tol: float,
+                 max_iter: int) -> list[tuple[np.ndarray, int, float]]:
     results = [pagerank_power(GoogleOperator(setup.snapshot, setup.damping, setup.v, setup.u),
                               tol=tol, max_iter=max_iter) for setup in setups]
     _check_simplex(np.array([pi for pi, _, _ in results]))
     return results
 
 
-def _run_instants(setups, solve, threads: int, n: int) -> list:
-    """``solve`` the streamed instant setups of n nodes, a chunk of consecutive ones at a time.
+def _run_instants(setups, solve, threads: int, size: int = 1) -> list:
+    """``solve`` the streamed instant setups, a chunk of ``size`` consecutive ones at a time.
 
-    A chunk holds max(1, _CHUNK_ENTRIES // n**2) instants, so its dense
-    systems take at most 8 MB; ``solve`` maps a list of setups to a list
-    of results.  The setups arrive one at a time from
-    :func:`iter_instants`, and the next chunk is only drawn once a solve
-    slot is free, so no more than ``threads`` chunks are in flight.
-    Chunks do not depend on ``threads`` and each solve is deterministic,
-    so results are identical at any thread count; they come back in
-    instant order.
+    ``solve`` maps a list of setups to a list of results.  The setups
+    arrive one at a time from :func:`iter_instants`, and the next chunk is
+    only drawn once a solve slot is free, so no more than ``threads``
+    chunks are in flight.  Chunks do not depend on ``threads`` and each
+    solve is deterministic, so results are identical at any thread count;
+    they come back in instant order.
     """
     setups = iter(setups)
-    chunks = iter(lambda: list(islice(setups, max(1, _CHUNK_ENTRIES // n ** 2))), [])
+    chunks = iter(lambda: list(islice(setups, size)), [])
     results = {}
     if threads <= 1:
         for chunk in chunks:
@@ -295,8 +307,8 @@ def trajectory_discrete(net: DiscreteTemporalNetwork, kernel: DecayKernel,
     vector), and solve.
     """
     setups = iter_instants(net, kernel, damping, personalization, dangling_dist)
-    solve = partial(_solve_chunk, solver=solver, tol=tol, max_iter=max_iter)
-    results = _run_instants(setups, solve, threads, net.n)
+    solve, size = _chunk_solver(solver, net.n, tol, max_iter)
+    results = _run_instants(setups, solve, threads, size)
     return _assemble(net.instants, results, {
         "scale": "discrete", "kernel": repr(kernel), "damping": repr(damping),
         "personalization": repr(personalization), "solver": solver, "tol": tol,
@@ -318,8 +330,8 @@ def trajectory_continuous(net: ContinuousTemporalNetwork, kernel: DecayKernel,
     grid = np.asarray(grid, dtype=float)
     setups = iter_instants(net, kernel, damping, personalization, dangling_dist,
                            grid=grid, quad=quad)
-    solve = partial(_solve_chunk, solver=solver, tol=tol, max_iter=max_iter)
-    results = _run_instants(setups, solve, threads, net.n)
+    solve, size = _chunk_solver(solver, net.n, tol, max_iter)
+    results = _run_instants(setups, solve, threads, size)
     return _assemble(grid, results, {
         "scale": "continuous", "kernel": repr(kernel), "damping": repr(damping),
         "personalization": repr(personalization), "solver": solver, "tol": tol,

@@ -30,7 +30,7 @@ from temporank import (
     synthetic_five_node,
     truncate,
 )
-from temporank import pagerank
+from temporank import accumulate
 from temporank.accumulate import (InstantSetup, _continuous_accumulated, _edge_integrals,
                                   _normalize_columns, iter_instants)
 from temporank.graph import _column_csrs
@@ -357,10 +357,8 @@ class TestStreamedAccumulation:
                                ConstantDamping(0.85), grid=[0.5, 1.5]))
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_at_most_threads_setups_in_flight(self, threads, monkeypatch):
-        # with n = 1 a chunk holds _CHUNK_ENTRIES consecutive setups
+    def test_at_most_threads_setups_in_flight(self, threads):
         for size in (1, 3, 4):
-            monkeypatch.setattr(pagerank, "_CHUNK_ENTRIES", size)
             alive, peak, chunks = set(), [], []
 
             def setups():
@@ -375,7 +373,7 @@ class TestStreamedAccumulation:
                 alive.difference_update(ks)
                 return ks
 
-            assert _run_instants(setups(), solve, threads, 1) == list(range(1, 11))
+            assert _run_instants(setups(), solve, threads, size) == list(range(1, 11))
             assert max(peak) <= threads * size
             assert sorted(chunks) == [list(range(k, min(k + size, 11)))
                                       for k in range(1, 11, size)]
@@ -499,6 +497,25 @@ class TestGridSampledOnce:
 
 
 class TestNormalizeColumns:
+    def test_grid_is_normalized_in_bounded_blocks(self, monkeypatch):
+        net = synthetic_five_node()
+        widths = []
+
+        def recording(self, values):
+            widths.append(values.shape[1])
+            return nonzero_columns(self, values)
+
+        nonzero_columns = ContinuousTemporalNetwork.nonzero_columns
+        monkeypatch.setattr(ContinuousTemporalNetwork, "nonzero_columns", recording)
+        monkeypatch.setattr(accumulate, "_BLOCK_ENTRIES", 64)
+        grid = np.linspace(0.0, 1.0, 101)
+        setups = list(iter_instants(net, ExponentialDecay(1.0), ConstantDamping(0.85),
+                                    grid=grid))
+        width = 64 // (len(net.edges) + net.n + 1)
+        assert len(setups) == 101 and 1 <= width < 101
+        # B and A(t) of each block
+        assert widths == [width, width] * (101 // width) + [101 % width] * 2
+
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), count=st.integers(0, 6),
            full_row=st.booleans())
     def test_row_sums_over_nonzeros_match_row_normalize(self, seed, n, count, full_row):
@@ -520,7 +537,21 @@ class TestNormalizeColumns:
         scaled = _column_csrs(n, normalized, indices, indptr, starts)
         for k, (matrix, snapshot) in enumerate(zip(raw, scaled, strict=True)):
             adjacency = oracles.coo_edge_matrix(net, values[:, k])
-            expected = row_normalize(adjacency)
+            expected, expected_dangling = oracles.row_normalize_csr(adjacency)
             assert_same_csr(matrix, adjacency)
-            assert_same_csr(snapshot, expected.matrix)
-            assert_same_array(dangling[k], expected.dangling)
+            assert_same_csr(snapshot, expected)
+            assert_same_array(dangling[k], expected_dangling)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12))
+    def test_row_normalize_matches_scipy_row_sums(self, seed, n):
+        # explicit zeros are stored entries: scipy's csr.sum adds them, and
+        # so does row_normalize
+        rng = np.random.default_rng(seed)
+        B = rng.uniform(0.0, 1.0, (n, n)) * 10.0 ** rng.integers(-8, 8, (n, n))
+        B[rng.random((n, n)) < 0.3] = 0.0
+        matrix = sparse.csr_array(B)
+        matrix.data[rng.random(matrix.nnz) < 0.2] = 0.0
+        expected, expected_dangling = oracles.row_normalize_csr(matrix)
+        snapshot = row_normalize(matrix)
+        assert_same_csr(snapshot.matrix, expected)
+        assert_same_array(snapshot.dangling, expected_dangling)

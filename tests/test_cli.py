@@ -49,7 +49,7 @@ def test_cli_import_leaves_scipy_linalg_out():
 NON_FINITE_GRIDS = [("0,inf,3", "grid 0.0,inf,3: start and step must be finite"),
                     ("0,nan,3", "grid 0.0,nan,3: start and step must be finite"),
                     ("nan,1,3", "grid nan,1.0,3: start and step must be finite"),
-                    ("0,1e308,3", "grid 0.0,1e+308,3: the last point overflows")]
+                    ("0,1e308,3", "grid 0.0,1e+308,3: a point overflows")]
 
 
 def csv_rows(text):
@@ -595,8 +595,8 @@ class TestIngest:
         assert err == "error: line 2: not UTF-8 text: byte 0xe9 at column 6\n"
 
     @pytest.mark.parametrize("grid, message", NON_FINITE_GRIDS + [
-        ("0,1e304,3 --unit day", "grid 0,1e304,3: a point overflows in seconds"),
-        ("-1e304,1,2 --unit day", "grid -1e304,1,2: a point overflows in seconds")])
+        ("0,1e304,3 --unit day", "grid 0.0,1e+304,3: a point overflows in seconds"),
+        ("-1e304,1,2 --unit day", "grid -1e+304,1.0,2: a point overflows in seconds")])
     def test_non_finite_grid(self, capsys, tmp_path, grid, message):
         events = self.events_file(tmp_path, "1 2 +1 0\n")
         spec, *unit = grid.split()

@@ -107,6 +107,13 @@ class TestSampleGrid:
     def test_largest_finite_grid_accepted(self):
         assert sample_grid(0.0, 1e308, 2)[-1] == 1e308
 
+    def test_unit_scales_the_points(self):
+        grid = sample_grid(0.1, 0.7, 9, DAY)
+        assert grid.tobytes() == (sample_grid(0.1, 0.7, 9) * DAY).tobytes()
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("grid 0.0,1e+304,3: a point overflows in seconds")):
+            sample_grid(0.0, 1e304, 3, DAY)
+
 
 class TestBuildSnapshots:
     def test_event_between_samples_appears_at_the_next_one(self):

@@ -28,6 +28,7 @@ from temporank import (
     trajectory_discrete,
     truncate,
 )
+from temporank import localization
 from temporank.localization import _apply_m
 
 TWO_NODE = np.array([[0.0, 1.0], [1.0, 1.0]])
@@ -221,6 +222,22 @@ class TestBoundsTrajectory:
                                      UniformPersonalization(), grid=grid)
         assert (bounds.lo - 1e-12 <= traj.vectors).all()
         assert (traj.vectors <= bounds.hi + 1e-12).all()
+
+    def test_one_instant_per_chunk(self, monkeypatch):
+        # bounds are solved per instant, so the instants spread over the threads
+        chunks = []
+
+        def recording(setups, solve, threads, size=1):
+            def counted(chunk):
+                chunks.append(len(chunk))
+                return solve(chunk)
+            return run_instants(setups, counted, threads, size)
+
+        run_instants = localization._run_instants
+        monkeypatch.setattr(localization, "_run_instants", recording)
+        bounds_trajectory(synthetic_five_node(), ExponentialDecay(1.0), ConstantDamping(0.85),
+                          grid=np.linspace(0.0, 1.0, 11), threads=2)
+        assert chunks == [1] * 11
 
     def test_dangling_without_distribution_rejected(self):
         A1 = np.array([[0.0, 0.0], [1.0, 0.0]])

@@ -420,14 +420,18 @@ class TestStackedDirectPath:
                                             InverseInputPersonalization()]),
            dangling_dist=st.sampled_from([None, InputPersonalization(),
                                           InverseInputPersonalization()]),
-           entries=st.sampled_from([1, 30, 100, 2 ** 20]))
+           entries=st.sampled_from([1, 30, 100, 2 ** 20]),
+           block=st.sampled_from([1, 40, 2 ** 20]))
     def test_matches_per_instant_solves_bit_for_bit(self, threads, problem, rate,
-                                                    personalization, dangling_dist, entries):
-        # a chunk holds max(1, entries // n**2) instants, so small entries
-        # cut the grid into many chunks
+                                                    personalization, dangling_dist, entries,
+                                                    block):
+        # a chunk holds max(1, entries // n**2) instants and a normalized
+        # block max(1, block // (edges + n + 1)), so small values cut the
+        # grid into many of each
         net, grid = problem
         kernel, damping = ExponentialDecay(rate), LinearDamping(0.3, 0.9)
-        with mock.patch.object(pagerank, "_CHUNK_ENTRIES", entries):
+        with mock.patch.object(pagerank, "_CHUNK_ENTRIES", entries), \
+                mock.patch.object(accumulate, "_BLOCK_ENTRIES", block):
             if grid is None:
                 trajectory = trajectory_discrete(net, kernel, damping, personalization,
                                                  dangling_dist, threads=threads)
@@ -437,6 +441,26 @@ class TestStackedDirectPath:
         expected = per_instant_vectors(net, kernel, damping, personalization, dangling_dist,
                                        grid)
         assert trajectory.vectors.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("solver, sizes", [("direct", [11]), ("auto", [11]),
+                                               ("power", [1] * 11)])
+    def test_only_direct_solves_stack_instants(self, solver, sizes, monkeypatch):
+        # power iteration solves one instant per chunk, so its instants
+        # spread over the threads
+        chunks = []
+
+        def recording(setups, solve, threads, size=1):
+            def counted(chunk):
+                chunks.append(len(chunk))
+                return solve(chunk)
+            return run_instants(setups, counted, threads, size)
+
+        run_instants = pagerank._run_instants
+        monkeypatch.setattr(pagerank, "_run_instants", recording)
+        trajectory_continuous(synthetic_five_node(), ExponentialDecay(1.0),
+                              ConstantDamping(0.85), UniformPersonalization(),
+                              np.linspace(0.0, 1.0, 11), solver=solver, threads=2)
+        assert chunks == sizes
 
     def test_one_solve_and_no_per_instant_matrix_build(self, tmp_path, monkeypatch):
         calls = Counter()
