@@ -54,15 +54,16 @@ def main(argv=None) -> int:
 
 # ---------------------------------------------------------------- parsing
 
-_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+_NUMBER = r"(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|(?i:inf(?:inity)?|nan))"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """An argument parser that reads `-1e-05` and `-1,2,3` as values, like `-1.5`.
+    """An argument parser that reads `-1e-05`, `-inf` and `-1,2,3` as values, like `-1.5`.
 
     argparse takes a word for a value rather than an option when it matches
-    ``_negative_number_matcher``; the stock pattern knows no exponents and
-    no comma-separated lists.  Subparsers inherit the class.
+    ``_negative_number_matcher``; the stock pattern knows no exponents, no
+    `inf`/`infinity`/`nan` (any case, as ``float`` reads them) and no
+    comma-separated lists.  Subparsers inherit the class.
     """
 
     def __init__(self, *args, **kwargs):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -124,14 +125,22 @@ class _NotSure(Exception):
 
 def _parse_text(text: str, lines):
     """Parse ``text`` a block at a time; if unsure, run ``_parse(lines())``."""
-    if text.isascii():
-        raw = ("\n" + text).encode("ascii")
-        if not raw.translate(None, _PLAIN):
-            try:
-                return _parse_blocks(raw)
-            except _NotSure:
-                pass
+    raw = _plain_bytes("\n" + text)
+    if raw is not None:
+        try:
+            return _parse_blocks(raw)
+        except _NotSure:
+            pass
     return _parse(lines())
+
+
+def _plain_bytes(text: str) -> bytes | None:
+    """``text`` as bytes if it holds only tabs, newlines and printable ASCII, else None."""
+    if text.isascii():
+        raw = text.encode("ascii")
+        if not raw.translate(None, _PLAIN):
+            return raw
+    return None
 
 
 def _parse_blocks(raw: bytes):
@@ -173,14 +182,7 @@ def _add_body(p: _Parser, pieces: list, body: bytes):
 
 def _triples(body: bytes, n: int):
     """0-based rows, columns and weights of ``body``'s `i j w` lines."""
-    chars = np.frombuffer(body, dtype=np.uint8)
-    gap = np.concatenate(([True], chars <= ord(" "), [True]))
-    edges = np.flatnonzero(gap[1:] != gap[:-1])     # token starts and ends, alternating
-    line = np.searchsorted(np.flatnonzero(chars == ord("\n")), edges[0::2])
-    if (len(line) % 3 or (line[0::3] != line[2::3]).any()
-            or (np.diff(line[0::3]) <= 0).any()):
-        raise _NotSure          # some line does not hold exactly three tokens
-    tokens = body.split()
+    tokens, _ = _fields(body, 3)
     try:
         index = np.array([tokens[0::3], tokens[1::3]], dtype=np.int64)
         weights = np.array(tokens[2::3], dtype=np.float64)
@@ -190,6 +192,33 @@ def _triples(body: bytes, n: int):
             or (weights < 0).any():
         raise _NotSure
     return index[0] - 1, index[1] - 1, weights
+
+
+def _fields(body: bytes, k: int, comment: int | None = None):
+    """The whitespace-separated tokens of ``body``, k to a line, and each line's number.
+
+    ``body`` holds only tabs, newlines and printable ASCII.  Lines whose
+    first token starts with the byte ``comment`` are left out; every other
+    line must be blank or hold exactly k tokens, or :class:`_NotSure` is
+    raised.  Returns the tokens in text order and, per k-token line, its
+    0-based line number.  Whole-array work, except ``bytes.split``.
+    """
+    chars = np.frombuffer(body, dtype=np.uint8)
+    gap = np.concatenate(([True], chars <= ord(" "), [True]))
+    starts = np.flatnonzero(gap[1:] != gap[:-1])[0::2]     # token starts
+    line = np.searchsorted(np.flatnonzero(chars == ord("\n")), starts)
+    tokens = body.split()
+    if comment is not None:
+        opens = chars[starts] == comment
+        if opens.any():
+            first = np.concatenate(([True], line[1:] != line[:-1]))
+            keep = ~np.isin(line, line[opens & first])
+            tokens = list(compress(tokens, keep.tolist()))
+            line = line[keep]
+    if (len(line) % k or (line[0::k] != line[k - 1::k]).any()
+            or (np.diff(line[0::k]) <= 0).any()):
+        raise _NotSure          # some line does not hold exactly k tokens
+    return tokens, line[0::k]
 
 
 def _close_block(p: _Parser, pieces: list):

@@ -328,6 +328,8 @@ def trajectory_continuous(net: ContinuousTemporalNetwork, kernel: DecayKernel,
     :func:`accumulate_continuous`.
     """
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise InvalidInputError("grid must be a non-empty 1-d sequence")
     setups = iter_instants(net, kernel, damping, personalization, dangling_dist,
                            grid=grid, quad=quad)
     solve, size = _chunk_solver(solver, net.n, tol, max_iter)

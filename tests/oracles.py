@@ -307,3 +307,113 @@ def tie_bearing_vector(rng, length):
     if style == 1:
         return np.round(rng.normal(size=length), 1)
     return rng.normal(size=length)
+
+
+# ---------------------------------------------------------------------------
+# event ingest, one line and one event at a time
+#
+# The package's ingest before it parsed and replayed event streams as
+# arrays: a per-line parser building one EdgeEvent per event, a dict of
+# running counts updated once per event and turned into a sorted CSR
+# matrix at every sampled instant, and summaries from Python sets.  The
+# tests require the array code to give the same events, snapshots (bit for
+# bit), summaries and error texts.
+
+
+def parse_events_per_line(lines, strict=True, t_max=None):
+    """(n, events, id_map, warnings) of `src dst delta timestamp` lines."""
+    from temporank import EdgeEvent, EventParseError
+
+    raw, warnings = [], []
+    for number, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("%"):
+            continue
+        parts = text.split()
+        if len(parts) != 4:
+            raise EventParseError(
+                f"expected `src dst delta timestamp`, got {len(parts)} fields",
+                line_number=number)
+        try:
+            src, dst, delta = int(parts[0]), int(parts[1]), int(parts[2])
+            timestamp = float(parts[3])
+        except ValueError:
+            raise EventParseError(
+                f"non-numeric field in {text!r}", line_number=number) from None
+        if src < 1 or dst < 1:
+            raise EventParseError(
+                f"node ids must be positive, got {src} {dst}", line_number=number)
+        if not np.isfinite(timestamp) or timestamp < 0:
+            raise EventParseError(
+                f"timestamp must be finite and >= 0, got {parts[3]}", line_number=number)
+        if delta not in (1, -1):
+            if strict:
+                raise EventParseError("delta out of range", line_number=number)
+            warnings.append(f"line {number}: delta {delta} out of range, skipped")
+            continue
+        if t_max is not None and timestamp > t_max:
+            continue
+        raw.append((src, dst, delta, timestamp))
+    raw.sort(key=lambda item: item[3])
+    ids = sorted({item[0] for item in raw} | {item[1] for item in raw})
+    compact = {original: m + 1 for m, original in enumerate(ids)}
+    events = tuple(EdgeEvent(compact[s], compact[d], delta, t) for s, d, delta, t in raw)
+    return len(ids), events, tuple(ids), tuple(warnings)
+
+
+def _dict_to_csr(entries, n):
+    items = sorted(entries.items())
+    rows = np.array([i for (i, _), _ in items], dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sparse.csr_array(
+        (np.array([w for _, w in items], dtype=float),
+         np.array([j for (_, j), _ in items], dtype=np.int64), indptr), shape=(n, n))
+
+
+def replay_events_per_event(events, instants, n, initial=None, policy="strict"):
+    """(snapshots, clamped): a dict of running counts sampled at ``instants``."""
+    from temporank import ConsistencyError, InvalidInputError
+
+    events = list(events)
+    running = {}
+    if initial is not None:
+        first = sparse.coo_array(initial)
+        for i, j, w in zip(first.row, first.col, first.data):
+            if not np.isfinite(w) or w < 0:
+                raise InvalidInputError(f"initial adjacency entry ({i + 1}, {j + 1}) is {w}")
+            if w != 0:
+                running[(int(i), int(j))] = float(w)
+    clamped, cursor, snapshots = 0, 0, []
+    for t_k in instants:
+        while cursor < len(events):
+            event = events[cursor]
+            if event.timestamp > t_k:
+                break
+            if not (1 <= event.src <= n and 1 <= event.dst <= n):
+                raise InvalidInputError(f"event {cursor + 1} references node outside 1..{n}")
+            key = (event.src - 1, event.dst - 1)
+            value = running.get(key, 0.0) + event.delta
+            if value < 0:
+                if policy == "strict":
+                    raise ConsistencyError(
+                        f"event {cursor + 1} ({event.src} -> {event.dst} at "
+                        f"timestamp {event.timestamp:g}): decrement below zero")
+                clamped += 1
+                value = 0.0
+            if value == 0.0:
+                running.pop(key, None)
+            else:
+                running[key] = value
+            cursor += 1
+        snapshots.append(_dict_to_csr(running, n))
+    return snapshots, clamped
+
+
+def summarize_with_sets(n, events, warnings, clamped=0):
+    """The IngestSummary fields as a dict, counted with Python sets."""
+    adds = sum(1 for e in events if e.delta == 1)
+    return {"n": n, "events": len(events), "adds": adds, "removes": len(events) - adds,
+            "distinct_added": len({(e.src, e.dst) for e in events if e.delta == 1}),
+            "distinct_removed": len({(e.src, e.dst) for e in events if e.delta == -1}),
+            "warnings": len(warnings) + clamped}

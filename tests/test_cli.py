@@ -49,7 +49,11 @@ def test_cli_import_leaves_scipy_linalg_out():
 NON_FINITE_GRIDS = [("0,inf,3", "grid 0.0,inf,3: start and step must be finite"),
                     ("0,nan,3", "grid 0.0,nan,3: start and step must be finite"),
                     ("nan,1,3", "grid nan,1.0,3: start and step must be finite"),
-                    ("0,1e308,3", "grid 0.0,1e+308,3: a point overflows")]
+                    ("0,1e308,3", "grid 0.0,1e+308,3: a point overflows"),
+                    ("-inf,1,2", "grid -inf,1.0,2: start and step must be finite"),
+                    ("-Infinity,1,2", "grid -inf,1.0,2: start and step must be finite"),
+                    ("-NaN,1,2", "grid nan,1.0,2: start and step must be finite"),
+                    ("-1,-INF,2", "grid -1.0,-inf,2: start and step must be finite")]
 
 
 def csv_rows(text):

@@ -1,11 +1,16 @@
 """Edge-event stream parsing and snapshot construction."""
 
+import io
 import math
 import re
 
 import numpy as np
 import pytest
+from scipy import sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from temporank import (
     ConsistencyError,
     EventParseError,
@@ -17,6 +22,7 @@ from temporank import (
     sample_grid,
     summarize,
 )
+from temporank import ingest
 
 DAY = 86400.0
 
@@ -224,6 +230,8 @@ class TestBuildSnapshots:
             build_snapshots(events, [0.0], n=1)
         with pytest.raises(InvalidInputError):
             build_snapshots(events, [0.0], n=2, initial=-np.eye(2))
+        with pytest.raises(InvalidInputError, match="fit in int64"):
+            build_snapshots([ingest.EdgeEvent(2**70, 1, 1, 0.0)], [0.0], n=2)
 
 
 class TestSummarize:
@@ -246,3 +254,187 @@ class TestSummarize:
         data = summary.as_dict()
         assert data["events"] == 1
         assert data["warnings"] == 3
+
+
+# ------------------------------------------------- against the per-event oracle
+
+_VALID = {
+    "id": ["1", "2", "3", "7", "12", "007", "+4", "1_0", "123456789"],
+    "delta": ["+1", "-1", "1", "-1", "+1", "+01"],
+    "time": ["0", "1", "2.5", "10", "1e1", "-0", "3", "7.25", "0.1", "4_0"],
+}
+_CORRUPT = {
+    "id": ["0", "-3", "x", "1.0", "99999999999999999999", "9223372036854775808"],
+    "delta": ["2", "0", "+2", "-0", "a", "1.0"],
+    "time": ["-1", "nan", "inf", "1e400", "x", "0x10", "1e"],
+}
+_ODD_LINES = ["", "   ", "% comment", "  %c 1 2 +1 0", "\t%", "1 2 +1", "1 2 +1 0 5",
+              "1 2 +1 0%", "%1 2 +1 0", "1 2 +1 0 \u00e9", "\u0661 2 +1 0", "1 2 +1 0\r",
+              "1\x0c2 +1 0"]
+
+
+@st.composite
+def event_lines(draw):
+    """Event-stream lines: mostly well formed, some corrupt fields and odd lines."""
+    corrupt = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(_ODD_LINES)))
+            continue
+        fields = []
+        for kind in ("id", "id", "delta", "time"):
+            pool = _VALID[kind] + (_CORRUPT[kind] if corrupt and draw(st.integers(0, 5)) == 0
+                                   else [])
+            fields.append(draw(st.sampled_from(pool)))
+        gap = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + gap.join(fields)
+                     + draw(st.sampled_from(["", " "])))
+    return lines
+
+
+def _as_source(lines, shape):
+    """The same lines as a list without newlines, a list of newline-ended lines or a file."""
+    if shape == "bare":
+        return list(lines)
+    ended = [line + "\n" for line in lines]
+    return ended if shape == "ended" else io.StringIO("".join(ended))
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except Exception as err:     # noqa: BLE001 - the error itself is compared
+        return "error", (type(err), str(err), getattr(err, "line_number", None))
+
+
+def _csr_parts(matrix):
+    return (matrix.shape, matrix.indptr.tolist(), matrix.indices.tolist(),
+            matrix.data.dtype, matrix.data.tobytes())
+
+
+class TestAgainstPerEventOracle:
+    @settings(max_examples=300)
+    @given(lines=event_lines(), strict=st.booleans(),
+           t_max=st.sampled_from([None, 0.0, 3.0, 1e9]),
+           shape=st.sampled_from(["bare", "ended", "file"]))
+    def test_parse_matches_per_line_parser(self, lines, strict, t_max, shape):
+        got = _outcome(lambda: parse_events(_as_source(lines, shape), strict, t_max))
+        want = _outcome(lambda: oracles.parse_events_per_line(lines, strict, t_max))
+        assert got[0] == want[0], (got, want)
+        if got[0] == "error":
+            assert got[1] == want[1]
+            return
+        parsed, (n, events, id_map, warnings) = got[1], want[1]
+        assert (parsed.n, tuple(parsed.events), parsed.id_map, parsed.warnings) == (
+            n, events, id_map, warnings)
+        assert summarize(parsed, 2).as_dict() == oracles.summarize_with_sets(
+            n, events, warnings, 2)
+
+    @settings(max_examples=300)
+    @given(data=st.data(), lines=event_lines(), policy=st.sampled_from(["strict", "clamp"]),
+           weights=st.sampled_from([None, (0.0, 1.0, 2.0, 3.0), (0.0, 0.3, 1.5, 2.7, 1e-3)]))
+    def test_replay_matches_running_dict(self, data, lines, policy, weights):
+        try:
+            n, events, _, _ = oracles.parse_events_per_line(lines, strict=False)
+        except Exception:       # noqa: BLE001 - only parsable streams are replayed
+            return
+        parsed = parse_events(lines, strict=False)
+        n = max(1, n + data.draw(st.integers(-1, 1)))
+        instants = sorted(data.draw(st.sets(
+            st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5, 3.0, 8.0, 10.0, 40.0]),
+            min_size=1, max_size=4)))
+        initial = None
+        if weights is not None:
+            initial = np.array(data.draw(st.lists(st.sampled_from(weights),
+                                                  min_size=n * n, max_size=n * n))).reshape(n, n)
+        for given_events in (parsed.events, events):
+            _assert_same_replay(given_events, events, instants, n, initial, policy)
+
+    @pytest.mark.parametrize("policy, clamped", [("strict", None), ("clamp", 2)])
+    def test_non_integer_initial_is_summed_event_by_event(self, policy, clamped):
+        # 0.1 + 1 - 1 is not 0.1 in floating point; the replay must not shortcut it
+        lines = ["1 2 +1 1", "1 2 -1 2", "1 2 -1 3", "1 2 -1 4", "1 2 +1 5"]
+        initial = np.array([[0.0, 0.1], [0.0, 0.0]])
+        assert _assert_same_replay(parse_events(lines).events,
+                                   oracles.parse_events_per_line(lines)[1],
+                                   [1.5, 2.5, 3.5, 6.0], 2, initial, policy) == clamped
+
+    def test_repeated_initial_coordinates_keep_the_last_nonzero(self):
+        initial = sparse.coo_array(([2.0, 5.0, 0.0, 1.0], ([0, 0, 0, 1], [1, 1, 1, 0])),
+                                   shape=(2, 2))
+        events = parse_events(["1 2 -1 1", "2 1 -1 2"]).events
+        _assert_same_replay(events, events, [0.0, 5.0], 2, initial)
+        assert build_snapshots(events, [0.0], initial=initial)[0].snapshot_at(1)[0, 1] == 5.0
+
+    @pytest.mark.parametrize("policy", ["strict", "clamp"])
+    def test_unsorted_and_nan_timestamps_replay_in_given_order(self, policy):
+        # a late event holds back the ones after it; a NaN time never does
+        events = [ingest.EdgeEvent(1, 2, 1, 0.0), ingest.EdgeEvent(2, 1, 1, 9.0),
+                  ingest.EdgeEvent(1, 2, -1, 1.0), ingest.EdgeEvent(2, 3, 1, math.nan),
+                  ingest.EdgeEvent(1, 2, -1, 2.0), ingest.EdgeEvent(3, 1, 1, math.nan)]
+        _assert_same_replay(events, events, [0.5, 5.0, 10.0], 3, policy=policy)
+
+
+def _assert_same_replay(events, oracle_events, instants, n, initial=None, policy="strict"):
+    """build_snapshots raises the running dict's error, or gives its snapshots bit for bit.
+
+    Returns the clamped count, or None after an error.
+    """
+    want = _outcome(lambda: oracles.replay_events_per_event(
+        oracle_events, instants, n, initial, policy))
+    got = _outcome(lambda: build_snapshots(events, instants, n=n, initial=initial,
+                                           policy=policy))
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got[1] == want[1]
+        return None
+    (network, clamped), (snapshots, want_clamped) = got[1], want[1]
+    assert clamped == want_clamped
+    assert [_csr_parts(m) for m in network.snapshots] == [_csr_parts(m) for m in snapshots]
+    return clamped
+
+
+class TestArrayParser:
+    """Ordinary streams never need the per-line parser."""
+
+    @pytest.fixture
+    def no_fallback(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-line parser used")
+        monkeypatch.setattr(ingest, "_parse_lines", refuse)
+
+    def test_comments_tabs_and_blanks(self, no_fallback, tmp_path):
+        path = tmp_path / "events.txt"
+        path.write_text("% header\n\n  % note\n5\t1 +1 0\n 2 5  -1\t10 \n\n")
+        with open(path) as handle:
+            parsed = parse_events(handle)
+        assert parsed.id_map == (1, 2, 5)
+        assert tuple(parsed.events) == (ingest.EdgeEvent(3, 1, 1, 0.0),
+                                        ingest.EdgeEvent(2, 3, -1, 10.0))
+
+    def test_lenient_warnings(self, no_fallback):
+        parsed = parse_events(["1 2 +1 0", "% x", "1 2 +3 1", "1 2 0 2"], strict=False)
+        assert parsed.warnings == ("line 3: delta 3 out of range, skipped",
+                                   "line 4: delta 0 out of range, skipped")
+        assert len(parsed.events) == 1
+
+    def test_an_element_holding_two_lines_is_one_line(self):
+        with pytest.raises(EventParseError, match="line 2: expected .* got 8 fields"):
+            parse_events(["% two events in one element:\n", "1 2 +1 0\n2 3 +1 1\n"])
+
+    def test_events_view(self):
+        events = parse_events(["1 2 +1 5", "2 1 -1 3", "1 2 +1 9"]).events
+        assert len(events) == 3
+        assert events[-1] == ingest.EdgeEvent(1, 2, 1, 9.0)
+        assert tuple(events[1:]) == tuple(events)[1:]
+        with pytest.raises(IndexError):
+            events[3]
+
+
+class TestSampleInstantsFinite:
+    @pytest.mark.parametrize("instants", [[math.nan], [0.0, math.inf], [-math.inf, 0.0]])
+    def test_non_finite_instants_rejected(self, instants):
+        events = parse_events(["1 2 +1 0"]).events
+        with pytest.raises(InvalidInputError, match="sample_instants must be finite"):
+            build_snapshots(events, instants)

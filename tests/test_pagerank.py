@@ -355,6 +355,12 @@ class TestTrajectoryContinuous:
                                      UniformPersonalization(), grid=[0.0, 0.5])
         assert traj.metadata["scale"] == "continuous"
 
+    @pytest.mark.parametrize("grid", [[], [[0.0, 0.5]]])
+    def test_empty_or_nested_grid_rejected(self, grid):
+        with pytest.raises(InvalidInputError, match="grid must be a non-empty 1-d sequence"):
+            trajectory_continuous(synthetic_five_node(), ExponentialDecay(1.0),
+                                  ConstantDamping(0.85), UniformPersonalization(), grid=grid)
+
 
 @st.composite
 def discrete_problems(draw):
