@@ -233,8 +233,16 @@ def iter_instants(net, kernel: DecayKernel, damping: DampingSchedule,
     continuous one holds the edge values at every grid instant and, for
     an :class:`ExponentialDecay` kernel, the (edges x instants) integrals
     over the grid's pieces from one quadrature call and the normalized B
-    of every instant, all computed before the first instant.
+    of every instant, all computed before the first instant.  A grid that
+    is empty, not 1-d or outside the network interval fails at the call.
     """
+    return _instants_and_setups(net, kernel, damping, personalization, dangling_dist,
+                                grid, quad)[1]
+
+
+def _instants_and_setups(net, kernel, damping, personalization, dangling_dist, grid, quad):
+    """(instants, setups): a trajectory's instants in the caller's order and
+    :func:`iter_instants` over them.  A bad grid fails here, before any setup."""
     if isinstance(net, DiscreteTemporalNetwork):
         times = np.asarray(net.instants, dtype=float)
         order = np.arange(len(times))
@@ -242,23 +250,27 @@ def iter_instants(net, kernel: DecayKernel, damping: DampingSchedule,
     else:
         if grid is None:
             raise InvalidInputError("continuous networks need an evaluation grid")
-        times = np.asarray(grid, dtype=float).ravel()
+        times = np.asarray(grid, dtype=float)
+        if times.ndim != 1 or times.size == 0:
+            raise InvalidInputError("grid must be a non-empty 1-d sequence")
         outside = times[~((net.t0 <= times) & (times <= net.t1))]
         if outside.size:
             raise InvalidInputError(f"t={float(outside[0])} outside the network "
                                     f"interval [{net.t0}, {net.t1}]")
         order = np.argsort(times, kind="stable")
         pairs = _continuous_snapshots(net, kernel, times[order], quad)
-    count = len(times)
-    for position, (snapshot, adjacency) in zip(order, pairs):
-        k = int(position) + 1
-        t = float(times[position])
-        v = None if personalization is None else \
-            personalization_at(personalization, adjacency, k, t)
-        u = None
-        if dangling_dist is not None and snapshot.dangling.any():
-            u = personalization_at(dangling_dist, adjacency, k, t)
-        yield InstantSetup(k, t, snapshot, damping_at(damping, k, count, t), v, u)
+
+    def setups():
+        for position, (snapshot, adjacency) in zip(order, pairs):
+            k = int(position) + 1
+            t = float(times[position])
+            v = None if personalization is None else \
+                personalization_at(personalization, adjacency, k, t)
+            u = None
+            if dangling_dist is not None and snapshot.dangling.any():
+                u = personalization_at(dangling_dist, adjacency, k, t)
+            yield InstantSetup(k, t, snapshot, damping_at(damping, k, len(times), t), v, u)
+    return times, setups()
 
 
 def _checked_rate(kernel: ExponentialDecay, span: float) -> float:

@@ -158,14 +158,10 @@ def _parse_text(text: str, strict: bool, t_max) -> ParsedEvents:
     raw = _plain_bytes(text)
     if raw is None:
         raise _NotSure
-    tokens, line = _fields(raw, 4, comment=ord("%"))
-    try:
-        ids = np.array([tokens[0::4], tokens[1::4]], dtype=np.int64)
-        delta = np.array(tokens[2::4], dtype=np.int64)
-        timestamp = np.array(tokens[3::4], dtype=np.float64)
-    except (ValueError, OverflowError):
-        raise _NotSure from None
-    if (ids < 1).any() or not (np.isfinite(timestamp) & (timestamp >= 0)).all():
+    (src, dst, delta, timestamp), line = _fields(
+        raw, (np.int64, np.int64, np.int64, np.float64), comment=ord("%"))
+    if (src < 1).any() or (dst < 1).any() \
+            or not (np.isfinite(timestamp) & (timestamp >= 0)).all():
         raise _NotSure
     keep = (delta == 1) | (delta == -1)
     warnings = ()
@@ -178,7 +174,8 @@ def _parse_text(text: str, strict: bool, t_max) -> ParsedEvents:
         keep &= ~(timestamp > t_max)
     order = np.flatnonzero(keep)
     order = order[np.argsort(timestamp[order], kind="stable")]
-    original, compact = np.unique(ids[:, order].ravel(), return_inverse=True)
+    original, compact = np.unique(np.concatenate((src[order], dst[order])),
+                                  return_inverse=True)
     src, dst = compact.reshape(2, -1).astype(np.int64) + 1
     return ParsedEvents(len(original), EventColumns(src, dst, delta[order], timestamp[order]),
                         tuple(original.tolist()), warnings)

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import InstantSetup, StochasticSnapshot, iter_instants
+from .accumulate import InstantSetup, StochasticSnapshot, _instants_and_setups
 from .errors import InternalError, InvalidInputError
-from .graph import DiscreteTemporalNetwork
-from .pagerank import (DIRECT_SOLVE_MAX_N, _check_probabilities, _run_instants,
-                       dense_transition)
+from .pagerank import (DIRECT_SOLVE_MAX_N, _check_damping, _check_probabilities,
+                       _run_instants, _solver_by_size, dense_transition)
 from .quadrature import QuadratureConfig
 from .schedules import DampingSchedule, DecayKernel, PersonalizationSchedule
 
@@ -72,11 +71,10 @@ def resolvent_column(snapshot: StochasticSnapshot, damping: float, node: int,
     tail bound damping^{m+1} falls below tol, which caps the componentwise
     truncation error at tol.
     """
-    if not 0.0 < damping < 1.0:
-        raise InvalidInputError(f"damping {damping} outside (0, 1)")
     n = snapshot.n
     if not 0 <= node < n:
         raise InvalidInputError(f"node {node} outside 0..{n - 1}")
+    method = _solver_by_size(method, n, "neumann", "method")
     column = _resolvent_columns(snapshot, damping, [node], u, tol, method,
                                 "this instant")[:, 0]
     return ResolventColumn(node, column, damping, snapshot.instant)
@@ -85,11 +83,12 @@ def resolvent_column(snapshot: StochasticSnapshot, damping: float, node: int,
 def _resolvent_columns(snapshot: StochasticSnapshot, damping: float, nodes,
                        u: np.ndarray | None, tol: float, method: str,
                        instant: str) -> np.ndarray:
-    """Columns ``nodes`` of X as an (n, len(nodes)) array, by ``method``.
+    """Columns ``nodes`` of X as an (n, len(nodes)) array, by "direct" or "neumann" ``method``.
 
     ``u`` is read only when the snapshot has dangling rows, and is
     required then; ``instant`` names the instant in that error.
     """
+    _check_damping(damping)
     n = snapshot.n
     if snapshot.dangling.any():
         if u is None:
@@ -99,10 +98,6 @@ def _resolvent_columns(snapshot: StochasticSnapshot, damping: float, nodes,
         u = _check_probabilities([u], n, "dangling distribution")[0]
     else:
         u = None
-    if method == "auto":
-        method = "direct" if n <= DIRECT_SOLVE_MAX_N else "neumann"
-    if method not in ("direct", "neumann"):
-        raise InvalidInputError(f"unknown method {method!r}")
     columns = np.zeros((n, len(nodes)))
     if method == "direct" and len(nodes):
         columns[list(nodes), range(len(nodes))] = 1.0
@@ -164,14 +159,11 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
     default theirs to the personalization schedule, so pass the same one
     here to bound them).
     """
-    if isinstance(net, DiscreteTemporalNetwork):
-        instants = np.asarray(net.instants, dtype=float)
-    else:
-        if grid is None:
-            raise InvalidInputError("continuous networks need an evaluation grid")
-        instants = np.asarray(grid, dtype=float)
+    instants, setups = _instants_and_setups(net, kernel, damping, None, dangling_dist,
+                                            grid, quad)
+    method = _solver_by_size("auto", net.n, "neumann", "method")
     if nodes is None:
-        if net.n > DIRECT_SOLVE_MAX_N:
+        if method == "neumann":
             raise InvalidInputError(
                 f"with n={net.n} > {DIRECT_SOLVE_MAX_N} an explicit node subset is required")
         nodes = np.arange(net.n)
@@ -181,11 +173,9 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
 
     def bounds_at(setup: InstantSetup):
         columns = _resolvent_columns(setup.snapshot, setup.damping, nodes, setup.u,
-                                     tol, "auto", f"instant {setup.k}")
+                                     tol, method, f"instant {setup.k}")
         return [_column_bounds(columns[:, m], node) for m, node in enumerate(nodes)]
 
-    setups = iter_instants(net, kernel, damping, dangling_dist=dangling_dist,
-                           grid=instants, quad=quad)
     results = _run_instants(setups, lambda chunk: [bounds_at(setup) for setup in chunk],
                             threads)
     pairs = np.array(results, dtype=float).reshape(len(results), nodes.size, 2)

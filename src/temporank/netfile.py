@@ -53,12 +53,21 @@ def load_network(source):
                 text = handle.read()
             except UnicodeDecodeError:
                 raise not_utf8(source, NetworkFormatError) from None
-        return _parse_text(text, lambda: text.split("\n"))
+        return loads_network(text)
     return _parse(source)
 
 
 def loads_network(text: str):
-    return _parse_text(text, text.splitlines)
+    """Parse a network description from text as :func:`load_network` parses a file,
+    whose lines end at \\n, \\r\\n and \\r only; a block at a time if it can."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    raw = _plain_bytes("\n" + text)
+    if raw is not None:
+        try:
+            return _parse_blocks(raw)
+        except _NotSure:
+            pass
+    return _parse(text.split("\n"))
 
 
 class _Parser:
@@ -117,21 +126,12 @@ _PLAIN = bytes([ord("\t"), ord("\n"), *range(ord(" "), ord("~") + 1)])
 #: the block parser's node count limit, so that i*n + j fits in int64
 _MAX_BLOCK_NODES = 2**31
 _NO_TRIPLES = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+#: _fields turns at most this many lines of text into tokens at a time
+_FIELD_LINES = 2**15
 
 
 class _NotSure(Exception):
     """The block parser cannot vouch for its result."""
-
-
-def _parse_text(text: str, lines):
-    """Parse ``text`` a block at a time; if unsure, run ``_parse(lines())``."""
-    raw = _plain_bytes("\n" + text)
-    if raw is not None:
-        try:
-            return _parse_blocks(raw)
-        except _NotSure:
-            pass
-    return _parse(lines())
 
 
 def _plain_bytes(text: str) -> bytes | None:
@@ -172,53 +172,56 @@ def _parse_blocks(raw: bytes):
 
 
 def _add_body(p: _Parser, pieces: list, body: bytes):
-    """Parse the lines ``body`` between two keyword or comment lines."""
+    """Parse the `i j w` lines ``body`` between two keyword or comment lines."""
     if body and not body.isspace():
         if p.current is None or p.n >= _MAX_BLOCK_NODES:
             raise _NotSure
-        pieces.append(_triples(body, p.n))
+        (rows, cols, weights), _ = _fields(body, (np.int64, np.int64, np.float64))
+        if ((rows < 1) | (rows > p.n) | (cols < 1) | (cols > p.n)).any() \
+                or not np.isfinite(weights).all() or (weights < 0).any():
+            raise _NotSure
+        pieces.append((rows - 1, cols - 1, weights))    # 0-based
     p.line_number += body.count(b"\n")
 
 
-def _triples(body: bytes, n: int):
-    """0-based rows, columns and weights of ``body``'s `i j w` lines."""
-    tokens, _ = _fields(body, 3)
-    try:
-        index = np.array([tokens[0::3], tokens[1::3]], dtype=np.int64)
-        weights = np.array(tokens[2::3], dtype=np.float64)
-    except (ValueError, OverflowError):
-        raise _NotSure from None
-    if ((index < 1) | (index > n)).any() or not np.isfinite(weights).all() \
-            or (weights < 0).any():
-        raise _NotSure
-    return index[0] - 1, index[1] - 1, weights
-
-
-def _fields(body: bytes, k: int, comment: int | None = None):
-    """The whitespace-separated tokens of ``body``, k to a line, and each line's number.
+def _fields(body: bytes, dtypes, comment: int | None = None):
+    """The whitespace-separated fields of ``body``, one column per dtype, and each line's number.
 
     ``body`` holds only tabs, newlines and printable ASCII.  Lines whose
     first token starts with the byte ``comment`` are left out; every other
-    line must be blank or hold exactly k tokens, or :class:`_NotSure` is
-    raised.  Returns the tokens in text order and, per k-token line, its
-    0-based line number.  Whole-array work, except ``bytes.split``.
+    line must be blank or hold exactly len(dtypes) tokens, which numpy
+    converts to their column's dtype, or :class:`_NotSure` is raised.
+    Returns the columns in text order and, per line read, its 0-based line
+    number.  Whole-array work, except ``bytes.split`` and the conversion,
+    which take _FIELD_LINES lines at a time so that only that many lines'
+    tokens exist as ``bytes`` objects at once.
     """
     chars = np.frombuffer(body, dtype=np.uint8)
-    gap = np.concatenate(([True], chars <= ord(" "), [True]))
-    starts = np.flatnonzero(gap[1:] != gap[:-1])[0::2]     # token starts
-    line = np.searchsorted(np.flatnonzero(chars == ord("\n")), starts)
-    tokens = body.split()
-    if comment is not None:
-        opens = chars[starts] == comment
-        if opens.any():
-            first = np.concatenate(([True], line[1:] != line[:-1]))
-            keep = ~np.isin(line, line[opens & first])
-            tokens = list(compress(tokens, keep.tolist()))
-            line = line[keep]
-    if (len(line) % k or (line[0::k] != line[k - 1::k]).any()
-            or (np.diff(line[0::k]) <= 0).any()):
-        raise _NotSure          # some line does not hold exactly k tokens
-    return tokens, line[0::k]
+    newlines = np.flatnonzero(chars == ord("\n"))
+    bounds = [0, *(newlines[_FIELD_LINES - 1::_FIELD_LINES] + 1).tolist(), len(body)]
+    k, runs = len(dtypes), []
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        gap = np.concatenate(([True], chars[start:end] <= ord(" "), [True]))
+        starts = start + np.flatnonzero(gap[1:] != gap[:-1])[0::2]     # token starts
+        line = np.searchsorted(newlines, starts)
+        tokens = body[start:end].split()
+        if comment is not None:
+            opens = chars[starts] == comment
+            if opens.any():
+                first = np.concatenate(([True], line[1:] != line[:-1]))
+                keep = ~np.isin(line, line[opens & first])
+                tokens = list(compress(tokens, keep.tolist()))
+                line = line[keep]
+        if (len(line) % k or (line[0::k] != line[k - 1::k]).any()
+                or (np.diff(line[0::k]) <= 0).any()):
+            raise _NotSure      # some line does not hold exactly k tokens
+        try:
+            runs.append([np.array(tokens[m::k], dtype=dtype) for m, dtype in enumerate(dtypes)]
+                        + [line[0::k]])
+        except (ValueError, OverflowError):
+            raise _NotSure from None
+    *columns, lines = (np.concatenate(part) for part in zip(*runs))
+    return columns, lines
 
 
 def _close_block(p: _Parser, pieces: list):

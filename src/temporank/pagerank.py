@@ -17,7 +17,7 @@ from itertools import islice
 
 import numpy as np
 
-from .accumulate import InstantSetup, StochasticSnapshot, iter_instants
+from .accumulate import InstantSetup, StochasticSnapshot, _instants_and_setups
 from .errors import ConvergenceError, InternalError, InvalidInputError
 from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
 from .quadrature import QuadratureConfig
@@ -30,7 +30,7 @@ __all__ = [
     "DIRECT_SOLVE_MAX_N",
 ]
 
-#: above this size the automatic solver choice switches to power iteration
+#: above this size the automatic choice switches to power iteration (Neumann for bounds)
 DIRECT_SOLVE_MAX_N = 2000
 
 #: a chunk of instants holds at most this many dense system entries (8 MB)
@@ -55,11 +55,15 @@ def _check_probabilities(vectors, n: int, name: str) -> np.ndarray:
     return stack
 
 
+def _check_damping(damping: float) -> None:
+    if not 0.0 < damping < 1.0:
+        raise InvalidInputError(f"damping {damping} outside (0, 1)")
+
+
 def _checked_inputs(n: int, dampings, vs, us):
     """Damping (K,), v (K, n) and u (K, n) of K instants, checked; u defaults to v."""
     for damping in dampings:
-        if not 0.0 < damping < 1.0:
-            raise InvalidInputError(f"damping {damping} outside (0, 1)")
+        _check_damping(damping)
     v = _check_probabilities(vs, n, "personalization")
     u = v.copy()
     given = [k for k, vector in enumerate(us) if vector is not None]
@@ -138,17 +142,19 @@ def pagerank_direct(snapshot: StochasticSnapshot, damping: float, v: np.ndarray,
     unit 1-norm to absorb rounding.  This is the one-instant call of the
     solver trajectories use for a chunk of instants.
     """
-    return _direct_solve([snapshot], [damping], [v], [u])[0]
+    return _direct_chunk([InstantSetup(1, snapshot.instant, snapshot, damping, v, u)])[0][0]
 
 
-def _direct_solve(snapshots, dampings, vs, us) -> np.ndarray:
-    """(K, n) rank vectors of K instants of one n, by one stacked ``np.linalg.solve``.
+def _direct_chunk(setups: list[InstantSetup]) -> list[tuple[np.ndarray, int, float]]:
+    """(pi, 0, 0.0) of K instants of one n, by one stacked ``np.linalg.solve``.
 
     Runs the checks of :class:`GoogleOperator` on every instant, the
     sampled row sums read from the dense M, and checks that every result
     lies on the simplex.  LAPACK factorizes each system of the stack on
     its own, so every vector has the bits of a one-instant solve.
     """
+    snapshots, dampings, vs, us = zip(*((setup.snapshot, setup.damping, setup.v, setup.u)
+                                        for setup in setups))
     n = snapshots[0].n
     dampings, v, u = _checked_inputs(n, dampings, vs, us)
     transitions = np.stack([dense_transition(snapshot, u_k)
@@ -166,7 +172,7 @@ def _direct_solve(snapshots, dampings, vs, us) -> np.ndarray:
         raise InternalError(f"direct PageRank factorization failed: {exc}") from exc
     pi /= pi.sum(axis=1, keepdims=True)
     _check_simplex(pi)
-    return pi
+    return [(vector, 0, 0.0) for vector in pi]
 
 
 def dense_transition(snapshot: StochasticSnapshot, u: np.ndarray | None) -> np.ndarray:
@@ -227,6 +233,15 @@ class PageRankTrajectory:
         return self.vectors[k - 1]
 
 
+def _solver_by_size(name: str, n: int, iterative: str, what: str) -> str:
+    """``name``, "direct" or ``iterative``; "auto" is direct up to DIRECT_SOLVE_MAX_N nodes."""
+    if name == "auto":
+        name = "direct" if n <= DIRECT_SOLVE_MAX_N else iterative
+    if name not in ("direct", iterative):
+        raise InvalidInputError(f"unknown {what} {name!r}")
+    return name
+
+
 def _chunk_solver(solver: str, n: int, tol: float, max_iter: int):
     """(solve, size): ``solve`` maps a chunk of up to ``size`` consecutive setups
     to their (pi, iterations, residual), in order.
@@ -235,19 +250,9 @@ def _chunk_solver(solver: str, n: int, tol: float, max_iter: int):
     most 8 MB of dense systems, into one LAPACK call; power iteration
     solves one instant per chunk, so its instants spread over threads.
     """
-    if solver == "auto":
-        solver = "direct" if n <= DIRECT_SOLVE_MAX_N else "power"
-    if solver == "direct":
+    if _solver_by_size(solver, n, "power", "solver") == "direct":
         return _direct_chunk, max(1, _CHUNK_ENTRIES // n ** 2)
-    if solver != "power":
-        raise InvalidInputError(f"unknown solver {solver!r}")
     return partial(_power_chunk, tol=tol, max_iter=max_iter), 1
-
-
-def _direct_chunk(setups: list[InstantSetup]) -> list[tuple[np.ndarray, int, float]]:
-    pi = _direct_solve(*zip(*((setup.snapshot, setup.damping, setup.v, setup.u)
-                              for setup in setups)))
-    return [(vector, 0, 0.0) for vector in pi]
 
 
 def _power_chunk(setups: list[InstantSetup], tol: float,
@@ -271,28 +276,32 @@ def _run_instants(setups, solve, threads: int, size: int = 1) -> list:
     setups = iter(setups)
     chunks = iter(lambda: list(islice(setups, size)), [])
     results = {}
-    if threads <= 1:
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        pending = deque()
         for chunk in chunks:
-            results.update(zip([setup.k for setup in chunk], solve(chunk)))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = deque()
-            for chunk in chunks:
-                pending.append(([setup.k for setup in chunk], pool.submit(solve, chunk)))
-                if len(pending) == threads:
-                    ks, future = pending.popleft()
-                    results.update(zip(ks, future.result()))
-            for ks, future in pending:
+            pending.append(([setup.k for setup in chunk], pool.submit(solve, chunk)))
+            if len(pending) >= threads:
+                ks, future = pending.popleft()
                 results.update(zip(ks, future.result()))
+        for ks, future in pending:
+            results.update(zip(ks, future.result()))
     return [results[k] for k in sorted(results)]
 
 
-def _assemble(instants, results, metadata) -> PageRankTrajectory:
-    vectors = np.vstack([pi for pi, _, _ in results])
-    metadata = dict(metadata)
-    metadata["iterations"] = [it for _, it, _ in results]
-    metadata["residuals"] = [res for _, _, res in results]
-    return PageRankTrajectory(np.asarray(instants, dtype=float), vectors, metadata)
+def _trajectory(net, kernel, damping, personalization, dangling_dist, grid, quad, solver,
+                tol, max_iter, threads) -> PageRankTrajectory:
+    """The rank trajectory on either scale, the network's type naming the scale."""
+    instants, setups = _instants_and_setups(net, kernel, damping, personalization,
+                                            dangling_dist, grid, quad)
+    solve, size = _chunk_solver(solver, net.n, tol, max_iter)
+    vectors, iterations, residuals = zip(*_run_instants(setups, solve, threads, size))
+    continuous = isinstance(net, ContinuousTemporalNetwork)
+    return PageRankTrajectory(instants, np.array(vectors), {
+        "scale": "continuous" if continuous else "discrete", "kernel": repr(kernel),
+        "damping": repr(damping), "personalization": repr(personalization),
+        "solver": solver, "tol": tol, **({"quad_tol": quad.tol} if continuous else {}),
+        "iterations": list(iterations), "residuals": list(residuals),
+    })
 
 
 def trajectory_discrete(net: DiscreteTemporalNetwork, kernel: DecayKernel,
@@ -306,13 +315,8 @@ def trajectory_discrete(net: DiscreteTemporalNetwork, kernel: DecayKernel,
     rows with the dangling distribution (defaults to the personalization
     vector), and solve.
     """
-    setups = iter_instants(net, kernel, damping, personalization, dangling_dist)
-    solve, size = _chunk_solver(solver, net.n, tol, max_iter)
-    results = _run_instants(setups, solve, threads, size)
-    return _assemble(net.instants, results, {
-        "scale": "discrete", "kernel": repr(kernel), "damping": repr(damping),
-        "personalization": repr(personalization), "solver": solver, "tol": tol,
-    })
+    return _trajectory(net, kernel, damping, personalization, dangling_dist, None,
+                       QuadratureConfig(), solver, tol, max_iter, threads)
 
 
 def trajectory_continuous(net: ContinuousTemporalNetwork, kernel: DecayKernel,
@@ -327,15 +331,5 @@ def trajectory_continuous(net: ContinuousTemporalNetwork, kernel: DecayKernel,
     instant uses the pointwise-adjacency convention of
     :func:`accumulate_continuous`.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise InvalidInputError("grid must be a non-empty 1-d sequence")
-    setups = iter_instants(net, kernel, damping, personalization, dangling_dist,
-                           grid=grid, quad=quad)
-    solve, size = _chunk_solver(solver, net.n, tol, max_iter)
-    results = _run_instants(setups, solve, threads, size)
-    return _assemble(grid, results, {
-        "scale": "continuous", "kernel": repr(kernel), "damping": repr(damping),
-        "personalization": repr(personalization), "solver": solver, "tol": tol,
-        "quad_tol": quad.tol,
-    })
+    return _trajectory(net, kernel, damping, personalization, dangling_dist, grid, quad,
+                       solver, tol, max_iter, threads)

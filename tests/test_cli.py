@@ -408,6 +408,12 @@ class TestLocalize:
             lo, hi = float(row[2]), float(row[3])
             assert 0.0 <= lo <= hi <= 1.0
 
+    def test_threads_do_not_change_bytes(self, capsys):
+        runs = [run_cli(capsys, "localize", "--preset", "paper-synthetic", "--grid-count", "11",
+                        "--no-header", "--threads", threads) for threads in ("1", "2")]
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("nodes", ["6", "1,6", "0"])
     def test_node_outside_range_named_one_based(self, capsys, nodes):
         code, out, err = run_cli(capsys, "localize", "--preset", "paper-synthetic",
@@ -462,6 +468,16 @@ class TestCompare:
         assert all(row[2] == "uniform vs input" for row in rows)
         assert float(rows[0][1]) == pytest.approx(5 / 9, abs=1e-12)
         assert [row[1] for row in rows[1:]] == ["1.0"] * 4
+
+    @pytest.mark.parametrize("method", ["direct", "power"])
+    def test_threads_do_not_change_bytes(self, capsys, config_pair, method):
+        for path in config_pair:
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(f"\n[solver]\nmethod = {method}\n")
+        runs = [run_cli(capsys, "compare", *config_pair, "--no-header", "--threads", threads)
+                for threads in ("1", "2")]
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
 
     def test_json_document(self, capsys, config_pair):
         code, out, _ = run_cli(capsys, "compare", *config_pair,

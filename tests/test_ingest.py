@@ -3,6 +3,7 @@
 import io
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from temporank import (
     sample_grid,
     summarize,
 )
-from temporank import ingest
+from temporank import ingest, netfile
 
 DAY = 86400.0
 
@@ -330,6 +331,23 @@ class TestAgainstPerEventOracle:
             n, events, id_map, warnings)
         assert summarize(parsed, 2).as_dict() == oracles.summarize_with_sets(
             n, events, warnings, 2)
+
+    @given(lines=event_lines(), strict=st.booleans(), run=st.integers(1, 4))
+    def test_short_tokenizer_runs_match_per_line_parser(self, lines, strict, run):
+        # the array parser tokenizes `run` lines at a time; run boundaries must not
+        # show, nor send a stream it reads whole to the per-line parser
+        outcomes = []
+        for size in (netfile._FIELD_LINES, run):
+            with mock.patch.object(netfile, "_FIELD_LINES", size), mock.patch.object(
+                    ingest, "_parse_lines", wraps=ingest._parse_lines) as per_line:
+                got = _outcome(lambda: parse_events(_as_source(lines, "ended"), strict))
+            if got[0] == "ok":
+                parsed = got[1]
+                got = "ok", (parsed.n, tuple(parsed.events), parsed.id_map, parsed.warnings)
+            outcomes.append((got, per_line.called))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == _outcome(lambda: oracles.parse_events_per_line(lines, strict,
+                                                                                None))
 
     @settings(max_examples=300)
     @given(data=st.data(), lines=event_lines(), policy=st.sampled_from(["strict", "clamp"]),

@@ -213,6 +213,12 @@ class TestBoundsTrajectory:
         with pytest.raises(InvalidInputError, match="grid"):
             bounds_trajectory(net, ExponentialDecay(1.0), ConstantDamping(0.85))
 
+    @pytest.mark.parametrize("grid", [[], [[0.0, 0.5], [0.25, 1.0]]])
+    def test_empty_or_nested_grid_rejected_as_for_trajectories(self, grid):
+        with pytest.raises(InvalidInputError, match="grid must be a non-empty 1-d sequence"):
+            bounds_trajectory(synthetic_five_node(), ExponentialDecay(1.0),
+                              ConstantDamping(0.85), grid=grid)
+
     def test_continuous_bounds_contain_the_continuous_trajectory(self):
         net = synthetic_five_node()
         grid = np.linspace(0.0, 1.0, 11)

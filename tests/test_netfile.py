@@ -184,7 +184,8 @@ class TestRoundTrip:
 # the block parser against the per-line reference parser
 
 def reference(text):
-    return netfile._parse(text.splitlines())
+    """The per-line parser over the lines a text-mode file read gives."""
+    return netfile._parse(io.StringIO(text, newline=None))
 
 
 def fingerprint(net):
@@ -270,6 +271,15 @@ class TestBlockParser:
         assert fast[0] == "ok", fast
         assert fast == outcome(reference, text)
 
+    @given(case=discrete_files(), run=st.integers(1, 4), trailing=st.booleans())
+    def test_short_tokenizer_runs_change_nothing(self, case, run, trailing):
+        # the block parser tokenizes `run` lines at a time; run boundaries must not show
+        text = joined(case[0], trailing)
+        with mock.patch.object(netfile, "_parse", side_effect=AssertionError("fell back")), \
+                mock.patch.object(netfile, "_FIELD_LINES", run):
+            fast = outcome(loads_network, text)
+        assert fast == outcome(reference, text)
+
     @given(case=discrete_files(), data=st.data())
     def test_corrupt_files_fail_identically(self, case, data):
         lines, starts = case
@@ -320,6 +330,16 @@ class TestBlockParser:
         path.write_text("# caf\u00e9\nnodes 2\ninstant 0\n1 2 1\n1 2 1\n", encoding="utf-8")
         with pytest.raises(NetworkFormatError, match="^line 5: duplicate entry"):
             load_network(path)
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                           "\u2028", "\u2029", "\r", "\r\n"])
+    def test_text_splits_lines_as_a_file_does(self, separator, tmp_path):
+        # str.splitlines breaks at all of these; a text-mode file read only at \r and \r\n
+        path = tmp_path / "net.txt"
+        for text in (f"nodes 2\ninstant 0\n1 2 1{separator}1 2 2\n2 x 1\n",
+                     f"nodes 2{separator}instant 0\n1 2 1\n2 1 1.5{separator}"):
+            path.write_bytes(text.encode("utf-8"))
+            assert outcome(loads_network, text) == outcome(load_network, path)
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "net.txt"
