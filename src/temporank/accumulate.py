@@ -225,16 +225,17 @@ def iter_instants(net, kernel: DecayKernel, damping: DampingSchedule,
                   ) -> Iterator[InstantSetup]:
     """Set up every instant of a trajectory, one at a time, in time order.
 
-    A discrete network uses its own instants; a continuous one needs
-    ``grid``, which is evaluated in sorted order whatever order it comes
-    in (``k`` still names the caller's position).  A consumer that drops
-    each setup after use holds one snapshot at a time.  A discrete network
-    keeps only the running accumulated matrix between instants.  A
-    continuous one holds the edge values at every grid instant and, for
-    an :class:`ExponentialDecay` kernel, the (edges x instants) integrals
-    over the grid's pieces from one quadrature call and the normalized B
-    of every instant, all computed before the first instant.  A grid that
-    is empty, not 1-d or outside the network interval fails at the call.
+    A discrete network uses its own instants and takes no grid; a
+    continuous one needs ``grid``, evaluated in sorted order whatever order
+    it comes in (``k`` still names the caller's position).  A consumer
+    that drops each setup after use holds one snapshot at a time.  A
+    discrete network keeps only the running accumulated matrix between
+    instants.  A continuous one holds the edge values at every grid
+    instant and, for an :class:`ExponentialDecay` kernel, the (edges x
+    instants) integrals over the grid's pieces from one quadrature call and
+    the normalized B of every instant, all computed before the first
+    instant.  A grid given with a discrete network, or one that is empty,
+    not 1-d or outside the network interval, fails at the call.
     """
     return _instants_and_setups(net, kernel, damping, personalization, dangling_dist,
                                 grid, quad)[1]
@@ -244,6 +245,8 @@ def _instants_and_setups(net, kernel, damping, personalization, dangling_dist, g
     """(instants, setups): a trajectory's instants in the caller's order and
     :func:`iter_instants` over them.  A bad grid fails here, before any setup."""
     if isinstance(net, DiscreteTemporalNetwork):
+        if grid is not None:
+            raise InvalidInputError("a discrete network uses its own instants; give no grid")
         times = np.asarray(net.instants, dtype=float)
         order = np.arange(len(times))
         pairs = zip(_discrete_snapshots(net, kernel), net.snapshots)

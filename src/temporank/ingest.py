@@ -15,14 +15,15 @@ file order (the format does not define intra-timestamp order) and id
 compaction follows ascending original id, so the same input always
 produces bit-identical snapshots.
 
-Events are held as columns (:class:`EventColumns`).  The parser
-tokenizes the whole text at once with the network-file tokenizer, sorts
-the columns stably by timestamp and compacts ids with ``np.unique``.
-Whenever it cannot vouch for its result (a character other than
-printable ASCII, tabs and newlines; a line without four fields; a token
-``int``/``float`` would read differently; an id beyond int64; a value
-that fails a check), the per-line parser reads the lines again, so both
-give the same events or the same line-numbered :class:`EventParseError`.
+Events are held as columns (:class:`EventColumns`).  The parser drops
+the comment lines and reads the rest with numpy's text reader, as network
+files are read, then sorts the columns stably by timestamp and compacts
+ids with ``np.unique``.  Whenever it cannot vouch for its result (a
+character other than printable ASCII, tabs and newlines; a line without
+four fields; a token numpy does not read, such as a `_` not between two
+digits or an id beyond int64; a warning from the reader; a value that
+fails a check), the per-line parser reads the lines again, so both give
+the same events or the same line-numbered :class:`EventParseError`.
 The replay sorts the events by edge and takes cumulative sums of each
 edge's deltas: under ``clamp`` an edge's count is the reflection
 x_k = S_k - min(0, min_{j<=k} S_j) of its running sum S (Lindley's
@@ -32,6 +33,7 @@ recursion), and snapshot k holds each edge's last count at or before t_k.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -158,8 +160,8 @@ def _parse_text(text: str, strict: bool, t_max) -> ParsedEvents:
     raw = _plain_bytes(text)
     if raw is None:
         raise _NotSure
-    (src, dst, delta, timestamp), line = _fields(
-        raw, (np.int64, np.int64, np.int64, np.float64), comment=ord("%"))
+    raw = re.sub(rb"(?m)^[ \t]*%.*", b"", raw)        # comment lines go blank
+    src, dst, delta, timestamp = _fields(raw, "i8,i8,i8,f8")
     if (src < 1).any() or (dst < 1).any() \
             or not (np.isfinite(timestamp) & (timestamp >= 0)).all():
         raise _NotSure
@@ -168,6 +170,9 @@ def _parse_text(text: str, strict: bool, t_max) -> ParsedEvents:
     if not keep.all():
         if strict:
             raise _NotSure
+        chars = np.frombuffer(raw, dtype=np.uint8)
+        newlines, printed = np.flatnonzero(chars == ord("\n")), np.flatnonzero(chars > ord(" "))
+        line = np.unique(np.searchsorted(newlines, printed))    # each row's 0-based line
         warnings = tuple(f"line {number + 1}: delta {value} out of range, skipped"
                          for number, value in zip(line[~keep].tolist(), delta[~keep].tolist()))
     if t_max is not None:

@@ -150,14 +150,14 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
                       tol: float = 1e-12, threads: int = 1) -> LocalizationBounds:
     """Localization bounds per requested instant and node.
 
-    For a discrete network the instants are its own; for a continuous one
-    ``grid`` supplies the evaluation times.  Bounds are computed from the
-    same patched transition matrix the trajectory uses: with no dangling
-    rows, every trajectory with every personalization schedule stays
-    inside them; with dangling rows they hold for every personalization
-    under the fixed dangling distribution ``dangling_dist`` (trajectories
-    default theirs to the personalization schedule, so pass the same one
-    here to bound them).
+    For a discrete network the instants are its own and ``grid`` must be
+    None; for a continuous one ``grid`` supplies the evaluation times.
+    Bounds are computed from the same patched transition matrix the
+    trajectory uses: with no dangling rows, every trajectory with every
+    personalization schedule stays inside them; with dangling rows they
+    hold for every personalization under the fixed dangling distribution
+    ``dangling_dist`` (trajectories default theirs to the personalization
+    schedule, so pass the same one here to bound them).
     """
     instants, setups = _instants_and_setups(net, kernel, damping, None, dangling_dist,
                                             grid, quad)

@@ -20,19 +20,21 @@ one back writes the full directed edge list without the `symmetric`
 shorthand.
 
 Files are UTF-8.  Keyword and comment lines go through the per-line
-handlers; the triples between them are parsed a block at a time with
-whole-array operations.  Whenever that block parser is not sure of its
-result (a check fails, or the text holds anything but printable ASCII,
-tabs and newlines), the per-line parser reads the whole input again, so
-both give the same network or the same line-numbered error.  The
-per-line parser also reads iterables of lines.
+handlers; the triples between them are read a block at a time by numpy's
+text reader and checked with whole-array operations.  Whenever that block
+parser is not sure of its result (a check fails; the text holds anything
+but printable ASCII, tabs and newlines; a `_` is not between two digits;
+an integer is beyond int64; the reader warns), the per-line parser reads
+the whole input again, so both give the same network or the same
+line-numbered error.  The per-line parser also reads iterables of lines.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import re
-from itertools import compress
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +128,8 @@ _PLAIN = bytes([ord("\t"), ord("\n"), *range(ord(" "), ord("~") + 1)])
 #: the block parser's node count limit, so that i*n + j fits in int64
 _MAX_BLOCK_NODES = 2**31
 _NO_TRIPLES = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
-#: _fields turns at most this many lines of text into tokens at a time
-_FIELD_LINES = 2**15
+#: a `_` that Python's int and float do not read as a digit separator
+_LONE_UNDERSCORE = re.compile(rb"(?<![0-9])_|_(?![0-9])")
 
 
 class _NotSure(Exception):
@@ -176,52 +178,37 @@ def _add_body(p: _Parser, pieces: list, body: bytes):
     if body and not body.isspace():
         if p.current is None or p.n >= _MAX_BLOCK_NODES:
             raise _NotSure
-        (rows, cols, weights), _ = _fields(body, (np.int64, np.int64, np.float64))
+        rows, cols, weights = _fields(body, "i8,i8,f8")
         if ((rows < 1) | (rows > p.n) | (cols < 1) | (cols > p.n)).any() \
                 or not np.isfinite(weights).all() or (weights < 0).any():
             raise _NotSure
-        pieces.append((rows - 1, cols - 1, weights))    # 0-based
+        rows -= 1               # 0-based, in place
+        cols -= 1
+        pieces.append((rows, cols, weights))
     p.line_number += body.count(b"\n")
 
 
-def _fields(body: bytes, dtypes, comment: int | None = None):
-    """The whitespace-separated fields of ``body``, one column per dtype, and each line's number.
+def _fields(body: bytes, dtype: str):
+    """The whitespace-separated fields of ``body`` as columns of the structured ``dtype``.
 
-    ``body`` holds only tabs, newlines and printable ASCII.  Lines whose
-    first token starts with the byte ``comment`` are left out; every other
-    line must be blank or hold exactly len(dtypes) tokens, which numpy
-    converts to their column's dtype, or :class:`_NotSure` is raised.
-    Returns the columns in text order and, per line read, its 0-based line
-    number.  Whole-array work, except ``bytes.split`` and the conversion,
-    which take _FIELD_LINES lines at a time so that only that many lines'
-    tokens exist as ``bytes`` objects at once.
+    ``body`` holds only tabs, newlines and printable ASCII.  numpy's text
+    reader skips blank lines and converts every other line, which must hold
+    one token per column.  Python reads a ``_`` between two digits as a
+    digit separator and numpy none, so those are deleted first.  Any other
+    ``_``, a failed conversion or a warning from the reader raises
+    :class:`_NotSure`.
     """
-    chars = np.frombuffer(body, dtype=np.uint8)
-    newlines = np.flatnonzero(chars == ord("\n"))
-    bounds = [0, *(newlines[_FIELD_LINES - 1::_FIELD_LINES] + 1).tolist(), len(body)]
-    k, runs = len(dtypes), []
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        gap = np.concatenate(([True], chars[start:end] <= ord(" "), [True]))
-        starts = start + np.flatnonzero(gap[1:] != gap[:-1])[0::2]     # token starts
-        line = np.searchsorted(newlines, starts)
-        tokens = body[start:end].split()
-        if comment is not None:
-            opens = chars[starts] == comment
-            if opens.any():
-                first = np.concatenate(([True], line[1:] != line[:-1]))
-                keep = ~np.isin(line, line[opens & first])
-                tokens = list(compress(tokens, keep.tolist()))
-                line = line[keep]
-        if (len(line) % k or (line[0::k] != line[k - 1::k]).any()
-                or (np.diff(line[0::k]) <= 0).any()):
-            raise _NotSure      # some line does not hold exactly k tokens
+    if b"_" in body:
+        if _LONE_UNDERSCORE.search(body):
+            raise _NotSure
+        body = body.replace(b"_", b"")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
-            runs.append([np.array(tokens[m::k], dtype=dtype) for m, dtype in enumerate(dtypes)]
-                        + [line[0::k]])
-        except (ValueError, OverflowError):
+            return np.loadtxt(io.BytesIO(body), dtype=dtype, comments=None, ndmin=1,
+                              unpack=True, encoding="ascii")
+        except (ValueError, Warning):
             raise _NotSure from None
-    *columns, lines = (np.concatenate(part) for part in zip(*runs))
-    return columns, lines
 
 
 def _close_block(p: _Parser, pieces: list):

@@ -146,6 +146,19 @@ class TestCompute:
         _, second, _ = run_cli(capsys, "compute", "--config", str(dumped))
         assert first == second
 
+    @pytest.mark.parametrize("flag", ["--network", "--preset"])
+    def test_flag_replaces_the_config_network(self, capsys, tmp_path, synthetic5_file, flag):
+        # the config names the other source; the flag replaces it instead of conflicting
+        value, other = synthetic5_file, "preset = paper-synthetic"
+        if flag == "--preset":
+            value, other = "paper-synthetic", f"file = {synthetic5_file}"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"[network]\n{other}\n", encoding="utf-8")
+        run = ["--no-header", "--grid-count", "3", "--quad-tol", "1e-8"]
+        want = run_cli(capsys, "compute", flag, value, *run)
+        assert want[0] == 0
+        assert run_cli(capsys, "compute", "--config", str(config), flag, value, *run) == want
+
     def test_preset_continuous_run(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--preset", "paper-synthetic",
                                "--grid-count", "3", "--quad-tol", "1e-8",

@@ -3,7 +3,6 @@
 import io
 import math
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from temporank import (
     sample_grid,
     summarize,
 )
-from temporank import ingest, netfile
+from temporank import ingest
 
 DAY = 86400.0
 
@@ -234,6 +233,22 @@ class TestBuildSnapshots:
         with pytest.raises(InvalidInputError, match="fit in int64"):
             build_snapshots([ingest.EdgeEvent(2**70, 1, 1, 0.0)], [0.0], n=2)
 
+    @pytest.mark.parametrize("value, shown", [(-1.0, "-1.0"), (math.nan, "nan"),
+                                              (math.inf, "inf")])
+    def test_bad_initial_entry_is_named(self, value, shown):
+        initial = np.zeros((3, 3))
+        initial[0, 1], initial[1, 2] = 1.0, value
+        events = parse_events(["1 2 +1 0"]).events
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"initial adjacency entry (2, 3) is {shown}")):
+            build_snapshots(events, [0.0], n=3, initial=initial)
+
+    def test_initial_of_another_size_is_rejected(self):
+        events = parse_events(["1 2 +1 0"]).events
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("initial adjacency is (2, 2), expected (3, 3)")):
+            build_snapshots(events, [0.0], n=3, initial=np.eye(2))
+
 
 class TestSummarize:
     def test_counts_both_interpretations(self):
@@ -332,23 +347,6 @@ class TestAgainstPerEventOracle:
         assert summarize(parsed, 2).as_dict() == oracles.summarize_with_sets(
             n, events, warnings, 2)
 
-    @given(lines=event_lines(), strict=st.booleans(), run=st.integers(1, 4))
-    def test_short_tokenizer_runs_match_per_line_parser(self, lines, strict, run):
-        # the array parser tokenizes `run` lines at a time; run boundaries must not
-        # show, nor send a stream it reads whole to the per-line parser
-        outcomes = []
-        for size in (netfile._FIELD_LINES, run):
-            with mock.patch.object(netfile, "_FIELD_LINES", size), mock.patch.object(
-                    ingest, "_parse_lines", wraps=ingest._parse_lines) as per_line:
-                got = _outcome(lambda: parse_events(_as_source(lines, "ended"), strict))
-            if got[0] == "ok":
-                parsed = got[1]
-                got = "ok", (parsed.n, tuple(parsed.events), parsed.id_map, parsed.warnings)
-            outcomes.append((got, per_line.called))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0] == _outcome(lambda: oracles.parse_events_per_line(lines, strict,
-                                                                                None))
-
     @settings(max_examples=300)
     @given(data=st.data(), lines=event_lines(), policy=st.sampled_from(["strict", "clamp"]),
            weights=st.sampled_from([None, (0.0, 1.0, 2.0, 3.0), (0.0, 0.3, 1.5, 2.7, 1e-3)]))
@@ -440,6 +438,12 @@ class TestArrayParser:
     def test_an_element_holding_two_lines_is_one_line(self):
         with pytest.raises(EventParseError, match="line 2: expected .* got 8 fields"):
             parse_events(["% two events in one element:\n", "1 2 +1 0\n2 3 +1 1\n"])
+
+    @pytest.mark.parametrize("lines", [["1 2 +1 0\n2 3 +1 1"],
+                                       ["1 2 +1 0\n2 3 +1 1", "3 4 +1 2\n"]])
+    def test_a_first_element_holding_two_lines_fails_at_line_1(self, lines):
+        with pytest.raises(EventParseError, match="^line 1: expected .* got 8 fields"):
+            parse_events(lines)
 
     def test_events_view(self):
         events = parse_events(["1 2 +1 5", "2 1 -1 3", "1 2 +1 9"]).events

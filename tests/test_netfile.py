@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -271,14 +272,15 @@ class TestBlockParser:
         assert fast[0] == "ok", fast
         assert fast == outcome(reference, text)
 
-    @given(case=discrete_files(), run=st.integers(1, 4), trailing=st.booleans())
-    def test_short_tokenizer_runs_change_nothing(self, case, run, trailing):
-        # the block parser tokenizes `run` lines at a time; run boundaries must not show
-        text = joined(case[0], trailing)
-        with mock.patch.object(netfile, "_parse", side_effect=AssertionError("fell back")), \
-                mock.patch.object(netfile, "_FIELD_LINES", run):
-            fast = outcome(loads_network, text)
-        assert fast == outcome(reference, text)
+    @given(case=discrete_files(), ended=st.booleans(), data=st.data())
+    def test_lines_load_as_their_joined_text(self, case, ended, data):
+        lines = case[0]
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(lines)))
+            lines = lines[:at] + [data.draw(st.sampled_from(["1 2", "1 x 1.0", "1 1 -1"]))] \
+                + lines[at:]
+        given_lines = [line + "\n" for line in lines] if ended else lines
+        assert outcome(load_network, iter(given_lines)) == outcome(loads_network, joined(lines))
 
     @given(case=discrete_files(), data=st.data())
     def test_corrupt_files_fail_identically(self, case, data):
@@ -348,6 +350,63 @@ class TestBlockParser:
             load_network(path)
         assert err.value.line_number == 3
         assert str(err.value) == "line 3: not UTF-8 text: byte 0xc3 at column 5"
+
+
+# ---------------------------------------------------------------------------
+# numpy's text reader against Python's int and float, on the installed numpy
+
+SPECIAL_WORDS = st.sampled_from(["inf", "nan", "infinity"]).flatmap(
+    lambda word: st.tuples(st.sampled_from(["", "+", "-"]),
+                           st.lists(st.booleans(), min_size=len(word), max_size=len(word))).map(
+        lambda parts: parts[0] + "".join(c.upper() if up else c
+                                         for c, up in zip(word, parts[1]))))
+ANY_TOKENS = st.text(alphabet="0123456789+-._eEx", min_size=1, max_size=8)
+INT_TOKENS = st.one_of(ANY_TOKENS, st.from_regex(r"\A[+-]?[0-9][0-9_]{0,5}\Z"),
+                       st.integers(-2**70, 2**70).map(str), SPECIAL_WORDS)
+FLOAT_TOKENS = st.one_of(
+    ANY_TOKENS, SPECIAL_WORDS, st.floats().map(repr),
+    st.from_regex(r"\A[+-]?[0-9_]{0,4}\.?[0-9_]{0,3}([eE][+-]?[0-9_]{1,3})?\Z"))
+
+
+def python_reads(token, kind):
+    try:
+        return int(token) if kind == "i8" else float(token)
+    except ValueError:
+        return None
+
+
+class TestNumpyReader:
+    """The fast paths rely on numpy's number grammar; a numpy that reads
+    differently must fail here, not silently change how files are read."""
+
+    @given(rows=st.lists(st.tuples(INT_TOKENS, FLOAT_TOKENS), min_size=1, max_size=4),
+           sep=SEP)
+    def test_reads_tokens_as_python_does_or_is_not_sure(self, rows, sep):
+        for part in [[row] for row in rows] + [rows]:
+            body = "".join(f"{i}{sep}{w}\n" for i, w in part).encode("ascii")
+            try:
+                ints, floats = netfile._fields(body, "i8,f8")
+            except netfile._NotSure:
+                continue
+            assert ints.tolist() == [python_reads(i, "i8") for i, _ in part]
+            want = [python_reads(w, "f8") for _, w in part]
+            assert None not in want
+            assert floats.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+    def test_a_warning_from_the_reader_is_not_sure(self):
+        loadtxt = np.loadtxt
+
+        def warns(*args, **kwargs):
+            warnings.warn("conversion deprecated", DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+
+        # outside the reader the warning is ignored; the reader's own rule must catch it
+        with mock.patch.object(netfile.np, "loadtxt", warns), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(netfile._NotSure):
+                netfile._fields(b"1 2 1.0\n", "i8,i8,f8")
+        assert [c.tolist() for c in netfile._fields(b"1 2 1.0\n", "i8,i8,f8")] == [
+            [1], [2], [1.0]]
 
 
 def coo_writer(network):

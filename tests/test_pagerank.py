@@ -22,6 +22,7 @@ from temporank import (
     InvalidInputError,
     StochasticSnapshot,
     UniformPersonalization,
+    bounds_trajectory,
     google_apply_transpose,
     pagerank_direct,
     pagerank_power,
@@ -360,6 +361,19 @@ class TestTrajectoryContinuous:
         with pytest.raises(InvalidInputError, match="grid must be a non-empty 1-d sequence"):
             trajectory_continuous(synthetic_five_node(), ExponentialDecay(1.0),
                                   ConstantDamping(0.85), UniformPersonalization(), grid=grid)
+
+    @pytest.mark.parametrize("entry", ["trajectory", "bounds", "setups"])
+    def test_grid_with_a_discrete_network_rejected(self, entry):
+        net = truncate(synthetic_five_node(), 5)
+        kernel, damping, grid = ExponentialDecay(1.0), ConstantDamping(0.85), [0.0, 0.5]
+        calls = {
+            "trajectory": lambda: trajectory_continuous(net, kernel, damping,
+                                                        UniformPersonalization(), grid=grid),
+            "bounds": lambda: bounds_trajectory(net, kernel, damping, grid=grid),
+            "setups": lambda: iter_instants(net, kernel, damping, grid=grid),
+        }
+        with pytest.raises(InvalidInputError, match="discrete network uses its own instants"):
+            calls[entry]()
 
 
 @st.composite
