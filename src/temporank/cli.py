@@ -28,7 +28,7 @@ from . import config as configmod
 from . import ingest as ingestmod
 from . import netfile
 from .accumulate import truncate
-from .errors import EventParseError, InvalidInputError, TemporankError, not_utf8
+from .errors import InvalidInputError, TemporankError
 from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork, validate
 from .localization import bounds_trajectory
 from .pagerank import trajectory_continuous, trajectory_discrete
@@ -428,14 +428,8 @@ def cmd_ingest(args) -> int:
     start, step, count = _grid_spec(args.grid)
     unit = _UNIT_SECONDS[args.unit]
     grid_seconds = ingestmod.sample_grid(start, step, count, unit)
-    if not os.path.exists(args.events):
-        raise FileNotFoundError(f"event file not found: {args.events}")
-    with open(args.events, "r", encoding="utf-8") as handle:
-        try:
-            parsed = ingestmod.parse_events(handle, strict=not args.lenient,
-                                            t_max=float(grid_seconds[-1]))
-        except UnicodeDecodeError:
-            raise not_utf8(args.events, EventParseError) from None
+    parsed = ingestmod.parse_events(args.events, strict=not args.lenient,
+                                    t_max=float(grid_seconds[-1]))
     initial = None
     if args.initial is not None:
         seed = netfile.load_network(args.initial)
@@ -456,8 +450,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if not os.path.exists(args.network):
-        raise FileNotFoundError(f"network source not found: {args.network}")
     try:
         network = netfile.load_network(args.network)
     except TemporankError as err:

@@ -54,7 +54,7 @@ from functools import partial
 import numpy as np
 
 from . import netfile, presets
-from .errors import InvalidInputError, not_utf8
+from .errors import InvalidInputError, decode, read_bytes
 from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
 from .quadrature import QuadratureConfig
 from .schedules import (ConstantDamping, ExponentialDecay, InputPersonalization,
@@ -136,11 +136,9 @@ def read_config(path: str) -> RunConfig:
     """Load a config file on top of the defaults."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=(";", "#"))
+    text = decode(read_bytes(path, "config file"), partial(_config_error, path))
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            parser.read_file(handle, source=path)
-    except UnicodeDecodeError:
-        raise not_utf8(path, partial(_config_error, path)) from None
+        parser.read_file(io.StringIO(text, newline=None), source=path)
     except configparser.Error as err:
         raise _config_error(path, str(err).splitlines()[0],
                             getattr(err, "lineno", None)) from None
@@ -249,8 +247,6 @@ def build_network(cfg: RunConfig):
         return presets.preset(cfg.network_preset)
     if cfg.network_file is None:
         raise InvalidInputError("no network source configured")
-    if not os.path.exists(cfg.network_file):
-        raise FileNotFoundError(f"network source not found: {cfg.network_file}")
     return netfile.load_network(cfg.network_file)
 
 
@@ -273,13 +269,8 @@ def build_personalization(cfg: RunConfig):
     if kind == "inverse-input":
         return InverseInputPersonalization()
     path = cfg.personalization_file
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"personalization file not found: {path}")
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except UnicodeDecodeError:
-        raise not_utf8(path, partial(_config_error, path)) from None
+    lines = decode(read_bytes(path, "personalization file"),
+                   partial(_config_error, path)).splitlines()
     if not any(line.split("#", 1)[0].strip() for line in lines):
         raise _config_error(path, "no rows of numbers")
     try:

@@ -66,17 +66,20 @@ class InternalError(TemporankError):
     """A guaranteed mathematical property failed; indicates a solver bug."""
 
 
-def not_utf8(path, error: type) -> TemporankError:
-    """``error`` naming the first line of ``path`` that is not valid UTF-8.
+def read_bytes(path, what: str) -> bytes:
+    """The file at ``path``, read once; a missing file is a FileNotFoundError naming ``what``."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{what} not found: {path}") from None
 
-    For a file whose text decoding failed: the message gives the line, the
-    column and the first bad byte.
-    """
-    with open(path, "rb") as handle:
-        for number, raw in enumerate(handle, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as err:
-                return error(f"not UTF-8 text: byte 0x{raw[err.start]:02x} "
-                             f"at column {err.start + 1}", line_number=number)
-    return error("not UTF-8 text")
+
+def decode(raw: bytes, error: type) -> str:
+    """``raw`` as UTF-8 text, or ``error`` naming the line (ended by \\n), column and bad byte."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        column = err.start - raw.rfind(b"\n", 0, err.start)
+        raise error(f"not UTF-8 text: byte 0x{raw[err.start]:02x} at column {column}",
+                    line_number=raw.count(b"\n", 0, err.start) + 1) from None

@@ -24,6 +24,7 @@ four fields; a token numpy does not read, such as a `_` not between two
 digits or an id beyond int64; a warning from the reader; a value that
 fails a check), the per-line parser reads the lines again, so both give
 the same events or the same line-numbered :class:`EventParseError`.
+A file is read once, as bytes, and takes the same route as a network file.
 The replay sorts the events by edge and takes cumulative sums of each
 edge's deltas: under ``clamp`` an edge's count is the reflection
 x_k = S_k - min(0, min_{j<=k} S_j) of its running sum S (Lindley's
@@ -33,16 +34,18 @@ recursion), and snapshot k holds each edge's last count at or before t_k.
 from __future__ import annotations
 
 import math
+import os
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import sparse
 
-from .errors import ConsistencyError, EventParseError, InvalidInputError
+from .errors import ConsistencyError, EventParseError, InvalidInputError, read_bytes
 from .graph import DiscreteTemporalNetwork, _sorted_to_csr
-from .netfile import _NotSure, _fields, _plain_bytes
+from .netfile import _NotSure, _fields, _read
 
 __all__ = [
     "EdgeEvent", "EventColumns", "ParsedEvents", "IngestSummary",
@@ -120,25 +123,28 @@ class ParsedEvents:
     warnings: tuple[str, ...]
 
 
-def parse_events(lines, strict: bool = True, t_max: float | None = None) -> ParsedEvents:
+def parse_events(source, strict: bool = True, t_max: float | None = None) -> ParsedEvents:
     """Parse `src dst delta timestamp` lines into events sorted by timestamp.
 
-    ``lines`` is any iterable of text lines (an open file works).  Blank
+    ``source`` is a path or any iterable of text lines (an open file works).  Blank
     and ``%``-comment lines are skipped.  A malformed line always raises
     :class:`EventParseError` with its line number; a delta outside
     {+1, -1} raises in strict mode and is skipped with a warning
     otherwise.  With ``t_max`` set, events after it are dropped before id
     compaction, so node count and ids reflect only the kept window.
     """
-    lines = list(lines)
+    fast = partial(_parse_text, strict=strict, t_max=t_max)
+    slow = partial(_parse_lines, strict=strict, t_max=t_max)
+    if isinstance(source, (str, os.PathLike)):
+        return _read(read_bytes(source, "event file"), fast, slow, EventParseError)
+    lines = list(source)
     text = _one_text(lines)
-    if text is None:
-        return _parse_lines(lines, strict, t_max)
+    if text is None or not text.isascii() or "\r" in text:    # given lines end at \n only
+        return slow(lines)
     del lines                   # the text holds the same lines, in less memory
-    try:
-        return _parse_text(text, strict, t_max)
-    except _NotSure:
-        return _parse_lines(text.split("\n"), strict, t_max)
+    raw = text.encode("ascii")
+    del text                    # and the bytes hold the text
+    return _read(raw, fast, slow, EventParseError)
 
 
 def _one_text(lines: list) -> str | None:
@@ -155,11 +161,8 @@ def _one_text(lines: list) -> str | None:
     return None
 
 
-def _parse_text(text: str, strict: bool, t_max) -> ParsedEvents:
+def _parse_text(raw: bytes, strict: bool, t_max) -> ParsedEvents:
     """The array parser.  Raises :class:`_NotSure` wherever ``_parse_lines`` could differ."""
-    raw = _plain_bytes(text)
-    if raw is None:
-        raise _NotSure
     raw = re.sub(rb"(?m)^[ \t]*%.*", b"", raw)        # comment lines go blank
     src, dst, delta, timestamp = _fields(raw, "i8,i8,i8,f8")
     if (src < 1).any() or (dst < 1).any() \

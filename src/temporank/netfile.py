@@ -27,20 +27,23 @@ but printable ASCII, tabs and newlines; a `_` is not between two digits;
 an integer is beyond int64; the reader warns), the per-line parser reads
 the whole input again, so both give the same network or the same
 line-numbered error.  The per-line parser also reads iterables of lines.
+Files are read once, as bytes, as event streams are, and written a block
+at a time.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
+import os
 import re
 import warnings
-from pathlib import Path
 
 import numpy as np
 
 from . import timefuncs
-from .errors import NetworkFormatError, TemporankError, not_utf8
+from .errors import NetworkFormatError, TemporankError, decode, read_bytes
 from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _entries_to_csr,
                     _sorted_to_csr, validate)
 
@@ -49,27 +52,38 @@ __all__ = ["load_network", "loads_network", "save_network", "dumps_network"]
 
 def load_network(source):
     """Parse a network description from a path or an iterable of lines."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            try:
-                text = handle.read()
-            except UnicodeDecodeError:
-                raise not_utf8(source, NetworkFormatError) from None
-        return loads_network(text)
+    if isinstance(source, (str, os.PathLike)):
+        return _read(read_bytes(source, "network source"), _parse_blocks, _parse,
+                     NetworkFormatError)
     return _parse(source)
 
 
 def loads_network(text: str):
     """Parse a network description from text as :func:`load_network` parses a file,
     whose lines end at \\n, \\r\\n and \\r only; a block at a time if it can."""
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    raw = _plain_bytes("\n" + text)
-    if raw is not None:
-        try:
-            return _parse_blocks(raw)
-        except _NotSure:
-            pass
-    return _parse(text.split("\n"))
+    if text.isascii():
+        return _read(text.encode("ascii"), _parse_blocks, _parse, NetworkFormatError)
+    return _parse(_lines(text))
+
+
+def _read(raw: bytes, fast, slow, error: type):
+    """Parse a file's bytes with ``fast`` if it is sure of them, else its lines with ``slow``.
+
+    Lines end at \\n, \\r\\n and \\r; bytes that are not UTF-8 raise ``error``,
+    which places the first bad byte in the bytes as given.
+    """
+    if raw.isascii():
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not raw.translate(None, _PLAIN):
+            try:
+                return fast(raw)
+            except _NotSure:
+                pass
+    return slow(_lines(decode(raw, error)))
+
+
+def _lines(text: str) -> list:
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 class _Parser:
@@ -120,12 +134,14 @@ def _parse(lines):
     return _finish(p)
 
 
-#: a comment line, or a line opening with a keyword, each after its newline
-_KEYWORD_LINE = re.compile(
-    rb"\n[ \t]*(?:#|(nodes|symmetric|interval|edge|initial|instant)(?![^ \t\n])).*")
+#: a comment line, or a line opening with a keyword (group 2); the line is group 1
+_KEYWORD = rb"([ \t]*(?:#|(nodes|symmetric|interval|edge|initial|instant)(?![^ \t\n])).*)"
+_FIRST_LINE = re.compile(rb"\A" + _KEYWORD)
+#: such a line after its newline: finditer runs twice as fast on it as on (?m)^
+_KEYWORD_LINE = re.compile(rb"\n" + _KEYWORD)
 #: the characters the block parser reads: tab, newline and printable ASCII
 _PLAIN = bytes([ord("\t"), ord("\n"), *range(ord(" "), ord("~") + 1)])
-#: the block parser's node count limit, so that i*n + j fits in int64
+#: the node count limit, so that i*n + j fits in int64
 _MAX_BLOCK_NODES = 2**31
 _NO_TRIPLES = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
 #: a `_` that Python's int and float do not read as a digit separator
@@ -136,36 +152,26 @@ class _NotSure(Exception):
     """The block parser cannot vouch for its result."""
 
 
-def _plain_bytes(text: str) -> bytes | None:
-    """``text`` as bytes if it holds only tabs, newlines and printable ASCII, else None."""
-    if text.isascii():
-        raw = text.encode("ascii")
-        if not raw.translate(None, _PLAIN):
-            return raw
-    return None
-
-
 def _parse_blocks(raw: bytes):
     """The block parser: keyword lines one by one, the triples between them as arrays.
 
-    ``raw`` is the text after a newline.  Raises :class:`_NotSure` wherever
-    the per-line parser could read it differently; any `NetworkFormatError`
-    comes from a keyword line, with the parser state the per-line parser
-    would have there.
+    Raises :class:`_NotSure` wherever the per-line parser could read ``raw``
+    differently; any `NetworkFormatError` comes from a keyword line, with
+    the parser state the per-line parser would have there.
     """
     p = _Parser()
     pieces = []                 # (rows, cols, weights) of the open block
-    start = 1                   # offset of the first line not yet parsed
+    start = 0                   # offset of the first line not yet parsed
     p.line_number = 1           # and its line number
-    for match in _KEYWORD_LINE.finditer(raw):
-        _add_body(p, pieces, raw[start:match.start() + 1])
-        keyword = match.group(1)
+    for match in itertools.chain(_FIRST_LINE.finditer(raw), _KEYWORD_LINE.finditer(raw)):
+        _add_body(p, pieces, raw[start:match.start(1)])
+        keyword = match.group(2)
         if keyword in (b"initial", b"instant"):
             _close_block(p, pieces)
         elif keyword is not None and p.current is not None:
             raise _NotSure      # a header amid blocks: never in a valid discrete file
         if keyword is not None:
-            _parse_line(p, match.group().decode("ascii").strip())
+            _parse_line(p, match.group(1).decode("ascii").strip())
         start = match.end() + 1
         p.line_number += 1
     _add_body(p, pieces, raw[start:])
@@ -176,7 +182,7 @@ def _parse_blocks(raw: bytes):
 def _add_body(p: _Parser, pieces: list, body: bytes):
     """Parse the `i j w` lines ``body`` between two keyword or comment lines."""
     if body and not body.isspace():
-        if p.current is None or p.n >= _MAX_BLOCK_NODES:
+        if p.current is None:
             raise _NotSure
         rows, cols, weights = _fields(body, "i8,i8,f8")
         if ((rows < 1) | (rows > p.n) | (cols < 1) | (cols > p.n)).any() \
@@ -264,6 +270,8 @@ def _parse_nodes(p: _Parser, parts):
         p.fail(f"node count {parts[1]!r} is not an integer")
     if p.n < 1:
         p.fail(f"node count must be positive, got {p.n}")
+    if p.n >= _MAX_BLOCK_NODES:
+        p.fail(f"node count must be below 2**31, got {p.n}")
 
 
 def _parse_interval(p: _Parser, parts):
@@ -363,16 +371,21 @@ def _finish(p: _Parser):
 
 
 def save_network(network, target):
-    """Write a network description to a path or a text file object."""
-    text = dumps_network(network)
-    if isinstance(target, (str, Path)):
+    """Write a network description to a path or a text file object, a block at a time."""
+    pieces = _pieces(network)
+    if isinstance(target, (str, os.PathLike)):
         with open(target, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        target.write(text)
+        target.writelines(pieces)
 
 
 def dumps_network(network) -> str:
+    return "".join(_pieces(network))
+
+
+def _pieces(network):
+    """The text of ``network``, header first, a block a piece; checked before it returns."""
     if isinstance(network, ContinuousTemporalNetwork):
         lines = [f"nodes {network.n}",
                  f"interval {float(network.t0)!r} {float(network.t1)!r}"]
@@ -383,18 +396,15 @@ def dumps_network(network) -> str:
                     f"edge ({i + 1}, {j + 1}) wraps an opaque callable and "
                     "cannot be written; create it from an expression")
             lines.append(f"edge {i + 1} {j + 1} {fn.source}")
-    elif isinstance(network, DiscreteTemporalNetwork):
-        lines = [f"nodes {network.n}"]
-        if network.initial_adjacency is not None:
-            lines.append("initial")
-            lines.extend(_matrix_lines(network.initial_adjacency))
-        for k, t_k in enumerate(network.instants):
-            lines.append(f"instant {float(t_k)!r}")
-            lines.extend(_matrix_lines(network.snapshots[k]))
-    else:
-        raise NetworkFormatError(
-            f"not a temporal network: {type(network).__name__}")
-    return "\n".join(lines) + "\n"
+        return ["\n".join(lines) + "\n"]
+    if isinstance(network, DiscreteTemporalNetwork):
+        blocks = [] if network.initial_adjacency is None else [
+            ("initial", network.initial_adjacency)]
+        blocks += [(f"instant {float(t_k)!r}", matrix)
+                   for t_k, matrix in zip(network.instants, network.snapshots)]
+        return itertools.chain([f"nodes {network.n}\n"], (
+            "\n".join([header, *_matrix_lines(matrix)]) + "\n" for header, matrix in blocks))
+    raise NetworkFormatError(f"not a temporal network: {type(network).__name__}")
 
 
 def _matrix_lines(matrix):

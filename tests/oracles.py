@@ -6,6 +6,7 @@ antiderivatives, all-pairs enumeration, dense eigensolver) so agreement
 with the package is evidence, not tautology.
 """
 
+import io
 import math
 
 import numpy as np
@@ -417,3 +418,22 @@ def summarize_with_sets(n, events, warnings, clamped=0):
             "distinct_added": len({(e.src, e.dst) for e in events if e.delta == 1}),
             "distinct_removed": len({(e.src, e.dst) for e in events if e.delta == -1}),
             "warnings": len(warnings) + clamped}
+
+
+# ---------------------------------------------------------------------------
+# UTF-8 errors, found line by line
+
+
+def not_utf8(raw: bytes, error: type):
+    """``error`` naming the first line of ``raw`` that is not valid UTF-8.
+
+    Lines end at \\n only; the message gives the line, the column and the
+    first bad byte.
+    """
+    for number, line in enumerate(io.BytesIO(raw), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as err:
+            return error(f"not UTF-8 text: byte 0x{line[err.start]:02x} "
+                         f"at column {err.start + 1}", line_number=number)
+    return error("not UTF-8 text")

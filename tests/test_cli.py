@@ -182,6 +182,11 @@ class TestCompute:
         assert code == 2
         assert "network source not found" in err
 
+    def test_missing_config_file(self, capsys, tmp_path):
+        path = tmp_path / "void.cfg"
+        assert run_cli(capsys, "compute", "--config", str(path)) == (
+            2, "", f"error: config file not found: {path}\n")
+
     def test_no_network_source(self, capsys):
         code, _, err = run_cli(capsys, "compute")
         assert code == 1
@@ -619,6 +624,13 @@ class TestIngest:
         assert code == 2
         assert "event file not found" in err
 
+    def test_missing_initial_file(self, capsys, tmp_path):
+        events = self.events_file(tmp_path, "1 2 +1 0\n")
+        path = tmp_path / "void.txt"
+        assert run_cli(capsys, "ingest", "--events", events, "--grid", "0,1,2",
+                       "--initial", str(path)) == (
+            2, "", f"error: network source not found: {path}\n")
+
     def test_non_utf8_events(self, capsys, tmp_path):
         path = tmp_path / "events.txt"
         path.write_bytes(b"1 2 +1 0\n% caf\xe9\n2 1 +1 5\n")
@@ -678,6 +690,12 @@ class TestValidate:
         assert code == 1
         assert out == ""
         assert err == "line 1: not UTF-8 text: byte 0xff at column 3\n"
+
+    def test_node_count_beyond_int64_reported(self, capsys, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("nodes 100000000000000000000\ninstant 0\n")
+        assert run_cli(capsys, "validate", str(path)) == (
+            1, "", "line 1: node count must be below 2**31, got 100000000000000000000\n")
 
     def test_invariant_violation_reported(self, capsys, tmp_path):
         path = tmp_path / "net.txt"

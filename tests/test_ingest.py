@@ -2,7 +2,9 @@
 
 import io
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -309,11 +311,17 @@ def event_lines(draw):
     return lines
 
 
-def _as_source(lines, shape):
-    """The same lines as a list without newlines, a list of newline-ended lines or a file."""
+def _as_source(lines, shape, directory):
+    """The same lines as a list without newlines, a list of newline-ended lines, a file
+    or the path of a file in ``directory``."""
     if shape == "bare":
         return list(lines)
     ended = [line + "\n" for line in lines]
+    if shape == "path":
+        path = os.path.join(directory, "events.txt")
+        with open(path, "wb") as handle:
+            handle.write("".join(ended).encode("utf-8"))
+        return path
     return ended if shape == "ended" else io.StringIO("".join(ended))
 
 
@@ -333,9 +341,11 @@ class TestAgainstPerEventOracle:
     @settings(max_examples=300)
     @given(lines=event_lines(), strict=st.booleans(),
            t_max=st.sampled_from([None, 0.0, 3.0, 1e9]),
-           shape=st.sampled_from(["bare", "ended", "file"]))
+           shape=st.sampled_from(["bare", "ended", "file", "path"]))
     def test_parse_matches_per_line_parser(self, lines, strict, t_max, shape):
-        got = _outcome(lambda: parse_events(_as_source(lines, shape), strict, t_max))
+        with tempfile.TemporaryDirectory() as directory:
+            source = _as_source(lines, shape, directory)
+            got = _outcome(lambda: parse_events(source, strict, t_max))
         want = _outcome(lambda: oracles.parse_events_per_line(lines, strict, t_max))
         assert got[0] == want[0], (got, want)
         if got[0] == "error":
@@ -416,7 +426,7 @@ class TestArrayParser:
 
     @pytest.fixture
     def no_fallback(self, monkeypatch):
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("per-line parser used")
         monkeypatch.setattr(ingest, "_parse_lines", refuse)
 
@@ -428,6 +438,9 @@ class TestArrayParser:
         assert parsed.id_map == (1, 2, 5)
         assert tuple(parsed.events) == (ingest.EdgeEvent(3, 1, 1, 0.0),
                                         ingest.EdgeEvent(2, 3, -1, 10.0))
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        again = parse_events(path)
+        assert (again.id_map, tuple(again.events)) == (parsed.id_map, tuple(parsed.events))
 
     def test_lenient_warnings(self, no_fallback):
         parsed = parse_events(["1 2 +1 0", "% x", "1 2 +3 1", "1 2 0 2"], strict=False)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import pathlib
 import warnings
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import sparse
 
+import oracles
 from temporank import (
     ContinuousTemporalNetwork,
     DiscreteTemporalNetwork,
@@ -115,12 +117,15 @@ class TestErrors:
         with pytest.raises(NetworkFormatError, match="line 3"):
             loads_network("nodes 2\ninterval 0 1\nedge 1 5 t\n")
 
-    def test_opaque_callable_cannot_be_written(self):
+    def test_opaque_callable_cannot_be_written(self, tmp_path):
         net = ContinuousTemporalNetwork(
             n=2, interval=(0.0, 1.0),
             edges={(0, 1): TimeFunction.from_callable(lambda t: t)})
         with pytest.raises(NetworkFormatError, match="opaque callable"):
             dumps_network(net)
+        with pytest.raises(NetworkFormatError, match="opaque callable"):
+            save_network(net, tmp_path / "net.txt")
+        assert not (tmp_path / "net.txt").exists()
 
     def test_non_network_rejected(self):
         with pytest.raises(NetworkFormatError):
@@ -343,6 +348,51 @@ class TestBlockParser:
             path.write_bytes(text.encode("utf-8"))
             assert outcome(loads_network, text) == outcome(load_network, path)
 
+    @pytest.mark.parametrize("raw", [
+        b"nodes 2\rinstant 0\r1 2 1\r2 1 x\r",                     # \r
+        b"nodes 2\r\ninstant 0\r\n1 2 1\r\n1 2 2\r\n",               # \r\n
+        b"nodes 2\r\ninstant 0\n1 2 1\r\r\n2 1 1.5\r",              # all three
+        b"\xef\xbb\xbfnodes 2\ninstant 0\n1 2 1\n",                  # a BOM
+        b"# caf\xc3\xa9\nnodes 2\ninstant 0\n1 2 1\n2 1 1\n",         # a non-ASCII comment
+        b"nodes 2\r\ninstant 0\r\n1 2 \xc3\r\n",                    # invalid UTF-8
+        b"nodes 2\rinstant 0\r1 2 1\r\xff\r",
+        b"# \xe2\x82\nnodes 2\n",
+        b"nodes 2\ninstant 0\n1 2 1\n",                            # a keyword first
+        b"\t nodes 2\ninstant 0\n1 2 1",
+        b"instant 0\nnodes 2\n1 2 1\n",
+        b"# first\nnodes 2\ninstant 0\n1 2 1\n",                   # a comment first
+        b"#\nnodes 2\ninitial\n2 2 1\ninstant 0\n",
+        b"1 2 1\nnodes 2\ninstant 0\n",                            # a triple first
+        b"nodesx 2\ninstant 0\n",
+    ])
+    def test_raw_files_load_as_their_text(self, raw, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_bytes(raw)
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            want = oracles.not_utf8(raw, NetworkFormatError)
+            assert outcome(load_network, path) == (
+                "NetworkFormatError", str(want), want.line_number)
+        else:
+            assert outcome(load_network, path) == outcome(loads_network, text) \
+                == outcome(reference, text)
+
+    def test_any_path_like_is_a_path(self, tmp_path):
+        path = pathlib.PurePosixPath(str(tmp_path / "net.txt"))
+        save_network(loads_network(DISCRETE), path)
+        assert fingerprint(load_network(path)) == fingerprint(loads_network(DISCRETE))
+
+    @pytest.mark.parametrize("text, line", [
+        ("nodes 100000000000000000000\ninstant 0\n", 1),
+        ("# caf\u00e9\nnodes 100000000000000000000\ninstant 0\n1 1 1\n", 2),
+        ("nodes 100000000000000000000\ninterval 0 1\nedge 1 2 t\n", 1),
+    ])
+    def test_node_count_beyond_the_block_limit(self, text, line):
+        want = ("NetworkFormatError",
+                f"line {line}: node count must be below 2**31, got 100000000000000000000", line)
+        assert outcome(loads_network, text) == outcome(reference, text) == want
+
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "net.txt"
         path.write_bytes(b"nodes 2\ninstant 0\n1 2 \xc3\n")
@@ -446,3 +496,9 @@ class TestWriter:
     @given(canonical_networks())
     def test_text_matches_the_coo_writer(self, net):
         assert dumps_network(net) == coo_writer(net)
+
+    @given(canonical_networks())
+    def test_saved_blocks_join_to_the_dumped_text(self, net):
+        buffer = io.StringIO()
+        save_network(net, buffer)
+        assert buffer.getvalue() == dumps_network(net)
