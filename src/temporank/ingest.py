@@ -15,16 +15,17 @@ file order (the format does not define intra-timestamp order) and id
 compaction follows ascending original id, so the same input always
 produces bit-identical snapshots.
 
-Events are held as columns (:class:`EventColumns`).  The parser drops
-the comment lines and reads the rest with numpy's text reader, as network
-files are read, then sorts the columns stably by timestamp and compacts
-ids with ``np.unique``.  Whenever it cannot vouch for its result (a
-character other than printable ASCII, tabs and newlines; a line without
-four fields; a token numpy does not read, such as a `_` not between two
-digits or an id beyond int64; a warning from the reader; a value that
-fails a check), the per-line parser reads the lines again, so both give
-the same events or the same line-numbered :class:`EventParseError`.
-A file is read once, as bytes, and takes the same route as a network file.
+Events are held as columns (:class:`EventColumns`).  The parser skips
+the comment lines that lead the stream, blanks any later one, and reads
+the rest with numpy's text reader, as network files are read, then sorts
+the columns stably by timestamp and compacts ids with ``np.unique``.
+Whenever it cannot vouch for its result (a character other than
+printable ASCII, tabs and newlines; a line without four fields; a token
+numpy does not read, such as a `_` not between two digits or an id
+beyond int64; a warning from the reader; a value that fails a check),
+the per-line parser reads the lines again, so both give the same events
+or the same line-numbered :class:`EventParseError`.  A file, or an open
+file, is read once and takes the same route as a network file.
 The replay sorts the events by edge and takes cumulative sums of each
 edge's deltas: under ``clamp`` an edge's count is the reflection
 x_k = S_k - min(0, min_{j<=k} S_j) of its running sum S (Lindley's
@@ -126,7 +127,9 @@ class ParsedEvents:
 def parse_events(source, strict: bool = True, t_max: float | None = None) -> ParsedEvents:
     """Parse `src dst delta timestamp` lines into events sorted by timestamp.
 
-    ``source`` is a path or any iterable of text lines (an open file works).  Blank
+    ``source`` is a path, an open file or any iterable of text lines.  An
+    object with ``read`` (an open file) is read once and parsed as the file
+    at a path is, its lines ending at \\n, \\r\\n and \\r.  Blank
     and ``%``-comment lines are skipped.  A malformed line always raises
     :class:`EventParseError` with its line number; a delta outside
     {+1, -1} raises in strict mode and is skipped with a warning
@@ -137,14 +140,14 @@ def parse_events(source, strict: bool = True, t_max: float | None = None) -> Par
     slow = partial(_parse_lines, strict=strict, t_max=t_max)
     if isinstance(source, (str, os.PathLike)):
         return _read(read_bytes(source, "event file"), fast, slow, EventParseError)
+    if hasattr(source, "read"):
+        return _read(source.read(), fast, slow, EventParseError)
     lines = list(source)
     text = _one_text(lines)
-    if text is None or not text.isascii() or "\r" in text:    # given lines end at \n only
+    if text is None or "\r" in text:          # given lines end at \n only
         return slow(lines)
     del lines                   # the text holds the same lines, in less memory
-    raw = text.encode("ascii")
-    del text                    # and the bytes hold the text
-    return _read(raw, fast, slow, EventParseError)
+    return _read(text, fast, slow, EventParseError)
 
 
 def _one_text(lines: list) -> str | None:
@@ -161,10 +164,17 @@ def _one_text(lines: list) -> str | None:
     return None
 
 
+#: blank and comment lines, as they lead a stream
+_LEADING_COMMENTS = re.compile(rb"(?:[ \t]*(?:%[^\n]*)?\n)*")
+_COMMENT_LINE = re.compile(rb"(?m)^[ \t]*%.*")
+
+
 def _parse_text(raw: bytes, strict: bool, t_max) -> ParsedEvents:
     """The array parser.  Raises :class:`_NotSure` wherever ``_parse_lines`` could differ."""
-    raw = re.sub(rb"(?m)^[ \t]*%.*", b"", raw)        # comment lines go blank
-    src, dst, delta, timestamp = _fields(raw, "i8,i8,i8,f8")
+    start = _LEADING_COMMENTS.match(raw).end()       # the rows start after these lines
+    if raw.find(b"%", start) >= 0:
+        raw, start = _COMMENT_LINE.sub(b"", raw), 0   # later comment lines go blank
+    src, dst, delta, timestamp = _fields(raw, "i8,i8,i8,f8", start)
     if (src < 1).any() or (dst < 1).any() \
             or not (np.isfinite(timestamp) & (timestamp >= 0)).all():
         raise _NotSure
@@ -173,9 +183,10 @@ def _parse_text(raw: bytes, strict: bool, t_max) -> ParsedEvents:
     if not keep.all():
         if strict:
             raise _NotSure
-        chars = np.frombuffer(raw, dtype=np.uint8)
+        chars = np.frombuffer(raw, dtype=np.uint8, offset=start)
         newlines, printed = np.flatnonzero(chars == ord("\n")), np.flatnonzero(chars > ord(" "))
         line = np.unique(np.searchsorted(newlines, printed))    # each row's 0-based line
+        line += raw.count(b"\n", 0, start)                     # in the whole stream
         warnings = tuple(f"line {number + 1}: delta {value} out of range, skipped"
                          for number, value in zip(line[~keep].tolist(), delta[~keep].tolist()))
     if t_max is not None:

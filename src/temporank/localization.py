@@ -61,20 +61,17 @@ def _apply_m(snapshot: StochasticSnapshot, u: np.ndarray | None, x: np.ndarray) 
 
 
 def resolvent_column(snapshot: StochasticSnapshot, damping: float, node: int,
-                     u: np.ndarray | None = None, tol: float = 1e-12,
-                     method: str = "auto") -> ResolventColumn:
+                     u: np.ndarray | None = None, tol: float = 1e-12) -> ResolventColumn:
     """Column ``node`` (0-based) of X = (1-damping)(Id - damping*M)^{-1}.
 
-    ``method`` is ``"direct"`` (dense solve), ``"neumann"`` (truncated
-    series of sparse products), or ``"auto"``.  The series is cut once both
-    the running term's 1-norm falls below tol*(1-damping) and the geometric
-    tail bound damping^{m+1} falls below tol, which caps the componentwise
-    truncation error at tol.
+    A dense solve up to DIRECT_SOLVE_MAX_N nodes, else the Neumann series of
+    :func:`_resolvent_columns`: its diagonal carries the bound of the rest
+    and lies in [exact, exact + tol], every other entry in [exact - tol, exact].
     """
     n = snapshot.n
     if not 0 <= node < n:
         raise InvalidInputError(f"node {node} outside 0..{n - 1}")
-    method = _solver_by_size(method, n, "neumann", "method")
+    method = _solver_by_size("auto", n, "neumann", "method")
     column = _resolvent_columns(snapshot, damping, [node], u, tol, method,
                                 "this instant")[:, 0]
     return ResolventColumn(node, column, damping, snapshot.instant)
@@ -85,8 +82,13 @@ def _resolvent_columns(snapshot: StochasticSnapshot, damping: float, nodes,
                        instant: str) -> np.ndarray:
     """Columns ``nodes`` of X as an (n, len(nodes)) array, by "direct" or "neumann" ``method``.
 
-    ``u`` is read only when the snapshot has dangling rows, and is
-    required then; ``instant`` names the instant in that error.
+    A Neumann column sums the terms damping^m M^m e_i >= 0 up to the first
+    term t with damping * max(t) <= tol, at most ceil(log tol / log damping)
+    terms.  M is row stochastic, so the rest adds 0 to damping * max(t) to
+    each entry; the diagonal gets that bound added, so the column minimum
+    and the diagonal enclose the exact pair within tol.  ``u`` is read only
+    when the snapshot has dangling rows, and is required then; ``instant``
+    names the instant in that error.
     """
     _check_damping(damping)
     n = snapshot.n
@@ -103,6 +105,8 @@ def _resolvent_columns(snapshot: StochasticSnapshot, damping: float, nodes,
         columns[list(nodes), range(len(nodes))] = 1.0
         system = np.eye(n) - damping * dense_transition(snapshot, u)
         return (1.0 - damping) * np.linalg.solve(system, columns)
+    if not tol > 0:
+        raise InvalidInputError(f"tolerance must be positive, got {tol}")
     for m, node in enumerate(nodes):
         columns[:, m] = _resolvent_column_neumann(snapshot, damping, node, u, tol)
     return columns
@@ -113,26 +117,22 @@ def _resolvent_column_neumann(snapshot: StochasticSnapshot, damping: float,
     term = np.zeros(snapshot.n)
     term[node] = 1.0
     total = term.copy()
-    tail = damping
-    while True:
+    while damping * term.max() > tol:
         term = damping * _apply_m(snapshot, u, term)
         total += term
-        if float(np.abs(term).sum()) <= tol * (1.0 - damping) and tail <= tol:
-            break
-        tail *= damping
-    return (1.0 - damping) * total
+    column = (1.0 - damping) * total
+    column[node] += damping * term.max()
+    return column
 
 
 def bounds_for_node(snapshot: StochasticSnapshot, damping: float, node: int,
-                    u: np.ndarray | None = None, tol: float = 1e-12,
-                    method: str = "auto") -> tuple[float, float]:
+                    u: np.ndarray | None = None, tol: float = 1e-12) -> tuple[float, float]:
     """(lo, hi) = (min of column ``node`` of X, its diagonal entry).
 
     The diagonal must also be the column maximum; a violation beyond
     tolerance means the solver broke and raises :class:`InternalError`.
     """
-    column = resolvent_column(snapshot, damping, node, u, tol, method).column
-    return _column_bounds(column, node)
+    return _column_bounds(resolvent_column(snapshot, damping, node, u, tol).column, node)
 
 
 def _column_bounds(column: np.ndarray, node: int) -> tuple[float, float]:
@@ -176,7 +176,6 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
                                      tol, method, f"instant {setup.k}")
         return [_column_bounds(columns[:, m], node) for m, node in enumerate(nodes)]
 
-    results = _run_instants(setups, lambda chunk: [bounds_at(setup) for setup in chunk],
-                            threads)
+    results = _run_instants(setups, lambda chunk: list(map(bounds_at, chunk)), threads)
     pairs = np.array(results, dtype=float).reshape(len(results), nodes.size, 2)
     return LocalizationBounds(instants, nodes, pairs[:, :, 0], pairs[:, :, 1])

@@ -61,17 +61,20 @@ def load_network(source):
 def loads_network(text: str):
     """Parse a network description from text as :func:`load_network` parses a file,
     whose lines end at \\n, \\r\\n and \\r only; a block at a time if it can."""
-    if text.isascii():
-        return _read(text.encode("ascii"), _parse_blocks, _parse, NetworkFormatError)
-    return _parse(_lines(text))
+    return _read(text, _parse_blocks, _parse, NetworkFormatError)
 
 
-def _read(raw: bytes, fast, slow, error: type):
+def _read(raw: bytes | str, fast, slow, error: type):
     """Parse a file's bytes with ``fast`` if it is sure of them, else its lines with ``slow``.
 
     Lines end at \\n, \\r\\n and \\r; bytes that are not UTF-8 raise ``error``,
-    which places the first bad byte in the bytes as given.
+    which places the first bad byte in the bytes as given.  A text that is
+    not ASCII goes to ``slow`` as it is.
     """
+    if isinstance(raw, str):
+        if not raw.isascii():
+            return slow(_lines(raw))
+        raw = raw.encode("ascii")
     if raw.isascii():
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         if not raw.translate(None, _PLAIN):
@@ -194,24 +197,27 @@ def _add_body(p: _Parser, pieces: list, body: bytes):
     p.line_number += body.count(b"\n")
 
 
-def _fields(body: bytes, dtype: str):
-    """The whitespace-separated fields of ``body`` as columns of the structured ``dtype``.
+def _fields(body: bytes, dtype: str, start: int = 0):
+    """The whitespace-separated fields of ``body[start:]`` as columns of structured ``dtype``.
 
-    ``body`` holds only tabs, newlines and printable ASCII.  numpy's text
-    reader skips blank lines and converts every other line, which must hold
-    one token per column.  Python reads a ``_`` between two digits as a
-    digit separator and numpy none, so those are deleted first.  Any other
-    ``_``, a failed conversion or a warning from the reader raises
-    :class:`_NotSure`.
+    ``body`` holds only tabs, newlines and printable ASCII, and ``start``
+    is the offset of a line; the bytes before it are neither read nor
+    copied.  numpy's text reader skips blank lines and converts every other
+    line, which must hold one token per column.  Python reads a ``_``
+    between two digits as a digit separator and numpy none, so those are
+    deleted first.  Any other ``_``, a failed conversion or a warning from
+    the reader raises :class:`_NotSure`.
     """
-    if b"_" in body:
-        if _LONE_UNDERSCORE.search(body):
+    if body.find(b"_", start) >= 0:
+        if _LONE_UNDERSCORE.search(body, start):
             raise _NotSure
-        body = body.replace(b"_", b"")
+        body, start = body[start:].replace(b"_", b""), 0
+    stream = io.BytesIO(body)
+    stream.seek(start)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return np.loadtxt(io.BytesIO(body), dtype=dtype, comments=None, ndmin=1,
+            return np.loadtxt(stream, dtype=dtype, comments=None, ndmin=1,
                               unpack=True, encoding="ascii")
         except (ValueError, Warning):
             raise _NotSure from None
@@ -402,17 +408,25 @@ def _pieces(network):
             ("initial", network.initial_adjacency)]
         blocks += [(f"instant {float(t_k)!r}", matrix)
                    for t_k, matrix in zip(network.instants, network.snapshots)]
+        labels = [str(i) for i in range(1, network.n + 1)]
         return itertools.chain([f"nodes {network.n}\n"], (
-            "\n".join([header, *_matrix_lines(matrix)]) + "\n" for header, matrix in blocks))
+            "\n".join([header, *_matrix_lines(matrix, labels)]) + "\n"
+            for header, matrix in blocks))
     raise NetworkFormatError(f"not a temporal network: {type(network).__name__}")
 
 
-def _matrix_lines(matrix):
-    """`i j w` lines of the nonzero entries, from a canonical copy of ``matrix``."""
+def _matrix_lines(matrix, labels: list):
+    """`i j w` lines of the nonzero entries, from a canonical copy of ``matrix``.
+
+    Node i is written as ``labels[i]``, and each distinct weight is
+    formatted once.
+    """
     if not matrix.has_canonical_format:
         matrix = matrix.copy()
         matrix.sum_duplicates()
-    rows = np.repeat(np.arange(1, matrix.shape[0] + 1), np.diff(matrix.indptr))
-    return [f"{i} {j + 1} {w!r}"
-            for i, j, w in zip(rows.tolist(), matrix.indices.tolist(), matrix.data.tolist())
-            if w != 0]
+    keep = matrix.data != 0
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))[keep]
+    values, index = np.unique(matrix.data[keep], return_inverse=True)
+    weights = [repr(w) for w in values.tolist()]
+    return [f"{labels[i]} {labels[j]} {weights[k]}"
+            for i, j, k in zip(rows.tolist(), matrix.indices[keep].tolist(), index.tolist())]

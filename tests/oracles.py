@@ -437,3 +437,22 @@ def not_utf8(raw: bytes, error: type):
             return error(f"not UTF-8 text: byte 0x{line[err.start]:02x} "
                          f"at column {err.start + 1}", line_number=number)
     return error("not UTF-8 text")
+
+
+def dumps_discrete_network(network):
+    """The text of a discrete network, formatting every entry's indices and weight anew."""
+    blocks = [] if network.initial_adjacency is None else [
+        ("initial", network.initial_adjacency)]
+    blocks += [(f"instant {float(t)!r}", matrix)
+               for t, matrix in zip(network.instants, network.snapshots)]
+    text = [f"nodes {network.n}\n"]
+    for header, matrix in blocks:
+        if not matrix.has_canonical_format:
+            matrix = matrix.copy()
+            matrix.sum_duplicates()
+        rows = np.repeat(np.arange(1, matrix.shape[0] + 1), np.diff(matrix.indptr))
+        lines = [f"{i} {j + 1} {w!r}"
+                 for i, j, w in zip(rows.tolist(), matrix.indices.tolist(), matrix.data.tolist())
+                 if w != 0]
+        text.append("\n".join([header, *lines]) + "\n")
+    return "".join(text)

@@ -1,9 +1,12 @@
-"""The traced benchmark's hooks still fit the package.
+"""The benchmark's hooks and output checks still fit the package.
 
 ``perfbench/tracing.py`` wraps package functions by name and reads their
 results from outside.  A refactor that renames a function or changes a
 result it reads would break traced runs without failing a package test,
 so these tests load the tracer by path and check it against the package.
+``perfbench/checks.py`` holds the benchmark's independent output checks;
+an output they refuse would fail benchmark passes, so the tests run them
+on the package's output as well.
 """
 
 import importlib
@@ -12,19 +15,31 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from temporank import (ConstantDamping, ExponentialDecay, bounds_trajectory, build_snapshots,
-                       parse_events)
+from temporank import (ConstantDamping, DiscreteTemporalNetwork, ExponentialDecay,
+                       bounds_trajectory, build_snapshots, parse_events, save_network)
+from temporank import cli
+from temporank.pagerank import DIRECT_SOLVE_MAX_N
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("tracing")
+
+
+@pytest.fixture(scope="module")
+def checks():
+    return load("checks")
 
 
 def counter_of(tracing, function: str):
@@ -54,3 +69,25 @@ def test_localization_counter_reads_a_real_result(tracing):
     counter_of(tracing, "bounds_trajectory")(tracer, bounds, (), {})
     assert tracer.counters == {"localization.columns": int(np.asarray(bounds.lo).size)}
     assert tracer.counters["localization.columns"] == 4
+
+
+def test_neumann_bounds_pass_the_benchmark_localize_check(checks, tmp_path):
+    # n above the direct limit takes the Neumann series, as event-study's localize does;
+    # the check wants lo and hi within 2 * tol of its own GMRES solve
+    rng = np.random.default_rng(5)
+    n, degree = DIRECT_SOLVE_MAX_N + 100, 3
+    rows = np.repeat(np.arange(n), degree)
+    snapshots = []
+    for _ in range(3):
+        weights = rng.integers(1, 4, size=rows.size).astype(float)
+        weights[rows < n // 20] = 0.0                   # dangling rows
+        snapshots.append(sparse.csr_array(
+            (weights, (rows, rng.integers(0, n, size=rows.size))), shape=(n, n)))
+    network = tmp_path / "net.txt"
+    save_network(DiscreteTemporalNetwork(n, [0.0, 1.0, 2.0], tuple(snapshots)), network)
+    bounds = tmp_path / "bounds.csv"
+    assert cli.main(["localize", "--network", str(network), "--nodes", "1,2,500",
+                     "--rate", "0.5", "--tol", "1e-10", "--threads", "1", "--no-header",
+                     "--output", str(bounds)]) == 0
+    _, blocks = checks.read_network(str(network))
+    assert checks.bounds(str(bounds), blocks, [1, 2, 500], 0.5, 0.85, 1e-10) == []

@@ -421,6 +421,30 @@ def _assert_same_replay(events, oracle_events, instants, n, initial=None, policy
     return clamped
 
 
+class TestOpenFileAsPath:
+    @settings(max_examples=200)
+    @given(lines=event_lines(), strict=st.booleans(),
+           header=st.sampled_from([[], ["% header"], ["% a", "", " %b"]]),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_open_file_parses_as_its_path(self, lines, strict, header, newline):
+        # events, warnings, or the error with its line number: the same either way
+        def parsed(source):
+            outcome = _outcome(lambda: parse_events(source, strict))
+            if outcome[0] == "ok":
+                result = outcome[1]
+                return "ok", (result.n, tuple(result.events), result.id_map, result.warnings)
+            return outcome
+
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "events.txt")
+            with open(path, "wb") as handle:
+                handle.write(newline.join(header + lines).encode("utf-8"))
+            want = parsed(path)
+            with open(path, encoding="utf-8") as text, open(path, "rb") as binary:
+                assert parsed(text) == want
+                assert parsed(binary) == want
+
+
 class TestArrayParser:
     """Ordinary streams never need the per-line parser."""
 
@@ -447,6 +471,40 @@ class TestArrayParser:
         assert parsed.warnings == ("line 3: delta 3 out of range, skipped",
                                    "line 4: delta 0 out of range, skipped")
         assert len(parsed.events) == 1
+
+    @pytest.mark.parametrize("header", [[], ["% header"], ["% a", "", "  % b\t", "\t"]])
+    def test_lenient_line_numbers_after_a_leading_header(self, no_fallback, monkeypatch,
+                                                         header):
+        class NoScan:
+            def sub(self, *args):
+                raise AssertionError("stream scanned for comment lines")
+
+        # comment lines that lead the stream are skipped, not blanked
+        monkeypatch.setattr(ingest, "_COMMENT_LINE", NoScan())
+        parsed = parse_events(header + ["1 2 +1 0", "1 2 +3 1", "", "2 1 -2 2"], strict=False)
+        first = len(header) + 2
+        assert parsed.warnings == (f"line {first}: delta 3 out of range, skipped",
+                                   f"line {first + 2}: delta -2 out of range, skipped")
+        assert len(parsed.events) == 1
+
+    def test_an_open_file_is_read_once_not_iterated(self, no_fallback):
+        class Reader:
+            def __init__(self, data):
+                self.data, self.reads = data, 0
+
+            def read(self):
+                self.reads += 1
+                return self.data
+
+            def __iter__(self):
+                raise AssertionError("iterated line by line")
+
+        for data in ("% h\n1 2 +1 0\r\n2 1 -1 5\n", b"% h\n1 2 +1 0\r\n2 1 -1 5\n"):
+            reader = Reader(data)
+            parsed = parse_events(reader)
+            assert reader.reads == 1
+            assert tuple(parsed.events) == (ingest.EdgeEvent(1, 2, 1, 0.0),
+                                            ingest.EdgeEvent(2, 1, -1, 5.0))
 
     def test_an_element_holding_two_lines_is_one_line(self):
         with pytest.raises(EventParseError, match="line 2: expected .* got 8 fields"):

@@ -1,6 +1,8 @@
 """Resolvent columns and localization bounds."""
 
+import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from temporank import (
     truncate,
 )
 from temporank import localization
-from temporank.localization import _apply_m
+from temporank.localization import _apply_m, _resolvent_columns
 
 TWO_NODE = np.array([[0.0, 1.0], [1.0, 1.0]])
 
@@ -38,10 +40,13 @@ def snapshot_of(A):
     return row_normalize(sparse.csr_array(np.asarray(A, dtype=float)))
 
 
+def column(snap, damping, node, u, method, tol=1e-12):
+    """Column ``node`` of X by the "direct" or "neumann" solver, whatever the size."""
+    return _resolvent_columns(snap, damping, [node], u, tol, method, "this instant")[:, 0]
+
+
 def full_x(snap, damping, u=None, method="direct"):
-    cols = [resolvent_column(snap, damping, i, u=u, method=method).column
-            for i in range(snap.n)]
-    return np.column_stack(cols)
+    return np.column_stack([column(snap, damping, i, u, method) for i in range(snap.n)])
 
 
 class TestApplyM:
@@ -91,8 +96,8 @@ class TestResolventColumn:
             snap = snapshot_of(A)
             lam = float(rng.uniform(0.05, 0.95))
             node = int(rng.integers(0, n))
-            direct = resolvent_column(snap, lam, node, u=u, method="direct").column
-            neumann = resolvent_column(snap, lam, node, u=u, method="neumann").column
+            direct = column(snap, lam, node, u, "direct")
+            neumann = column(snap, lam, node, u, "neumann")
             assert np.abs(direct - neumann).max() <= 1e-10
 
     def test_rows_sum_to_one_and_entries_are_probabilities(self, rng):
@@ -123,14 +128,44 @@ class TestResolventColumn:
         with pytest.raises(InvalidInputError, match="dangling"):
             resolvent_column(snap, 0.85, 0)
 
-    def test_node_and_method_checked(self):
+    def test_node_and_damping_checked(self):
         snap = snapshot_of(TWO_NODE)
         with pytest.raises(InvalidInputError):
             resolvent_column(snap, 0.85, 2)
         with pytest.raises(InvalidInputError):
-            resolvent_column(snap, 0.85, 0, method="qr")
-        with pytest.raises(InvalidInputError):
             resolvent_column(snap, 1.0, 0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_series_needs_a_positive_tolerance(self, tol):
+        # the Neumann series stops on tol; at tol <= 0 it would never stop
+        with pytest.raises(InvalidInputError, match="tolerance must be positive"):
+            column(snapshot_of(TWO_NODE), 0.85, 0, None, "neumann", tol=tol)
+
+
+class TestNeumannEnclosure:
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30), dangling=st.booleans(),
+           lam=st.floats(0.05, 0.95), tol=st.sampled_from([1e-6, 1e-10]))
+    def test_lo_and_hi_enclose_the_direct_bounds_within_tol(self, seed, n, dangling, lam, tol):
+        rng = np.random.default_rng(seed)
+        A = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 0.6))
+        if dangling:
+            A[rng.integers(0, n), :] = 0.0
+        snap = snapshot_of(A)
+        u = oracles.random_simplex_vector(rng, n) if snap.dangling.any() else None
+        node = int(rng.integers(0, n))
+        want_lo, want_hi = localization._column_bounds(
+            column(snap, lam, node, u, "direct"), node)
+        with mock.patch.object(localization, "_apply_m", wraps=_apply_m) as products:
+            lo, hi = localization._column_bounds(
+                column(snap, lam, node, u, "neumann", tol=tol), node)
+        # the truncated entries lie below the exact ones, the diagonal above
+        assert want_lo - tol <= lo <= want_lo + 1e-14
+        assert want_hi - 1e-14 <= hi <= want_hi + tol
+        # terms e_i, damping M e_i, ...: one more than the products.  Where
+        # log tol / log lam is an integer k, damping^k lands on tol and
+        # rounding may take one more term, hence the 1e-9.
+        terms = products.call_count + 1
+        assert terms <= math.ceil(math.log(tol) / math.log(lam) + 1e-9)
 
 
 class TestBoundsForNode:

@@ -502,3 +502,41 @@ class TestWriter:
         buffer = io.StringIO()
         save_network(net, buffer)
         assert buffer.getvalue() == dumps_network(net)
+
+
+@st.composite
+def stored_networks(draw):
+    """Discrete networks whose CSR snapshots store float or integer weights, repeated
+    values and explicit zeros, in canonical order or with duplicate, unsorted entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 12))
+    pool = draw(st.sampled_from([
+        [0.0, 1.0, 2.0, 3.0],
+        [0.0, 0.1, 1.0 / 3.0, 2.5, 1e300, 5e-324],
+        rng.uniform(0.0, 10.0, size=40)]))
+    integer = draw(st.booleans()) and pool[-1] == 3.0
+
+    def matrix():
+        size = int(rng.integers(0, 2 * n * n + 1))
+        rows, cols = rng.integers(0, n, size=size), rng.integers(0, n, size=size)
+        data = rng.choice(pool, size=size)
+        if integer:
+            data = data.astype(np.int64)
+        built = sparse.csr_array((data, (rows, cols)), shape=(n, n))
+        if draw(st.booleans()):       # stored as given: duplicates, unsorted, zeros kept
+            order = np.argsort(rows, kind="stable")
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+            built = sparse.csr_array((data[order], cols[order], indptr), shape=(n, n))
+        return built
+
+    count = draw(st.integers(1, 3))
+    initial = matrix() if draw(st.booleans()) else None
+    return DiscreteTemporalNetwork(n, np.arange(count, dtype=float) * 0.5,
+                                   tuple(matrix() for _ in range(count)),
+                                   initial_adjacency=initial)
+
+
+class TestTableWriter:
+    @given(stored_networks())
+    def test_text_matches_the_per_entry_writer(self, net):
+        assert dumps_network(net) == oracles.dumps_discrete_network(net)
