@@ -17,7 +17,9 @@ per instant, the reference path.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -81,7 +83,11 @@ def _check_kernel_at(kernel: DecayKernel, t: float) -> None:
             f"decay kernel must be positive at s == t (got {weight!r} at t={t})")
 
 
-def _check_finite(matrix: sparse.csr_array, t: float) -> None:
+def _check_finite(matrix, t: float) -> None:
+    if isinstance(matrix, np.ndarray):
+        if np.isfinite(matrix).all():
+            return
+        matrix = sparse.csr_array(matrix)
     bad = ~np.isfinite(matrix.data)
     if bad.any():
         row = int(np.searchsorted(matrix.indptr, np.flatnonzero(bad)[0], side="right"))
@@ -189,6 +195,10 @@ def truncate(net: ContinuousTemporalNetwork, count: int) -> DiscreteTemporalNetw
 
     Snapshot k is the pointwise adjacency at s_k = t0 + (k-1)(t1-t0)/(count-1).
     """
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise InvalidInputError(f"partition needs an integer count, got {count!r}") from None
     if count < 2:
         raise InvalidInputError(f"partition needs at least 2 points, got {count}")
     t0, t1 = net.interval
@@ -235,21 +245,26 @@ def iter_instants(net, kernel: DecayKernel, damping: DampingSchedule,
     instants) integrals over the grid's pieces from one quadrature call and
     the normalized B of every instant, all computed before the first
     instant.  A grid given with a discrete network, or one that is empty,
-    not 1-d or outside the network interval, fails at the call.
+    not 1-d or outside the network interval, fails at the call.  Direct
+    solves of a trajectory take dense chunks instead of these setups.
     """
     return _instants_and_setups(net, kernel, damping, personalization, dangling_dist,
-                                grid, quad)[1]
+                                grid, quad)[2]
 
 
-def _instants_and_setups(net, kernel, damping, personalization, dangling_dist, grid, quad):
-    """(instants, setups): a trajectory's instants in the caller's order and
-    :func:`iter_instants` over them.  A bad grid fails here, before any setup."""
+def _instants_and_setups(net, kernel, damping, personalization, dangling_dist, grid, quad,
+                         chunk: int | None = None):
+    """(instants, places, setups): the caller's instants, the place of each in time order
+    and :func:`iter_instants` over them, or with a ``chunk`` size dense chunks (P, dangling,
+    dampings, vs, us) of up to ``chunk`` instants, P their (K, n, n) stack.  A bad grid
+    fails here, before any setup."""
+    dense = chunk if isinstance(kernel, ExponentialDecay) else None
     if isinstance(net, DiscreteTemporalNetwork):
         if grid is not None:
             raise InvalidInputError("a discrete network uses its own instants; give no grid")
         times = np.asarray(net.instants, dtype=float)
         order = np.arange(len(times))
-        pairs = zip(_discrete_snapshots(net, kernel), net.snapshots)
+        pairs = _discrete_snapshots(net, kernel, dense)
     else:
         if grid is None:
             raise InvalidInputError("continuous networks need an evaluation grid")
@@ -261,19 +276,54 @@ def _instants_and_setups(net, kernel, damping, personalization, dangling_dist, g
             raise InvalidInputError(f"t={float(outside[0])} outside the network "
                                     f"interval [{net.t0}, {net.t1}]")
         order = np.argsort(times, kind="stable")
-        pairs = _continuous_snapshots(net, kernel, times[order], quad)
+        pairs = _continuous_snapshots(net, kernel, times[order], quad, dense)
+
+    def at(position, adjacency, dangling):
+        k = int(position) + 1
+        t = float(times[position])
+        v = None if personalization is None else \
+            personalization_at(personalization, adjacency, k, t)
+        u = None
+        if dangling_dist is not None and dangling.any():
+            u = personalization_at(dangling_dist, adjacency, k, t)
+        return k, t, damping_at(damping, k, len(times), t), v, u
 
     def setups():
         for position, (snapshot, adjacency) in zip(order, pairs):
-            k = int(position) + 1
-            t = float(times[position])
-            v = None if personalization is None else \
-                personalization_at(personalization, adjacency, k, t)
-            u = None
-            if dangling_dist is not None and snapshot.dangling.any():
-                u = personalization_at(dangling_dist, adjacency, k, t)
-            yield InstantSetup(k, t, snapshot, damping_at(damping, k, len(times), t), v, u)
-    return times, setups()
+            k, t, damping_k, v, u = at(position, adjacency, snapshot.dangling)
+            yield InstantSetup(k, t, snapshot, damping_k, v, u)
+
+    def chunks():
+        positions = iter(order)
+        for transitions, dangling, adjacencies in pairs if dense else _densified(pairs, chunk):
+            _, _, dampings, vs, us = zip(*map(at, islice(positions, len(adjacencies)),
+                                              adjacencies, dangling))
+            yield transitions, dangling, dampings, vs, us
+    return times, np.argsort(order), setups() if chunk is None else chunks()
+
+
+def _chunks(items, size: int) -> Iterator[list]:
+    """Lists of ``size`` consecutive ``items``, the last one possibly shorter."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, size)), [])
+
+
+def _densified(pairs, size: int):
+    """(P, dangling, adjacencies) of ``size`` consecutive (snapshot, A(t)) ``pairs`` at a time."""
+    for block in _chunks(pairs, size):
+        snapshots, adjacencies = zip(*block)
+        yield (np.array([snapshot.matrix.toarray() for snapshot in snapshots]),
+               np.array([snapshot.dangling for snapshot in snapshots]), adjacencies)
+
+
+def _normalize_dense(stack: np.ndarray):
+    """(P, dangling) of a (K, n, n) stack of B, normalized in place; row-major order is
+    a canonical CSR's, so the nonzeros get the bits of :func:`row_normalize`."""
+    kept = stack != 0
+    indptr = np.pad(np.cumsum(kept.sum(axis=2), axis=1), ((0, 0), (1, 0)))
+    starts = np.concatenate(([0], np.cumsum(indptr[:, -1]))).tolist()
+    stack[kept], dangling = _normalize_columns(stack[kept], indptr, starts)
+    return stack, dangling
 
 
 def _checked_rate(kernel: ExponentialDecay, span: float) -> float:
@@ -284,7 +334,9 @@ def _checked_rate(kernel: ExponentialDecay, span: float) -> float:
     return rate
 
 
-def _scale_rows(matrix: sparse.csr_array, factors: np.ndarray) -> sparse.csr_array:
+def _scale_rows(matrix, factors: np.ndarray):
+    if isinstance(matrix, np.ndarray):
+        return factors[:, None] * matrix
     scaled = matrix.copy()
     scaled.data = scaled.data * np.repeat(factors, np.diff(matrix.indptr))
     return scaled
@@ -305,45 +357,53 @@ def _merge_scales(old_log: np.ndarray, old_alive: np.ndarray,
             np.exp(np.minimum(new_log - log_scale, 0.0)))
 
 
-def _discrete_snapshots(net: DiscreteTemporalNetwork,
-                        kernel: DecayKernel) -> Iterator[StochasticSnapshot]:
-    """Snapshots at every instant: B_k = e^{-r(t_k - t_{k-1})} B_{k-1} + A_k.
-
-    B_k is stored as diag(e^{log_scale}) @ matrix.
-    """
+def _discrete_snapshots(net: DiscreteTemporalNetwork, kernel: DecayKernel,
+                        size: int | None = None):
+    """(snapshot, A_k) at every instant: B_k = e^{-r(t_k - t_{k-1})} B_{k-1} + A_k,
+    stored as diag(e^{log_scale}) @ matrix.  With a chunk ``size`` (exponential
+    kernel only), (P, dangling, A_k) of ``size`` instants at a time instead, the
+    matrix one n x n array: a zero where scipy's sum stores no entry, same bits."""
     if not isinstance(kernel, ExponentialDecay):
         for k in range(1, net.instant_count + 1):
-            yield row_normalize(accumulate_discrete(net, kernel, k))
+            yield row_normalize(accumulate_discrete(net, kernel, k)), net.snapshots[k - 1]
         return
-    instants = np.asarray(net.instants, dtype=float)
-    span = float(instants[-1] - instants[0]) if len(instants) else 0.0
-    rate = _checked_rate(kernel, span)
-    matrix = sparse.csr_array((net.n, net.n))
+    instants = net.instants.tolist()
+    rate = _checked_rate(kernel, instants[-1] - instants[0] if instants else 0.0)
+    matrix = sparse.csr_array((net.n, net.n)) if size is None else np.zeros((net.n, net.n))
     log_scale = np.zeros(net.n)
-    previous = float(instants[0]) if len(instants) else 0.0
-    for t, adjacency in zip(instants, net.snapshots):
-        t = float(t)
-        log_scale, old_factor, new_factor = _merge_scales(
-            log_scale - rate * (t - previous), matrix.sum(axis=1) != 0,
-            0.0, adjacency.sum(axis=1) != 0)
-        matrix = _scale_rows(matrix, old_factor) + _scale_rows(adjacency, new_factor)
+    previous = instants[0] if instants else 0.0
+    block = []
+    for k, (t, adjacency) in enumerate(zip(instants, net.snapshots), start=1):
+        added = adjacency if size is None else adjacency.toarray()
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite B fails below
+            log_scale, old_factor, new_factor = _merge_scales(
+                log_scale - rate * (t - previous), matrix.sum(axis=1) != 0,
+                0.0, added.sum(axis=1) != 0)
+            matrix = _scale_rows(matrix, old_factor) + _scale_rows(added, new_factor)
         _check_finite(matrix, t)
         previous = t
-        yield replace(row_normalize(matrix), instant=t)
+        if size is None:
+            yield replace(row_normalize(matrix), instant=t), adjacency
+            continue
+        block.append((matrix, adjacency))
+        if len(block) == size or k == len(instants):
+            matrices, adjacencies = zip(*block)
+            yield (*_normalize_dense(np.array(matrices)), adjacencies)
+            block = []
 
 
 def _continuous_snapshots(net: ContinuousTemporalNetwork, kernel: DecayKernel,
-                          times: np.ndarray, quad: QuadratureConfig):
+                          times: np.ndarray, quad: QuadratureConfig, size: int | None = None):
     """(snapshot, A(t)) at ascending in-interval ``times``; at t == t0, B is A(t0).
 
     The grid is sampled in one call after the first snapshot's quadrature,
     so that its clean errors come first.  On the exponential path B is
     accumulated at every instant before the first is yielded; the instants
-    are then row-normalized a block at a time, each block in one pass,
-    and each snapshot and each A(t) is one CSR constructor over its
-    instant's slice of the result.  Blocks are cut at _BLOCK_ENTRIES, so
-    beyond the (edges x instants) values of B and A the memory of a pass
-    does not grow with the grid.
+    are then row-normalized a block at a time, each block in one pass, and
+    each snapshot and A(t) is one CSR constructor over its slice.  Blocks are
+    cut at _BLOCK_ENTRIES index entries, or with a chunk ``size`` hold ``size``
+    instants as (P, dangling, A(t)), P one dense stack; beyond the (edges x
+    instants) values of B and A the memory of a pass does not grow with the grid.
     """
     if isinstance(kernel, ExponentialDecay):
         accumulated = np.empty((len(net.edges), len(times)))
@@ -353,15 +413,21 @@ def _continuous_snapshots(net: ContinuousTemporalNetwork, kernel: DecayKernel,
         samples = net.values_at(times)
         at_t0 = times == net.t0
         accumulated[:, at_t0] = samples[:, at_t0]
-        width = max(1, _BLOCK_ENTRIES // (len(net.edges) + net.n + 1))
+        width = size or max(1, _BLOCK_ENTRIES // (len(net.edges) + net.n + 1))
         for start in range(0, len(times), width):
             block = slice(start, start + width)
+            adjacencies = net.edge_csrs(samples[:, block])
+            if size:
+                stack = np.zeros((len(times[block]), net.n, net.n))
+                stack[:, net.edge_order.rows, net.edge_order.cols] = accumulated[:, block].T
+                yield (*_normalize_dense(stack), tuple(adjacencies))
+                continue
             data, indices, indptr, starts = net.nonzero_columns(accumulated[:, block])
             normalized, dangling = _normalize_columns(data, indptr, starts)
             snapshots = map(StochasticSnapshot,
                             _column_csrs(net.n, normalized, indices, indptr, starts),
                             dangling, times[block].tolist())
-            yield from zip(snapshots, net.edge_csrs(samples[:, block]))
+            yield from zip(snapshots, adjacencies)
         return
     adjacencies = None
     for t in times.tolist():

@@ -47,9 +47,13 @@ def _column_csrs(n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarr
 
 
 def _as_csr(matrix) -> sparse.csr_array:
-    if sparse.issparse(matrix):
-        return sparse.csr_array(matrix)
-    return sparse.csr_array(np.asarray(matrix, dtype=float))
+    """``matrix`` as canonical CSR: column indices sorted in each row, duplicates summed."""
+    matrix = sparse.csr_array(matrix if sparse.issparse(matrix)
+                              else np.asarray(matrix, dtype=float))
+    if not matrix.has_canonical_format:
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
+    return matrix
 
 
 @dataclass(frozen=True)

@@ -159,8 +159,8 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
     ``dangling_dist`` (trajectories default theirs to the personalization
     schedule, so pass the same one here to bound them).
     """
-    instants, setups = _instants_and_setups(net, kernel, damping, None, dangling_dist,
-                                            grid, quad)
+    instants, places, setups = _instants_and_setups(net, kernel, damping, None,
+                                                    dangling_dist, grid, quad)
     method = _solver_by_size("auto", net.n, "neumann", "method")
     if nodes is None:
         if method == "neumann":
@@ -177,5 +177,5 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
         return [_column_bounds(columns[:, m], node) for m, node in enumerate(nodes)]
 
     results = _run_instants(setups, lambda chunk: list(map(bounds_at, chunk)), threads)
-    pairs = np.array(results, dtype=float).reshape(len(results), nodes.size, 2)
+    pairs = np.array(results, dtype=float).reshape(len(results), nodes.size, 2)[places]
     return LocalizationBounds(instants, nodes, pairs[:, :, 0], pairs[:, :, 1])

@@ -51,11 +51,15 @@ __all__ = ["load_network", "loads_network", "save_network", "dumps_network"]
 
 
 def load_network(source):
-    """Parse a network description from a path or an iterable of lines."""
+    """Parse a network description from a path, an open file (text or binary,
+    read once and parsed as the file at a path is) or an iterable of lines."""
     if isinstance(source, (str, os.PathLike)):
-        return _read(read_bytes(source, "network source"), _parse_blocks, _parse,
-                     NetworkFormatError)
-    return _parse(source)
+        source = read_bytes(source, "network source")
+    elif hasattr(source, "read"):
+        source = source.read()
+    else:
+        return _parse(source)
+    return _read(source, _parse_blocks, _parse, NetworkFormatError)
 
 
 def loads_network(text: str):
@@ -416,14 +420,11 @@ def _pieces(network):
 
 
 def _matrix_lines(matrix, labels: list):
-    """`i j w` lines of the nonzero entries, from a canonical copy of ``matrix``.
+    """`i j w` lines of the nonzero entries of the canonical CSR ``matrix``.
 
     Node i is written as ``labels[i]``, and each distinct weight is
     formatted once.
     """
-    if not matrix.has_canonical_format:
-        matrix = matrix.copy()
-        matrix.sum_duplicates()
     keep = matrix.data != 0
     rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))[keep]
     values, index = np.unique(matrix.data[keep], return_inverse=True)

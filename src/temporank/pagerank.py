@@ -1,10 +1,10 @@
 """Google operator, PageRank solvers, and per-instant trajectories.
 
 The operator G = damping * (P + d u^T) + (1 - damping) e v^T is never
-materialized: solvers apply its transpose through the sparse P plus two
-rank-one corrections.  Direct dense solves handle small problems, a
-chunk of instants at a time in one stacked LAPACK call; power iteration
-handles the rest.
+materialized: power iteration applies its transpose through the sparse P
+plus two rank-one corrections, one CSR snapshot per instant.  Direct dense
+solves handle small problems, a chunk of instants at a time in one stacked
+LAPACK call, taking P as the dense (K, n, n) stack accumulation hands over.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import islice
 
 import numpy as np
 
-from .accumulate import InstantSetup, StochasticSnapshot, _instants_and_setups
+from .accumulate import InstantSetup, StochasticSnapshot, _chunks, _instants_and_setups
 from .errors import ConvergenceError, InternalError, InvalidInputError
 from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
 from .quadrature import QuadratureConfig
@@ -142,24 +141,23 @@ def pagerank_direct(snapshot: StochasticSnapshot, damping: float, v: np.ndarray,
     unit 1-norm to absorb rounding.  This is the one-instant call of the
     solver trajectories use for a chunk of instants.
     """
-    return _direct_chunk([InstantSetup(1, snapshot.instant, snapshot, damping, v, u)])[0][0]
+    return _direct_chunk(snapshot.matrix.toarray()[None], np.asarray(snapshot.dangling)[None],
+                         [damping], [v], [u])[0][0]
 
 
-def _direct_chunk(setups: list[InstantSetup]) -> list[tuple[np.ndarray, int, float]]:
+def _direct_chunk(transitions, dangling, dampings, vs, us) -> list[tuple[np.ndarray, int, float]]:
     """(pi, 0, 0.0) of K instants of one n, by one stacked ``np.linalg.solve``.
 
-    Runs the checks of :class:`GoogleOperator` on every instant, the
-    sampled row sums read from the dense M, and checks that every result
-    lies on the simplex.  LAPACK factorizes each system of the stack on
-    its own, so every vector has the bits of a one-instant solve.
+    Adds u to the dangling rows of the (K, n, n) stack P in place, making
+    M, and runs the checks of :class:`GoogleOperator` on every instant,
+    the sampled row sums read from M, and checks that every result lies
+    on the simplex.  LAPACK factorizes each system of the stack on its
+    own, so every vector has the bits of a one-instant solve.
     """
-    snapshots, dampings, vs, us = zip(*((setup.snapshot, setup.damping, setup.v, setup.u)
-                                        for setup in setups))
-    n = snapshots[0].n
+    n = dangling.shape[1]
     dampings, v, u = _checked_inputs(n, dampings, vs, us)
-    transitions = np.stack([dense_transition(snapshot, u_k)
-                            for snapshot, u_k in zip(snapshots, u)])
-    dangling = np.array([snapshot.dangling for snapshot in snapshots])
+    instants, rows = np.nonzero(dangling == 1)
+    transitions[instants, rows] += u[instants]
     sample = _sampled_rows(n)
     flags = dangling[:, sample]
     _check_row_sums(np.where(flags == 1, 0.0, transitions[:, sample].sum(axis=2)), flags,
@@ -178,8 +176,9 @@ def _direct_chunk(setups: list[InstantSetup]) -> list[tuple[np.ndarray, int, flo
 def dense_transition(snapshot: StochasticSnapshot, u: np.ndarray | None) -> np.ndarray:
     """M = P + d u^T as a dense array; with ``u`` None the dangling rows stay zero.
 
-    The direct PageRank solve and the direct resolvent solve both use it,
-    so the localization bounds come from the matrix the ranks come from.
+    The direct resolvent solve uses it; the direct PageRank solve adds u
+    to the same rows of its dense stack, so the localization bounds come
+    from the matrix the ranks come from.
     """
     m = snapshot.matrix.toarray()
     if u is not None:
@@ -242,19 +241,6 @@ def _solver_by_size(name: str, n: int, iterative: str, what: str) -> str:
     return name
 
 
-def _chunk_solver(solver: str, n: int, tol: float, max_iter: int):
-    """(solve, size): ``solve`` maps a chunk of up to ``size`` consecutive setups
-    to their (pi, iterations, residual), in order.
-
-    The direct solver stacks max(1, _CHUNK_ENTRIES // n**2) instants, at
-    most 8 MB of dense systems, into one LAPACK call; power iteration
-    solves one instant per chunk, so its instants spread over threads.
-    """
-    if _solver_by_size(solver, n, "power", "solver") == "direct":
-        return _direct_chunk, max(1, _CHUNK_ENTRIES // n ** 2)
-    return partial(_power_chunk, tol=tol, max_iter=max_iter), 1
-
-
 def _power_chunk(setups: list[InstantSetup], tol: float,
                  max_iter: int) -> list[tuple[np.ndarray, int, float]]:
     results = [pagerank_power(GoogleOperator(setup.snapshot, setup.damping, setup.v, setup.u),
@@ -264,37 +250,39 @@ def _power_chunk(setups: list[InstantSetup], tol: float,
 
 
 def _run_instants(setups, solve, threads: int, size: int = 1) -> list:
-    """``solve`` the streamed instant setups, a chunk of ``size`` consecutive ones at a time.
+    """``solve`` the streamed setups, a chunk of ``size`` consecutive ones at a time.
 
-    ``solve`` maps a list of setups to a list of results.  The setups
-    arrive one at a time from :func:`iter_instants`, and the next chunk is
-    only drawn once a solve slot is free, so no more than ``threads``
-    chunks are in flight.  Chunks do not depend on ``threads`` and each
-    solve is deterministic, so results are identical at any thread count;
-    they come back in instant order.
+    ``solve`` maps a list of setups to a list of results, one per
+    instant.  The setups arrive one at a time, and the next chunk is only
+    drawn once a solve slot is free, so no more than ``threads`` chunks
+    are in flight.  Chunks do not depend on ``threads`` and each solve is
+    deterministic, so results are identical at any thread count; they
+    come back in the order of the setups, one per instant.
     """
-    setups = iter(setups)
-    chunks = iter(lambda: list(islice(setups, size)), [])
-    results = {}
+    results = []
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         pending = deque()
-        for chunk in chunks:
-            pending.append(([setup.k for setup in chunk], pool.submit(solve, chunk)))
+        for chunk in _chunks(setups, size):
+            pending.append(pool.submit(solve, chunk))
             if len(pending) >= threads:
-                ks, future = pending.popleft()
-                results.update(zip(ks, future.result()))
-        for ks, future in pending:
-            results.update(zip(ks, future.result()))
-    return [results[k] for k in sorted(results)]
+                results.extend(pending.popleft().result())
+        for future in pending:
+            results.extend(future.result())
+    return results
 
 
 def _trajectory(net, kernel, damping, personalization, dangling_dist, grid, quad, solver,
                 tol, max_iter, threads) -> PageRankTrajectory:
-    """The rank trajectory on either scale, the network's type naming the scale."""
-    instants, setups = _instants_and_setups(net, kernel, damping, personalization,
-                                            dangling_dist, grid, quad)
-    solve, size = _chunk_solver(solver, net.n, tol, max_iter)
-    vectors, iterations, residuals = zip(*_run_instants(setups, solve, threads, size))
+    """The rank trajectory on either scale, the network's type naming the scale; a direct
+    chunk holds max(1, _CHUNK_ENTRIES // n**2) instants, at most 8 MB of systems."""
+    if _solver_by_size(solver, net.n, "power", "solver") == "direct":
+        size, solve = max(1, _CHUNK_ENTRIES // net.n ** 2), lambda chunk: _direct_chunk(*chunk[0])
+    else:
+        size, solve = None, partial(_power_chunk, tol=tol, max_iter=max_iter)
+    instants, places, setups = _instants_and_setups(net, kernel, damping, personalization,
+                                                    dangling_dist, grid, quad, size)
+    results = _run_instants(setups, solve, threads)
+    vectors, iterations, residuals = zip(*(results[place] for place in places))
     continuous = isinstance(net, ContinuousTemporalNetwork)
     return PageRankTrajectory(instants, np.array(vectors), {
         "scale": "continuous" if continuous else "discrete", "kernel": repr(kernel),

@@ -27,7 +27,9 @@ from temporank import (
     cli,
     row_normalize,
     save_network,
+    UniformPersonalization,
     synthetic_five_node,
+    trajectory_discrete,
     truncate,
 )
 from temporank import accumulate
@@ -217,6 +219,16 @@ class TestTruncate:
         with pytest.raises(InvalidInputError):
             truncate(synthetic_five_node(), 1)
 
+    @pytest.mark.parametrize("count", [3.5, 3.0, "3", None])
+    def test_non_integer_count_rejected(self, count):
+        # 3.5 points used to give 4 instants, the last one past the interval
+        with pytest.raises(InvalidInputError, match="integer count"):
+            truncate(synthetic_five_node(), count)
+
+    @pytest.mark.parametrize("count", [np.int64(3), np.int32(3), 3])
+    def test_integer_types_accepted(self, count):
+        assert np.array_equal(truncate(synthetic_five_node(), count).instants, [0.0, 0.5, 1.0])
+
     def test_node_count_carried_over(self):
         assert truncate(synthetic_five_node(), 3).n == 5
 
@@ -241,6 +253,16 @@ class TestOverflowIsAnError:
         kernel = CustomDecay(lambda s, t: math.inf if s < t else 1.0)
         with pytest.raises(TemporankError, match="not finite"):
             accumulate_discrete(two_snapshot_network(), kernel, 2)
+
+    @pytest.mark.parametrize("solver", ["direct", "power"])
+    def test_overflowing_sum_is_the_same_clean_error_on_either_route(self, solver):
+        # 1e308 + 1e308: the dense route must report it as the sparse one does,
+        # with no floating-point warning on the way
+        A = np.array([[0.0, 1e308], [1.0, 0.0]])
+        net = DiscreteTemporalNetwork(2, np.array([0.0, 1.0]), (A, A))
+        with pytest.raises(InvalidInputError, match=r"^accumulated row 1 is not finite at t=1.0;"):
+            trajectory_discrete(net, ExponentialDecay(0.0), ConstantDamping(0.85),
+                                UniformPersonalization(), solver=solver)
 
     @pytest.mark.parametrize("rate", [-1.0, 1.0, 5.0])
     def test_streamed_trajectory_is_finite_at_either_sign(self, rate):

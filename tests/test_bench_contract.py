@@ -91,3 +91,14 @@ def test_neumann_bounds_pass_the_benchmark_localize_check(checks, tmp_path):
                      "--output", str(bounds)]) == 0
     _, blocks = checks.read_network(str(network))
     assert checks.bounds(str(bounds), blocks, [1, 2, 500], 0.5, 0.85, 1e-10) == []
+
+
+def test_continuous_outputs_pass_the_benchmark_checks(checks, tmp_path):
+    # continuous-study's commands at a small size: the discretization study
+    # and a trajectory whose sampled instants the check solves on its own
+    converge, scores = tmp_path / "converge.csv", tmp_path / "scores.csv"
+    common = ["--preset", "paper-synthetic", "--threads", "1", "--no-header"]
+    assert cli.main(["converge", *common, "--sizes", "5,9", "--output", str(converge)]) == 0
+    assert cli.main(["compute", *common, "--grid-count", "21", "--output", str(scores)]) == 0
+    assert checks.convergence(str(converge), [5, 9]) == []
+    assert checks.synthetic_trajectory(str(scores), 21, 1.0, 0.85, [0, 7, 20]) == []

@@ -37,6 +37,18 @@ class TestDiscrete:
         net = two_instant_network()
         assert all(sparse.issparse(a) for a in net.snapshots)
 
+    def test_snapshots_stored_canonical(self):
+        # entries of a row out of column order and a pair given twice
+        given = sparse.csr_array((np.array([2.0, 1.0, -0.5, 3.0]), np.array([1, 0, 1, 0]),
+                                  np.array([0, 3, 4])), shape=(2, 2))
+        net = DiscreteTemporalNetwork(2, [0.0], (given,), initial_adjacency=given)
+        for stored in (net.snapshot_at(1), net.initial_adjacency):
+            assert stored.has_canonical_format
+            assert stored.indices.tolist() == [0, 1, 0]
+            assert stored.data.tolist() == [1.0, 1.5, 3.0]
+        assert given.nnz == 4 and not given.has_canonical_format
+        assert validate(net) == []          # the summed weight, not -0.5, is checked
+
     def test_snapshot_at_is_one_based(self):
         net = two_instant_network()
         assert net.snapshot_at(1)[0, 1] == 1.0

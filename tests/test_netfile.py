@@ -85,6 +85,54 @@ class TestLoad:
         assert load_network(str(path)).n == 2
 
 
+def by_path_and_handles(path):
+    """outcome of load_network by path, by a text handle and by a binary handle."""
+    with open(path, encoding="utf-8") as text, open(path, "rb") as binary:
+        return [outcome(load_network, source) for source in (path, text, binary)]
+
+
+class TestOpenFiles:
+    """An open file, text or binary, is read once and parsed as its path is."""
+
+    @pytest.mark.parametrize("raw", [
+        DISCRETE.encode(), CONTINUOUS.encode(), DISCRETE.replace("\n", "\r\n").encode(),
+        "# caf\u00e9\nnodes 2\ninstant 0\n1 2 1\n".encode("utf-8"),
+    ])
+    def test_handles_load_as_the_path(self, raw, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_bytes(raw)
+        results = by_path_and_handles(path)
+        assert results[0][0] == "ok"
+        assert results == [results[0]] * 3
+
+    @pytest.mark.parametrize("raw, line", [
+        (b"nodes 2\ninstant 0\n1 2 1\n1 2 x\n", 4),
+        (b"nodes 2\ninstant 0\n1 2 1\n1 2 1\n", 4),
+        (b"# caf\xc3\xa9\nnodes 2\ninstant 0\n3 1 1\n", 4),
+    ])
+    def test_a_malformed_file_fails_on_the_same_line(self, raw, line, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_bytes(raw)
+        results = by_path_and_handles(path)
+        assert results[0][0] == "NetworkFormatError" and results[0][2] == line
+        assert results == [results[0]] * 3
+
+    def test_non_utf8_bytes_by_handle_as_by_path(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_bytes(b"nodes 2\ninstant 0\n1 2 \xc3\n")
+        with open(path, "rb") as binary:
+            assert outcome(load_network, binary) == outcome(load_network, path) == (
+                "NetworkFormatError", "line 3: not UTF-8 text: byte 0xc3 at column 5", 3)
+
+    def test_a_handle_takes_the_block_parser(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text(DISCRETE)
+        with mock.patch.object(netfile, "_parse", side_effect=AssertionError("fell back")), \
+                open(path) as text, open(path, "rb") as binary:
+            assert outcome(load_network, text) == outcome(load_network, binary) \
+                == outcome(loads_network, DISCRETE)
+
+
 class TestErrors:
     @pytest.mark.parametrize("text,fragment", [
         ("interval 0 1\nedge 1 2 t\n", "before `nodes`"),
@@ -178,7 +226,8 @@ class TestRoundTrip:
         assert text == "nodes 2\ninitial\n1 1 0.5\n1 2 3.0\ninstant 0.0\n1 1 0.5\n1 2 3.0\n"
         again = loads_network(text)
         assert np.array_equal(again.snapshot_at(1).toarray(), snap.toarray())
-        assert net.snapshot_at(1).nnz == 3      # the network itself is untouched
+        assert snap.nnz == 3                    # the caller's matrix is untouched
+        assert net.snapshot_at(1).nnz == 2      # the network holds the sum
 
     def test_save_to_file_object(self):
         buffer = io.StringIO()

@@ -378,7 +378,12 @@ class TestTrajectoryContinuous:
 
 @st.composite
 def discrete_problems(draw):
-    """Random discrete networks with explicit zeros, dense and dangling rows, n up to 12."""
+    """Random discrete networks with explicit zeros, dense and dangling rows, n up to 12.
+
+    Some snapshots are CSR matrices as a library caller may build them,
+    with the entries of a row out of column order and some weights split
+    over two entries of the same pair.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 12))
     count = draw(st.integers(1, 5))
@@ -390,7 +395,19 @@ def discrete_problems(draw):
         mask[rng.integers(0, n)] = False         # a zero row
         values = np.where(rng.random((n, n)) < 0.2, 0.0, rng.uniform(1e-3, 10.0, (n, n)))
         rows, cols = np.nonzero(mask)
-        snapshots.append(sparse.csr_array((values[rows, cols], (rows, cols)), shape=(n, n)))
+        data = values[rows, cols]
+        if draw(st.booleans()):
+            split = np.flatnonzero(rng.random(rows.size) < 0.3)
+            share = data[split] * rng.uniform(0.0, 1.0, split.size)
+            data[split] -= share
+            rows, cols = np.append(rows, rows[split]), np.append(cols, cols[split])
+            data = np.append(data, share)
+            shuffled = np.lexsort((rng.random(rows.size), rows))   # rows in order, columns not
+            indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=n)))
+            matrix = sparse.csr_array((data[shuffled], cols[shuffled], indptr), shape=(n, n))
+        else:
+            matrix = sparse.csr_array((data, (rows, cols)), shape=(n, n))
+        snapshots.append(matrix)
     instants = np.cumsum(rng.uniform(0.1, 1.0, count))
     return DiscreteTemporalNetwork(n, instants, snapshots), None
 
@@ -466,13 +483,15 @@ class TestStackedDirectPath:
                                                ("power", [1] * 11)])
     def test_only_direct_solves_stack_instants(self, solver, sizes, monkeypatch):
         # power iteration solves one instant per chunk, so its instants
-        # spread over the threads
+        # spread over the threads; a direct chunk is one dense record of
+        # many instants, so each solve call is counted by its results
         chunks = []
 
         def recording(setups, solve, threads, size=1):
             def counted(chunk):
-                chunks.append(len(chunk))
-                return solve(chunk)
+                results = solve(chunk)
+                chunks.append(len(results))
+                return results
             return run_instants(setups, counted, threads, size)
 
         run_instants = pagerank._run_instants
@@ -481,6 +500,41 @@ class TestStackedDirectPath:
                               ConstantDamping(0.85), UniformPersonalization(),
                               np.linspace(0.0, 1.0, 11), solver=solver, threads=2)
         assert chunks == sizes
+
+    @pytest.mark.parametrize("scale", ["discrete", "continuous"])
+    def test_direct_route_builds_no_snapshot(self, scale, monkeypatch):
+        # with the exponential kernel B stays dense from accumulation to the
+        # solve; power iteration still takes one CSR snapshot per instant
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(StochasticSnapshot, "__init__",
+                            counting("snapshot", StochasticSnapshot.__init__))
+        monkeypatch.setattr(accumulate, "row_normalize",
+                            counting("row_normalize", accumulate.row_normalize))
+        monkeypatch.setattr(pagerank, "dense_transition",
+                            counting("dense_transition", pagerank.dense_transition))
+        net, grid = synthetic_five_node(), np.linspace(0.0, 1.0, 11)
+        if scale == "discrete":
+            net, grid = truncate(net, 11), None
+
+        def run(solver):
+            kwargs = dict(solver=solver, personalization=InputPersonalization(),
+                          kernel=ExponentialDecay(1.0), damping=ConstantDamping(0.85))
+            if grid is None:
+                return trajectory_discrete(net, **kwargs).vectors
+            return trajectory_continuous(net, grid=grid, **kwargs).vectors
+
+        direct = run("direct")
+        assert calls == {}
+        power = run("power")
+        assert calls["snapshot"] >= 11 and calls["dense_transition"] == 0
+        assert np.abs(direct - power).max() <= 1e-10
 
     def test_one_solve_and_no_per_instant_matrix_build(self, tmp_path, monkeypatch):
         calls = Counter()
