@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import cache, partial
 from itertools import islice
 from typing import Iterator
 
@@ -246,7 +247,7 @@ def iter_instants(net, kernel: DecayKernel, damping: DampingSchedule,
     the normalized B of every instant, all computed before the first
     instant.  A grid given with a discrete network, or one that is empty,
     not 1-d or outside the network interval, fails at the call.  Direct
-    solves of a trajectory take dense chunks instead of these setups.
+    solves, of ranks and bounds alike, take dense chunks instead of these.
     """
     return _instants_and_setups(net, kernel, damping, personalization, dangling_dist,
                                 grid, quad)[2]
@@ -255,9 +256,9 @@ def iter_instants(net, kernel: DecayKernel, damping: DampingSchedule,
 def _instants_and_setups(net, kernel, damping, personalization, dangling_dist, grid, quad,
                          chunk: int | None = None):
     """(instants, places, setups): the caller's instants, the place of each in time order
-    and :func:`iter_instants` over them, or with a ``chunk`` size dense chunks (P, dangling,
-    dampings, vs, us) of up to ``chunk`` instants, P their (K, n, n) stack.  A bad grid
-    fails here, before any setup."""
+    and :func:`iter_instants` over them, or with a ``chunk`` size dense chunks (ks, P,
+    dangling, dampings, vs, us) of up to ``chunk`` instants, ks their 1-based k and P their
+    (K, n, n) stack.  A bad grid fails here, before any setup."""
     dense = chunk if isinstance(kernel, ExponentialDecay) else None
     if isinstance(net, DiscreteTemporalNetwork):
         if grid is not None:
@@ -278,27 +279,29 @@ def _instants_and_setups(net, kernel, damping, personalization, dangling_dist, g
         order = np.argsort(times, kind="stable")
         pairs = _continuous_snapshots(net, kernel, times[order], quad, dense)
 
-    def at(position, adjacency, dangling):
+    def at(position, adjacency, dangling):   # adjacency() is A(t), built if a schedule reads it
         k = int(position) + 1
         t = float(times[position])
         v = None if personalization is None else \
-            personalization_at(personalization, adjacency, k, t)
+            personalization_at(personalization, adjacency(), k, t)
         u = None
         if dangling_dist is not None and dangling.any():
-            u = personalization_at(dangling_dist, adjacency, k, t)
+            u = personalization_at(dangling_dist, adjacency(), k, t)
         return k, t, damping_at(damping, k, len(times), t), v, u
 
     def setups():
         for position, (snapshot, adjacency) in zip(order, pairs):
-            k, t, damping_k, v, u = at(position, adjacency, snapshot.dangling)
+            k, t, damping_k, v, u = at(position, lambda: adjacency, snapshot.dangling)
             yield InstantSetup(k, t, snapshot, damping_k, v, u)
 
     def chunks():
         positions = iter(order)
         for transitions, dangling, adjacencies in pairs if dense else _densified(pairs, chunk):
-            _, _, dampings, vs, us = zip(*map(at, islice(positions, len(adjacencies)),
-                                              adjacencies, dangling))
-            yield transitions, dangling, dampings, vs, us
+            built = cache(lambda: tuple(adjacencies()))
+            instants = enumerate(zip(islice(positions, len(dangling)), dangling))
+            ks, _, dampings, vs, us = zip(*(at(position, lambda i=i: built()[i], flags)
+                                            for i, (position, flags) in instants))
+            yield ks, transitions, dangling, dampings, vs, us
     return times, np.argsort(order), setups() if chunk is None else chunks()
 
 
@@ -309,11 +312,11 @@ def _chunks(items, size: int) -> Iterator[list]:
 
 
 def _densified(pairs, size: int):
-    """(P, dangling, adjacencies) of ``size`` consecutive (snapshot, A(t)) ``pairs`` at a time."""
+    """(P, dangling, adjacencies) of ``size`` (snapshot, A(t)) ``pairs`` at a time, see below."""
     for block in _chunks(pairs, size):
         snapshots, adjacencies = zip(*block)
         yield (np.array([snapshot.matrix.toarray() for snapshot in snapshots]),
-               np.array([snapshot.dangling for snapshot in snapshots]), adjacencies)
+               np.array([snapshot.dangling for snapshot in snapshots]), partial(tuple, adjacencies))
 
 
 def _normalize_dense(stack: np.ndarray):
@@ -361,7 +364,7 @@ def _discrete_snapshots(net: DiscreteTemporalNetwork, kernel: DecayKernel,
                         size: int | None = None):
     """(snapshot, A_k) at every instant: B_k = e^{-r(t_k - t_{k-1})} B_{k-1} + A_k,
     stored as diag(e^{log_scale}) @ matrix.  With a chunk ``size`` (exponential
-    kernel only), (P, dangling, A_k) of ``size`` instants at a time instead, the
+    kernel only), (P, dangling, adjacencies) of ``size`` instants at a time instead, the
     matrix one n x n array: a zero where scipy's sum stores no entry, same bits."""
     if not isinstance(kernel, ExponentialDecay):
         for k in range(1, net.instant_count + 1):
@@ -388,7 +391,7 @@ def _discrete_snapshots(net: DiscreteTemporalNetwork, kernel: DecayKernel,
         block.append((matrix, adjacency))
         if len(block) == size or k == len(instants):
             matrices, adjacencies = zip(*block)
-            yield (*_normalize_dense(np.array(matrices)), adjacencies)
+            yield (*_normalize_dense(np.array(matrices)), partial(tuple, adjacencies))
             block = []
 
 
@@ -402,8 +405,8 @@ def _continuous_snapshots(net: ContinuousTemporalNetwork, kernel: DecayKernel,
     are then row-normalized a block at a time, each block in one pass, and
     each snapshot and A(t) is one CSR constructor over its slice.  Blocks are
     cut at _BLOCK_ENTRIES index entries, or with a chunk ``size`` hold ``size``
-    instants as (P, dangling, A(t)), P one dense stack; beyond the (edges x
-    instants) values of B and A the memory of a pass does not grow with the grid.
+    instants as (P, dangling, adjacencies), P one dense stack, adjacencies() the A(t); beyond
+    the (edges x instants) values of B and A the memory of a pass does not grow with the grid.
     """
     if isinstance(kernel, ExponentialDecay):
         accumulated = np.empty((len(net.edges), len(times)))
@@ -416,18 +419,18 @@ def _continuous_snapshots(net: ContinuousTemporalNetwork, kernel: DecayKernel,
         width = size or max(1, _BLOCK_ENTRIES // (len(net.edges) + net.n + 1))
         for start in range(0, len(times), width):
             block = slice(start, start + width)
-            adjacencies = net.edge_csrs(samples[:, block])
+            adjacencies = partial(net.edge_csrs, samples[:, block])
             if size:
                 stack = np.zeros((len(times[block]), net.n, net.n))
                 stack[:, net.edge_order.rows, net.edge_order.cols] = accumulated[:, block].T
-                yield (*_normalize_dense(stack), tuple(adjacencies))
+                yield (*_normalize_dense(stack), adjacencies)
                 continue
             data, indices, indptr, starts = net.nonzero_columns(accumulated[:, block])
             normalized, dangling = _normalize_columns(data, indptr, starts)
             snapshots = map(StochasticSnapshot,
                             _column_csrs(net.n, normalized, indices, indptr, starts),
                             dangling, times[block].tolist())
-            yield from zip(snapshots, adjacencies)
+            yield from zip(snapshots, adjacencies())
         return
     adjacencies = None
     for t in times.tolist():

@@ -316,11 +316,10 @@ def cmd_compute(args) -> int:
             {"instant": float(t), "scores": [float(s) for s in trajectory.vectors[k]]}
             for k, t in enumerate(trajectory.instants)])
     _write_text(cfg.output_path, text)
-    iterations = trajectory.metadata["iterations"]
-    residuals = trajectory.metadata["residuals"]
-    print(f"{len(trajectory.instants)} instants, n={trajectory.n}, "
-          f"solver iterations <= {max(iterations)}, "
-          f"residual <= {max(residuals):.3e}", file=sys.stderr)
+    solved = "direct solve" if trajectory.metadata["solver"] == "direct" else \
+        f"power iterations <= {max(trajectory.metadata['iterations'])}"
+    print(f"{len(trajectory.instants)} instants, n={trajectory.n}, {solved}, "
+          f"residual <= {max(trajectory.metadata['residuals']):.3e}", file=sys.stderr)
     return 0
 
 

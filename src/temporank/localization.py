@@ -4,7 +4,8 @@ The matrix X = (1 - damping) * (Id - damping * M)^{-1}, with M the
 stochastic transition matrix (dangling rows patched), satisfies
 pi = X^T v for every admissible personalization vector v.  Node i's rank
 is therefore a convex combination of column i of X, pinned between the
-column minimum and the diagonal entry, whatever v is chosen.
+column minimum and the diagonal entry, whatever v is chosen.  X comes from
+the ranks' dense chunks up to DIRECT_SOLVE_MAX_N nodes, else from the Neumann series.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import InstantSetup, StochasticSnapshot, _instants_and_setups
+from .accumulate import StochasticSnapshot, _instants_and_setups
 from .errors import InternalError, InvalidInputError
-from .pagerank import (DIRECT_SOLVE_MAX_N, _check_damping, _check_probabilities,
-                       _run_instants, _solver_by_size, dense_transition)
+from .pagerank import (DIRECT_SOLVE_MAX_N, _check_damping, _check_probabilities, _check_tol,
+                       _chunk_size, _patch_dangling, _run_instants, _solver_by_size)
 from .quadrature import QuadratureConfig
 from .schedules import DampingSchedule, DecayKernel, PersonalizationSchedule
 
@@ -64,26 +65,49 @@ def resolvent_column(snapshot: StochasticSnapshot, damping: float, node: int,
                      u: np.ndarray | None = None, tol: float = 1e-12) -> ResolventColumn:
     """Column ``node`` (0-based) of X = (1-damping)(Id - damping*M)^{-1}.
 
-    A dense solve up to DIRECT_SOLVE_MAX_N nodes, else the Neumann series of
-    :func:`_resolvent_columns`: its diagonal carries the bound of the rest
+    Up to DIRECT_SOLVE_MAX_N nodes :func:`_resolvent_chunk` on one instant, else
+    the Neumann series of :func:`_resolvent_columns`: its diagonal carries the bound of the rest
     and lies in [exact, exact + tol], every other entry in [exact - tol, exact].
     """
     n = snapshot.n
     if not 0 <= node < n:
         raise InvalidInputError(f"node {node} outside 0..{n - 1}")
-    method = _solver_by_size("auto", n, "neumann", "method")
-    column = _resolvent_columns(snapshot, damping, [node], u, tol, method,
-                                "this instant")[:, 0]
+    u = _dangling_u(snapshot.dangling, u, "this instant")
+    if _solver_by_size("auto", n, "neumann", "method") == "direct":
+        column = _resolvent_chunk([node], (1,), snapshot.matrix.toarray()[None],
+                                  snapshot.dangling[None], [damping], None, [u])[0][:, 0]
+    else:
+        column = _resolvent_columns(snapshot, damping, [node], u, tol, "this instant")[:, 0]
     return ResolventColumn(node, column, damping, snapshot.instant)
 
 
-def _resolvent_columns(snapshot: StochasticSnapshot, damping: float, nodes,
-                       u: np.ndarray | None, tol: float, method: str,
-                       instant: str) -> np.ndarray:
-    """Columns ``nodes`` of X as an (n, len(nodes)) array, by "direct" or "neumann" ``method``.
+def _dangling_u(dangling: np.ndarray, u: np.ndarray | None, instant: str):
+    """``u`` if the ``dangling`` flags mark a row, where it is required, else None."""
+    if dangling.any() and u is None:
+        raise InvalidInputError(f"network has dangling rows at {instant}; "
+                                "a dangling distribution u is required")
+    return u if dangling.any() else None
 
-    A Neumann column sums the terms damping^m M^m e_i >= 0 up to the first
-    term t with damping * max(t) <= tol, at most ceil(log tol / log damping)
+
+def _resolvent_chunk(nodes, ks, transitions, dangling, dampings, vs, us) -> np.ndarray:
+    """Columns ``nodes`` of X, (K, n, len(nodes)), at the K instants ``ks`` of a dense chunk
+    (``vs`` unread): (Id - damping M) X = (1 - damping) E_nodes in one stacked solve, or none."""
+    us = [_dangling_u(flags, u, f"instant {k}") for k, flags, u in zip(ks, dangling, us)]
+    dampings, _ = _patch_dangling(transitions, dangling, dampings, None, us)
+    n = dangling.shape[1]
+    if not len(nodes):
+        return np.zeros((len(ks), n, 0))
+    systems = dampings[:, None, None] * transitions
+    np.subtract(np.eye(n), systems, out=systems)
+    return (1.0 - dampings)[:, None, None] * np.linalg.solve(systems, np.eye(n)[:, nodes])
+
+
+def _resolvent_columns(snapshot: StochasticSnapshot, damping: float, nodes,
+                       u: np.ndarray | None, tol: float, instant: str) -> np.ndarray:
+    """Columns ``nodes`` of X as an (n, len(nodes)) array, by the Neumann series.
+
+    A column sums the terms damping^m M^m e_i >= 0 up to the first term t
+    with damping * max(t) <= tol, at most ceil(log tol / log damping)
     terms.  M is row stochastic, so the rest adds 0 to damping * max(t) to
     each entry; the diagonal gets that bound added, so the column minimum
     and the diagonal enclose the exact pair within tol.  ``u`` is read only
@@ -91,22 +115,11 @@ def _resolvent_columns(snapshot: StochasticSnapshot, damping: float, nodes,
     names the instant in that error.
     """
     _check_damping(damping)
-    n = snapshot.n
-    if snapshot.dangling.any():
-        if u is None:
-            raise InvalidInputError(
-                f"network has dangling rows at {instant}; "
-                "a dangling distribution u is required")
-        u = _check_probabilities([u], n, "dangling distribution")[0]
-    else:
-        u = None
-    columns = np.zeros((n, len(nodes)))
-    if method == "direct" and len(nodes):
-        columns[list(nodes), range(len(nodes))] = 1.0
-        system = np.eye(n) - damping * dense_transition(snapshot, u)
-        return (1.0 - damping) * np.linalg.solve(system, columns)
-    if not tol > 0:
-        raise InvalidInputError(f"tolerance must be positive, got {tol}")
+    u = _dangling_u(snapshot.dangling, u, instant)
+    if u is not None:
+        u = _check_probabilities([u], snapshot.n, "dangling distribution")[0]
+    _check_tol(tol)
+    columns = np.zeros((snapshot.n, len(nodes)))
     for m, node in enumerate(nodes):
         columns[:, m] = _resolvent_column_neumann(snapshot, damping, node, u, tol)
     return columns
@@ -159,23 +172,28 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
     ``dangling_dist`` (trajectories default theirs to the personalization
     schedule, so pass the same one here to bound them).
     """
-    instants, places, setups = _instants_and_setups(net, kernel, damping, None,
-                                                    dangling_dist, grid, quad)
+    _check_tol(tol)
     method = _solver_by_size("auto", net.n, "neumann", "method")
+    instants, places, setups = _instants_and_setups(
+        net, kernel, damping, None, dangling_dist, grid, quad,
+        _chunk_size(net.n) if method == "direct" else None)
     if nodes is None:
         if method == "neumann":
             raise InvalidInputError(
                 f"with n={net.n} > {DIRECT_SOLVE_MAX_N} an explicit node subset is required")
         nodes = np.arange(net.n)
-    nodes = np.asarray(nodes, dtype=int)
-    if nodes.size and not ((0 <= nodes) & (nodes < net.n)).all():
-        raise InvalidInputError(f"node subset outside 0..{net.n - 1}")
+    nodes = np.asarray(nodes)
+    if nodes.ndim != 1 or nodes.dtype.kind not in "iuf" or (nodes != np.floor(nodes)).any() \
+            or not ((0 <= nodes) & (nodes < net.n)).all():
+        raise InvalidInputError(f"node subset must be 1-d integers in 0..{net.n - 1}")
+    nodes = nodes.astype(int)
 
-    def bounds_at(setup: InstantSetup):
-        columns = _resolvent_columns(setup.snapshot, setup.damping, nodes, setup.u,
-                                     tol, method, f"instant {setup.k}")
-        return [_column_bounds(columns[:, m], node) for m, node in enumerate(nodes)]
+    def solve(chunk):
+        columns = _resolvent_chunk(nodes, *chunk[0]) if method == "direct" else [
+            _resolvent_columns(s.snapshot, s.damping, nodes, s.u, tol, f"instant {s.k}")
+            for s in chunk]
+        return [[_column_bounds(x[:, m], node) for m, node in enumerate(nodes)] for x in columns]
 
-    results = _run_instants(setups, lambda chunk: list(map(bounds_at, chunk)), threads)
-    pairs = np.array(results, dtype=float).reshape(len(results), nodes.size, 2)[places]
-    return LocalizationBounds(instants, nodes, pairs[:, :, 0], pairs[:, :, 1])
+    results = _run_instants(setups, solve, threads)
+    bounds = np.array(results, dtype=float).reshape(len(results), nodes.size, 2)[places]
+    return LocalizationBounds(instants, nodes, bounds[:, :, 0], bounds[:, :, 1])

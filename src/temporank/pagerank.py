@@ -24,7 +24,7 @@ from .schedules import DampingSchedule, DecayKernel, PersonalizationSchedule
 
 __all__ = [
     "GoogleOperator", "PageRankTrajectory",
-    "dense_transition", "google_apply_transpose", "pagerank_direct", "pagerank_power",
+    "google_apply_transpose", "pagerank_direct", "pagerank_power",
     "trajectory_discrete", "trajectory_continuous",
     "DIRECT_SOLVE_MAX_N",
 ]
@@ -59,12 +59,21 @@ def _check_damping(damping: float) -> None:
         raise InvalidInputError(f"damping {damping} outside (0, 1)")
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < np.inf:
+        raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
+
+
+def _chunk_size(n: int) -> int:
+    return max(1, _CHUNK_ENTRIES // max(1, n * n))
+
+
 def _checked_inputs(n: int, dampings, vs, us):
-    """Damping (K,), v (K, n) and u (K, n) of K instants, checked; u defaults to v."""
+    """Damping (K,), v (K, n) and u (K, n) of K instants, checked; u defaults to v (or 0)."""
     for damping in dampings:
         _check_damping(damping)
-    v = _check_probabilities(vs, n, "personalization")
-    u = v.copy()
+    v = None if vs is None else _check_probabilities(vs, n, "personalization")
+    u = np.zeros((len(dampings), n)) if v is None else v.copy()
     given = [k for k, vector in enumerate(us) if vector is not None]
     if given:
         u[given] = _check_probabilities([us[k] for k in given], n, "dangling distribution")
@@ -141,19 +150,13 @@ def pagerank_direct(snapshot: StochasticSnapshot, damping: float, v: np.ndarray,
     unit 1-norm to absorb rounding.  This is the one-instant call of the
     solver trajectories use for a chunk of instants.
     """
-    return _direct_chunk(snapshot.matrix.toarray()[None], np.asarray(snapshot.dangling)[None],
-                         [damping], [v], [u])[0][0]
+    return _direct_chunk((1,), snapshot.matrix.toarray()[None],
+                         np.asarray(snapshot.dangling)[None], [damping], [v], [u])[0][0]
 
 
-def _direct_chunk(transitions, dangling, dampings, vs, us) -> list[tuple[np.ndarray, int, float]]:
-    """(pi, 0, 0.0) of K instants of one n, by one stacked ``np.linalg.solve``.
-
-    Adds u to the dangling rows of the (K, n, n) stack P in place, making
-    M, and runs the checks of :class:`GoogleOperator` on every instant,
-    the sampled row sums read from M, and checks that every result lies
-    on the simplex.  LAPACK factorizes each system of the stack on its
-    own, so every vector has the bits of a one-instant solve.
-    """
+def _patch_dangling(transitions, dangling, dampings, vs, us):
+    """Checked (dampings, v) of a dense chunk; adds u to the dangling rows of its stack P in
+    place, making M for ranks and bounds, and runs :class:`GoogleOperator`'s checks on M."""
     n = dangling.shape[1]
     dampings, v, u = _checked_inputs(n, dampings, vs, us)
     instants, rows = np.nonzero(dangling == 1)
@@ -162,28 +165,24 @@ def _direct_chunk(transitions, dangling, dampings, vs, us) -> list[tuple[np.ndar
     flags = dangling[:, sample]
     _check_row_sums(np.where(flags == 1, 0.0, transitions[:, sample].sum(axis=2)), flags,
                     dampings)
+    return dampings, v
+
+
+def _direct_chunk(ks, transitions, dangling, dampings, vs, us) -> list[tuple]:
+    """(pi, 0, residual) of the K instants ``ks``, by one stacked ``np.linalg.solve``; each pi
+    on the simplex, residual |damping M^T pi + (1 - damping) v - pi|_1.  LAPACK factorizes
+    each system on its own, so every vector has the bits of a one-instant solve."""
+    dampings, v = _patch_dangling(transitions, dangling, dampings, vs, us)
     systems = dampings[:, None, None] * transitions.transpose(0, 2, 1)
-    np.subtract(np.eye(n), systems, out=systems)
+    np.subtract(np.eye(dangling.shape[1]), systems, out=systems)
     try:
         pi = np.linalg.solve(systems, ((1.0 - dampings)[:, None] * v)[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:  # cannot happen for damping < 1
         raise InternalError(f"direct PageRank factorization failed: {exc}") from exc
     pi /= pi.sum(axis=1, keepdims=True)
     _check_simplex(pi)
-    return [(vector, 0, 0.0) for vector in pi]
-
-
-def dense_transition(snapshot: StochasticSnapshot, u: np.ndarray | None) -> np.ndarray:
-    """M = P + d u^T as a dense array; with ``u`` None the dangling rows stay zero.
-
-    The direct resolvent solve uses it; the direct PageRank solve adds u
-    to the same rows of its dense stack, so the localization bounds come
-    from the matrix the ranks come from.
-    """
-    m = snapshot.matrix.toarray()
-    if u is not None:
-        m[np.flatnonzero(snapshot.dangling == 1), :] += u[None, :]
-    return m
+    moved = dampings[:, None] * (pi[:, None] @ transitions)[:, 0] + (1.0 - dampings)[:, None] * v
+    return list(zip(pi, [0] * len(pi), np.abs(moved - pi).sum(axis=1).tolist()))
 
 
 def pagerank_power(op: GoogleOperator, tol: float = 1e-12,
@@ -195,8 +194,7 @@ def pagerank_power(op: GoogleOperator, tol: float = 1e-12,
     r <= ``tol``: ``tol`` bounds r, not the error.  In exact arithmetic
     the error is then at most damping / (1 - damping) * r in the 1-norm.
     """
-    if tol <= 0:
-        raise InvalidInputError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     x = op.v.copy()
     residual = np.inf
     for iteration in range(1, max_iter + 1):
@@ -273,14 +271,16 @@ def _run_instants(setups, solve, threads: int, size: int = 1) -> list:
 
 def _trajectory(net, kernel, damping, personalization, dangling_dist, grid, quad, solver,
                 tol, max_iter, threads) -> PageRankTrajectory:
-    """The rank trajectory on either scale, the network's type naming the scale; a direct
-    chunk holds max(1, _CHUNK_ENTRIES // n**2) instants, at most 8 MB of systems."""
-    if _solver_by_size(solver, net.n, "power", "solver") == "direct":
-        size, solve = max(1, _CHUNK_ENTRIES // net.n ** 2), lambda chunk: _direct_chunk(*chunk[0])
+    """The rank trajectory on either scale, the network's type naming the scale."""
+    solver = _solver_by_size(solver, net.n, "power", "solver")
+    if solver == "direct":
+        size, solve = _chunk_size(net.n), lambda chunk: _direct_chunk(*chunk[0])
     else:
         size, solve = None, partial(_power_chunk, tol=tol, max_iter=max_iter)
     instants, places, setups = _instants_and_setups(net, kernel, damping, personalization,
                                                     dangling_dist, grid, quad, size)
+    if not len(instants):
+        raise InvalidInputError("the network has no instants")
     results = _run_instants(setups, solve, threads)
     vectors, iterations, residuals = zip(*(results[place] for place in places))
     continuous = isinstance(net, ContinuousTemporalNetwork)

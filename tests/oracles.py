@@ -218,7 +218,8 @@ def coo_truncate_snapshots(net, instants):
 # One row normalization of one CSR matrix and one dense solve per instant,
 # each with the arithmetic the package used before it normalized a whole
 # grid in one pass and solved a chunk of instants in one stacked LAPACK
-# call.  The tests require the two bit for bit.
+# call, for the ranks and for the resolvent behind the localization
+# bounds.  The tests require the two bit for bit.
 
 
 def row_normalize_csr(matrix):
@@ -239,6 +240,17 @@ def direct_pagerank(matrix, dangling, damping, v, u=None):
     pi = np.linalg.solve(np.eye(len(v)) - damping * m.T, (1.0 - damping) * v)
     pi /= pi.sum()
     return pi
+
+
+def direct_resolvent(matrix, dangling, damping, nodes, u=None):
+    """Columns ``nodes`` of X = (1 - damping)(I - damping M)^{-1}, M = P + d u^T, by one
+    dense solve; with ``u`` None the dangling rows of M stay zero."""
+    m = matrix.toarray()
+    if u is not None:
+        m[np.flatnonzero(dangling == 1), :] += u[None, :]
+    columns = np.zeros((len(m), len(nodes)))
+    columns[list(nodes), range(len(nodes))] = 1.0
+    return (1.0 - damping) * np.linalg.solve(np.eye(len(m)) - damping * m, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,28 @@ def test_neumann_bounds_pass_the_benchmark_localize_check(checks, tmp_path):
     assert checks.bounds(str(bounds), blocks, [1, 2, 500], 0.5, 0.85, 1e-10) == []
 
 
+def test_direct_bounds_pass_the_benchmark_localize_check(checks, tmp_path):
+    # the same check on n <= DIRECT_SOLVE_MAX_N, where localize stacks the dense
+    # systems of its instants; dangling rows take the uniform distribution
+    rng = np.random.default_rng(6)
+    n, degree = 60, 3
+    rows = np.repeat(np.arange(n), degree)
+    snapshots = []
+    for _ in range(3):
+        weights = rng.integers(1, 4, size=rows.size).astype(float)
+        weights[rows < n // 20] = 0.0                   # dangling rows
+        snapshots.append(sparse.csr_array(
+            (weights, (rows, rng.integers(0, n, size=rows.size))), shape=(n, n)))
+    network = tmp_path / "net.txt"
+    save_network(DiscreteTemporalNetwork(n, [0.0, 1.0, 2.0], tuple(snapshots)), network)
+    bounds = tmp_path / "bounds.csv"
+    assert cli.main(["localize", "--network", str(network), "--nodes", "all",
+                     "--rate", "0.5", "--tol", "1e-10", "--threads", "1", "--no-header",
+                     "--output", str(bounds)]) == 0
+    _, blocks = checks.read_network(str(network))
+    assert checks.bounds(str(bounds), blocks, list(range(1, n + 1)), 0.5, 0.85, 1e-10) == []
+
+
 def test_continuous_outputs_pass_the_benchmark_checks(checks, tmp_path):
     # continuous-study's commands at a small size: the discretization study
     # and a trajectory whose sampled instants the check solves on its own

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -81,6 +82,14 @@ class TestCompute:
             total = sum(float(row[2]) for row in rows[5 * k:5 * k + 5])
             assert total == pytest.approx(1.0, abs=1e-10)
         assert "5 instants, n=5" in err
+
+    def test_stderr_names_the_solver(self, capsys, synthetic5_file):
+        _, _, direct = run_cli(capsys, "compute", "--network", synthetic5_file)
+        _, _, power = run_cli(capsys, "compute", "--network", synthetic5_file,
+                              "--solver", "power")
+        assert re.fullmatch(r"5 instants, n=5, direct solve, residual <= \S+\n", direct)
+        assert re.fullmatch(r"5 instants, n=5, power iterations <= \d+, residual <= \S+\n",
+                            power)
 
     def test_scores_round_trip_exactly(self, capsys, synthetic5_file):
         code, out, _ = run_cli(capsys, "compute", "--network", synthetic5_file,

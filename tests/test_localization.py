@@ -1,6 +1,7 @@
 """Resolvent columns and localization bounds."""
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
 
@@ -13,16 +14,20 @@ from scipy import sparse
 import oracles
 from temporank import (
     ConstantDamping,
+    ContinuousTemporalNetwork,
     CustomDamping,
     DiscreteTemporalNetwork,
     ExponentialDecay,
+    GoogleOperator,
     InputPersonalization,
     InvalidInputError,
+    StochasticSnapshot,
     TabulatedPersonalization,
     UniformPersonalization,
     bounds_for_node,
     bounds_trajectory,
     pagerank_direct,
+    pagerank_power,
     resolvent_column,
     row_normalize,
     synthetic_five_node,
@@ -30,7 +35,7 @@ from temporank import (
     trajectory_discrete,
     truncate,
 )
-from temporank import localization
+from temporank import accumulate, localization
 from temporank.localization import _apply_m, _resolvent_columns
 
 TWO_NODE = np.array([[0.0, 1.0], [1.0, 1.0]])
@@ -41,8 +46,11 @@ def snapshot_of(A):
 
 
 def column(snap, damping, node, u, method, tol=1e-12):
-    """Column ``node`` of X by the "direct" or "neumann" solver, whatever the size."""
-    return _resolvent_columns(snap, damping, [node], u, tol, method, "this instant")[:, 0]
+    """Column ``node`` of X by the "direct" solve (n up to DIRECT_SOLVE_MAX_N) or the
+    "neumann" series, whatever the size."""
+    if method == "direct":
+        return resolvent_column(snap, damping, node, u, tol).column
+    return _resolvent_columns(snap, damping, [node], u, tol, "this instant")[:, 0]
 
 
 def full_x(snap, damping, u=None, method="direct"):
@@ -265,20 +273,94 @@ class TestBoundsTrajectory:
         assert (traj.vectors <= bounds.hi + 1e-12).all()
 
     def test_one_instant_per_chunk(self, monkeypatch):
-        # bounds are solved per instant, so the instants spread over the threads
+        # only on the Neumann series (n = 2001), so its instants spread over
+        # the threads; at n = 5 one direct chunk is a dense record of all 11
+        # instants, so each solve call is counted by its results
         chunks = []
 
         def recording(setups, solve, threads, size=1):
             def counted(chunk):
-                chunks.append(len(chunk))
-                return solve(chunk)
+                results = solve(chunk)
+                chunks.append(len(results))
+                return results
             return run_instants(setups, counted, threads, size)
 
         run_instants = localization._run_instants
         monkeypatch.setattr(localization, "_run_instants", recording)
-        bounds_trajectory(synthetic_five_node(), ExponentialDecay(1.0), ConstantDamping(0.85),
-                          grid=np.linspace(0.0, 1.0, 11), threads=2)
-        assert chunks == [1] * 11
+        for n, sizes in [(5, [11]), (2001, [1] * 11)]:
+            matrix = sparse.csr_array((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)),
+                                      shape=(n, n))
+            net = DiscreteTemporalNetwork(n, np.arange(11.0), (matrix,) * 11)
+            chunks.clear()
+            bounds_trajectory(net, ExponentialDecay(1.0), ConstantDamping(0.85), nodes=[0, 1],
+                              threads=2)
+            assert chunks == sizes
+
+    @pytest.mark.parametrize("scale", ["discrete", "continuous"])
+    def test_direct_route_stacks_one_solve_and_builds_no_snapshot(self, scale, monkeypatch):
+        # bounds take the ranks' dense chunk record: 11 instants at n = 5 are
+        # one chunk, one stacked solve, no CSR snapshot and no row_normalize;
+        # with no dangling distribution no schedule reads A(t), so none is built
+        net, grid = synthetic_five_node(), np.linspace(0.0, 1.0, 11)
+        if scale == "discrete":
+            net, grid = truncate(net, 11), None
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(StochasticSnapshot, "__init__",
+                            counting("snapshot", StochasticSnapshot.__init__))
+        monkeypatch.setattr(accumulate, "row_normalize",
+                            counting("row_normalize", accumulate.row_normalize))
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+        monkeypatch.setattr(ContinuousTemporalNetwork, "edge_csrs",
+                            counting("edge_csrs", ContinuousTemporalNetwork.edge_csrs))
+        bounds = bounds_trajectory(net, ExponentialDecay(1.0), ConstantDamping(0.85), grid=grid)
+        assert bounds.lo.shape == (11, 5)
+        assert calls == {"solve": 1}
+
+    @pytest.mark.parametrize("case", ["nested nodes", "fractional node", "nan node",
+                                      "text node", "nan tol", "inf tol", "zero tol",
+                                      "nan tol, neumann", "nan tol, power"])
+    def test_nodes_and_tol_checked_at_entry(self, case):
+        # none may run: a cast would bound node 0 for 0.5, the direct route
+        # never reads tol, and a NaN tol would keep power iteration going for
+        # 100 000 iterations before a ConvergenceError
+        small = truncate(synthetic_five_node(), 3)
+        n = 2001
+        matrix = sparse.csr_array((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)),
+                                  shape=(n, n))
+        huge = DiscreteTemporalNetwork(n, np.array([0.0]), (matrix,))
+        kernel, damping = ExponentialDecay(1.0), ConstantDamping(0.85)
+        calls = {
+            "nested nodes": lambda: bounds_trajectory(small, kernel, damping, nodes=[[0]]),
+            "fractional node": lambda: bounds_trajectory(small, kernel, damping, nodes=[0.5]),
+            "nan node": lambda: bounds_trajectory(small, kernel, damping, nodes=[math.nan]),
+            "text node": lambda: bounds_trajectory(small, kernel, damping, nodes=["0"]),
+            "nan tol": lambda: bounds_trajectory(small, kernel, damping, tol=math.nan),
+            "inf tol": lambda: bounds_trajectory(small, kernel, damping, tol=math.inf),
+            "zero tol": lambda: bounds_trajectory(small, kernel, damping, tol=0.0),
+            "nan tol, neumann": lambda: bounds_trajectory(huge, kernel, damping, nodes=[0],
+                                                          tol=math.nan),
+            "nan tol, power": lambda: pagerank_power(
+                GoogleOperator(snapshot_of(TWO_NODE), 0.85, np.array([0.5, 0.5])),
+                tol=math.nan),
+        }
+        with pytest.raises(InvalidInputError):
+            calls[case]()
+
+    def test_whole_numbers_of_any_dtype_name_nodes(self):
+        net = truncate(synthetic_five_node(), 3)
+        by_int = bounds_trajectory(net, ExponentialDecay(1.0), ConstantDamping(0.85),
+                                   nodes=[4, 1])
+        by_float = bounds_trajectory(net, ExponentialDecay(1.0), ConstantDamping(0.85),
+                                     nodes=np.array([4.0, 1.0]))
+        assert by_float.nodes.tolist() == [4, 1]
+        assert by_float.lo.tobytes() == by_int.lo.tobytes()
 
     def test_dangling_without_distribution_rejected(self):
         A1 = np.array([[0.0, 0.0], [1.0, 0.0]])

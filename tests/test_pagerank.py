@@ -1,5 +1,6 @@
 """Google operator, solvers, and rank trajectories."""
 
+import math
 from collections import Counter
 from unittest import mock
 
@@ -21,6 +22,7 @@ from temporank import (
     InternalError,
     InvalidInputError,
     StochasticSnapshot,
+    TemporankError,
     UniformPersonalization,
     bounds_trajectory,
     google_apply_transpose,
@@ -296,6 +298,29 @@ class TestTrajectoryDiscrete:
         assert len(traj.metadata["iterations"]) == 3
         assert all(r <= 1e-12 for r in traj.metadata["residuals"])
 
+    def test_network_without_instants_rejected(self):
+        net = DiscreteTemporalNetwork(2, np.array([]), ())
+        for solver in ("direct", "power"):
+            with pytest.raises(InvalidInputError, match="no instants"):
+                trajectory_discrete(net, ExponentialDecay(1.0), ConstantDamping(0.85),
+                                    UniformPersonalization(), solver=solver)
+
+    def test_network_without_nodes_fails_cleanly(self):
+        # n = 0 must not reach a division by n**2 in the chunk size; bounds of
+        # no node are empty
+        kernel, damping = ExponentialDecay(1.0), ConstantDamping(0.85)
+        net = DiscreteTemporalNetwork(0, np.array([0.0, 1.0]), (sparse.csr_array((0, 0)),) * 2)
+        continuous = ContinuousTemporalNetwork(0, (0.0, 1.0), {})
+        for solver in ("direct", "power"):
+            with pytest.raises(TemporankError):
+                trajectory_discrete(net, kernel, damping, UniformPersonalization(), solver=solver)
+            with pytest.raises(TemporankError):
+                trajectory_continuous(continuous, kernel, damping, UniformPersonalization(),
+                                      [0.0, 1.0], solver=solver)
+        for bounds in (bounds_trajectory(net, kernel, damping),
+                       bounds_trajectory(continuous, kernel, damping, grid=[0.0, 0.5])):
+            assert bounds.lo.shape == bounds.hi.shape == (2, 0)
+
     def test_vector_at_is_one_based(self):
         net = truncate(synthetic_five_node(), 3)
         traj = trajectory_discrete(net, ExponentialDecay(1.0), ConstantDamping(0.85),
@@ -479,6 +504,60 @@ class TestStackedDirectPath:
                                        grid)
         assert trajectory.vectors.tobytes() == np.array(expected).tobytes()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @settings(max_examples=30)
+    @given(problem=discrete_problems() | continuous_problems(), rate=st.floats(-1.0, 3.0),
+           custom=st.booleans(),
+           dangling_dist=st.sampled_from([None, UniformPersonalization(),
+                                          InputPersonalization()]),
+           subset=st.booleans(), entries=st.sampled_from([1, 30, 2 ** 20]))
+    def test_bounds_match_per_instant_resolvents_bit_for_bit(self, threads, problem, rate,
+                                                             custom, dangling_dist, subset,
+                                                             entries):
+        # the reference densifies each instant's CSR snapshot, patches its
+        # dangling rows with u and solves it alone; an instant with dangling
+        # rows and no u must fail, naming the first such instant
+        net, grid = problem
+        kernel = CustomDecay(lambda s, t: math.exp(-rate * (t - s))) if custom \
+            else ExponentialDecay(rate)
+        damping = LinearDamping(0.3, 0.9)
+        nodes = [net.n - 1, 0] if subset else list(range(net.n))
+        setups = list(iter_instants(net, kernel, damping, dangling_dist=dangling_dist,
+                                    grid=grid))
+        missing = [setup.k for setup in setups
+                   if setup.snapshot.dangling.any() and setup.u is None]
+        with mock.patch.object(pagerank, "_CHUNK_ENTRIES", entries):
+            def bounds():
+                return bounds_trajectory(net, kernel, damping, nodes=nodes if subset else None,
+                                         grid=grid, dangling_dist=dangling_dist,
+                                         threads=threads)
+            if missing:
+                with pytest.raises(InvalidInputError,
+                                   match=f"dangling rows at instant {missing[0]};"):
+                    bounds()
+                return
+            got = bounds()
+        lo, hi = np.empty((2, len(setups), len(nodes)))
+        for setup in setups:
+            columns = oracles.direct_resolvent(setup.snapshot.matrix, setup.snapshot.dangling,
+                                               setup.damping, nodes, setup.u)
+            lo[setup.k - 1] = columns.min(axis=0)
+            hi[setup.k - 1] = columns[nodes, range(len(nodes))]
+        assert got.lo.tobytes() == lo.tobytes()
+        assert got.hi.tobytes() == hi.tobytes()
+
+    def test_direct_residuals_are_measured(self):
+        # the direct solve reports |damping M^T pi + (1 - damping) v - pi|_1 of
+        # its vector: rounding-sized, not a constant 0.0
+        traj = trajectory_continuous(synthetic_five_node(), ExponentialDecay(1.0),
+                                     ConstantDamping(0.85), UniformPersonalization(),
+                                     np.linspace(0.0, 1.0, 1001))
+        residuals = np.array(traj.metadata["residuals"])
+        assert traj.metadata["solver"] == "direct"
+        assert traj.metadata["iterations"] == [0] * 1001
+        assert ((0.0 <= residuals) & (residuals < 1e-12)).all()
+        assert (residuals > 0.0).any()
+
     @pytest.mark.parametrize("solver, sizes", [("direct", [11]), ("auto", [11]),
                                                ("power", [1] * 11)])
     def test_only_direct_solves_stack_instants(self, solver, sizes, monkeypatch):
@@ -517,8 +596,6 @@ class TestStackedDirectPath:
                             counting("snapshot", StochasticSnapshot.__init__))
         monkeypatch.setattr(accumulate, "row_normalize",
                             counting("row_normalize", accumulate.row_normalize))
-        monkeypatch.setattr(pagerank, "dense_transition",
-                            counting("dense_transition", pagerank.dense_transition))
         net, grid = synthetic_five_node(), np.linspace(0.0, 1.0, 11)
         if scale == "discrete":
             net, grid = truncate(net, 11), None
@@ -533,7 +610,7 @@ class TestStackedDirectPath:
         direct = run("direct")
         assert calls == {}
         power = run("power")
-        assert calls["snapshot"] >= 11 and calls["dense_transition"] == 0
+        assert calls["snapshot"] >= 11
         assert np.abs(direct - power).max() <= 1e-10
 
     def test_one_solve_and_no_per_instant_matrix_build(self, tmp_path, monkeypatch):
