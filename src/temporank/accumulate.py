@@ -21,10 +21,9 @@ import operator
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import islice
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InvalidInputError
 from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork, _column_csrs
@@ -37,6 +36,9 @@ __all__ = [
     "accumulate_discrete", "row_normalize", "accumulate_continuous", "truncate",
     "iter_instants",
 ]
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: a block of grid instants row-normalized in one pass has at most this
 #: many entries in its (instants x (edges + nodes + 1)) index arrays
@@ -88,6 +90,7 @@ def _check_finite(matrix, t: float) -> None:
     if isinstance(matrix, np.ndarray):
         if np.isfinite(matrix).all():
             return
+        from scipy import sparse
         matrix = sparse.csr_array(matrix)
     bad = ~np.isfinite(matrix.data)
     if bad.any():
@@ -103,6 +106,7 @@ def accumulate_discrete(net: DiscreteTemporalNetwork, kernel: DecayKernel,
 
     Terms are added in ascending l so results are bit-reproducible.
     """
+    from scipy import sparse
     if not 1 <= k <= net.instant_count:
         raise InvalidInputError(f"instant index {k} outside 1..{net.instant_count}")
     t_k = float(net.instants[k - 1])
@@ -123,6 +127,7 @@ def row_normalize(accumulated) -> StochasticSnapshot:
     Each row sum adds the row's stored entries, as scipy's
     ``csr.sum(axis=1)`` does; this is :func:`_normalize_columns` on one matrix.
     """
+    from scipy import sparse
     if isinstance(accumulated, AccumulatedMatrix):
         matrix, instant = accumulated.matrix, accumulated.instant
     else:
@@ -282,11 +287,13 @@ def _instants_and_setups(net, kernel, damping, personalization, dangling_dist, g
     def at(position, adjacency, dangling):   # adjacency() is A(t), built if a schedule reads it
         k = int(position) + 1
         t = float(times[position])
-        v = None if personalization is None else \
-            personalization_at(personalization, adjacency(), k, t)
-        u = None
-        if dangling_dist is not None and dangling.any():
-            u = personalization_at(dangling_dist, adjacency(), k, t)
+
+        def teleport(schedule):   # a schedule that reads no A(t) gets the node count
+            read = adjacency() if schedule.reads_adjacency else net.n
+            return personalization_at(schedule, read, k, t)
+
+        v = None if personalization is None else teleport(personalization)
+        u = teleport(dangling_dist) if dangling_dist is not None and dangling.any() else None
         return k, t, damping_at(damping, k, len(times), t), v, u
 
     def setups():
@@ -372,7 +379,11 @@ def _discrete_snapshots(net: DiscreteTemporalNetwork, kernel: DecayKernel,
         return
     instants = net.instants.tolist()
     rate = _checked_rate(kernel, instants[-1] - instants[0] if instants else 0.0)
-    matrix = sparse.csr_array((net.n, net.n)) if size is None else np.zeros((net.n, net.n))
+    if size is None:
+        from scipy import sparse
+        matrix = sparse.csr_array((net.n, net.n))
+    else:
+        matrix = np.zeros((net.n, net.n))
     log_scale = np.zeros(net.n)
     previous = instants[0] if instants else 0.0
     block = []

@@ -1,22 +1,26 @@
 """Temporal network data model for discrete and continuous time scales.
 
-Constructors coerce their inputs but deliberately do not reject bad data;
-:func:`validate` reports every invariant violation so that files can be
-diagnosed rather than bounced at the first problem.  Computational
-operations assume a network that validates cleanly.
+A discrete network is checked at construction, which raises one
+:class:`InvalidInputError` naming every problem.  The continuous
+constructor coerces its inputs but does not reject bad data;
+:func:`validate` reports every invariant violation of either kind, so
+that files can be diagnosed rather than bounced at the first problem.
+Computational operations assume a network that validates cleanly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InvalidInputError
 from .timefuncs import TimeFunction
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["DiscreteTemporalNetwork", "ContinuousTemporalNetwork", "validate"]
 
@@ -31,6 +35,7 @@ def _entries_to_csr(entries: dict, n: int) -> sparse.csr_array:
 
 def _sorted_to_csr(rows, cols, data, n: int) -> sparse.csr_array:
     """n x n CSR matrix from 0-based int64 entries sorted by (row, col), none repeated."""
+    from scipy import sparse
     if not len(data):
         return sparse.csr_array((n, n))
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -41,6 +46,7 @@ def _sorted_to_csr(rows, cols, data, n: int) -> sparse.csr_array:
 def _column_csrs(n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
                  starts: list) -> Iterator[sparse.csr_array]:
     """n x n CSR matrix k: data and indices [starts[k]:starts[k + 1]], row pointer indptr[k]."""
+    from scipy import sparse
     for column, (start, end) in enumerate(zip(starts, starts[1:])):
         yield sparse.csr_array((data[start:end], indices[start:end], indptr[column]),
                                shape=(n, n))
@@ -48,6 +54,7 @@ def _column_csrs(n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarr
 
 def _as_csr(matrix) -> sparse.csr_array:
     """``matrix`` as canonical CSR: column indices sorted in each row, duplicates summed."""
+    from scipy import sparse
     matrix = sparse.csr_array(matrix if sparse.issparse(matrix)
                               else np.asarray(matrix, dtype=float))
     if not matrix.has_canonical_format:
@@ -62,7 +69,9 @@ class DiscreteTemporalNetwork:
 
     ``snapshots[k]`` holds the instantaneous nonnegative adjacency at
     ``instants[k]``; an optional ``initial_adjacency`` records the day-zero
-    baseline an event stream was replayed from.
+    baseline an event stream was replayed from.  Every matrix is stored as
+    canonical CSR, and a network that breaks an invariant of
+    :func:`validate` is not built.
     """
 
     n: int
@@ -78,6 +87,9 @@ class DiscreteTemporalNetwork:
         if self.initial_adjacency is not None:
             object.__setattr__(self, "initial_adjacency",
                                _as_csr(self.initial_adjacency))
+        problems = _validate_discrete(self)
+        if problems:
+            raise InvalidInputError("; ".join(problems))
 
     @property
     def instant_count(self) -> int:
@@ -207,8 +219,8 @@ def validate(network) -> list[str]:
 
 def _validate_discrete(net: DiscreteTemporalNetwork) -> list[str]:
     problems = []
-    if net.n <= 0:
-        problems.append(f"node count must be positive, got {net.n}")
+    if net.n < 0:   # n = 0 is the empty network, with empty bounds
+        problems.append(f"node count must not be negative, got {net.n}")
     if len(net.instants) != len(net.snapshots):
         problems.append(
             f"{len(net.instants)} instants but {len(net.snapshots)} snapshots")

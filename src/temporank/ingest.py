@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConsistencyError, EventParseError, InvalidInputError, read_bytes
 from .graph import DiscreteTemporalNetwork, _sorted_to_csr
@@ -346,6 +345,7 @@ def _seed(initial, n):
 
     Of repeated coordinates the last nonzero one counts.
     """
+    from scipy import sparse
     first = sparse.coo_array(initial)
     if first.shape != (n, n):
         raise InvalidInputError(

@@ -16,8 +16,9 @@ import numpy as np
 
 from .accumulate import StochasticSnapshot, _instants_and_setups
 from .errors import InternalError, InvalidInputError
-from .pagerank import (DIRECT_SOLVE_MAX_N, _check_damping, _check_probabilities, _check_tol,
-                       _chunk_size, _patch_dangling, _run_instants, _solver_by_size)
+from .pagerank import (DIRECT_SOLVE_MAX_N, _check_damping, _check_probabilities,
+                       _check_threads, _check_tol, _chunk_size, _patch_dangling, _run_instants,
+                       _solver_by_size)
 from .quadrature import QuadratureConfig
 from .schedules import DampingSchedule, DecayKernel, PersonalizationSchedule
 
@@ -173,6 +174,7 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
     schedule, so pass the same one here to bound them).
     """
     _check_tol(tol)
+    threads = _check_threads(threads)
     method = _solver_by_size("auto", net.n, "neumann", "method")
     instants, places, setups = _instants_and_setups(
         net, kernel, damping, None, dangling_dist, grid, quad,

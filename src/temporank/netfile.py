@@ -43,7 +43,7 @@ import warnings
 import numpy as np
 
 from . import timefuncs
-from .errors import NetworkFormatError, TemporankError, decode, read_bytes
+from .errors import InvalidInputError, NetworkFormatError, TemporankError, decode, read_bytes
 from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _entries_to_csr,
                     _sorted_to_csr, validate)
 
@@ -364,20 +364,22 @@ def _finish(p: _Parser):
             raise NetworkFormatError("continuous file is missing `interval`")
         network = ContinuousTemporalNetwork(
             n=p.n, interval=p.interval, edges=p.edges, symmetric=p.symmetric)
-    else:
-        if p.symmetric:
-            raise NetworkFormatError("`symmetric` applies only to edge files")
-        if not p.blocks:
-            raise NetworkFormatError("file defines neither edges nor instants")
-        network = DiscreteTemporalNetwork(
+        problems = validate(network)
+        if problems:
+            raise NetworkFormatError("; ".join(problems))
+        return network
+    if p.symmetric:
+        raise NetworkFormatError("`symmetric` applies only to edge files")
+    if not p.blocks:
+        raise NetworkFormatError("file defines neither edges nor instants")
+    try:   # the constructor checks the network and names every problem
+        return DiscreteTemporalNetwork(
             n=p.n,
             instants=[t for t, _ in p.blocks],
             snapshots=[matrix for _, matrix in p.blocks],
             initial_adjacency=p.initial)
-    problems = validate(network)
-    if problems:
-        raise NetworkFormatError("; ".join(problems))
-    return network
+    except InvalidInputError as err:
+        raise NetworkFormatError(str(err)) from None
 
 
 def save_network(network, target):

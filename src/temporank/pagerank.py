@@ -9,6 +9,7 @@ LAPACK call, taking P as the dense (K, n, n) stack accumulation hands over.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -64,6 +65,17 @@ def _check_tol(tol: float) -> None:
         raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
 
 
+def _check_threads(threads) -> int:
+    """``threads`` as an int of at least 1."""
+    try:
+        count = operator.index(threads)
+    except TypeError:
+        raise InvalidInputError(f"threads must be an integer, got {threads!r}") from None
+    if count < 1:
+        raise InvalidInputError(f"threads must be at least 1, got {count}")
+    return count
+
+
 def _chunk_size(n: int) -> int:
     return max(1, _CHUNK_ENTRIES // max(1, n * n))
 
@@ -81,7 +93,10 @@ def _checked_inputs(n: int, dampings, vs, us):
 
 
 def _sampled_rows(n: int) -> np.ndarray:
-    return np.unique(np.linspace(0, n - 1, min(n, 8)).astype(int))
+    """Up to 8 distinct rows spread over 0..n-1, ascending: the points are at least one apart.
+
+    (``np.unique`` here would import numpy.ma, 10-16 ms of a process's start-up.)"""
+    return np.linspace(0, n - 1, min(n, 8)).astype(int)
 
 
 def _check_row_sums(rows: np.ndarray, dangling: np.ndarray, dampings: np.ndarray):
@@ -258,7 +273,7 @@ def _run_instants(setups, solve, threads: int, size: int = 1) -> list:
     come back in the order of the setups, one per instant.
     """
     results = []
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
         for chunk in _chunks(setups, size):
             pending.append(pool.submit(solve, chunk))
@@ -272,6 +287,7 @@ def _run_instants(setups, solve, threads: int, size: int = 1) -> list:
 def _trajectory(net, kernel, damping, personalization, dangling_dist, grid, quad, solver,
                 tol, max_iter, threads) -> PageRankTrajectory:
     """The rank trajectory on either scale, the network's type naming the scale."""
+    threads = _check_threads(threads)
     solver = _solver_by_size(solver, net.n, "power", "solver")
     if solver == "direct":
         size, solve = _chunk_size(net.n), lambda chunk: _direct_chunk(*chunk[0])

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InvalidInputError, ScheduleRangeError
 
@@ -168,7 +167,13 @@ def damping_at(schedule: DampingSchedule, k: int, count: int, t: float | None = 
 class PersonalizationSchedule:
     """Produces the teleport distribution for an instant: a positive vector
     of unit 1-norm.  The built-in recipes are proportional to simple
-    functions of the instantaneous adjacency and normalized here."""
+    functions of the instantaneous adjacency and normalized here.
+
+    ``raw`` gets the adjacency A(t_k); a recipe that reads no more of it
+    than its size sets ``reads_adjacency = False``, and trajectories then
+    hand it the node count n instead, so that no A(t) is built for it."""
+
+    reads_adjacency = True
 
     def raw(self, adjacency, k: int, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -176,9 +181,10 @@ class PersonalizationSchedule:
 
 @dataclass(frozen=True)
 class UniformPersonalization(PersonalizationSchedule):
+    reads_adjacency = False
+
     def raw(self, adjacency, k, t):
-        n = adjacency.shape[0]
-        return np.ones(n)
+        return np.ones(_node_count(adjacency))
 
 
 @dataclass(frozen=True)
@@ -201,6 +207,7 @@ class InverseInputPersonalization(PersonalizationSchedule):
 class CustomPersonalization(PersonalizationSchedule):
     """Arbitrary pure evaluator t -> vector (normalized here)."""
 
+    reads_adjacency = False
     fn: Callable[[float], np.ndarray]
 
     def raw(self, adjacency, k, t):
@@ -213,6 +220,7 @@ class CustomPersonalization(PersonalizationSchedule):
 class TabulatedPersonalization(PersonalizationSchedule):
     """One stored vector per instant (or a single vector reused everywhere)."""
 
+    reads_adjacency = False
     vectors: tuple
 
     def raw(self, adjacency, k, t):
@@ -225,7 +233,13 @@ class TabulatedPersonalization(PersonalizationSchedule):
         return np.asarray(self.vectors[k - 1], dtype=float)
 
 
+def _node_count(adjacency) -> int:
+    """n of an n x n ``adjacency``, or ``adjacency`` itself if it is the count n."""
+    return adjacency if isinstance(adjacency, (int, np.integer)) else adjacency.shape[0]
+
+
 def _column_sums(adjacency) -> np.ndarray:
+    from scipy import sparse
     if sparse.issparse(adjacency):
         return np.asarray(adjacency.sum(axis=0)).ravel()
     return np.asarray(adjacency, dtype=float).sum(axis=0)
@@ -236,10 +250,14 @@ def personalization_at(schedule: PersonalizationSchedule, adjacency,
     """Teleport vector for an instant: positive, unit 1-norm, length n.
 
     ``adjacency`` is the instantaneous (not accumulated) adjacency A(t_k);
-    the input recipes read their column sums from it.
+    the input recipes read their column sums from it.  A schedule whose
+    ``reads_adjacency`` is False may be given the node count n instead.
     """
+    n = _node_count(adjacency)
+    if schedule.reads_adjacency and n is adjacency:   # given the count, not A(t)
+        raise InvalidInputError(f"{type(schedule).__name__} reads the adjacency, "
+                                f"not only the node count {n}")
     raw = np.asarray(schedule.raw(adjacency, k, t), dtype=float).ravel()
-    n = adjacency.shape[0]
     if raw.shape != (n,):
         raise ScheduleRangeError(
             f"personalization produced shape {raw.shape}, expected ({n},)")

@@ -40,11 +40,28 @@ def run_module(*argv):
     return run_python("-m", "temporank", *argv)
 
 
-def test_cli_import_leaves_scipy_linalg_out():
-    # scipy.linalg adds about 0.1 s to each process's start-up; solves use np.linalg
-    result = run_python("-c", "import sys, temporank.cli; print(sorted("
-                              "m for m in sys.modules if m.startswith('scipy.linalg')))")
-    assert (result.returncode, result.stdout) == (0, "[]\n")
+def imported_modules(*args):
+    """The modules a child `python ARGS` imports, read from its `-X importtime` lines."""
+    result = run_python("-X", "importtime", *args)
+    assert result.returncode == 0, result.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+# each of scipy.linalg and scipy.sparse adds 0.1-0.2 s to a process's start-up:
+# solves use np.linalg, and scipy.sparse loads with the first CSR matrix built
+@pytest.mark.parametrize("args, module, loaded", [
+    (["-c", "import temporank.cli"], "scipy.linalg", False),
+    (["-c", "import temporank"], "scipy.sparse", False),
+    (["-m", "temporank", "compute", "--preset", "paper-synthetic", "--grid-count", "11",
+      "--output", os.devnull], "scipy.sparse", False),
+    (["-m", "temporank", "converge", "--preset", "paper-synthetic", "--sizes", "3,5",
+      "--output", os.devnull], "scipy.sparse", True),
+], ids=["cli", "package", "compute", "converge"])
+def test_start_up_loads_module_only_when_used(args, module, loaded):
+    modules = imported_modules(*args)
+    assert "numpy" in modules
+    assert any(name == module or name.startswith(module + ".") for name in modules) == loaded
 
 
 NON_FINITE_GRIDS = [("0,inf,3", "grid 0.0,inf,3: start and step must be finite"),

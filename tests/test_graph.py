@@ -58,32 +58,42 @@ class TestDiscrete:
         with pytest.raises(InvalidInputError):
             net.snapshot_at(3)
 
+    # a discrete network is checked at construction, which names every problem
+
     def test_non_increasing_instants_flagged(self):
-        net = DiscreteTemporalNetwork(2, np.array([3.0, 3.0]),
-                                      (np.zeros((2, 2)), np.zeros((2, 2))))
-        problems = validate(net)
-        assert any("not strictly increasing" in p for p in problems)
+        with pytest.raises(InvalidInputError, match="^instants not strictly increasing$"):
+            DiscreteTemporalNetwork(2, np.array([3.0, 3.0]),
+                                    (np.zeros((2, 2)), np.zeros((2, 2))))
 
     def test_negative_weight_flagged(self):
-        net = DiscreteTemporalNetwork(2, np.array([0.0]),
-                                      (np.array([[0.0, -1.0], [0.0, 0.0]]),))
-        problems = validate(net)
-        assert any("negative weight" in p for p in problems)
+        with pytest.raises(InvalidInputError, match="^snapshot 1: negative weight$"):
+            DiscreteTemporalNetwork(2, np.array([0.0]),
+                                    (np.array([[0.0, -1.0], [0.0, 0.0]]),))
 
     def test_shape_mismatch_flagged(self):
-        net = DiscreteTemporalNetwork(3, np.array([0.0]), (np.zeros((2, 2)),))
-        assert any("shape" in p for p in validate(net))
+        with pytest.raises(InvalidInputError,
+                           match=r"^snapshot 1: shape \(2, 2\), expected \(3, 3\)$"):
+            DiscreteTemporalNetwork(3, np.array([0.0]), (np.zeros((2, 2)),))
 
     def test_count_mismatch_flagged(self):
-        net = DiscreteTemporalNetwork(2, np.array([0.0, 1.0]), (np.zeros((2, 2)),))
-        assert any("instants but" in p for p in validate(net))
+        with pytest.raises(InvalidInputError, match="^2 instants but 1 snapshots$"):
+            DiscreteTemporalNetwork(2, np.array([0.0, 1.0]), (np.zeros((2, 2)),))
 
     def test_initial_adjacency_checked_too(self):
-        net = DiscreteTemporalNetwork(
-            2, np.array([0.0]), (np.zeros((2, 2)),),
-            initial_adjacency=np.array([[0.0, -2.0], [0.0, 0.0]]))
-        problems = validate(net)
-        assert any("initial adjacency" in p and "negative" in p for p in problems)
+        with pytest.raises(InvalidInputError, match="^initial adjacency: negative weight$"):
+            DiscreteTemporalNetwork(
+                2, np.array([0.0]), (np.zeros((2, 2)),),
+                initial_adjacency=np.array([[0.0, -2.0], [0.0, 0.0]]))
+
+    def test_every_problem_named_in_one_error(self):
+        with pytest.raises(InvalidInputError) as caught:
+            DiscreteTemporalNetwork(-1, [1.0, 0.0, np.inf],
+                                    (np.array([[np.inf, -1.0], [0.0, 0.0]]),))
+        assert str(caught.value) == "; ".join([
+            "node count must not be negative, got -1", "3 instants but 1 snapshots",
+            "instants contain non-finite values", "instants not strictly increasing",
+            "snapshot 1: shape (2, 2), expected (-1, -1)", "snapshot 1: non-finite weight",
+            "snapshot 1: negative weight"])
 
 
 class TestEntriesToCsr:

@@ -23,7 +23,7 @@ from temporank import (
     save_network,
     synthetic_five_node,
 )
-from temporank import netfile
+from temporank import graph, netfile
 from temporank.timefuncs import TimeFunction
 
 CONTINUOUS = """\
@@ -160,6 +160,17 @@ class TestErrors:
     def test_grammar_violations(self, text, fragment):
         with pytest.raises(NetworkFormatError, match=fragment):
             loads_network(text)
+
+    def test_discrete_file_checked_once(self):
+        # the constructor's check is the file route's; its text is kept
+        text = "nodes 2\ninstant 1\n1 2 1\ninstant 0\n1 2 1\n"
+        with mock.patch.object(graph, "_validate_discrete",
+                               wraps=graph._validate_discrete) as check:
+            with pytest.raises(NetworkFormatError) as caught:
+                loads_network(text)
+            assert str(caught.value) == "instants not strictly increasing"
+            loads_network("nodes 2\ninstant 0\n1 2 1\ninstant 1\n1 2 1\n")
+        assert check.call_count == 2
 
     def test_errors_carry_line_numbers(self):
         with pytest.raises(NetworkFormatError, match="line 3"):

@@ -37,8 +37,10 @@ from temporank import (
 from temporank import accumulate, cli, pagerank
 from temporank.accumulate import _continuous_accumulated, iter_instants
 from temporank.quadrature import QuadratureConfig
-from temporank.schedules import (InputPersonalization, InverseInputPersonalization,
-                                 LinearDamping, damping_at, personalization_at)
+from temporank.schedules import (CustomPersonalization, InputPersonalization,
+                                 InverseInputPersonalization, LinearDamping,
+                                 PersonalizationSchedule, TabulatedPersonalization, damping_at,
+                                 personalization_at)
 from temporank.timefuncs import parse
 from test_graph import EDGE_EXPRESSIONS
 
@@ -320,6 +322,31 @@ class TestTrajectoryDiscrete:
         for bounds in (bounds_trajectory(net, kernel, damping),
                        bounds_trajectory(continuous, kernel, damping, grid=[0.0, 0.5])):
             assert bounds.lo.shape == bounds.hi.shape == (2, 0)
+
+    @pytest.mark.parametrize("threads", ["2", None, 2.5, -2, 0])
+    def test_threads_checked_at_every_entry(self, threads):
+        kernel, damping = ExponentialDecay(1.0), ConstantDamping(0.85)
+        continuous = synthetic_five_node()
+        net = truncate(continuous, 3)
+        calls = [
+            lambda: trajectory_discrete(net, kernel, damping, UniformPersonalization(),
+                                        threads=threads),
+            lambda: trajectory_continuous(continuous, kernel, damping,
+                                          UniformPersonalization(), [0.0, 1.0], threads=threads),
+            lambda: bounds_trajectory(net, kernel, damping, threads=threads)]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="^threads must be"):
+                call()
+
+    def test_threads_taken_as_an_index(self):
+        net = truncate(synthetic_five_node(), 3)
+        kwargs = dict(kernel=ExponentialDecay(1.0), damping=ConstantDamping(0.85))
+        assert np.array_equal(
+            trajectory_discrete(net, personalization=UniformPersonalization(),
+                                threads=np.int64(2), **kwargs).vectors,
+            trajectory_discrete(net, personalization=UniformPersonalization(), **kwargs).vectors)
+        assert np.array_equal(bounds_trajectory(net, threads=np.int64(2), **kwargs).lo,
+                              bounds_trajectory(net, **kwargs).lo)
 
     def test_vector_at_is_one_based(self):
         net = truncate(synthetic_five_node(), 3)
@@ -631,3 +658,71 @@ class TestStackedDirectPath:
                          "--threads", "1", "--no-header", "--output", str(tmp_path / "s.csv")])
         assert code == 0
         assert calls == {"solve": 1}
+
+
+class RecordingSchedule(PersonalizationSchedule):
+    """Uniform, keeping the adjacency each instant hands it."""
+
+    def __init__(self):
+        self.seen = []
+
+    def raw(self, adjacency, k, t):
+        self.seen.append(adjacency)
+        return np.ones(adjacency.shape[0])
+
+
+class TestAdjacencyOnDemand:
+    """A dense chunk builds its A(t) only for a schedule that reads it."""
+
+    @pytest.mark.parametrize("personalization, calls", [
+        (UniformPersonalization(), 0),
+        (TabulatedPersonalization((np.arange(1.0, 6.0),)), 0),
+        (CustomPersonalization(lambda t: np.arange(1.0, 6.0) + t), 0),
+        (InputPersonalization(), 3),
+        (InverseInputPersonalization(), 3),
+    ], ids=["uniform", "tabulated", "custom", "input", "inverse-input"])
+    def test_edge_csrs_called_once_per_chunk_that_reads(self, personalization, calls,
+                                                        monkeypatch):
+        # n = 5 and 100 entries a chunk: 11 instants are 3 chunks of up to 4
+        counted = Counter()
+        edge_csrs = ContinuousTemporalNetwork.edge_csrs
+
+        def counting(net, values):
+            counted["edge_csrs"] += 1
+            return edge_csrs(net, values)
+
+        grid = np.linspace(0.0, 1.0, 11)
+        kwargs = dict(kernel=ExponentialDecay(1.0), damping=ConstantDamping(0.85),
+                      personalization=personalization, grid=grid)
+        reference = trajectory_continuous(synthetic_five_node(), **kwargs)
+        monkeypatch.setattr(pagerank, "_CHUNK_ENTRIES", 100)
+        monkeypatch.setattr(ContinuousTemporalNetwork, "edge_csrs", counting)
+        got = trajectory_continuous(synthetic_five_node(), **kwargs)
+        assert counted["edge_csrs"] == calls
+        assert got.vectors.tobytes() == reference.vectors.tobytes()
+
+    def test_schedules_of_their_own_get_the_adjacency(self):
+        net, grid = synthetic_five_node(), np.linspace(0.0, 1.0, 11)
+        schedule = RecordingSchedule()
+        trajectory_continuous(net, ExponentialDecay(1.0), ConstantDamping(0.85), schedule, grid)
+        assert len(schedule.seen) == len(grid)
+        for adjacency, t in zip(schedule.seen, grid):
+            expected = net.adjacency_at(t)
+            assert sparse.issparse(adjacency)
+            for field in ("data", "indices", "indptr"):
+                assert getattr(adjacency, field).tobytes() == getattr(expected, field).tobytes()
+
+    def test_node_count_in_place_of_the_adjacency(self):
+        adjacency = synthetic_five_node().adjacency_at(0.5)
+        for schedule in (UniformPersonalization(),
+                         TabulatedPersonalization((np.arange(1.0, 6.0),)),
+                         CustomPersonalization(lambda t: np.arange(1.0, 6.0) + t)):
+            assert not schedule.reads_adjacency
+            assert personalization_at(schedule, 5, 1, 0.5).tobytes() == \
+                personalization_at(schedule, adjacency, 1, 0.5).tobytes()
+        assert InputPersonalization().reads_adjacency
+        assert PersonalizationSchedule.reads_adjacency
+        for schedule in (InputPersonalization(), InverseInputPersonalization(),
+                         RecordingSchedule()):
+            with pytest.raises(InvalidInputError, match="reads the adjacency"):
+                personalization_at(schedule, 5, 1, 0.5)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from temporank import InvalidInputError, preset, synthetic_five_node, validate, PRESET_NAMES
+from temporank import (ConstantDamping, ExponentialDecay, InvalidInputError,
+                       UniformPersonalization, preset, synthetic_five_node, trajectory_continuous,
+                       trajectory_discrete, truncate, validate, PRESET_NAMES)
 
 
 def test_preset_lookup():
@@ -57,3 +59,25 @@ def test_no_node_is_ever_dangling():
     for t in np.linspace(0.0, 1.0, 41):
         sums = np.asarray(net.adjacency_at(t).sum(axis=1)).ravel()
         assert (sums > 0).all(), t
+
+
+@pytest.mark.parametrize("rate", [-4.0, 1.0, 6.0])
+def test_discretization_is_first_order(rate):
+    # the discrete sum is a Riemann sum of the integral: the error e(N) of
+    # truncate(net, N) halves as N - 1 doubles, so e(N) (N - 1) settles
+    # (0.176-0.177 at rate -4, 0.093-0.094 at 1, 0.230-0.232 at 6)
+    net = preset("paper-synthetic")
+    kwargs = dict(kernel=ExponentialDecay(rate), damping=ConstantDamping(0.85),
+                  personalization=UniformPersonalization())
+    sizes = np.array([65, 129, 257])
+    errors = []
+    for size in sizes:
+        truncated = truncate(net, int(size))
+        discrete = trajectory_discrete(truncated, **kwargs).vectors
+        continuous = trajectory_continuous(net, grid=truncated.instants, **kwargs).vectors
+        errors.append(np.abs(discrete - continuous).max())
+    errors = np.array(errors)
+    orders = np.log2(errors[:-1] / errors[1:])
+    assert ((0.97 <= orders) & (orders <= 1.01)).all(), orders
+    scaled = errors * (sizes - 1)
+    assert (np.abs(np.diff(scaled)) < 0.01 * scaled[:-1]).all(), scaled
