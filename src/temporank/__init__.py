@@ -17,7 +17,7 @@ from .errors import (ConsistencyError, ConvergenceError, EventParseError,
                      IntegrationError, InternalError, InvalidInputError,
                      NetworkFormatError, ScheduleRangeError, TemporankError,
                      UndefinedTauError)
-from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork, validate
+from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
 from .ingest import (EdgeEvent, IngestSummary, ParsedEvents, build_snapshots,
                      parse_events, sample_grid, summarize)
 from .localization import (LocalizationBounds, ResolventColumn, bounds_for_node,
@@ -48,7 +48,7 @@ __all__ = [
     "IntegrationError", "InternalError", "InvalidInputError",
     "NetworkFormatError", "ScheduleRangeError", "TemporankError",
     "UndefinedTauError",
-    "ContinuousTemporalNetwork", "DiscreteTemporalNetwork", "validate",
+    "ContinuousTemporalNetwork", "DiscreteTemporalNetwork",
     "EdgeEvent", "IngestSummary", "ParsedEvents", "build_snapshots",
     "parse_events", "sample_grid", "summarize",
     "LocalizationBounds", "ResolventColumn", "bounds_for_node",

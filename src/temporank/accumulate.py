@@ -208,7 +208,10 @@ def truncate(net: ContinuousTemporalNetwork, count: int) -> DiscreteTemporalNetw
     if count < 2:
         raise InvalidInputError(f"partition needs at least 2 points, got {count}")
     t0, t1 = net.interval
-    instants = t0 + (t1 - t0) * np.arange(count) / (count - 1)
+    with np.errstate(over="ignore"):
+        instants = t0 + (t1 - t0) * np.arange(count) / (count - 1)
+    if not np.isfinite(instants).all():
+        raise InvalidInputError(f"a {count}-point partition of [{t0}, {t1}] leaves float range")
     return DiscreteTemporalNetwork(net.n, instants, tuple(net.edge_csrs(net.values_at(instants))))
 
 
@@ -312,15 +315,10 @@ def _instants_and_setups(net, kernel, damping, personalization, dangling_dist, g
     return times, np.argsort(order), setups() if chunk is None else chunks()
 
 
-def _chunks(items, size: int) -> Iterator[list]:
-    """Lists of ``size`` consecutive ``items``, the last one possibly shorter."""
-    items = iter(items)
-    return iter(lambda: list(islice(items, size)), [])
-
-
 def _densified(pairs, size: int):
     """(P, dangling, adjacencies) of ``size`` (snapshot, A(t)) ``pairs`` at a time, see below."""
-    for block in _chunks(pairs, size):
+    pairs = iter(pairs)
+    for block in iter(lambda: list(islice(pairs, size)), []):
         snapshots, adjacencies = zip(*block)
         yield (np.array([snapshot.matrix.toarray() for snapshot in snapshots]),
                np.array([snapshot.dangling for snapshot in snapshots]), partial(tuple, adjacencies))

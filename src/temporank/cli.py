@@ -29,7 +29,7 @@ from . import ingest as ingestmod
 from . import netfile
 from .accumulate import truncate
 from .errors import InvalidInputError, TemporankError
-from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork, validate
+from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
 from .localization import bounds_trajectory
 from .pagerank import trajectory_continuous, trajectory_discrete
 from .ranking import compare_trajectories
@@ -453,11 +453,6 @@ def cmd_validate(args) -> int:
         network = netfile.load_network(args.network)
     except TemporankError as err:
         print(str(err), file=sys.stderr)
-        return 1
-    problems = validate(network)
-    if problems:
-        for problem in problems:
-            print(problem, file=sys.stderr)
         return 1
     kind = "continuous" if isinstance(network, ContinuousTemporalNetwork) else "discrete"
     print(f"ok: {kind} network, n={network.n}")

@@ -1,15 +1,15 @@
 """Temporal network data model for discrete and continuous time scales.
 
-A discrete network is checked at construction, which raises one
-:class:`InvalidInputError` naming every problem.  The continuous
-constructor coerces its inputs but does not reject bad data;
-:func:`validate` reports every invariant violation of either kind, so
-that files can be diagnosed rather than bounced at the first problem.
-Computational operations assume a network that validates cleanly.
+Both network types are checked when they are built: an argument that is
+not of the documented kind, or a network that breaks an invariant,
+raises one :class:`InvalidInputError` naming every problem, so that a
+file can be diagnosed rather than bounced at the first one.  No invalid
+network exists, and computational operations take every network as valid.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, NamedTuple
@@ -22,7 +22,7 @@ from .timefuncs import TimeFunction
 if TYPE_CHECKING:
     from scipy import sparse
 
-__all__ = ["DiscreteTemporalNetwork", "ContinuousTemporalNetwork", "validate"]
+__all__ = ["DiscreteTemporalNetwork", "ContinuousTemporalNetwork"]
 
 
 def _entries_to_csr(entries: dict, n: int) -> sparse.csr_array:
@@ -63,6 +63,24 @@ def _as_csr(matrix) -> sparse.csr_array:
     return matrix
 
 
+def _coerced(what: str, convert, *args):
+    """``convert(*args)``, whose TypeError or ValueError is an InvalidInputError ``what``."""
+    try:
+        return convert(*args)
+    except (TypeError, ValueError):
+        raise InvalidInputError(what) from None
+
+
+def _node_count(n) -> int:
+    """``n`` as an int: n < 0 is a problem the network check names, n = 0 the empty network."""
+    return _coerced(f"node count must be an integer, got {n!r}", operator.index, n)
+
+
+def _pair(values, convert) -> tuple:
+    first, second = values
+    return convert(first), convert(second)
+
+
 @dataclass(frozen=True)
 class DiscreteTemporalNetwork:
     """A fixed node set observed at strictly increasing instants.
@@ -70,8 +88,7 @@ class DiscreteTemporalNetwork:
     ``snapshots[k]`` holds the instantaneous nonnegative adjacency at
     ``instants[k]``; an optional ``initial_adjacency`` records the day-zero
     baseline an event stream was replayed from.  Every matrix is stored as
-    canonical CSR, and a network that breaks an invariant of
-    :func:`validate` is not built.
+    canonical CSR, and a network that breaks an invariant is not built.
     """
 
     n: int
@@ -80,16 +97,16 @@ class DiscreteTemporalNetwork:
     initial_adjacency: sparse.csr_array | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "instants",
-                           np.asarray(self.instants, dtype=float))
-        object.__setattr__(self, "snapshots",
-                           tuple(_as_csr(a) for a in self.snapshots))
+        object.__setattr__(self, "n", _node_count(self.n))
+        object.__setattr__(self, "instants", _coerced(
+            "instants must be a 1-d sequence of numbers", np.fromiter, self.instants, float))
+        object.__setattr__(self, "snapshots", _coerced(
+            "snapshots must be a sequence of matrices of numbers",
+            lambda: tuple(map(_as_csr, self.snapshots))))
         if self.initial_adjacency is not None:
-            object.__setattr__(self, "initial_adjacency",
-                               _as_csr(self.initial_adjacency))
-        problems = _validate_discrete(self)
-        if problems:
-            raise InvalidInputError("; ".join(problems))
+            object.__setattr__(self, "initial_adjacency", _coerced(
+                "initial adjacency must be a matrix of numbers", _as_csr, self.initial_adjacency))
+        _validate_discrete(self)
 
     @property
     def instant_count(self) -> int:
@@ -117,7 +134,8 @@ class ContinuousTemporalNetwork:
 
     ``edges`` maps 0-based (i, j) pairs to a :class:`TimeFunction`; with
     ``symmetric=True`` each stored edge is mirrored at construction, so the
-    mapping always holds both directions explicitly.
+    mapping always holds both directions explicitly.  A network that breaks
+    an invariant is not built; edge functions are checked on a sample grid.
     """
 
     n: int
@@ -126,17 +144,23 @@ class ContinuousTemporalNetwork:
     symmetric: bool = False
 
     def __post_init__(self):
-        t0, t1 = (float(self.interval[0]), float(self.interval[1]))
-        object.__setattr__(self, "interval", (t0, t1))
+        object.__setattr__(self, "n", _node_count(self.n))
+        object.__setattr__(self, "interval", _coerced(
+            f"interval must be a pair of numbers, got {self.interval!r}",
+            _pair, self.interval, float))
         mirrored = {}
-        for (i, j), fn in self.edges.items():
+        for key, fn in _coerced("edges must map node pairs to weights", dict, self.edges).items():
+            i, j = _coerced(f"edge {key!r} is not a pair of node indices",
+                            _pair, key, operator.index)
             if not isinstance(fn, TimeFunction):
-                fn = TimeFunction.from_callable(fn) if callable(fn) \
-                    else TimeFunction.constant(fn)
-            mirrored[(int(i), int(j))] = fn
+                fn = TimeFunction.from_callable(fn) if callable(fn) else _coerced(
+                    f"edge ({i + 1}, {j + 1}): weight {fn!r} is not a number",
+                    TimeFunction.constant, fn)
+            mirrored[(i, j)] = fn
             if self.symmetric:
-                mirrored.setdefault((int(j), int(i)), fn)
+                mirrored.setdefault((j, i), fn)
         object.__setattr__(self, "edges", mirrored)
+        _validate_continuous(self)
 
     @property
     def t0(self) -> float:
@@ -204,20 +228,7 @@ class ContinuousTemporalNetwork:
 _CONTINUOUS_SAMPLES = 33
 
 
-def validate(network) -> list[str]:
-    """Report every invariant violation; an empty list means the network is ok.
-
-    Continuous edge functions are checked on a sample grid (finiteness and
-    nonnegativity cannot be decided exactly for arbitrary evaluators).
-    """
-    if isinstance(network, DiscreteTemporalNetwork):
-        return _validate_discrete(network)
-    if isinstance(network, ContinuousTemporalNetwork):
-        return _validate_continuous(network)
-    raise InvalidInputError(f"not a temporal network: {type(network).__name__}")
-
-
-def _validate_discrete(net: DiscreteTemporalNetwork) -> list[str]:
+def _validate_discrete(net: DiscreteTemporalNetwork) -> None:
     problems = []
     if net.n < 0:   # n = 0 is the empty network, with empty bounds
         problems.append(f"node count must not be negative, got {net.n}")
@@ -226,37 +237,36 @@ def _validate_discrete(net: DiscreteTemporalNetwork) -> list[str]:
             f"{len(net.instants)} instants but {len(net.snapshots)} snapshots")
     if not np.isfinite(net.instants).all():
         problems.append("instants contain non-finite values")
-    if np.any(np.diff(net.instants) <= 0):
+    if np.any(np.diff(net.instants[np.isfinite(net.instants)]) <= 0):
         problems.append("instants not strictly increasing")
-    matrices = list(net.snapshots)
+    labelled = [(f"snapshot {k}", matrix) for k, matrix in enumerate(net.snapshots, start=1)]
     if net.initial_adjacency is not None:
-        matrices.append(net.initial_adjacency)
-    for idx, matrix in enumerate(matrices):
-        label = ("initial adjacency" if idx == len(net.snapshots)
-                 and net.initial_adjacency is not None else f"snapshot {idx + 1}")
+        labelled.append(("initial adjacency", net.initial_adjacency))
+    for label, matrix in labelled:
         if matrix.shape != (net.n, net.n):
             problems.append(f"{label}: shape {matrix.shape}, expected ({net.n}, {net.n})")
         if matrix.nnz and not np.isfinite(matrix.data).all():
             problems.append(f"{label}: non-finite weight")
         if matrix.nnz and (matrix.data < 0).any():
             problems.append(f"{label}: negative weight")
-    return problems
+    if problems:
+        raise InvalidInputError("; ".join(problems))
 
 
-def _validate_continuous(net: ContinuousTemporalNetwork) -> list[str]:
+def _validate_continuous(net: ContinuousTemporalNetwork) -> None:
     problems = []
-    if net.n <= 0:
-        problems.append(f"node count must be positive, got {net.n}")
+    if net.n < 0:   # n = 0 is the empty network, as on the discrete scale
+        problems.append(f"node count must not be negative, got {net.n}")
     t0, t1 = net.interval
-    if not (np.isfinite(t0) and np.isfinite(t1)):
-        problems.append("interval endpoints must be finite")
-        return problems
-    if not t0 < t1:
-        problems.append(f"interval [{t0}, {t1}] is empty")
-        return problems
-    with np.errstate(all="ignore"):
-        samples = net.values_at(np.linspace(t0, t1, _CONTINUOUS_SAMPLES))
     rows, cols, _ = net.edge_order
+    samples = np.zeros((len(rows), 0))   # none on an interval that is not one
+    if not np.isfinite(t1 - t0):
+        problems.append("interval endpoints and length must be finite")
+    elif not t0 < t1:
+        problems.append(f"interval [{t0}, {t1}] is empty")
+    else:   # finiteness and sign of an arbitrary evaluator are only sampled
+        with np.errstate(all="ignore"):
+            samples = net.values_at(np.linspace(t0, t1, _CONTINUOUS_SAMPLES))
     for i, j, values, label in zip(rows.tolist(), cols.tolist(), samples, net.edge_labels):
         if not (0 <= i < net.n and 0 <= j < net.n):
             problems.append(f"{label} outside node range 1..{net.n}")
@@ -264,4 +274,5 @@ def _validate_continuous(net: ContinuousTemporalNetwork) -> list[str]:
             problems.append(f"{label}: non-finite value on sample grid")
         elif (values < 0).any():
             problems.append(f"{label}: negative value on sample grid")
-    return problems
+    if problems:
+        raise InvalidInputError("; ".join(problems))

@@ -17,7 +17,7 @@ import numpy as np
 from .accumulate import StochasticSnapshot, _instants_and_setups
 from .errors import InternalError, InvalidInputError
 from .pagerank import (DIRECT_SOLVE_MAX_N, _check_damping, _check_probabilities,
-                       _check_threads, _check_tol, _chunk_size, _patch_dangling, _run_instants,
+                       _check_count, _check_tol, _chunk_size, _patch_dangling, _run_instants,
                        _solver_by_size)
 from .quadrature import QuadratureConfig
 from .schedules import DampingSchedule, DecayKernel, PersonalizationSchedule
@@ -71,8 +71,7 @@ def resolvent_column(snapshot: StochasticSnapshot, damping: float, node: int,
     and lies in [exact, exact + tol], every other entry in [exact - tol, exact].
     """
     n = snapshot.n
-    if not 0 <= node < n:
-        raise InvalidInputError(f"node {node} outside 0..{n - 1}")
+    node = int(_checked_nodes([node], n)[0])
     u = _dangling_u(snapshot.dangling, u, "this instant")
     if _solver_by_size("auto", n, "neumann", "method") == "direct":
         column = _resolvent_chunk([node], (1,), snapshot.matrix.toarray()[None],
@@ -80,6 +79,15 @@ def resolvent_column(snapshot: StochasticSnapshot, damping: float, node: int,
     else:
         column = _resolvent_columns(snapshot, damping, [node], u, tol, "this instant")[:, 0]
     return ResolventColumn(node, column, damping, snapshot.instant)
+
+
+def _checked_nodes(nodes, n: int) -> np.ndarray:
+    """``nodes`` as a 1-d int array of 0-based nodes of an n-node network."""
+    nodes = np.asarray(nodes)
+    if nodes.ndim != 1 or nodes.dtype.kind not in "iuf" or (nodes != np.floor(nodes)).any() \
+            or not ((0 <= nodes) & (nodes < n)).all():
+        raise InvalidInputError(f"node subset must be 1-d integers in 0..{n - 1}")
+    return nodes.astype(int)
 
 
 def _dangling_u(dangling: np.ndarray, u: np.ndarray | None, instant: str):
@@ -174,7 +182,7 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
     schedule, so pass the same one here to bound them).
     """
     _check_tol(tol)
-    threads = _check_threads(threads)
+    threads = _check_count(threads, "threads")
     method = _solver_by_size("auto", net.n, "neumann", "method")
     instants, places, setups = _instants_and_setups(
         net, kernel, damping, None, dangling_dist, grid, quad,
@@ -184,16 +192,12 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
             raise InvalidInputError(
                 f"with n={net.n} > {DIRECT_SOLVE_MAX_N} an explicit node subset is required")
         nodes = np.arange(net.n)
-    nodes = np.asarray(nodes)
-    if nodes.ndim != 1 or nodes.dtype.kind not in "iuf" or (nodes != np.floor(nodes)).any() \
-            or not ((0 <= nodes) & (nodes < net.n)).all():
-        raise InvalidInputError(f"node subset must be 1-d integers in 0..{net.n - 1}")
-    nodes = nodes.astype(int)
+    nodes = _checked_nodes(nodes, net.n)
 
-    def solve(chunk):
-        columns = _resolvent_chunk(nodes, *chunk[0]) if method == "direct" else [
-            _resolvent_columns(s.snapshot, s.damping, nodes, s.u, tol, f"instant {s.k}")
-            for s in chunk]
+    def solve(task):   # a dense chunk of instants, or one setup
+        columns = _resolvent_chunk(nodes, *task) if method == "direct" else [
+            _resolvent_columns(task.snapshot, task.damping, nodes, task.u, tol,
+                               f"instant {task.k}")]
         return [[_column_bounds(x[:, m], node) for m, node in enumerate(nodes)] for x in columns]
 
     results = _run_instants(setups, solve, threads)

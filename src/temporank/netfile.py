@@ -45,7 +45,7 @@ import numpy as np
 from . import timefuncs
 from .errors import InvalidInputError, NetworkFormatError, TemporankError, decode, read_bytes
 from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _entries_to_csr,
-                    _sorted_to_csr, validate)
+                    _sorted_to_csr)
 
 __all__ = ["load_network", "loads_network", "save_network", "dumps_network"]
 
@@ -359,25 +359,18 @@ def _parse_triple(p: _Parser, parts):
 def _finish(p: _Parser):
     if p.n is None:
         raise NetworkFormatError("missing `nodes` header")
-    if p.interval is not None or p.edges:
-        if p.interval is None:
-            raise NetworkFormatError("continuous file is missing `interval`")
-        network = ContinuousTemporalNetwork(
-            n=p.n, interval=p.interval, edges=p.edges, symmetric=p.symmetric)
-        problems = validate(network)
-        if problems:
-            raise NetworkFormatError("; ".join(problems))
-        return network
-    if p.symmetric:
+    continuous = p.interval is not None or p.edges
+    if continuous and p.interval is None:
+        raise NetworkFormatError("continuous file is missing `interval`")
+    if not continuous and p.symmetric:
         raise NetworkFormatError("`symmetric` applies only to edge files")
-    if not p.blocks:
+    if not continuous and not p.blocks:
         raise NetworkFormatError("file defines neither edges nor instants")
     try:   # the constructor checks the network and names every problem
-        return DiscreteTemporalNetwork(
-            n=p.n,
-            instants=[t for t, _ in p.blocks],
-            snapshots=[matrix for _, matrix in p.blocks],
-            initial_adjacency=p.initial)
+        if continuous:
+            return ContinuousTemporalNetwork(p.n, p.interval, p.edges, p.symmetric)
+        instants, snapshots = zip(*p.blocks)
+        return DiscreteTemporalNetwork(p.n, instants, snapshots, p.initial)
     except InvalidInputError as err:
         raise NetworkFormatError(str(err)) from None
 

@@ -9,6 +9,7 @@ LAPACK call, taking P as the dense (K, n, n) stack accumulation hands over.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +18,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .accumulate import InstantSetup, StochasticSnapshot, _chunks, _instants_and_setups
+from .accumulate import InstantSetup, StochasticSnapshot, _instants_and_setups
 from .errors import ConvergenceError, InternalError, InvalidInputError
 from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
 from .quadrature import QuadratureConfig
@@ -61,18 +62,18 @@ def _check_damping(damping: float) -> None:
 
 
 def _check_tol(tol: float) -> None:
-    if not 0 < tol < np.inf:
+    if not (isinstance(tol, numbers.Real) and 0 < tol < np.inf):
         raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
 
 
-def _check_threads(threads) -> int:
-    """``threads`` as an int of at least 1."""
+def _check_count(value, name: str) -> int:
+    """``value`` as an int of at least 1; ``name`` names it in the error."""
     try:
-        count = operator.index(threads)
+        count = operator.index(value)
     except TypeError:
-        raise InvalidInputError(f"threads must be an integer, got {threads!r}") from None
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
     if count < 1:
-        raise InvalidInputError(f"threads must be at least 1, got {count}")
+        raise InvalidInputError(f"{name} must be at least 1, got {count}")
     return count
 
 
@@ -210,6 +211,7 @@ def pagerank_power(op: GoogleOperator, tol: float = 1e-12,
     the error is then at most damping / (1 - damping) * r in the 1-norm.
     """
     _check_tol(tol)
+    max_iter = _check_count(max_iter, "max_iter")
     x = op.v.copy()
     residual = np.inf
     for iteration in range(1, max_iter + 1):
@@ -254,29 +256,29 @@ def _solver_by_size(name: str, n: int, iterative: str, what: str) -> str:
     return name
 
 
-def _power_chunk(setups: list[InstantSetup], tol: float,
+def _power_solve(setup: InstantSetup, tol: float,
                  max_iter: int) -> list[tuple[np.ndarray, int, float]]:
-    results = [pagerank_power(GoogleOperator(setup.snapshot, setup.damping, setup.v, setup.u),
-                              tol=tol, max_iter=max_iter) for setup in setups]
-    _check_simplex(np.array([pi for pi, _, _ in results]))
-    return results
+    result = pagerank_power(GoogleOperator(setup.snapshot, setup.damping, setup.v, setup.u),
+                            tol=tol, max_iter=max_iter)
+    _check_simplex(result[0][None])
+    return [result]
 
 
-def _run_instants(setups, solve, threads: int, size: int = 1) -> list:
-    """``solve`` the streamed setups, a chunk of ``size`` consecutive ones at a time.
+def _run_instants(tasks, solve, threads: int) -> list:
+    """``solve`` each of the streamed tasks: a setup, or a dense chunk of instants.
 
-    ``solve`` maps a list of setups to a list of results, one per
-    instant.  The setups arrive one at a time, and the next chunk is only
-    drawn once a solve slot is free, so no more than ``threads`` chunks
-    are in flight.  Chunks do not depend on ``threads`` and each solve is
-    deterministic, so results are identical at any thread count; they
-    come back in the order of the setups, one per instant.
+    ``solve`` maps a task to a list of results, one per instant.  The
+    tasks arrive one at a time, and the next is only drawn once a solve
+    slot is free, so no more than ``threads`` tasks are in flight.  Tasks
+    do not depend on ``threads`` and each solve is deterministic, so
+    results are identical at any thread count; they come back in the
+    order of the tasks, one per instant.
     """
     results = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
-        for chunk in _chunks(setups, size):
-            pending.append(pool.submit(solve, chunk))
+        for task in tasks:
+            pending.append(pool.submit(solve, task))
             if len(pending) >= threads:
                 results.extend(pending.popleft().result())
         for future in pending:
@@ -287,12 +289,14 @@ def _run_instants(setups, solve, threads: int, size: int = 1) -> list:
 def _trajectory(net, kernel, damping, personalization, dangling_dist, grid, quad, solver,
                 tol, max_iter, threads) -> PageRankTrajectory:
     """The rank trajectory on either scale, the network's type naming the scale."""
-    threads = _check_threads(threads)
+    threads = _check_count(threads, "threads")
+    max_iter = _check_count(max_iter, "max_iter")
+    _check_tol(tol)
     solver = _solver_by_size(solver, net.n, "power", "solver")
     if solver == "direct":
-        size, solve = _chunk_size(net.n), lambda chunk: _direct_chunk(*chunk[0])
+        size, solve = _chunk_size(net.n), lambda record: _direct_chunk(*record)
     else:
-        size, solve = None, partial(_power_chunk, tol=tol, max_iter=max_iter)
+        size, solve = None, partial(_power_solve, tol=tol, max_iter=max_iter)
     instants, places, setups = _instants_and_setups(net, kernel, damping, personalization,
                                                     dangling_dist, grid, quad, size)
     if not len(instants):

@@ -52,7 +52,11 @@ def adaptive_simpson(fn, breakpoints, config: QuadratureConfig = QuadratureConfi
     points = np.asarray(breakpoints, dtype=float)
     piece = np.flatnonzero(points[1:] > points[:-1])
     a, b = points[piece], points[piece + 1]
-    scale = (points[-1] - points[0]) / (2 * config.tol)
+    with np.errstate(over="ignore"):
+        scale = (points[-1] - points[0]) / (2 * config.tol)
+    if not np.isfinite(scale):   # no panel of a nonzero integrand could pass
+        raise IntegrationError(f"quadrature tolerance {config.tol:g} is out of reach over "
+                               f"[{points[0]:g}, {points[-1]:g}]")
     total, bisections = None, 0
     while True:
         half = 0.5 * (b - a)
@@ -60,11 +64,12 @@ def adaptive_simpson(fn, breakpoints, config: QuadratureConfig = QuadratureConfi
         values = values.reshape(len(values), a.size, _NODES.size)
         if total is None:
             total = np.zeros((len(values), points.size - 1))
-        # |K15 - G7| over the panel's share tol * (b - a) / span (widths cancel)
+        # |K15 - G7| over the panel's share tol * (b - a) / span (widths cancel); a sum
+        # beyond float range is left inf, for the caller's finiteness check
         with np.errstate(over="ignore"):
             excess = np.abs(values @ (_KRONROD - _GAUSS)) * scale
-        done = excess.max(axis=0, initial=0.0) <= 1.0
-        np.add.at(total.T, piece[done], (values[:, done] @ _KRONROD * half[done]).T)
+            done = excess.max(axis=0, initial=0.0) <= 1.0
+            np.add.at(total.T, piece[done], (values[:, done] @ _KRONROD * half[done]).T)
         if done.all():
             return total
         bisections += np.count_nonzero(~done)

@@ -14,8 +14,10 @@ Python ast with a strict node whitelist, so arbitrary code never runs.
 
 Arbitrary evaluators plug in through :meth:`TimeFunction.from_callable`;
 they must be pure (same t, same value), finite and nonnegative on the
-network interval, and right-continuous at its left endpoint.  None of that
-is checked mechanically for callables.
+network interval, and right-continuous at its left endpoint.  A network
+samples every edge function, a callable too, on a grid of its interval
+when it is built and refuses a negative or non-finite value there;
+nothing between the sample points is checked.
 """
 
 from __future__ import annotations

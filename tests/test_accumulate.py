@@ -1,6 +1,7 @@
 """Time-decayed accumulation and row-stochastic normalization."""
 
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -232,6 +233,15 @@ class TestTruncate:
     def test_node_count_carried_over(self):
         assert truncate(synthetic_five_node(), 3).n == 5
 
+    def test_partition_beyond_float_range_rejected(self):
+        # the length of the interval is a float, twice it is not
+        net = ContinuousTemporalNetwork(2, (0.0, 1e308), {(0, 1): 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="leaves float range"):
+                truncate(net, 3)
+        assert truncate(net, 2).instants.tolist() == [0.0, 1e308]
+
 
 def overflow_network():
     """Two nodes on instants 0/500/1000: e^{500 |r|} stays finite, e^{1000 |r|} does not."""
@@ -380,25 +390,22 @@ class TestStreamedAccumulation:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_at_most_threads_setups_in_flight(self, threads):
-        for size in (1, 3, 4):
-            alive, peak, chunks = set(), [], []
+        alive, peak, solved = set(), [], []
 
-            def setups():
-                for k in range(1, 11):
-                    alive.add(k)
-                    peak.append(len(alive))
-                    yield SimpleNamespace(k=k)
+        def setups():
+            for k in range(1, 11):
+                alive.add(k)
+                peak.append(len(alive))
+                yield SimpleNamespace(k=k)
 
-            def solve(chunk):
-                ks = [setup.k for setup in chunk]
-                chunks.append(ks)
-                alive.difference_update(ks)
-                return ks
+        def solve(setup):
+            solved.append(setup.k)
+            alive.discard(setup.k)
+            return [setup.k]
 
-            assert _run_instants(setups(), solve, threads, size) == list(range(1, 11))
-            assert max(peak) <= threads * size
-            assert sorted(chunks) == [list(range(k, min(k + size, 11)))
-                                      for k in range(1, 11, size)]
+        assert _run_instants(setups(), solve, threads) == list(range(1, 11))
+        assert max(peak) <= threads
+        assert sorted(solved) == list(range(1, 11))
 
 
 def compute_bytes(workdir, *argv) -> list[bytes]:

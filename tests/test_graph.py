@@ -1,20 +1,26 @@
-"""Temporal network data model and validation."""
+"""Temporal network data model, checked when a network is built."""
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import sparse
 
 import oracles
 from temporank import (
+    ConstantDamping,
     ContinuousTemporalNetwork,
     DiscreteTemporalNetwork,
+    ExponentialDecay,
     InvalidInputError,
+    TemporankError,
+    UniformPersonalization,
+    bounds_trajectory,
+    trajectory_continuous,
+    trajectory_discrete,
     truncate,
-    validate,
 )
 from temporank.graph import _entries_to_csr
 from temporank.timefuncs import parse
@@ -31,7 +37,7 @@ def two_instant_network():
 
 class TestDiscrete:
     def test_well_formed_network_validates(self):
-        assert validate(two_instant_network()) == []
+        assert two_instant_network().instant_count == 2    # built, so no problem was found
 
     def test_snapshots_coerced_to_sparse(self):
         net = two_instant_network()
@@ -47,7 +53,7 @@ class TestDiscrete:
             assert stored.indices.tolist() == [0, 1, 0]
             assert stored.data.tolist() == [1.0, 1.5, 3.0]
         assert given.nnz == 4 and not given.has_canonical_format
-        assert validate(net) == []          # the summed weight, not -0.5, is checked
+        # built: the summed weight, not -0.5, is checked
 
     def test_snapshot_at_is_one_based(self):
         net = two_instant_network()
@@ -146,37 +152,48 @@ class TestContinuous:
     def test_well_formed_network_validates(self):
         net = ContinuousTemporalNetwork(
             n=2, interval=(0.0, 1.0), edges={(0, 1): parse("t")})
-        assert validate(net) == []
+        assert net.edges[(0, 1)](0.5) == 0.5    # built, so no problem was found
+
+    # a continuous network is checked at construction, which names every problem
 
     def test_empty_interval_flagged(self):
-        net = ContinuousTemporalNetwork(n=2, interval=(1.0, 1.0))
-        assert any("empty" in p for p in validate(net))
+        with pytest.raises(InvalidInputError, match=r"^interval \[1\.0, 1\.0\] is empty$"):
+            ContinuousTemporalNetwork(n=2, interval=(1.0, 1.0))
 
     def test_edge_outside_node_range_flagged(self):
-        net = ContinuousTemporalNetwork(
-            n=2, interval=(0.0, 1.0), edges={(0, 5): parse("t")})
-        assert any("outside node range" in p for p in validate(net))
+        with pytest.raises(InvalidInputError,
+                           match=r"^edge \(1, 6\) outside node range 1\.\.2$"):
+            ContinuousTemporalNetwork(n=2, interval=(0.0, 1.0), edges={(0, 5): parse("t")})
 
     def test_negative_edge_function_flagged(self):
-        net = ContinuousTemporalNetwork(
-            n=2, interval=(0.0, 1.0), edges={(0, 1): parse("t - 0.5")})
-        assert any("negative value" in p for p in validate(net))
+        with pytest.raises(InvalidInputError, match="negative value"):
+            ContinuousTemporalNetwork(n=2, interval=(0.0, 1.0), edges={(0, 1): parse("t - 0.5")})
 
     def test_edges_named_one_based(self):
-        net = ContinuousTemporalNetwork(
-            n=2, interval=(0.0, 1.0), edges={(0, 1): parse("t - 2")})
-        assert validate(net) == ["edge (1, 2): negative value on sample grid"]
+        with pytest.raises(InvalidInputError,
+                           match=r"^edge \(1, 2\): negative value on sample grid$"):
+            ContinuousTemporalNetwork(n=2, interval=(0.0, 1.0), edges={(0, 1): parse("t - 2")})
 
     def test_overflow_reported_without_a_warning(self):
-        net = ContinuousTemporalNetwork(
-            n=2, interval=(0.0, 1000.0), edges={(1, 0): parse("exp(t)")})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert validate(net) == ["edge (2, 1): non-finite value on sample grid"]
+            with pytest.raises(InvalidInputError,
+                               match=r"^edge \(2, 1\): non-finite value on sample grid$"):
+                ContinuousTemporalNetwork(n=2, interval=(0.0, 1000.0),
+                                          edges={(1, 0): parse("exp(t)")})
 
     def test_non_network_rejected(self):
-        with pytest.raises(InvalidInputError):
-            validate("not a network")
+        # a node count that is not an integer, as for a discrete network
+        with pytest.raises(InvalidInputError, match="^node count must be an integer, got '2'$"):
+            ContinuousTemporalNetwork("2", (0.0, 1.0))
+
+    def test_every_problem_named_in_one_error(self):
+        with pytest.raises(InvalidInputError) as caught:
+            ContinuousTemporalNetwork(-1, (0.0, np.inf), {(0, 5): 1.0})
+        assert str(caught.value) == "; ".join([
+            "node count must not be negative, got -1",
+            "interval endpoints and length must be finite",
+            "edge (1, 6) outside node range 1..-1"])
 
 
 #: edge functions, several of them zero on part of [0, 1] or at its ends
@@ -253,3 +270,154 @@ class TestEdgeOrder:
         net = ContinuousTemporalNetwork(n=3, interval=(0.0, 1.0))
         assert_same_csr(net.adjacency_at(0.5), oracles.coo_adjacency_at(net, 0.5))
         assert net.edge_csr([]).shape == (3, 3)
+
+
+#: numbers of every kind a field may be given: ordinary, zero, negative, huge, not finite
+ANY_FLOAT = st.sampled_from([0.0, 1.0, -1.0, 1e300, np.inf, -np.inf, np.nan]) | st.floats()
+#: node counts that are negative or no integer at all
+BAD_NODE_COUNTS = st.integers(-3, -1) | st.sampled_from(["2", 2.5, None, 2.0])
+#: anything but a nonnegative number: non-finite, negative, not a number, not a scalar
+BAD_WEIGHTS = ANY_FLOAT.filter(lambda w: not 0 <= w < np.inf) | st.sampled_from(
+    ["x", None, [1.0], "t"])
+
+
+@st.composite
+def continuous_fields(draw):
+    """Fields of a continuous network, each of up to two of them spoilt."""
+    n = draw(st.integers(0, 6))
+    t0 = draw(st.floats(-10.0, 10.0))
+    fields = dict(n=n, interval=(t0, t0 + draw(st.floats(0.1, 10.0))),
+                  edges=draw(st.dictionaries(
+                      st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+                      st.builds(parse, st.sampled_from(EDGE_EXPRESSIONS)) | st.floats(0.0, 10.0)
+                      | st.just(5e-324), max_size=4 if n else 0)),
+                  symmetric=draw(st.booleans()))
+    spoilt = dict(
+        n=BAD_NODE_COUNTS,
+        interval=st.tuples(ANY_FLOAT, ANY_FLOAT) | st.sampled_from(
+            [(1.0, 1.0), (1.0, 0.0), (0.0, np.inf), (np.nan, 1.0), "ab", (0.0,), None,
+             (0.0, 1.0, 2.0)]),
+        edges=st.sampled_from([None, 5, "ab"]) | st.builds(
+            lambda edges, key, weight: {**edges, key: weight}, st.just(fields["edges"]),
+            st.tuples(st.integers(-1, n), st.integers(-1, n)) | st.sampled_from(
+                [("0", 1), (0.5, 1), (0,), None]),
+            BAD_WEIGHTS | st.builds(parse, st.sampled_from(
+                ("t - 20", "-1", "exp(1000*t)", "1/(t - t)"))) | st.floats(0.0, 10.0)))
+    for name in draw(st.sets(st.sampled_from(sorted(spoilt)), max_size=2)):
+        fields[name] = draw(spoilt[name])
+    return ContinuousTemporalNetwork, fields
+
+
+@st.composite
+def discrete_fields(draw):
+    """Fields of a discrete network, each of up to two of them spoilt."""
+    n = draw(st.integers(0, 6))
+    count = draw(st.integers(1, 3))
+    matrices = st.lists(st.floats(0.0, 10.0), min_size=n * n, max_size=n * n).map(
+        lambda entries: np.reshape(entries, (n, n)))
+    fields = dict(n=n, instants=draw(st.lists(st.floats(-10.0, 10.0), min_size=count,
+                                              max_size=count, unique=True).map(sorted)),
+                  snapshots=draw(st.lists(matrices, min_size=count, max_size=count)),
+                  initial_adjacency=draw(st.none() | matrices))
+    bad_matrices = st.sampled_from(["ab", None, [[0.0, 1.0], [1.0]], np.zeros((2, 2, 2)),
+                                    np.zeros(n), np.zeros((n + 1, n)), np.asarray(1.0)]) \
+        | st.builds(lambda w: np.full((n, n), w), BAD_WEIGHTS.filter(
+            lambda w: isinstance(w, float)))
+    spoilt = dict(
+        n=BAD_NODE_COUNTS,
+        instants=st.sampled_from([5.0, "abc", [[0.0]], None, fields["instants"][::-1] * 2])
+        | st.lists(ANY_FLOAT, min_size=count, max_size=count),
+        snapshots=st.sampled_from(["ab", 5, fields["snapshots"][1:]])
+        | st.builds(lambda matrix: [matrix] + fields["snapshots"][1:], bad_matrices),
+        initial_adjacency=bad_matrices)
+    for name in draw(st.sets(st.sampled_from(sorted(spoilt)), max_size=2)):
+        fields[name] = draw(spoilt[name])
+    return DiscreteTemporalNetwork, fields
+
+
+class TestDegenerateFields:
+    """Every network is built or refused with a TemporankError; a built one can be used."""
+
+    @given(fields=continuous_fields() | discrete_fields())
+    @example(fields=(ContinuousTemporalNetwork, dict(n=2, interval=(0, 1), edges={(0, 5): 1.0})))
+    @example(fields=(ContinuousTemporalNetwork, dict(n=2, interval=(0, np.inf))))
+    @example(fields=(ContinuousTemporalNetwork, dict(n=2, interval=(1, 1))))
+    @example(fields=(ContinuousTemporalNetwork, dict(n=2, interval=(1, 0))))
+    @example(fields=(ContinuousTemporalNetwork, dict(n=2, interval=(np.nan, 1))))
+    @example(fields=(ContinuousTemporalNetwork, dict(n="2", interval=(0, 1))))
+    @example(fields=(ContinuousTemporalNetwork, dict(n=0, interval=(0, 1))))
+    @example(fields=(ContinuousTemporalNetwork, dict(n=-1, interval=(0, 1))))
+    @example(fields=(ContinuousTemporalNetwork, dict(n=2, interval=(0, 1), edges={(0, 1): "x"})))
+    @example(fields=(ContinuousTemporalNetwork,
+                     dict(n=2, interval=(0, 1), edges={(0, 1): -1.0, (1, 0): np.nan})))
+    @example(fields=(ContinuousTemporalNetwork,   # beyond the quadrature's absolute tol
+                     dict(n=2, interval=(0, 1), edges={(0, 1): 1e300, (1, 0): 1.7e308})))
+    @example(fields=(ContinuousTemporalNetwork, dict(n=2, interval=(0, 1e300))))
+    @example(fields=(DiscreteTemporalNetwork, dict(n=2, instants=5.0,
+                                                   snapshots=(np.zeros((2, 2)),))))
+    @example(fields=(DiscreteTemporalNetwork, dict(n=2, instants=[0.0], snapshots="ab")))
+    @example(fields=(DiscreteTemporalNetwork, dict(n=2, instants=[0.0],
+                                                   snapshots=(np.zeros((2, 2, 2)),))))
+    @example(fields=(DiscreteTemporalNetwork, dict(n=0, instants=[0.0],
+                                                   snapshots=(np.zeros((0, 0)),))))
+    @example(fields=(DiscreteTemporalNetwork, dict(n=2.0, instants=[0.0],
+                                                   snapshots=(np.zeros((2, 2)),))))
+    def test_built_or_refused_cleanly(self, fields):
+        cls, kwargs = fields
+        try:
+            net = cls(**kwargs)
+        except TemporankError:
+            return
+        kernel, damping = ExponentialDecay(1.0), ConstantDamping(0.85)
+        if cls is ContinuousTemporalNetwork:
+            grid = np.linspace(net.t0, net.t1, 3)
+            calls = [lambda: trajectory_continuous(net, kernel, damping,
+                                                   UniformPersonalization(), grid),
+                     lambda: bounds_trajectory(net, kernel, damping, grid=grid),
+                     lambda: truncate(net, 3)]
+        else:
+            calls = [lambda: trajectory_discrete(net, kernel, damping, UniformPersonalization()),
+                     lambda: bounds_trajectory(net, kernel, damping)]
+        for call in calls:
+            try:
+                call()
+            except TemporankError:
+                pass
+
+    def test_refusals_name_the_field(self):
+        cases = [
+            (lambda: ContinuousTemporalNetwork(2, (0, 1), {(0, 5): 1.0}),
+             "edge (1, 6) outside node range 1..2"),
+            (lambda: ContinuousTemporalNetwork(2, (0, np.inf)),
+             "interval endpoints and length must be finite"),
+            (lambda: ContinuousTemporalNetwork("2", (0, 1)),
+             "node count must be an integer, got '2'"),
+            (lambda: ContinuousTemporalNetwork(2, (0, 1), {(0, 1): "x"}),
+             "edge (1, 2): weight 'x' is not a number"),
+            (lambda: ContinuousTemporalNetwork(2, (0, 1), {("0", 1): 1.0}),
+             "edge ('0', 1) is not a pair of node indices"),
+            (lambda: ContinuousTemporalNetwork(2, None),
+             "interval must be a pair of numbers, got None"),
+            (lambda: ContinuousTemporalNetwork(2, (-1e308, 1e308)),
+             "interval endpoints and length must be finite"),
+            (lambda: DiscreteTemporalNetwork(2, 5.0, (np.zeros((2, 2)),)),
+             "instants must be a 1-d sequence of numbers"),
+            (lambda: DiscreteTemporalNetwork(2, [0.0], "ab"),
+             "snapshots must be a sequence of matrices of numbers"),
+            (lambda: DiscreteTemporalNetwork(2, [0.0], (np.zeros((2, 2, 2)),)),
+             "snapshots must be a sequence of matrices of numbers"),
+            (lambda: DiscreteTemporalNetwork(2, [0.0], (np.zeros((2, 2)),), "ab"),
+             "initial adjacency must be a matrix of numbers"),
+            (lambda: DiscreteTemporalNetwork(2.0, [0.0], (np.zeros((2, 2)),)),
+             "node count must be an integer, got 2.0"),
+        ]
+        for build, message in cases:
+            with pytest.raises(InvalidInputError) as caught:
+                build()
+            assert str(caught.value) == message
+
+    def test_node_count_taken_as_an_index(self):
+        for cls, args in [(ContinuousTemporalNetwork, ((0.0, 1.0),)),
+                          (DiscreteTemporalNetwork, ([0.0], (np.zeros((3, 3)),)))]:
+            net = cls(np.int64(3), *args)
+            assert net.n == 3 and type(net.n) is int

@@ -143,6 +143,19 @@ class TestResolventColumn:
         with pytest.raises(InvalidInputError):
             resolvent_column(snap, 1.0, 0)
 
+    @pytest.mark.parametrize("node", ["0", 0.5, 2, -1, None, [0], True])
+    def test_node_checked_at_every_entry(self, node):
+        snap = snapshot_of(TWO_NODE)
+        net = DiscreteTemporalNetwork(2, [0.0], (TWO_NODE,))
+        calls = [lambda: resolvent_column(snap, 0.85, node),
+                 lambda: bounds_for_node(snap, 0.85, node),
+                 lambda: bounds_trajectory(net, ExponentialDecay(1.0), ConstantDamping(0.85),
+                                           nodes=[node])]
+        for call in calls:
+            with pytest.raises(InvalidInputError,
+                               match=r"^node subset must be 1-d integers in 0\.\.1$"):
+                call()
+
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
     def test_series_needs_a_positive_tolerance(self, tol):
         # the Neumann series stops on tol; at tol <= 0 it would never stop
@@ -278,12 +291,12 @@ class TestBoundsTrajectory:
         # instants, so each solve call is counted by its results
         chunks = []
 
-        def recording(setups, solve, threads, size=1):
-            def counted(chunk):
-                results = solve(chunk)
+        def recording(tasks, solve, threads):
+            def counted(task):
+                results = solve(task)
                 chunks.append(len(results))
                 return results
-            return run_instants(setups, counted, threads, size)
+            return run_instants(tasks, counted, threads)
 
         run_instants = localization._run_instants
         monkeypatch.setattr(localization, "_run_instants", recording)

@@ -172,6 +172,17 @@ class TestErrors:
             loads_network("nodes 2\ninstant 0\n1 2 1\ninstant 1\n1 2 1\n")
         assert check.call_count == 2
 
+    def test_continuous_file_checked_once(self):
+        # as for a discrete file: the constructor checks, and the file keeps its text
+        text = "nodes 2\ninterval 0 1\nedge 1 2 t-2\n"
+        with mock.patch.object(graph, "_validate_continuous",
+                               wraps=graph._validate_continuous) as check:
+            with pytest.raises(NetworkFormatError) as caught:
+                loads_network(text)
+            assert str(caught.value) == "edge (1, 2): negative value on sample grid"
+            loads_network("nodes 2\ninterval 0 1\nedge 1 2 t\n")
+        assert check.call_count == 2
+
     def test_errors_carry_line_numbers(self):
         with pytest.raises(NetworkFormatError, match="line 3"):
             loads_network("nodes 2\ninterval 0 1\nedge 1 5 t\n")

@@ -338,6 +338,27 @@ class TestTrajectoryDiscrete:
             with pytest.raises(InvalidInputError, match="^threads must be"):
                 call()
 
+    @pytest.mark.parametrize("solver", ["direct", "power"])
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(tol=math.nan), "^tolerance must be positive and finite, got nan$"),
+        (dict(tol="x"), "^tolerance must be positive and finite, got x$"),
+        (dict(max_iter="x"), "^max_iter must be an integer, got 'x'$"),
+        (dict(max_iter=2.5), "^max_iter must be an integer, got 2.5$"),
+        (dict(max_iter=-5), "^max_iter must be at least 1, got -5$"),
+    ])
+    def test_tol_and_max_iter_checked_where_a_trajectory_starts(self, solver, kwargs, message):
+        kernel, damping = ExponentialDecay(1.0), ConstantDamping(0.85)
+        continuous = synthetic_five_node()
+        net = truncate(continuous, 3)
+        calls = [
+            lambda: trajectory_discrete(net, kernel, damping, UniformPersonalization(),
+                                        solver=solver, **kwargs),
+            lambda: trajectory_continuous(continuous, kernel, damping, UniformPersonalization(),
+                                          [0.0, 1.0], solver=solver, **kwargs)]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match=message):
+                call()
+
     def test_threads_taken_as_an_index(self):
         net = truncate(synthetic_five_node(), 3)
         kwargs = dict(kernel=ExponentialDecay(1.0), damping=ConstantDamping(0.85))
@@ -593,12 +614,12 @@ class TestStackedDirectPath:
         # many instants, so each solve call is counted by its results
         chunks = []
 
-        def recording(setups, solve, threads, size=1):
-            def counted(chunk):
-                results = solve(chunk)
+        def recording(tasks, solve, threads):
+            def counted(task):
+                results = solve(task)
                 chunks.append(len(results))
                 return results
-            return run_instants(setups, counted, threads, size)
+            return run_instants(tasks, counted, threads)
 
         run_instants = pagerank._run_instants
         monkeypatch.setattr(pagerank, "_run_instants", recording)

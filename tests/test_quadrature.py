@@ -61,6 +61,23 @@ def test_excess_beyond_float_range_fails_cleanly():
             adaptive_simpson(scalar(lambda s: 1e200 * np.sin(40.0 * s)), [0.0, 1.0], config)
 
 
+def test_span_beyond_the_tolerance_fails_cleanly():
+    # span / (2 tol) is beyond float range: no panel of a nonzero integrand can pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match=r"out of reach over \[0, 1e\+300\]"):
+            adaptive_simpson(scalar(np.cos), [0.0, 1e300])
+
+
+def test_sum_beyond_float_range_left_inf():
+    # the caller checks the accumulation for finiteness; no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = adaptive_simpson(scalar(lambda s: np.full_like(s, 1e308)), [0.0, 10.0],
+                                 QuadratureConfig(tol=1e300))
+    assert value.tolist() == [[np.inf]]
+
+
 def test_one_component_drives_the_refinement():
     # the cubic is exact on one panel per piece, the peak at 0.3 is not:
     # the panels bisected for the peak keep the cubic exact too
