@@ -6,12 +6,18 @@ the transition matrix the ranking operates on.  A node whose accumulated
 row is entirely zero has been dangling at every instant so far and keeps a
 zero row here; the teleportation patch happens downstream.
 
-:func:`iter_instants` walks the instants of a trajectory in time order.
-For :class:`ExponentialDecay` it carries B forward through the kernel's
+The per-instant pipeline (:func:`_instant_chunks`) walks the instants of a
+trajectory in time order and hands every solver, of ranks and bounds
+alike, the same record: chunks of consecutive instants, each with its
+1-based k, transition matrices P, dangling flags, damping, v and u.  For
+:class:`ExponentialDecay` it carries B forward through the kernel's
 semigroup property instead of rebuilding it, with every row stored up to
 a positive factor (which row normalization ignores); any other kernel
 goes through :func:`accumulate_discrete` / :func:`accumulate_continuous`
-per instant, the reference path.
+per instant, the reference path.  A discrete network keeps only the
+running B between instants; a continuous one holds the edge values at
+every grid instant and, for the exponential kernel, B at every instant,
+all computed before the first chunk.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import operator
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,9 +38,8 @@ from .schedules import (DampingSchedule, DecayKernel, ExponentialDecay,
                         PersonalizationSchedule, damping_at, personalization_at)
 
 __all__ = [
-    "AccumulatedMatrix", "StochasticSnapshot", "InstantSetup",
+    "AccumulatedMatrix", "StochasticSnapshot",
     "accumulate_discrete", "row_normalize", "accumulate_continuous", "truncate",
-    "iter_instants",
 ]
 
 if TYPE_CHECKING:
@@ -43,6 +48,9 @@ if TYPE_CHECKING:
 #: a block of grid instants row-normalized in one pass has at most this
 #: many entries in its (instants x (edges + nodes + 1)) index arrays
 _BLOCK_ENTRIES = 2 ** 20
+
+#: a chunk of instants for the direct solve holds at most this many dense system entries (8 MB)
+_CHUNK_ENTRIES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -219,61 +227,22 @@ def truncate(net: ContinuousTemporalNetwork, count: int) -> DiscreteTemporalNetw
 # the per-instant pipeline
 
 
-@dataclass(frozen=True)
-class InstantSetup:
-    """What one instant's solve needs: snapshot, damping, v and u.
-
-    ``k`` is the 1-based position of ``instant`` in the caller's grid.
-    ``v`` is None when no personalization schedule was given; ``u`` is
-    None unless the snapshot has dangling rows and a dangling distribution
-    was given.  Both read the instantaneous adjacency, not B.
-    """
-
-    k: int
-    instant: float
-    snapshot: StochasticSnapshot
-    damping: float
-    v: np.ndarray | None
-    u: np.ndarray | None
-
-
-def iter_instants(net, kernel: DecayKernel, damping: DampingSchedule,
-                  personalization: PersonalizationSchedule | None = None,
-                  dangling_dist: PersonalizationSchedule | None = None,
-                  grid=None, quad: QuadratureConfig = QuadratureConfig()
-                  ) -> Iterator[InstantSetup]:
-    """Set up every instant of a trajectory, one at a time, in time order.
-
-    A discrete network uses its own instants and takes no grid; a
-    continuous one needs ``grid``, evaluated in sorted order whatever order
-    it comes in (``k`` still names the caller's position).  A consumer
-    that drops each setup after use holds one snapshot at a time.  A
-    discrete network keeps only the running accumulated matrix between
-    instants.  A continuous one holds the edge values at every grid
-    instant and, for an :class:`ExponentialDecay` kernel, the (edges x
-    instants) integrals over the grid's pieces from one quadrature call and
-    the normalized B of every instant, all computed before the first
-    instant.  A grid given with a discrete network, or one that is empty,
-    not 1-d or outside the network interval, fails at the call.  Direct
-    solves, of ranks and bounds alike, take dense chunks instead of these.
-    """
-    return _instants_and_setups(net, kernel, damping, personalization, dangling_dist,
-                                grid, quad)[2]
-
-
-def _instants_and_setups(net, kernel, damping, personalization, dangling_dist, grid, quad,
-                         chunk: int | None = None):
-    """(instants, places, setups): the caller's instants, the place of each in time order
-    and :func:`iter_instants` over them, or with a ``chunk`` size dense chunks (ks, P,
-    dangling, dampings, vs, us) of up to ``chunk`` instants, ks their 1-based k and P their
-    (K, n, n) stack.  A bad grid fails here, before any setup."""
-    dense = chunk if isinstance(kernel, ExponentialDecay) else None
+def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, quad,
+                    direct: bool):
+    """(instants, places, chunks): the caller's instants, the place of each in time order and
+    the records (ks, P, dangling, dampings, vs, us) of consecutive instants in time order, ks
+    their 1-based k in the caller's order.  For the ``direct`` solve a chunk holds up to
+    max(1, _CHUNK_ENTRIES // n^2) instants and P is their (K, n, n) stack; otherwise it holds
+    one instant and P is the 1-tuple of its CSR snapshot.  A bad grid fails here, before any
+    chunk."""
+    size = max(1, _CHUNK_ENTRIES // max(1, net.n * net.n)) if direct else 1
+    stacked = size if direct and isinstance(kernel, ExponentialDecay) else None
     if isinstance(net, DiscreteTemporalNetwork):
         if grid is not None:
             raise InvalidInputError("a discrete network uses its own instants; give no grid")
         times = np.asarray(net.instants, dtype=float)
         order = np.arange(len(times))
-        pairs = _discrete_snapshots(net, kernel, dense)
+        pairs = _discrete_snapshots(net, kernel, stacked)
     else:
         if grid is None:
             raise InvalidInputError("continuous networks need an evaluation grid")
@@ -285,7 +254,7 @@ def _instants_and_setups(net, kernel, damping, personalization, dangling_dist, g
             raise InvalidInputError(f"t={float(outside[0])} outside the network "
                                     f"interval [{net.t0}, {net.t1}]")
         order = np.argsort(times, kind="stable")
-        pairs = _continuous_snapshots(net, kernel, times[order], quad, dense)
+        pairs = _continuous_snapshots(net, kernel, times[order], quad, stacked)
 
     def at(position, adjacency, dangling):   # adjacency() is A(t), built if a schedule reads it
         k = int(position) + 1
@@ -297,31 +266,28 @@ def _instants_and_setups(net, kernel, damping, personalization, dangling_dist, g
 
         v = None if personalization is None else teleport(personalization)
         u = teleport(dangling_dist) if dangling_dist is not None and dangling.any() else None
-        return k, t, damping_at(damping, k, len(times), t), v, u
-
-    def setups():
-        for position, (snapshot, adjacency) in zip(order, pairs):
-            k, t, damping_k, v, u = at(position, lambda: adjacency, snapshot.dangling)
-            yield InstantSetup(k, t, snapshot, damping_k, v, u)
+        return k, damping_at(damping, k, len(times), t), v, u
 
     def chunks():
         positions = iter(order)
-        for transitions, dangling, adjacencies in pairs if dense else _densified(pairs, chunk):
+        groups = pairs if stacked else _grouped(pairs, size, direct)
+        for transitions, dangling, adjacencies in groups:
             built = cache(lambda: tuple(adjacencies()))
             instants = enumerate(zip(islice(positions, len(dangling)), dangling))
-            ks, _, dampings, vs, us = zip(*(at(position, lambda i=i: built()[i], flags)
-                                            for i, (position, flags) in instants))
+            ks, dampings, vs, us = zip(*(at(position, lambda i=i: built()[i], flags)
+                                         for i, (position, flags) in instants))
             yield ks, transitions, dangling, dampings, vs, us
-    return times, np.argsort(order), setups() if chunk is None else chunks()
+    return times, np.argsort(order), chunks()
 
 
-def _densified(pairs, size: int):
-    """(P, dangling, adjacencies) of ``size`` (snapshot, A(t)) ``pairs`` at a time, see below."""
+def _grouped(pairs, size: int, dense: bool):
+    """(P, dangling, adjacencies) of ``size`` (snapshot, A(t)) ``pairs`` at a time, P the
+    (K, n, n) stack of the snapshots when ``dense``, else the snapshots."""
     pairs = iter(pairs)
     for block in iter(lambda: list(islice(pairs, size)), []):
         snapshots, adjacencies = zip(*block)
-        yield (np.array([snapshot.matrix.toarray() for snapshot in snapshots]),
-               np.array([snapshot.dangling for snapshot in snapshots]), partial(tuple, adjacencies))
+        transitions = np.array([s.matrix.toarray() for s in snapshots]) if dense else snapshots
+        yield transitions, np.array([s.dangling for s in snapshots]), partial(tuple, adjacencies)
 
 
 def _normalize_dense(stack: np.ndarray):

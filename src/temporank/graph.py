@@ -53,10 +53,14 @@ def _column_csrs(n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarr
 
 
 def _as_csr(matrix) -> sparse.csr_array:
-    """``matrix`` as canonical CSR: column indices sorted in each row, duplicates summed."""
+    """``matrix`` as canonical float64 CSR: column indices sorted in each row, duplicates
+    summed.  A canonical float64 ``csr_array`` is kept as it is."""
     from scipy import sparse
+    if isinstance(matrix, sparse.csr_array) and matrix.dtype == np.float64 \
+            and matrix.has_canonical_format:
+        return matrix
     matrix = sparse.csr_array(matrix if sparse.issparse(matrix)
-                              else np.asarray(matrix, dtype=float))
+                              else np.asarray(matrix, dtype=float), dtype=float)
     if not matrix.has_canonical_format:
         matrix = matrix.copy()
         matrix.sum_duplicates()
@@ -214,14 +218,36 @@ class ContinuousTemporalNetwork:
         return values.T[kept], indices, indptr, starts
 
     def values_at(self, times) -> np.ndarray:
-        """(edges, times) values of the :attr:`edge_order` functions, one array call each."""
+        """(edges, times) values of the :attr:`edge_order` functions, one array call each.
+
+        An exception a callable edge function raises is an :class:`InvalidInputError`
+        naming the edge and the first of ``times`` it raises at.
+        """
         times = np.asarray(times, dtype=float).ravel()
-        return np.reshape([fn(times) for fn in self.edge_order.functions],
+        return np.reshape([fn(times) if fn.source is not None else _called(fn, times, label)
+                           for fn, label in zip(self.edge_order.functions, self.edge_labels)],
                           (len(self.edges), times.size))
 
     def adjacency_at(self, t: float) -> sparse.csr_array:
         """Pointwise evaluation A(t) as a sparse matrix."""
         return self.edge_csr(self.values_at([t])[:, 0])
+
+
+def _called(fn: TimeFunction, times: np.ndarray, label: str) -> np.ndarray:
+    """``fn(times)`` of a callable edge function ``label``; see ``values_at``.  An opaque
+    callable may raise any exception, so any is caught."""
+    def raises(t):
+        try:
+            fn(np.array([t]))
+        except Exception:
+            return True
+        return False
+
+    try:
+        return fn(times)
+    except Exception as exc:
+        where = next((f" at t={t!r}" for t in times.tolist() if raises(t)), "")
+        raise InvalidInputError(f"{label}: the weight function raised {exc!r}{where}") from exc
 
 
 #: number of sample points used for the sampled checks on edge functions
@@ -265,8 +291,11 @@ def _validate_continuous(net: ContinuousTemporalNetwork) -> None:
     elif not t0 < t1:
         problems.append(f"interval [{t0}, {t1}] is empty")
     else:   # finiteness and sign of an arbitrary evaluator are only sampled
-        with np.errstate(all="ignore"):
-            samples = net.values_at(np.linspace(t0, t1, _CONTINUOUS_SAMPLES))
+        try:
+            with np.errstate(all="ignore"):
+                samples = net.values_at(np.linspace(t0, t1, _CONTINUOUS_SAMPLES))
+        except InvalidInputError as exc:   # a callable that raises
+            problems.append(str(exc))
     for i, j, values, label in zip(rows.tolist(), cols.tolist(), samples, net.edge_labels):
         if not (0 <= i < net.n and 0 <= j < net.n):
             problems.append(f"{label} outside node range 1..{net.n}")

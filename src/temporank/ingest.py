@@ -35,6 +35,8 @@ recursion), and snapshot k holds each edge's last count at or before t_k.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import os
 import re
 from collections.abc import Sequence
@@ -44,7 +46,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConsistencyError, EventParseError, InvalidInputError, read_bytes
-from .graph import DiscreteTemporalNetwork, _sorted_to_csr
+from .graph import DiscreteTemporalNetwork, _coerced, _node_count, _sorted_to_csr
 from .netfile import _NotSure, _fields, _read
 
 __all__ = [
@@ -250,10 +252,12 @@ def sample_grid(start: float, step: float, count: int, unit: float = 1.0) -> np.
     `unit` converts the grid to seconds, the unit of event timestamps.
     """
     spec = f"grid {start!r},{step!r},{count!r}"
-    if not (math.isfinite(start) and math.isfinite(step)):
+    if not all(isinstance(value, numbers.Real) and math.isfinite(value)
+               for value in (start, step)):
         raise InvalidInputError(f"{spec}: start and step must be finite")
     if step <= 0:
         raise InvalidInputError(f"step must be positive, got {step}")
+    count = _coerced(f"count must be an integer, got {count!r}", operator.index, count)
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
     with np.errstate(over="ignore"):
@@ -284,9 +288,11 @@ def build_snapshots(events, sample_instants, n: int | None = None,
     """
     if policy not in ("strict", "clamp"):
         raise InvalidInputError(f"unknown policy {policy!r}")
-    if instant_scale <= 0:
-        raise InvalidInputError(f"instant_scale must be positive, got {instant_scale}")
-    instants = np.asarray(sample_instants, dtype=float)
+    if not (isinstance(instant_scale, numbers.Real) and 0 < instant_scale < math.inf):
+        raise InvalidInputError(
+            f"instant_scale must be positive and finite, got {instant_scale!r}")
+    instants = _coerced("sample_instants must be a non-empty 1-d sequence",
+                        np.asarray, sample_instants, float)
     if instants.ndim != 1 or instants.size == 0:
         raise InvalidInputError("sample_instants must be a non-empty 1-d sequence")
     if not np.isfinite(instants).all():
@@ -298,6 +304,8 @@ def build_snapshots(events, sample_instants, n: int | None = None,
         n = int(max(events.src.max(), events.dst.max())) if len(events) else 0
         if initial is not None:
             n = max(n, np.asarray(initial.shape)[0])
+    else:
+        n = _node_count(n)
     if n < 1:
         raise InvalidInputError("no nodes: supply events, an initial matrix, or n")
     baseline, seed_keys, seed_weights = None, np.zeros(0, dtype=np.int64), np.zeros(0)

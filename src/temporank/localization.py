@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import StochasticSnapshot, _instants_and_setups
+from .accumulate import StochasticSnapshot, _instant_chunks
 from .errors import InternalError, InvalidInputError
 from .pagerank import (DIRECT_SOLVE_MAX_N, _check_damping, _check_probabilities,
-                       _check_count, _check_tol, _chunk_size, _patch_dangling, _run_instants,
+                       _check_count, _check_tol, _patch_dangling, _run_instants,
                        _solver_by_size)
 from .quadrature import QuadratureConfig
 from .schedules import DampingSchedule, DecayKernel, PersonalizationSchedule
@@ -70,6 +70,7 @@ def resolvent_column(snapshot: StochasticSnapshot, damping: float, node: int,
     the Neumann series of :func:`_resolvent_columns`: its diagonal carries the bound of the rest
     and lies in [exact, exact + tol], every other entry in [exact - tol, exact].
     """
+    _check_tol(tol)
     n = snapshot.n
     node = int(_checked_nodes([node], n)[0])
     u = _dangling_u(snapshot.dangling, u, "this instant")
@@ -184,9 +185,8 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
     _check_tol(tol)
     threads = _check_count(threads, "threads")
     method = _solver_by_size("auto", net.n, "neumann", "method")
-    instants, places, setups = _instants_and_setups(
-        net, kernel, damping, None, dangling_dist, grid, quad,
-        _chunk_size(net.n) if method == "direct" else None)
+    instants, places, chunks = _instant_chunks(net, kernel, damping, None, dangling_dist, grid,
+                                               quad, method == "direct")
     if nodes is None:
         if method == "neumann":
             raise InvalidInputError(
@@ -194,12 +194,13 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
         nodes = np.arange(net.n)
     nodes = _checked_nodes(nodes, net.n)
 
-    def solve(task):   # a dense chunk of instants, or one setup
+    def solve(task):   # P a dense stack, or CSR snapshots for the Neumann series
+        ks, transitions, _, dampings, _, us = task
         columns = _resolvent_chunk(nodes, *task) if method == "direct" else [
-            _resolvent_columns(task.snapshot, task.damping, nodes, task.u, tol,
-                               f"instant {task.k}")]
+            _resolvent_columns(snapshot, damping_k, nodes, u, tol, f"instant {k}")
+            for k, snapshot, damping_k, u in zip(ks, transitions, dampings, us)]
         return [[_column_bounds(x[:, m], node) for m, node in enumerate(nodes)] for x in columns]
 
-    results = _run_instants(setups, solve, threads)
+    results = _run_instants(chunks, solve, threads)
     bounds = np.array(results, dtype=float).reshape(len(results), nodes.size, 2)[places]
     return LocalizationBounds(instants, nodes, bounds[:, :, 0], bounds[:, :, 1])

@@ -14,13 +14,13 @@ import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
-from .accumulate import InstantSetup, StochasticSnapshot, _instants_and_setups
+from .accumulate import StochasticSnapshot, _instant_chunks
 from .errors import ConvergenceError, InternalError, InvalidInputError
-from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
+from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork, _coerced
 from .quadrature import QuadratureConfig
 from .schedules import DampingSchedule, DecayKernel, PersonalizationSchedule
 
@@ -34,9 +34,6 @@ __all__ = [
 #: above this size the automatic choice switches to power iteration (Neumann for bounds)
 DIRECT_SOLVE_MAX_N = 2000
 
-#: a chunk of instants holds at most this many dense system entries (8 MB)
-_CHUNK_ENTRIES = 2 ** 20
-
 _SUM_TOL = 1e-10
 _ROWSUM_TOL = 1e-12
 
@@ -45,7 +42,8 @@ def _check_probabilities(vectors, n: int, name: str) -> np.ndarray:
     """The (len(vectors), n) stack of ``vectors``, each finite and positive with unit 1-norm."""
     stack = []
     for vector in vectors:
-        vector = np.asarray(vector, dtype=float).ravel()
+        vector = _coerced(f"{name} must be a vector of numbers", np.asarray, vector,
+                          float).ravel()
         if vector.shape != (n,):
             raise InvalidInputError(f"{name} has shape {vector.shape}, expected ({n},)")
         stack.append(vector)
@@ -57,7 +55,7 @@ def _check_probabilities(vectors, n: int, name: str) -> np.ndarray:
 
 
 def _check_damping(damping: float) -> None:
-    if not 0.0 < damping < 1.0:
+    if not (isinstance(damping, numbers.Real) and 0.0 < damping < 1.0):
         raise InvalidInputError(f"damping {damping} outside (0, 1)")
 
 
@@ -75,10 +73,6 @@ def _check_count(value, name: str) -> int:
     if count < 1:
         raise InvalidInputError(f"{name} must be at least 1, got {count}")
     return count
-
-
-def _chunk_size(n: int) -> int:
-    return max(1, _CHUNK_ENTRIES // max(1, n * n))
 
 
 def _checked_inputs(n: int, dampings, vs, us):
@@ -256,16 +250,17 @@ def _solver_by_size(name: str, n: int, iterative: str, what: str) -> str:
     return name
 
 
-def _power_solve(setup: InstantSetup, tol: float,
+def _power_solve(ks, snapshots, dangling, dampings, vs, us, tol: float,
                  max_iter: int) -> list[tuple[np.ndarray, int, float]]:
-    result = pagerank_power(GoogleOperator(setup.snapshot, setup.damping, setup.v, setup.u),
-                            tol=tol, max_iter=max_iter)
-    _check_simplex(result[0][None])
-    return [result]
+    """(pi, iterations, residual) of each instant of a chunk of CSR ``snapshots``."""
+    results = [pagerank_power(GoogleOperator(*instant), tol=tol, max_iter=max_iter)
+               for instant in zip(snapshots, dampings, vs, us)]
+    _check_simplex(np.array([pi for pi, _, _ in results]))
+    return results
 
 
 def _run_instants(tasks, solve, threads: int) -> list:
-    """``solve`` each of the streamed tasks: a setup, or a dense chunk of instants.
+    """``solve`` each of the streamed tasks, chunks of instants as the pipeline records them.
 
     ``solve`` maps a task to a list of results, one per instant.  The
     tasks arrive one at a time, and the next is only drawn once a solve
@@ -293,15 +288,16 @@ def _trajectory(net, kernel, damping, personalization, dangling_dist, grid, quad
     max_iter = _check_count(max_iter, "max_iter")
     _check_tol(tol)
     solver = _solver_by_size(solver, net.n, "power", "solver")
-    if solver == "direct":
-        size, solve = _chunk_size(net.n), lambda record: _direct_chunk(*record)
-    else:
-        size, solve = None, partial(_power_solve, tol=tol, max_iter=max_iter)
-    instants, places, setups = _instants_and_setups(net, kernel, damping, personalization,
-                                                    dangling_dist, grid, quad, size)
+    instants, places, chunks = _instant_chunks(net, kernel, damping, personalization,
+                                               dangling_dist, grid, quad, solver == "direct")
     if not len(instants):
         raise InvalidInputError("the network has no instants")
-    results = _run_instants(setups, solve, threads)
+
+    def solve(record):
+        return _direct_chunk(*record) if solver == "direct" else \
+            _power_solve(*record, tol, max_iter)
+
+    results = _run_instants(chunks, solve, threads)
     vectors, iterations, residuals = zip(*(results[place] for place in places))
     continuous = isinstance(net, ContinuousTemporalNetwork)
     return PageRankTrajectory(instants, np.array(vectors), {

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, InvalidInputError
 
 __all__ = ["QuadratureConfig", "adaptive_simpson"]
 
@@ -19,10 +22,25 @@ class QuadratureConfig:
     difference is at most ``tol * w / span``, so each piece gets its share
     of ``tol``.  ``max_subdivisions`` counts the bisections of the whole
     call, over all components and pieces, so it also bounds the live panels.
+    ``tol`` must be a positive finite number and ``max_subdivisions`` an
+    integer of at least 0.
     """
 
     tol: float = 1e-10
     max_subdivisions: int = 2 ** 16
+
+    def __post_init__(self):
+        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < math.inf):
+            raise InvalidInputError(
+                f"quadrature tolerance must be positive and finite, got {self.tol!r}")
+        try:
+            subdivisions = operator.index(self.max_subdivisions)
+        except TypeError:
+            subdivisions = None
+        if subdivisions is None or subdivisions < 0:
+            raise InvalidInputError("quadrature max_subdivisions must be an integer >= 0, "
+                                    f"got {self.max_subdivisions!r}")
+        object.__setattr__(self, "max_subdivisions", subdivisions)
 
 
 # Gauss-Kronrod 7-15 on [-1, 1]: the nonnegative Kronrod nodes, descending,

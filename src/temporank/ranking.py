@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, UndefinedTauError
+from .graph import _coerced
 from .pagerank import PageRankTrajectory
 
 __all__ = ["TauSeries", "kendall_tau", "compare_trajectories"]
@@ -76,7 +77,7 @@ def _inversions(ranks: np.ndarray, n_ranks: int) -> int:
 
 
 def _as_scores(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = _coerced(f"{name} must be a sequence of numbers", np.asarray, values, float).ravel()
     if arr.size < 2:
         raise InvalidInputError(f"{name} needs at least 2 entries, got {arr.size}")
     if not np.isfinite(arr).all():

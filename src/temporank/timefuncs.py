@@ -17,7 +17,8 @@ they must be pure (same t, same value), finite and nonnegative on the
 network interval, and right-continuous at its left endpoint.  A network
 samples every edge function, a callable too, on a grid of its interval
 when it is built and refuses a negative or non-finite value there;
-nothing between the sample points is checked.
+nothing between the sample points is checked.  A callable that raises is
+an :class:`InvalidInputError` naming its edge, wherever it is evaluated.
 """
 
 from __future__ import annotations

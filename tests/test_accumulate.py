@@ -34,14 +34,29 @@ from temporank import (
     truncate,
 )
 from temporank import accumulate
-from temporank.accumulate import (InstantSetup, _continuous_accumulated, _edge_integrals,
-                                  _normalize_columns, iter_instants)
+from temporank.accumulate import (_continuous_accumulated, _edge_integrals, _instant_chunks,
+                                  _normalize_columns)
 from temporank.graph import _column_csrs
 from temporank.pagerank import _run_instants
 from temporank.schedules import (InputPersonalization, InverseInputPersonalization,
                                  LinearDamping, damping_at, personalization_at)
 from temporank.timefuncs import TimeFunction
 from test_graph import assert_same_csr, continuous_networks
+
+
+def instant_setups(net, kernel, damping, personalization=None, dangling_dist=None, grid=None,
+                   quad=QuadratureConfig()):
+    """The pipeline's one-instant chunks for power iteration and the Neumann series, in time
+    order, as namespaces k, instant, snapshot, damping, v and u; a bad grid fails at the call."""
+    chunks = _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, quad,
+                             direct=False)[2]
+
+    def setups():
+        for ks, (snapshot,), _, (damping_k,), (v,), (u,) in chunks:
+            (k,) = ks
+            yield SimpleNamespace(k=k, instant=snapshot.instant, snapshot=snapshot,
+                                  damping=damping_k, v=v, u=u)
+    return setups()
 
 
 def two_snapshot_network(step=1.0):
@@ -276,7 +291,7 @@ class TestOverflowIsAnError:
 
     @pytest.mark.parametrize("rate", [-1.0, 1.0, 5.0])
     def test_streamed_trajectory_is_finite_at_either_sign(self, rate):
-        setups = list(iter_instants(overflow_network(), ExponentialDecay(rate),
+        setups = list(instant_setups(overflow_network(), ExponentialDecay(rate),
                                     ConstantDamping(0.85)))
         # exact rows: B_2 has e^{-500 r} A_1 + A_2, so no row of it is zero
         assert list(setups[1].snapshot.dangling) == [0, 0]
@@ -314,7 +329,7 @@ class TestStreamedAccumulation:
     @given(discrete_networks())
     def test_discrete_recurrence_matches_reference(self, case):
         net, kernel = case
-        setups = list(iter_instants(net, kernel, ConstantDamping(0.5)))
+        setups = list(instant_setups(net, kernel, ConstantDamping(0.5)))
         assert [setup.k for setup in setups] == list(range(1, net.instant_count + 1))
         for setup in setups:
             reference = row_normalize(accumulate_discrete(net, kernel, setup.k))
@@ -373,7 +388,7 @@ class TestStreamedAccumulation:
     def test_unsorted_grid_comes_back_in_caller_order(self):
         net = synthetic_five_node()
         grid = np.array([0.5, 0.0, 1.0, 0.25, 0.5])
-        setups = list(iter_instants(net, ExponentialDecay(1.0), ConstantDamping(0.85),
+        setups = list(instant_setups(net, ExponentialDecay(1.0), ConstantDamping(0.85),
                                     grid=grid))
         assert [setup.k for setup in setups] == [2, 4, 1, 5, 3]
         by_k = {setup.k: setup for setup in setups}
@@ -385,7 +400,7 @@ class TestStreamedAccumulation:
 
     def test_grid_outside_interval_rejected(self):
         with pytest.raises(InvalidInputError, match="outside"):
-            list(iter_instants(synthetic_five_node(), ExponentialDecay(1.0),
+            list(instant_setups(synthetic_five_node(), ExponentialDecay(1.0),
                                ConstantDamping(0.85), grid=[0.5, 1.5]))
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -460,7 +475,8 @@ def reference_setups(net, kernel, damping, personalization, dangling_dist, grid,
         u = None
         if dangling_dist is not None and snapshot.dangling.any():
             u = personalization_at(dangling_dist, adjacency, k, t)
-        setups.append(InstantSetup(k, t, snapshot, damping_at(damping, k, len(grid), t), v, u))
+        setups.append(SimpleNamespace(k=k, instant=t, snapshot=snapshot,
+                                      damping=damping_at(damping, k, len(grid), t), v=v, u=u))
     return setups
 
 
@@ -487,7 +503,7 @@ class TestGridSampledOnce:
         kernel = CustomDecay(lambda s, t: math.exp(-rate * (t - s))) if custom \
             else ExponentialDecay(rate)
         damping, quad = LinearDamping(0.3, 0.9), QuadratureConfig()
-        got = list(iter_instants(net, kernel, damping, personalization, dangling_dist,
+        got = list(instant_setups(net, kernel, damping, personalization, dangling_dist,
                                  grid=grid, quad=quad))
         expected = reference_setups(net, kernel, damping, personalization, dangling_dist,
                                     grid, quad)
@@ -514,7 +530,7 @@ class TestGridSampledOnce:
         net = ContinuousTemporalNetwork(
             base.n, base.interval, {pair: recording(pair, fn) for pair, fn in base.edges.items()})
         grid = np.array([0.5, 0.0, 1.0, 0.25, 0.5])
-        setups = list(iter_instants(net, ExponentialDecay(1.0), ConstantDamping(0.85),
+        setups = list(instant_setups(net, ExponentialDecay(1.0), ConstantDamping(0.85),
                                     InputPersonalization(), InputPersonalization(), grid=grid))
         assert len(setups) == len(grid)
         for pair, arguments in calls.items():
@@ -538,7 +554,7 @@ class TestNormalizeColumns:
         monkeypatch.setattr(ContinuousTemporalNetwork, "nonzero_columns", recording)
         monkeypatch.setattr(accumulate, "_BLOCK_ENTRIES", 64)
         grid = np.linspace(0.0, 1.0, 101)
-        setups = list(iter_instants(net, ExponentialDecay(1.0), ConstantDamping(0.85),
+        setups = list(instant_setups(net, ExponentialDecay(1.0), ConstantDamping(0.85),
                                     grid=grid))
         width = 64 // (len(net.edges) + net.n + 1)
         assert len(setups) == 101 and 1 <= width < 101

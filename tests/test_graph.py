@@ -1,6 +1,8 @@
 """Temporal network data model, checked when a network is built."""
 
+import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,11 +15,20 @@ from temporank import (
     ConstantDamping,
     ContinuousTemporalNetwork,
     DiscreteTemporalNetwork,
+    EdgeEvent,
     ExponentialDecay,
     InvalidInputError,
+    QuadratureConfig,
     TemporankError,
     UniformPersonalization,
+    bounds_for_node,
     bounds_trajectory,
+    build_snapshots,
+    dumps_network,
+    kendall_tau,
+    resolvent_column,
+    row_normalize,
+    sample_grid,
     trajectory_continuous,
     trajectory_discrete,
     truncate,
@@ -281,6 +292,13 @@ BAD_WEIGHTS = ANY_FLOAT.filter(lambda w: not 0 <= w < np.inf) | st.sampled_from(
     ["x", None, [1.0], "t"])
 
 
+def window(t):
+    """1, but raises for t in (0.400, 0.405), between the samples a network is checked on."""
+    if 0.400 < t < 0.405:
+        raise ZeroDivisionError("window")
+    return 1.0
+
+
 @st.composite
 def continuous_fields(draw):
     """Fields of a continuous network, each of up to two of them spoilt."""
@@ -362,6 +380,10 @@ class TestDegenerateFields:
                                                    snapshots=(np.zeros((0, 0)),))))
     @example(fields=(DiscreteTemporalNetwork, dict(n=2.0, instants=[0.0],
                                                    snapshots=(np.zeros((2, 2)),))))
+    @example(fields=(ContinuousTemporalNetwork, dict(n=2, interval=(0, 1),
+                                                     edges={(0, 1): math.log})))
+    @example(fields=(ContinuousTemporalNetwork, dict(n=2, interval=(0, 1),
+                                                     edges={(0, 1): window, (1, 0): 1.0})))
     def test_built_or_refused_cleanly(self, fields):
         cls, kwargs = fields
         try:
@@ -421,3 +443,103 @@ class TestDegenerateFields:
                           (DiscreteTemporalNetwork, ([0.0], (np.zeros((3, 3)),)))]:
             net = cls(np.int64(3), *args)
             assert net.n == 3 and type(net.n) is int
+
+    def test_callable_that_raises_names_the_edge_and_t(self):
+        with pytest.raises(InvalidInputError) as caught:
+            ContinuousTemporalNetwork(2, (0, 1), {(0, 1): lambda t: math.log(t)})
+        assert str(caught.value) == \
+            "edge (1, 2): the weight function raised ValueError('math domain error') at t=0.0"
+        net = ContinuousTemporalNetwork(2, (0, 1), {(0, 1): window, (1, 0): 1.0})
+        calls = [lambda: trajectory_continuous(net, ExponentialDecay(1.0), ConstantDamping(0.85),
+                                               UniformPersonalization(), [0.0, 0.402, 1.0]),
+                 lambda: net.adjacency_at(0.402),
+                 lambda: truncate(net, 1001)]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match=r"^edge \(1, 2\): the weight function "
+                                                        r"raised ZeroDivisionError\('window'\) "
+                                                        r"at t=0\.40"):
+                call()
+
+
+class TestSnapshotsStoredAsFloatCsr:
+    def test_canonical_float_csr_is_kept_as_it_is(self):
+        canonical = sparse.csr_array(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        net = DiscreteTemporalNetwork(2, [0.0], (canonical,), canonical)
+        assert net.snapshots[0] is canonical and net.initial_adjacency is canonical
+
+    def test_integer_snapshots_are_stored_as_float64(self):
+        dense = np.array([[0, 1], [1, 0]])
+        for matrix in (dense, sparse.csr_array(dense), sparse.coo_array(dense)):
+            net = DiscreteTemporalNetwork(2, [0.0], (matrix,), matrix)
+            assert net.snapshots[0].dtype == net.initial_adjacency.dtype == np.float64
+            assert dumps_network(net) == dumps_network(
+                DiscreteTemporalNetwork(2, [0.0], (dense.astype(float),), dense.astype(float)))
+
+
+SNAPSHOT = row_normalize(np.array([[0.0, 1.0], [0.0, 0.0]]))   # row 2 dangling
+NAN, INF = math.nan, math.inf
+
+#: (valid value, spoilt values) of the arguments of resolvent_column and bounds_for_node
+RESOLVENT_ARGUMENTS = dict(
+    damping=(0.85, ["x", None, [0.5], 0.0, 1.0, -0.5, NAN]),
+    node=(0, ["x", None, [0], -1, 2, 0.5, NAN]),
+    u=([0.5, 0.5], [None, "x", [1.0], [0.5, 0.6], [-0.5, 1.5], [NAN, 1.0], [0.0, 1.0]]),
+    tol=(1e-12, ["x", None, -1, 0.0, NAN, INF]))
+SCORES = ([1.0, 2.0, 3.0], [["a", "b", "c"], None, [1.0], [1.0, NAN, 2.0], [1.0, INF, 2.0],
+                            [1.0, 1.0, 1.0], [[1.0, 2.0], [3.0]]])
+
+#: entry points that take no network: name -> (function, {argument: (valid, spoilt values)})
+ENTRY_POINTS = {
+    "resolvent_column": (partial(resolvent_column, SNAPSHOT), RESOLVENT_ARGUMENTS),
+    "bounds_for_node": (partial(bounds_for_node, SNAPSHOT), RESOLVENT_ARGUMENTS),
+    "kendall_tau": (kendall_tau, dict(x=SCORES, y=SCORES)),
+    "build_snapshots": (partial(build_snapshots, [EdgeEvent(1, 2, 1, 0.0)]), dict(
+        sample_instants=([0.0, 1.0], [["a"], "ab", [], [1.0, 0.0], [NAN], [[0.0]]]),
+        n=(2, ["2", 2.5, 0, -1, 1]),
+        instant_scale=(1.0, ["x", None, 0.0, -1.0, NAN, INF]))),
+    "sample_grid": (sample_grid, dict(start=(0.0, ["x", None, NAN, INF]),
+                                      step=(1.0, ["x", None, 0.0, -1.0, NAN]),
+                                      count=(3, [2.5, "3", None, 0, -1]))),
+    "QuadratureConfig": (QuadratureConfig, dict(
+        tol=(1e-10, ["x", None, -1e-10, 0.0, NAN, INF]),
+        max_subdivisions=(16, [-3, 2.5, "x", None]))),
+}
+
+
+@st.composite
+def entry_calls(draw):
+    """(entry point, arguments, whether any is spoilt): up to two arguments spoilt."""
+    name = draw(st.sampled_from(sorted(ENTRY_POINTS)))
+    arguments = ENTRY_POINTS[name][1]
+    call = {key: valid for key, (valid, _) in arguments.items()}
+    spoilt = draw(st.sets(st.sampled_from(sorted(arguments)), max_size=2))
+    for key in spoilt:
+        call[key] = draw(st.sampled_from(arguments[key][1]))
+    return name, call, bool(spoilt)
+
+
+class TestDegenerateArguments:
+    """An entry point that takes no network refuses a spoilt argument with a TemporankError."""
+
+    @given(case=entry_calls())
+    @example(case=("resolvent_column", dict(damping="x", node=0, u=[0.5, 0.5], tol=1e-12),
+                   True))
+    @example(case=("resolvent_column", dict(damping=0.85, node=0, u=[0.5, 0.5], tol=-1),
+                   True))
+    @example(case=("bounds_for_node", dict(damping=0.85, node=0, u=[0.5, 0.5], tol=-1), True))
+    @example(case=("kendall_tau", dict(x=["a", "b"], y=[1, 2]), True))
+    @example(case=("build_snapshots", dict(sample_instants=[0.0], n="2"), True))
+    @example(case=("build_snapshots", dict(sample_instants=[0.0], instant_scale="x"), True))
+    @example(case=("build_snapshots", dict(sample_instants=["a"]), True))
+    @example(case=("sample_grid", dict(start=0, step=1, count=2.5), True))
+    @example(case=("QuadratureConfig", dict(tol=-1e-10), True))
+    @example(case=("QuadratureConfig", dict(tol="x"), True))
+    @example(case=("QuadratureConfig", dict(max_subdivisions=-3), True))
+    def test_spoilt_argument_refused_cleanly(self, case):
+        name, arguments, spoilt = case
+        function = ENTRY_POINTS[name][0]
+        if not spoilt:
+            function(**arguments)
+            return
+        with pytest.raises(TemporankError):
+            function(**arguments)

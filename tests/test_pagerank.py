@@ -34,14 +34,15 @@ from temporank import (
     trajectory_discrete,
     truncate,
 )
-from temporank import accumulate, cli, pagerank
-from temporank.accumulate import _continuous_accumulated, iter_instants
+from temporank import accumulate, cli, localization, pagerank
+from temporank.accumulate import _continuous_accumulated
 from temporank.quadrature import QuadratureConfig
 from temporank.schedules import (CustomPersonalization, InputPersonalization,
                                  InverseInputPersonalization, LinearDamping,
                                  PersonalizationSchedule, TabulatedPersonalization, damping_at,
                                  personalization_at)
 from temporank.timefuncs import parse
+from test_accumulate import instant_setups
 from test_graph import EDGE_EXPRESSIONS
 
 TWO_NODE = np.array([[0.0, 1.0], [1.0, 1.0]])
@@ -443,7 +444,7 @@ class TestTrajectoryContinuous:
             "trajectory": lambda: trajectory_continuous(net, kernel, damping,
                                                         UniformPersonalization(), grid=grid),
             "bounds": lambda: bounds_trajectory(net, kernel, damping, grid=grid),
-            "setups": lambda: iter_instants(net, kernel, damping, grid=grid),
+            "setups": lambda: instant_setups(net, kernel, damping, grid=grid),
         }
         with pytest.raises(InvalidInputError, match="discrete network uses its own instants"):
             calls[entry]()
@@ -503,7 +504,7 @@ def continuous_problems(draw):
 def per_instant_vectors(net, kernel, damping, personalization, dangling_dist, grid):
     """Rank vectors in the caller's order: one normalization and one dense solve per instant."""
     if isinstance(net, DiscreteTemporalNetwork):
-        setups = iter_instants(net, kernel, damping, personalization, dangling_dist)
+        setups = instant_setups(net, kernel, damping, personalization, dangling_dist)
         return [oracles.direct_pagerank(setup.snapshot.matrix, setup.snapshot.dangling,
                                         setup.damping, setup.v, setup.u) for setup in setups]
     order = np.argsort(grid, kind="stable")
@@ -540,7 +541,7 @@ class TestStackedDirectPath:
         # grid into many of each
         net, grid = problem
         kernel, damping = ExponentialDecay(rate), LinearDamping(0.3, 0.9)
-        with mock.patch.object(pagerank, "_CHUNK_ENTRIES", entries), \
+        with mock.patch.object(accumulate, "_CHUNK_ENTRIES", entries), \
                 mock.patch.object(accumulate, "_BLOCK_ENTRIES", block):
             if grid is None:
                 trajectory = trajectory_discrete(net, kernel, damping, personalization,
@@ -570,11 +571,11 @@ class TestStackedDirectPath:
             else ExponentialDecay(rate)
         damping = LinearDamping(0.3, 0.9)
         nodes = [net.n - 1, 0] if subset else list(range(net.n))
-        setups = list(iter_instants(net, kernel, damping, dangling_dist=dangling_dist,
+        setups = list(instant_setups(net, kernel, damping, dangling_dist=dangling_dist,
                                     grid=grid))
         missing = [setup.k for setup in setups
                    if setup.snapshot.dangling.any() and setup.u is None]
-        with mock.patch.object(pagerank, "_CHUNK_ENTRIES", entries):
+        with mock.patch.object(accumulate, "_CHUNK_ENTRIES", entries):
             def bounds():
                 return bounds_trajectory(net, kernel, damping, nodes=nodes if subset else None,
                                          grid=grid, dangling_dist=dangling_dist,
@@ -606,27 +607,58 @@ class TestStackedDirectPath:
         assert ((0.0 <= residuals) & (residuals < 1e-12)).all()
         assert (residuals > 0.0).any()
 
-    @pytest.mark.parametrize("solver, sizes", [("direct", [11]), ("auto", [11]),
-                                               ("power", [1] * 11)])
-    def test_only_direct_solves_stack_instants(self, solver, sizes, monkeypatch):
-        # power iteration solves one instant per chunk, so its instants
-        # spread over the threads; a direct chunk is one dense record of
-        # many instants, so each solve call is counted by its results
-        chunks = []
+    @pytest.mark.parametrize("route, sizes", [("direct", [11]), ("auto", [11]),
+                                              ("power", [1] * 11), ("bounds direct", [11]),
+                                              ("bounds neumann", [1] * 11)])
+    def test_only_direct_solves_stack_instants(self, route, sizes, monkeypatch):
+        # ranks and bounds hand every solver the one record (ks, P, dangling,
+        # dampings, vs, us): a direct chunk stacks many instants, P their
+        # (K, n, n) array; power iteration and the Neumann series (n = 2001)
+        # take one instant per chunk, P the 1-tuple of its CSR snapshot, so
+        # their instants spread over the threads
+        records = []
 
         def recording(tasks, solve, threads):
+            def drawn():
+                for task in tasks:
+                    records.append(task)
+                    yield task
+
             def counted(task):
                 results = solve(task)
-                chunks.append(len(results))
+                assert len(results) == len(task[0])
                 return results
-            return run_instants(tasks, counted, threads)
+            return run_instants(drawn(), counted, threads)
 
         run_instants = pagerank._run_instants
         monkeypatch.setattr(pagerank, "_run_instants", recording)
-        trajectory_continuous(synthetic_five_node(), ExponentialDecay(1.0),
-                              ConstantDamping(0.85), UniformPersonalization(),
-                              np.linspace(0.0, 1.0, 11), solver=solver, threads=2)
-        assert chunks == sizes
+        monkeypatch.setattr(localization, "_run_instants", recording)
+        kernel, damping, grid = ExponentialDecay(1.0), ConstantDamping(0.85), np.linspace(0, 1, 11)
+        n = 5
+        if route == "bounds direct":
+            bounds_trajectory(synthetic_five_node(), kernel, damping, grid=grid, threads=2)
+        elif route == "bounds neumann":
+            n = 2001
+            matrix = sparse.csr_array((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)),
+                                      shape=(n, n))
+            net = DiscreteTemporalNetwork(n, np.arange(11.0), (matrix,) * 11)
+            bounds_trajectory(net, kernel, damping, nodes=[0, 1], threads=2)
+        else:
+            trajectory_continuous(synthetic_five_node(), kernel, damping,
+                                  UniformPersonalization(), grid, solver=route, threads=2)
+        assert [len(record[0]) for record in records] == sizes
+        assert [k for record in records for k in record[0]] == list(range(1, 12))
+        for record in records:
+            assert isinstance(record, tuple) and len(record) == 6
+            ks, transitions, dangling, dampings, vs, us = record
+            assert len(transitions) == len(dampings) == len(vs) == len(us) == len(ks)
+            assert dangling.shape == (len(ks), n)
+            if len(sizes) == 1:
+                assert isinstance(transitions, np.ndarray)
+                assert transitions.shape == (len(ks), n, n)
+            else:
+                assert type(transitions) is tuple
+                assert all(type(snapshot) is StochasticSnapshot for snapshot in transitions)
 
     @pytest.mark.parametrize("scale", ["discrete", "continuous"])
     def test_direct_route_builds_no_snapshot(self, scale, monkeypatch):
@@ -716,7 +748,7 @@ class TestAdjacencyOnDemand:
         kwargs = dict(kernel=ExponentialDecay(1.0), damping=ConstantDamping(0.85),
                       personalization=personalization, grid=grid)
         reference = trajectory_continuous(synthetic_five_node(), **kwargs)
-        monkeypatch.setattr(pagerank, "_CHUNK_ENTRIES", 100)
+        monkeypatch.setattr(accumulate, "_CHUNK_ENTRIES", 100)
         monkeypatch.setattr(ContinuousTemporalNetwork, "edge_csrs", counting)
         got = trajectory_continuous(synthetic_five_node(), **kwargs)
         assert counted["edge_csrs"] == calls

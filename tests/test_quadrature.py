@@ -95,3 +95,11 @@ def test_one_component_drives_the_refinement():
             (math.atan(0.7 / 1e-2) - math.atan(0.2 / 1e-2)) / 1e-2]
     assert np.abs(got[1] - peak).max() <= config.tol
     assert evaluated[0] == 2 * 15 and len(evaluated) > 1
+
+
+def test_config_takes_any_integer_budget_of_at_least_zero():
+    # the CLI allows no bisection at all; numpy integers are taken as ints.  The
+    # refusals are in test_graph.py::TestDegenerateArguments
+    assert QuadratureConfig(max_subdivisions=0).max_subdivisions == 0
+    config = QuadratureConfig(tol=np.float64(1e-9), max_subdivisions=np.int64(4))
+    assert type(config.max_subdivisions) is int and config.max_subdivisions == 4
