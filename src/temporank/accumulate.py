@@ -9,30 +9,33 @@ zero row here; the teleportation patch happens downstream.
 The per-instant pipeline (:func:`_instant_chunks`) walks the instants of a
 trajectory in time order and hands every solver, of ranks and bounds
 alike, the same record: chunks of consecutive instants, each with its
-1-based k, transition matrices P, dangling flags, damping, v and u.  For
-:class:`ExponentialDecay` it carries B forward through the kernel's
-semigroup property instead of rebuilding it, with every row stored up to
-a positive factor (which row normalization ignores); any other kernel
-goes through :func:`accumulate_discrete` / :func:`accumulate_continuous`
-per instant, the reference path.  A discrete network keeps only the
-running B between instants; a continuous one holds the edge values at
-every grid instant and, for the exponential kernel, B at every instant,
-all computed before the first chunk.
+1-based k, transition matrices P, dangling flags, damping, v and u.  Both
+scales yield (t, B, A(t)) per instant, and :func:`_grouped` is the one
+step that turns B into P.  For :class:`ExponentialDecay` both feed one
+recurrence, :func:`_exponential`: B(t_k) = e^{-r(t_k - t_{k-1})} B(t_{k-1})
+plus a term, the snapshot A_k on the discrete scale and the integral of
+the piece [t_{k-1}, t_k] on the continuous one, with every row stored up to
+a positive factor (which row normalization ignores).  B is one dense n x n
+array for the direct solve and CSR otherwise.  Any other kernel goes
+through :func:`accumulate_discrete` / the integral of
+:func:`accumulate_continuous` per instant, the reference path.  Only the
+running B is kept between instants; a continuous grid's piece integrals
+and its A(t) samples are computed once, before the first chunk.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
-from functools import cache, partial
+from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork, _column_csrs
+from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
 from .quadrature import QuadratureConfig, adaptive_simpson
 from .schedules import (DampingSchedule, DecayKernel, ExponentialDecay,
                         PersonalizationSchedule, damping_at, personalization_at)
@@ -44,10 +47,6 @@ __all__ = [
 
 if TYPE_CHECKING:
     from scipy import sparse
-
-#: a block of grid instants row-normalized in one pass has at most this
-#: many entries in its (instants x (edges + nodes + 1)) index arrays
-_BLOCK_ENTRIES = 2 ** 20
 
 #: a chunk of instants for the direct solve holds at most this many dense system entries (8 MB)
 _CHUNK_ENTRIES = 2 ** 20
@@ -156,20 +155,26 @@ def accumulate_continuous(net: ContinuousTemporalNetwork, kernel: DecayKernel,
     normalization of the pointwise adjacency A(t0) instead.
     """
     t = float(t)
+    return row_normalize(AccumulatedMatrix(net.edge_csr(_integrated(net, kernel, t, quad)), t))
+
+
+def _integrated(net: ContinuousTemporalNetwork, kernel: DecayKernel, t: float,
+                quad: QuadratureConfig) -> np.ndarray:
+    """B(t) of :func:`accumulate_continuous` on the edge order, A(t0) at t == t0."""
     t0, t1 = net.interval
     if not t0 <= t <= t1:
         raise InvalidInputError(f"t={t} outside the network interval [{t0}, {t1}]")
     _check_kernel_at(kernel, t)
     if t == t0:
-        return replace(row_normalize(net.adjacency_at(t0)), instant=t0)
+        return net.values_at([t0])[:, 0]
 
     # a kernel of unknown decay is split toward s = t as far as floats go
     rate = kernel.rate if isinstance(kernel, ExponentialDecay) else math.inf
     values = _edge_integrals(net, lambda s: kernel.weights(s, t), np.array([t0, t]),
-                             rate, quad)
-    accumulated = net.edge_csr(values[:, 0])
-    _check_finite(accumulated, t)
-    return replace(row_normalize(accumulated), instant=t)
+                             rate, quad)[:, 0]
+    if not np.isfinite(values).all():
+        _check_finite(net.edge_csr(values), t)
+    return values
 
 
 def _edge_integrals(net: ContinuousTemporalNetwork, weight, breakpoints: np.ndarray,
@@ -215,12 +220,20 @@ def truncate(net: ContinuousTemporalNetwork, count: int) -> DiscreteTemporalNetw
         raise InvalidInputError(f"partition needs an integer count, got {count!r}") from None
     if count < 2:
         raise InvalidInputError(f"partition needs at least 2 points, got {count}")
+    instants = _partition(net, count)
+    return DiscreteTemporalNetwork(net.n, instants, tuple(net.edge_csrs(net.values_at(instants))))
+
+
+def _partition(net: ContinuousTemporalNetwork, count: int) -> np.ndarray:
+    """The uniform partition of the network interval with ``count`` >= 1 points, [t0] for one."""
     t0, t1 = net.interval
+    if count == 1:
+        return np.array([t0])
     with np.errstate(over="ignore"):
         instants = t0 + (t1 - t0) * np.arange(count) / (count - 1)
     if not np.isfinite(instants).all():
         raise InvalidInputError(f"a {count}-point partition of [{t0}, {t1}] leaves float range")
-    return DiscreteTemporalNetwork(net.n, instants, tuple(net.edge_csrs(net.values_at(instants))))
+    return instants
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +248,12 @@ def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, 
     max(1, _CHUNK_ENTRIES // n^2) instants and P is their (K, n, n) stack; otherwise it holds
     one instant and P is the 1-tuple of its CSR snapshot.  A bad grid fails here, before any
     chunk."""
-    size = max(1, _CHUNK_ENTRIES // max(1, net.n * net.n)) if direct else 1
-    stacked = size if direct and isinstance(kernel, ExponentialDecay) else None
     if isinstance(net, DiscreteTemporalNetwork):
         if grid is not None:
             raise InvalidInputError("a discrete network uses its own instants; give no grid")
         times = np.asarray(net.instants, dtype=float)
         order = np.arange(len(times))
-        pairs = _discrete_snapshots(net, kernel, stacked)
+        steps, adjacencies = _discrete_steps(net, kernel, direct), tuple
     else:
         if grid is None:
             raise InvalidInputError("continuous networks need an evaluation grid")
@@ -254,7 +265,10 @@ def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, 
             raise InvalidInputError(f"t={float(outside[0])} outside the network "
                                     f"interval [{net.t0}, {net.t1}]")
         order = np.argsort(times, kind="stable")
-        pairs = _continuous_snapshots(net, kernel, times[order], quad, stacked)
+        steps = _continuous_steps(net, kernel, times[order], quad, direct)
+
+        def adjacencies(columns):
+            return net.edge_csrs(np.column_stack(columns))
 
     def at(position, adjacency, dangling):   # adjacency() is A(t), built if a schedule reads it
         k = int(position) + 1
@@ -270,9 +284,9 @@ def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, 
 
     def chunks():
         positions = iter(order)
-        groups = pairs if stacked else _grouped(pairs, size, direct)
-        for transitions, dangling, adjacencies in groups:
-            built = cache(lambda: tuple(adjacencies()))
+        size = max(1, _CHUNK_ENTRIES // max(1, net.n * net.n)) if direct else 1
+        for transitions, dangling, sampled in _grouped(steps, size, direct):
+            built = cache(lambda: tuple(adjacencies(sampled)))
             instants = enumerate(zip(islice(positions, len(dangling)), dangling))
             ks, dampings, vs, us = zip(*(at(position, lambda i=i: built()[i], flags)
                                          for i, (position, flags) in instants))
@@ -280,14 +294,19 @@ def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, 
     return times, np.argsort(order), chunks()
 
 
-def _grouped(pairs, size: int, dense: bool):
-    """(P, dangling, adjacencies) of ``size`` (snapshot, A(t)) ``pairs`` at a time, P the
-    (K, n, n) stack of the snapshots when ``dense``, else the snapshots."""
-    pairs = iter(pairs)
-    for block in iter(lambda: list(islice(pairs, size)), []):
-        snapshots, adjacencies = zip(*block)
-        transitions = np.array([s.matrix.toarray() for s in snapshots]) if dense else snapshots
-        yield transitions, np.array([s.dangling for s in snapshots]), partial(tuple, adjacencies)
+def _grouped(steps, size: int, dense: bool):
+    """(P, dangling, a) of ``size`` steps (t, B, a) at a time, the one place B becomes P: the
+    (K, n, n) stack of the Bs normalized by :func:`_normalize_dense` when ``dense``, else
+    their :func:`row_normalize` snapshots; a the steps' A(t), or what A(t) is built from."""
+    steps = iter(steps)
+    for block in iter(lambda: list(islice(steps, size)), []):
+        times, matrices, sampled = zip(*block)
+        if dense:
+            transitions, dangling = _normalize_dense(np.array(matrices))
+        else:
+            transitions = tuple(map(row_normalize, map(AccumulatedMatrix, matrices, times)))
+            dangling = np.array([snapshot.dangling for snapshot in transitions])
+        yield transitions, dangling, sampled
 
 
 def _normalize_dense(stack: np.ndarray):
@@ -298,6 +317,26 @@ def _normalize_dense(stack: np.ndarray):
     starts = np.concatenate(([0], np.cumsum(indptr[:, -1]))).tolist()
     stack[kept], dangling = _normalize_columns(stack[kept], indptr, starts)
     return stack, dangling
+
+
+def _normalize_columns(data: np.ndarray, indptr: np.ndarray, starts: list):
+    """Row normalization of K CSR matrices stored one after another, in one pass.
+
+    Matrix k has data ``data[starts[k]:starts[k + 1]]`` and row pointer
+    ``indptr[k]``.  Returns (normalized data, (K, n) dangling flags).  The
+    row sums are one ``np.add.reduceat`` over the stored entries of each
+    nonempty row, the arithmetic of scipy's ``csr.sum(axis=1)``; stored
+    entries are the nonzeros here, and an explicit zero in a row would
+    move its sum by an ulp.
+    """
+    counts = np.diff(indptr, axis=1)
+    filled = counts > 0
+    row_sums = np.zeros(counts.shape)
+    if data.size:
+        row_sums[filled] = np.add.reduceat(
+            data, (np.array(starts[:-1])[:, None] + indptr[:, :-1])[filled])
+    per_entry = np.repeat(np.where(row_sums > 0, row_sums, 1.0).ravel(), counts.ravel())
+    return data / per_entry, (row_sums == 0).astype(np.int8)
 
 
 def _checked_rate(kernel: ExponentialDecay, span: float) -> float:
@@ -331,132 +370,91 @@ def _merge_scales(old_log: np.ndarray, old_alive: np.ndarray,
             np.exp(np.minimum(new_log - log_scale, 0.0)))
 
 
-def _discrete_snapshots(net: DiscreteTemporalNetwork, kernel: DecayKernel,
-                        size: int | None = None):
-    """(snapshot, A_k) at every instant: B_k = e^{-r(t_k - t_{k-1})} B_{k-1} + A_k,
-    stored as diag(e^{log_scale}) @ matrix.  With a chunk ``size`` (exponential
-    kernel only), (P, dangling, adjacencies) of ``size`` instants at a time instead, the
-    matrix one n x n array: a zero where scipy's sum stores no entry, same bits."""
-    if not isinstance(kernel, ExponentialDecay):
-        for k in range(1, net.instant_count + 1):
-            yield row_normalize(accumulate_discrete(net, kernel, k)), net.snapshots[k - 1]
-        return
-    instants = net.instants.tolist()
-    rate = _checked_rate(kernel, instants[-1] - instants[0] if instants else 0.0)
-    if size is None:
-        from scipy import sparse
-        matrix = sparse.csr_array((net.n, net.n))
+def _exponential(terms, n: int, dense: bool):
+    """(M, log_scale) after each term (t, decay, X, log_weight), B = diag(e^{log_scale}) @ M:
+    B <- e^{decay} B + e^{log_weight} X from B = 0; X None adds nothing.  M is one n x n
+    array when ``dense``, a zero where scipy's sum stores no entry and the same bits
+    elsewhere, else CSR."""
+    if dense:
+        matrix = np.zeros((n, n))
     else:
-        matrix = np.zeros((net.n, net.n))
-    log_scale = np.zeros(net.n)
-    previous = instants[0] if instants else 0.0
-    block = []
-    for k, (t, adjacency) in enumerate(zip(instants, net.snapshots), start=1):
-        added = adjacency if size is None else adjacency.toarray()
-        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite B fails below
-            log_scale, old_factor, new_factor = _merge_scales(
-                log_scale - rate * (t - previous), matrix.sum(axis=1) != 0,
-                0.0, added.sum(axis=1) != 0)
-            matrix = _scale_rows(matrix, old_factor) + _scale_rows(added, new_factor)
-        _check_finite(matrix, t)
-        previous = t
-        if size is None:
-            yield replace(row_normalize(matrix), instant=t), adjacency
-            continue
-        block.append((matrix, adjacency))
-        if len(block) == size or k == len(instants):
-            matrices, adjacencies = zip(*block)
-            yield (*_normalize_dense(np.array(matrices)), partial(tuple, adjacencies))
-            block = []
+        from scipy import sparse
+        matrix = sparse.csr_array((n, n))
+    log_scale = np.zeros(n)
+    for t, decay, term, log_weight in terms:
+        if term is not None:
+            with np.errstate(over="ignore", invalid="ignore"):   # a non-finite B fails below
+                log_scale, old_factor, new_factor = _merge_scales(
+                    log_scale + decay, matrix.sum(axis=1) != 0,
+                    log_weight, term.sum(axis=1) != 0)
+                matrix = _scale_rows(matrix, old_factor) + _scale_rows(term, new_factor)
+            _check_finite(matrix, t)
+        yield matrix, log_scale
 
 
-def _continuous_snapshots(net: ContinuousTemporalNetwork, kernel: DecayKernel,
-                          times: np.ndarray, quad: QuadratureConfig, size: int | None = None):
-    """(snapshot, A(t)) at ascending in-interval ``times``; at t == t0, B is A(t0).
-
-    The grid is sampled in one call after the first snapshot's quadrature,
-    so that its clean errors come first.  On the exponential path B is
-    accumulated at every instant before the first is yielded; the instants
-    are then row-normalized a block at a time, each block in one pass, and
-    each snapshot and A(t) is one CSR constructor over its slice.  Blocks are
-    cut at _BLOCK_ENTRIES index entries, or with a chunk ``size`` hold ``size``
-    instants as (P, dangling, adjacencies), P one dense stack, adjacencies() the A(t); beyond
-    the (edges x instants) values of B and A the memory of a pass does not grow with the grid.
-    """
-    if isinstance(kernel, ExponentialDecay):
-        accumulated = np.empty((len(net.edges), len(times)))
-        for column, (_, values, _) in enumerate(
-                _continuous_accumulated(net, kernel, times, quad)):
-            accumulated[:, column] = values
-        samples = net.values_at(times)
-        at_t0 = times == net.t0
-        accumulated[:, at_t0] = samples[:, at_t0]
-        width = size or max(1, _BLOCK_ENTRIES // (len(net.edges) + net.n + 1))
-        for start in range(0, len(times), width):
-            block = slice(start, start + width)
-            adjacencies = partial(net.edge_csrs, samples[:, block])
-            if size:
-                stack = np.zeros((len(times[block]), net.n, net.n))
-                stack[:, net.edge_order.rows, net.edge_order.cols] = accumulated[:, block].T
-                yield (*_normalize_dense(stack), adjacencies)
-                continue
-            data, indices, indptr, starts = net.nonzero_columns(accumulated[:, block])
-            normalized, dangling = _normalize_columns(data, indptr, starts)
-            snapshots = map(StochasticSnapshot,
-                            _column_csrs(net.n, normalized, indices, indptr, starts),
-                            dangling, times[block].tolist())
-            yield from zip(snapshots, adjacencies())
+def _discrete_steps(net: DiscreteTemporalNetwork, kernel: DecayKernel, dense: bool):
+    """(t_k, B_k, A_k) at every instant, B_k an n x n array when ``dense``, else CSR; for
+    :class:`ExponentialDecay` B_k = e^{-r(t_k - t_{k-1})} B_{k-1} + A_k, up to row factors."""
+    instants = net.instants.tolist()
+    if not instants:
         return
-    adjacencies = None
-    for t in times.tolist():
-        snapshot = None if t == net.t0 else accumulate_continuous(net, kernel, t, quad)
-        if adjacencies is None:
-            adjacencies = net.edge_csrs(net.values_at(times))
-        adjacency = next(adjacencies)
-        if snapshot is None:
-            snapshot = replace(row_normalize(adjacency), instant=t)
-        yield snapshot, adjacency
+    if isinstance(kernel, ExponentialDecay):
+        rate = _checked_rate(kernel, instants[-1] - instants[0])
+        terms = ((t, -rate * (t - previous), adjacency.toarray() if dense else adjacency, 0.0)
+                 for t, previous, adjacency in zip(instants, instants[:1] + instants,
+                                                   net.snapshots))
+        accumulated = (matrix for matrix, _ in _exponential(terms, net.n, dense))
+    else:
+        accumulated = (accumulate_discrete(net, kernel, k).matrix
+                       for k in range(1, len(instants) + 1))
+        accumulated = (matrix.toarray() for matrix in accumulated) if dense else accumulated
+    yield from zip(instants, accumulated, net.snapshots)
 
 
-def _normalize_columns(data: np.ndarray, indptr: np.ndarray, starts: list):
-    """Row normalization of K CSR matrices stored one after another, in one pass.
+def _continuous_steps(net: ContinuousTemporalNetwork, kernel: DecayKernel, times: np.ndarray,
+                      quad: QuadratureConfig, dense: bool):
+    """(t, B(t), a(t)) at ascending in-interval ``times``, a(t) the edge values of A(t) and B
+    an n x n array when ``dense``, else CSR; at t == t0, B is A(t0).  The grid is sampled in
+    one call after the first B, so that the clean errors of its quadrature come first."""
+    rows, cols, _ = net.edge_order
 
-    Matrix k has data ``data[starts[k]:starts[k + 1]]`` and row pointer
-    ``indptr[k]``, as :meth:`~ContinuousTemporalNetwork.nonzero_columns`
-    returns them.  Returns (normalized data, (K, n) dangling flags).  The
-    row sums are one ``np.add.reduceat`` over the stored entries of each
-    nonempty row, the arithmetic of scipy's ``csr.sum(axis=1)``; stored
-    entries are the nonzeros here, and an explicit zero in a row would
-    move its sum by an ulp.
-    """
-    counts = np.diff(indptr, axis=1)
-    filled = counts > 0
-    row_sums = np.zeros(counts.shape)
-    if data.size:
-        row_sums[filled] = np.add.reduceat(
-            data, (np.array(starts[:-1])[:, None] + indptr[:, :-1])[filled])
-    per_entry = np.repeat(np.where(row_sums > 0, row_sums, 1.0).ravel(), counts.ravel())
-    return data / per_entry, (row_sums == 0).astype(np.int8)
+    def placed(values):   # a matrix given on the edge order, in B's representation
+        if not dense:
+            return net.edge_csr(values)
+        matrix = np.zeros((net.n, net.n))
+        matrix[rows, cols] = values
+        return matrix
+
+    if isinstance(kernel, ExponentialDecay):
+        terms = _continuous_terms(net, kernel, times, quad, placed)
+        accumulated = (matrix for matrix, _ in _exponential(terms, net.n, dense))
+    else:
+        accumulated = (None if t == net.t0 else placed(_integrated(net, kernel, t, quad))
+                       for t in times.tolist())
+    samples = None
+    for k, (t, matrix) in enumerate(zip(times.tolist(), accumulated)):
+        if samples is None:
+            samples = net.values_at(times)
+        yield t, placed(samples[:, k]) if t == net.t0 else matrix, samples[:, k]
 
 
-def _continuous_accumulated(net: ContinuousTemporalNetwork, kernel: ExponentialDecay,
-                            times: np.ndarray, quad: QuadratureConfig):
-    """(t, values, log_scale) at ascending ``times``: B(t) = diag(e^{log_scale}) @ B0,
-    B0 holding ``values[e]`` on edge e of the edge order.
+def _continuous_terms(net: ContinuousTemporalNetwork, kernel: ExponentialDecay,
+                      times: np.ndarray, quad: QuadratureConfig, place):
+    """The terms of :func:`_exponential` at ascending in-interval ``times``, from B(t0) = 0:
+    term k decays B by e^{-r(t_k - t_{k-1})} and adds the integral over [t_{k-1}, t_k] of
+    e^{-r(anchor_k - s)} a(s) ds, ``place``d from its values on the edge order, with log
+    weight -r(t_k - anchor_k); it adds nothing at a repeated time.
 
-    B(t_k) = e^{-r(t_k - t_{k-1})} B(t_{k-1}) + integral over [t_{k-1}, t_k]
-    of e^{-r(t_k - s)} a(s) ds, from B(t0) = 0.  One quadrature call
-    integrates every edge over every piece; piece k gets the tolerance
-    quad.tol * (t_k - t_{k-1}) / (t_K - t0); for rate >= 0 the old pieces
-    only shrink, so the error of B at every instant stays within quad.tol.
-    ``times`` must lie in the network interval.
+    One quadrature call integrates every edge over every piece; piece k
+    gets the tolerance quad.tol * (t_k - t_{k-1}) / (t_K - t0); for rate >= 0
+    the old pieces only shrink, so the error of B at every instant stays
+    within quad.tol.
     """
     t0 = net.t0
-    span = float(times[-1]) - t0 if len(times) else 0.0
-    rate = _checked_rate(kernel, span)
+    rate = _checked_rate(kernel, float(times[-1]) - t0)
     breakpoints = np.concatenate(([t0], times))
     # integrand factor e^{-r(anchor - s)} <= 1 on each piece; the rest,
-    # e^{-r(t - anchor)}, is carried in the piece's log scale
+    # e^{-r(t - anchor)}, is the piece's log weight
     anchors = breakpoints[:-1] if rate < 0 else breakpoints[1:]
 
     def weight(s):
@@ -464,18 +462,7 @@ def _continuous_accumulated(net: ContinuousTemporalNetwork, kernel: ExponentialD
         return np.exp(-rate * (anchors[np.searchsorted(breakpoints[1:-1], s)] - s))
 
     pieces = _edge_integrals(net, weight, breakpoints, rate, quad)
-    rows = net.edge_order.rows
-    values = np.zeros(len(rows))   # entries of B, row i divided by e^{log_scale[i]}
-    log_scale = np.zeros(net.n)
-    for k, (t, piece) in enumerate(zip(times.tolist(), pieces.T)):
-        previous = float(breakpoints[k])
-        if t > previous:
-            log_scale, old_factor, new_factor = _merge_scales(
-                log_scale - rate * (t - previous),
-                np.bincount(rows, values, minlength=net.n) != 0,
-                -rate * (t - float(anchors[k])),
-                np.bincount(rows, piece, minlength=net.n) != 0)
-            values = old_factor[rows] * values + new_factor[rows] * piece
-        if not np.isfinite(values).all():
-            _check_finite(net.edge_csr(values), t)
-        yield t, values, log_scale
+    return ((t, -rate * (t - previous), place(piece) if t > previous else None,
+             -rate * (t - anchor))
+            for t, previous, anchor, piece in zip(times.tolist(), breakpoints.tolist(),
+                                                  anchors.tolist(), pieces.T))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -337,9 +338,15 @@ def cmd_converge(args) -> int:
         _, discrete = _trajectory_for(cfg, truncated)
         _, continuous = _trajectory_for(cfg, network, truncated.instants)
         errors = np.abs(discrete.vectors - continuous.vectors)
+        line = f"N={size}: max |discrete - continuous| = {errors.max():.6e}"
+        if results and results[-1][2].max() > 0 and errors.max() > 0:
+            # e(N) falls as (N - 1)^-p from the size before
+            previous, _, earlier = results[-1]
+            order = (math.log(earlier.max()) - math.log(errors.max())) \
+                / math.log((size - 1) / (previous - 1))
+            line += f", observed order {order:.3f} from N={previous}"
+        print(line, file=sys.stderr)
         results.append((size, truncated.instants, errors))
-        print(f"N={size}: max |discrete - continuous| = {errors.max():.6e}",
-              file=sys.stderr)
 
     if cfg.output_format == "csv":
         rows = [f"{size},{t},{node},{err!r}"

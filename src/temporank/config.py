@@ -54,6 +54,7 @@ from functools import partial
 import numpy as np
 
 from . import netfile, presets
+from .accumulate import _partition
 from .errors import InvalidInputError, decode, read_bytes
 from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
 from .quadrature import QuadratureConfig
@@ -296,8 +297,4 @@ def build_grid(cfg: RunConfig, network) -> np.ndarray | None:
     if cfg.grid_start is not None:
         from .ingest import sample_grid
         return sample_grid(cfg.grid_start, cfg.grid_step, cfg.grid_count)
-    count = cfg.grid_count
-    if count == 1:
-        return np.array([network.t0])
-    span = network.t1 - network.t0
-    return network.t0 + span * np.arange(count) / (count - 1)
+    return _partition(network, cfg.grid_count)

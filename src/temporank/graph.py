@@ -43,15 +43,6 @@ def _sorted_to_csr(rows, cols, data, n: int) -> sparse.csr_array:
     return sparse.csr_array((data, cols, indptr), shape=(n, n))
 
 
-def _column_csrs(n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-                 starts: list) -> Iterator[sparse.csr_array]:
-    """n x n CSR matrix k: data and indices [starts[k]:starts[k + 1]], row pointer indptr[k]."""
-    from scipy import sparse
-    for column, (start, end) in enumerate(zip(starts, starts[1:])):
-        yield sparse.csr_array((data[start:end], indices[start:end], indptr[column]),
-                               shape=(n, n))
-
-
 def _as_csr(matrix) -> sparse.csr_array:
     """``matrix`` as canonical float64 CSR: column indices sorted in each row, duplicates
     summed.  A canonical float64 ``csr_array`` is kept as it is."""
@@ -196,26 +187,21 @@ class ContinuousTemporalNetwork:
         return next(self.edge_csrs(np.reshape(np.asarray(values, dtype=float), (-1, 1))))
 
     def edge_csrs(self, values: np.ndarray) -> Iterator[sparse.csr_array]:
-        """:meth:`edge_csr` of every column of (edges, K) ``values``, in column order."""
-        return _column_csrs(self.n, *self.nonzero_columns(values))
-
-    def nonzero_columns(self, values: np.ndarray):
-        """The nonzero entries of every column of (edges, K) ``values``, column after column.
-
-        Returns (data, indices, indptr, starts): column k's matrix has data
-        and column indices ``data[starts[k]:starts[k + 1]]`` and
-        ``indices[starts[k]:starts[k + 1]]`` and row pointer ``indptr[k]``.
-        """
+        """:meth:`edge_csr` of every column of (edges, K) ``values``, in column order; the
+        nonzero entries of all the columns are found in one pass."""
+        from scipy import sparse
         rows, cols, _ = self.edge_order
         kept = values.T != 0
         count = np.zeros((len(kept), len(rows) + 1), dtype=np.int64)
         np.cumsum(kept, axis=1, out=count[:, 1:])
         indptr = count[:, np.searchsorted(rows, np.arange(self.n + 1))]
         starts = np.concatenate(([0], np.cumsum(count[:, -1]))).tolist()
-        indices = np.broadcast_to(cols, kept.shape)[kept]
+        data, indices = values.T[kept], np.broadcast_to(cols, kept.shape)[kept]
         if not len(rows):   # as sparse.csr_array((n, n)), the matrix of no edges
             indices, indptr = indices.astype(np.int32), indptr.astype(np.int32)
-        return values.T[kept], indices, indptr, starts
+        for column, (start, end) in enumerate(zip(starts, starts[1:])):
+            yield sparse.csr_array((data[start:end], indices[start:end], indptr[column]),
+                                   shape=(self.n, self.n))
 
     def values_at(self, times) -> np.ndarray:
         """(edges, times) values of the :attr:`edge_order` functions, one array call each.

@@ -257,6 +257,8 @@ def sample_grid(start: float, step: float, count: int, unit: float = 1.0) -> np.
         raise InvalidInputError(f"{spec}: start and step must be finite")
     if step <= 0:
         raise InvalidInputError(f"step must be positive, got {step}")
+    if not (isinstance(unit, numbers.Real) and 0 < unit < math.inf):
+        raise InvalidInputError(f"unit must be positive and finite, got {unit!r}")
     count = _coerced(f"count must be an integer, got {count!r}", operator.index, count)
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")

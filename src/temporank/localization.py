@@ -71,6 +71,7 @@ def resolvent_column(snapshot: StochasticSnapshot, damping: float, node: int,
     and lies in [exact, exact + tol], every other entry in [exact - tol, exact].
     """
     _check_tol(tol)
+    _check_snapshot(snapshot)
     n = snapshot.n
     node = int(_checked_nodes([node], n)[0])
     u = _dangling_u(snapshot.dangling, u, "this instant")
@@ -80,6 +81,16 @@ def resolvent_column(snapshot: StochasticSnapshot, damping: float, node: int,
     else:
         column = _resolvent_columns(snapshot, damping, [node], u, tol, "this instant")[:, 0]
     return ResolventColumn(node, column, damping, snapshot.instant)
+
+
+def _check_snapshot(snapshot) -> None:
+    """``snapshot`` is a StochasticSnapshot: a sparse n x n matrix and n integer dangling flags."""
+    from scipy import sparse
+    if not (isinstance(snapshot, StochasticSnapshot) and sparse.issparse(snapshot.matrix)
+            and isinstance(snapshot.dangling, np.ndarray) and snapshot.dangling.dtype.kind in "biu"
+            and snapshot.matrix.shape == snapshot.dangling.shape * 2):
+        raise InvalidInputError("snapshot must be a StochasticSnapshot of a sparse n x n "
+                                "matrix and n integer dangling flags")
 
 
 def _checked_nodes(nodes, n: int) -> np.ndarray:

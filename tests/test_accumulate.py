@@ -4,6 +4,7 @@ import math
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,13 +31,13 @@ from temporank import (
     save_network,
     UniformPersonalization,
     synthetic_five_node,
+    trajectory_continuous,
     trajectory_discrete,
     truncate,
 )
 from temporank import accumulate
-from temporank.accumulate import (_continuous_accumulated, _edge_integrals, _instant_chunks,
-                                  _normalize_columns)
-from temporank.graph import _column_csrs
+from temporank.accumulate import (_continuous_terms, _edge_integrals, _exponential,
+                                  _instant_chunks, _normalize_dense)
 from temporank.pagerank import _run_instants
 from temporank.schedules import (InputPersonalization, InverseInputPersonalization,
                                  LinearDamping, damping_at, personalization_at)
@@ -57,6 +58,17 @@ def instant_setups(net, kernel, damping, personalization=None, dangling_dist=Non
             yield SimpleNamespace(k=k, instant=snapshot.instant, snapshot=snapshot,
                                   damping=damping_k, v=v, u=u)
     return setups()
+
+
+def continuous_accumulated(net, kernel, times, quad):
+    """(t, values, log_scale) at ascending ``times`` of the pipeline's continuous recurrence,
+    CSR route: B(t) = diag(e^{log_scale}) @ B0, B0 holding ``values[e]`` on edge e of the
+    edge order (B(t0) = 0 here; the pipeline hands on A(t0) there instead)."""
+    rows, cols, _ = net.edge_order
+    recurrence = _exponential(_continuous_terms(net, kernel, times, quad, net.edge_csr), net.n,
+                              dense=False)
+    for t, (matrix, log_scale) in zip(times.tolist(), recurrence):
+        yield t, matrix.toarray()[rows, cols], log_scale
 
 
 def two_snapshot_network(step=1.0):
@@ -289,6 +301,17 @@ class TestOverflowIsAnError:
             trajectory_discrete(net, ExponentialDecay(0.0), ConstantDamping(0.85),
                                 UniformPersonalization(), solver=solver)
 
+    @pytest.mark.parametrize("solver", ["direct", "power"])
+    def test_overflowing_integral_is_the_same_clean_error_on_either_route(self, solver):
+        # every 2-wide piece integrates to 2e307, and their sum leaves float
+        # range at t = 18, with no floating-point warning on the way
+        net = ContinuousTemporalNetwork(2, (0.0, 40.0), {(0, 1): 1e307})
+        with pytest.raises(InvalidInputError,
+                           match=r"^accumulated row 1 is not finite at t=18.0;"):
+            trajectory_continuous(net, ExponentialDecay(0.0), ConstantDamping(0.85),
+                                  UniformPersonalization(), np.linspace(0.0, 40.0, 21),
+                                  QuadratureConfig(tol=1e300), solver=solver)
+
     @pytest.mark.parametrize("rate", [-1.0, 1.0, 5.0])
     def test_streamed_trajectory_is_finite_at_either_sign(self, rate):
         setups = list(instant_setups(overflow_network(), ExponentialDecay(rate),
@@ -325,7 +348,41 @@ def discrete_networks():
     return build()
 
 
+@st.composite
+def scale_cases(draw):
+    """(network, grid, rate) on either scale; the grid is None for a discrete network."""
+    if draw(st.booleans()):
+        net, kernel = draw(discrete_networks())
+        return net, None, kernel.rate
+    grid = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                         min_size=1, max_size=8))
+    return draw(continuous_networks()), grid, draw(st.floats(-2.0, 4.0))
+
+
 class TestStreamedAccumulation:
+    @settings(max_examples=60)
+    @given(case=scale_cases(), custom=st.booleans(), entries=st.sampled_from([1, 30, 2 ** 20]))
+    def test_dense_and_csr_routes_agree_bit_for_bit(self, case, custom, entries):
+        # B becomes P in one place on either route: each row of a direct
+        # chunk's stack is that instant's CSR snapshot, densified
+        net, grid, rate = case
+        kernel = CustomDecay(lambda s, t: math.exp(-rate * (t - s))) if custom \
+            else ExponentialDecay(rate)
+
+        def chunks(direct):
+            return _instant_chunks(net, kernel, ConstantDamping(0.85), None, None, grid,
+                                   QuadratureConfig(), direct)[2]
+
+        with mock.patch.object(accumulate, "_CHUNK_ENTRIES", entries):
+            stacked = [(row, flags) for _, stack, dangling, *_ in chunks(True)
+                       for row, flags in zip(stack, dangling)]
+        snapshots = [snapshot for _, (snapshot,), *_ in chunks(False)]
+        assert len(stacked) == len(snapshots) == len(net.instants if grid is None else grid)
+        for (row, flags), snapshot in zip(stacked, snapshots):
+            assert row.tobytes() == snapshot.matrix.toarray().tobytes()
+            assert flags.dtype == snapshot.dangling.dtype
+            assert flags.tobytes() == snapshot.dangling.tobytes()
+
     @given(discrete_networks())
     def test_discrete_recurrence_matches_reference(self, case):
         net, kernel = case
@@ -349,7 +406,7 @@ class TestStreamedAccumulation:
         kernel = ExponentialDecay(rate)
         quad = QuadratureConfig(tol=1e-9)
         times = np.sort(np.array(times))
-        for t, values, log_scale in _continuous_accumulated(net, kernel, times, quad):
+        for t, values, log_scale in continuous_accumulated(net, kernel, times, quad):
             matrix = net.edge_csr(values)
             streamed = np.exp(log_scale)[:, None] * matrix.toarray()
             for (i, j) in net.edges:
@@ -368,8 +425,8 @@ class TestStreamedAccumulation:
         nodes, weights = np.polynomial.legendre.leggauss(200)
         rows, cols, functions = net.edge_order
         q = abs(rate)
-        for t, values, _ in _continuous_accumulated(net, ExponentialDecay(rate), times,
-                                                    QuadratureConfig()):
+        for t, values, _ in continuous_accumulated(net, ExponentialDecay(rate), times,
+                                                   QuadratureConfig()):
             matrix = net.edge_csr(values)
             # B(t) up to a factor: the integral of e^{-u} a(s) over u in [0, q t],
             # with s = t - u / q (or u / q for a negative rate); e^{-60} is negligible
@@ -462,7 +519,7 @@ def reference_setups(net, kernel, damping, personalization, dangling_dist, grid,
     times = grid[order]
     if isinstance(kernel, ExponentialDecay):
         streamed = [replace(row_normalize(oracles.coo_edge_matrix(net, values)), instant=t)
-                    for t, values, _ in _continuous_accumulated(net, kernel, times, quad)]
+                    for t, values, _ in continuous_accumulated(net, kernel, times, quad)]
     else:
         streamed = [None if t == net.t0 else accumulate_continuous(net, kernel, t, quad)
                     for t in times]
@@ -542,25 +599,6 @@ class TestGridSampledOnce:
 
 
 class TestNormalizeColumns:
-    def test_grid_is_normalized_in_bounded_blocks(self, monkeypatch):
-        net = synthetic_five_node()
-        widths = []
-
-        def recording(self, values):
-            widths.append(values.shape[1])
-            return nonzero_columns(self, values)
-
-        nonzero_columns = ContinuousTemporalNetwork.nonzero_columns
-        monkeypatch.setattr(ContinuousTemporalNetwork, "nonzero_columns", recording)
-        monkeypatch.setattr(accumulate, "_BLOCK_ENTRIES", 64)
-        grid = np.linspace(0.0, 1.0, 101)
-        setups = list(instant_setups(net, ExponentialDecay(1.0), ConstantDamping(0.85),
-                                    grid=grid))
-        width = 64 // (len(net.edges) + net.n + 1)
-        assert len(setups) == 101 and 1 <= width < 101
-        # B and A(t) of each block
-        assert widths == [width, width] * (101 // width) + [101 % width] * 2
-
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), count=st.integers(0, 6),
            full_row=st.booleans())
     def test_row_sums_over_nonzeros_match_row_normalize(self, seed, n, count, full_row):
@@ -575,16 +613,15 @@ class TestNormalizeColumns:
         values = rng.uniform(0.0, 1.0, (len(rows), count)) \
             * 10.0 ** rng.integers(-8, 8, (len(rows), count))
         values[rng.random(values.shape) < 0.3] = 0.0
-        data, indices, indptr, starts = net.nonzero_columns(values)
-        assert len(starts) == count + 1
-        normalized, dangling = _normalize_columns(data, indptr, starts)
-        raw = _column_csrs(n, data, indices, indptr, starts)
-        scaled = _column_csrs(n, normalized, indices, indptr, starts)
+        raw = list(net.edge_csrs(values))
+        assert len(raw) == count
+        scaled, dangling = _normalize_dense(
+            np.array([matrix.toarray() for matrix in raw]).reshape(count, n, n))
         for k, (matrix, snapshot) in enumerate(zip(raw, scaled, strict=True)):
             adjacency = oracles.coo_edge_matrix(net, values[:, k])
             expected, expected_dangling = oracles.row_normalize_csr(adjacency)
             assert_same_csr(matrix, adjacency)
-            assert_same_csr(snapshot, expected)
+            assert snapshot.tobytes() == expected.toarray().tobytes()
             assert_same_array(dangling[k], expected_dangling)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12))

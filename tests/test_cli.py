@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, driven in process via cli.main."""
 
 import json
+import math
 import os
 import re
 import shutil
@@ -382,6 +383,20 @@ class TestConverge:
             size = int(row[0])
             worst[size] = max(worst.get(size, 0.0), float(row[3]))
         assert worst[2] > worst[5]
+        # the order between successive sizes, from the worst errors: e(N) ~ (N - 1)^-p
+        order = math.log(worst[2] / worst[5]) / math.log(4)
+        assert err.splitlines()[0] == f"N=2: max |discrete - continuous| = {worst[2]:.6e}"
+        assert err.splitlines()[1] == f"N=5: max |discrete - continuous| = {worst[5]:.6e}, " \
+            f"observed order {order:.3f} from N=2"
+
+    def test_stderr_reports_first_order(self, capsys):
+        # the discrete sum is a Riemann sum of the integral: first order
+        code, _, err = run_cli(capsys, "converge", "--preset", "paper-synthetic",
+                               "--sizes", "65,129,257", "--output", os.devnull)
+        assert code == 0
+        orders = [float(line.split("observed order ")[1].split()[0])
+                  for line in err.splitlines()[1:]]
+        assert len(orders) == 2 and all(0.97 <= order <= 1.01 for order in orders), err
 
     def test_json_document(self, capsys):
         code, out, _ = run_cli(capsys, "converge", "--preset", "paper-synthetic",

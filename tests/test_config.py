@@ -311,6 +311,15 @@ class TestBuildGrid:
         np.testing.assert_array_equal(build_grid(RunConfig(grid_count=1), net),
                                       [0.0])
 
+    def test_partition_beyond_float_range_rejected(self):
+        # truncate's partition and its check: the length of the interval is a
+        # float, nine times it is not
+        net = ContinuousTemporalNetwork(2, (0.0, 1e308), {(0, 1): 1.0})
+        with pytest.raises(InvalidInputError,
+                           match=r"^a 10-point partition of \[0.0, 1e\+308\] leaves float range$"):
+            build_grid(RunConfig(grid_count=10), net)
+        assert build_grid(RunConfig(grid_count=2), net).tolist() == [0.0, 1e308]
+
     def test_explicit_progression(self):
         net = tr.preset("paper-synthetic")
         cfg = RunConfig(grid_start=0.1, grid_step=0.2, grid_count=4)

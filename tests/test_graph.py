@@ -19,6 +19,7 @@ from temporank import (
     ExponentialDecay,
     InvalidInputError,
     QuadratureConfig,
+    StochasticSnapshot,
     TemporankError,
     UniformPersonalization,
     bounds_for_node,
@@ -477,10 +478,13 @@ class TestSnapshotsStoredAsFloatCsr:
 
 
 SNAPSHOT = row_normalize(np.array([[0.0, 1.0], [0.0, 0.0]]))   # row 2 dangling
+THREE_FLAGS = StochasticSnapshot(SNAPSHOT.matrix, np.array([0, 1, 0], dtype=np.int8), 0.0)
 NAN, INF = math.nan, math.inf
 
 #: (valid value, spoilt values) of the arguments of resolvent_column and bounds_for_node
 RESOLVENT_ARGUMENTS = dict(
+    snapshot=(SNAPSHOT, ["x", None, SNAPSHOT.matrix, THREE_FLAGS,
+                         StochasticSnapshot(SNAPSHOT.matrix.toarray(), SNAPSHOT.dangling, 0.0)]),
     damping=(0.85, ["x", None, [0.5], 0.0, 1.0, -0.5, NAN]),
     node=(0, ["x", None, [0], -1, 2, 0.5, NAN]),
     u=([0.5, 0.5], [None, "x", [1.0], [0.5, 0.6], [-0.5, 1.5], [NAN, 1.0], [0.0, 1.0]]),
@@ -490,8 +494,8 @@ SCORES = ([1.0, 2.0, 3.0], [["a", "b", "c"], None, [1.0], [1.0, NAN, 2.0], [1.0,
 
 #: entry points that take no network: name -> (function, {argument: (valid, spoilt values)})
 ENTRY_POINTS = {
-    "resolvent_column": (partial(resolvent_column, SNAPSHOT), RESOLVENT_ARGUMENTS),
-    "bounds_for_node": (partial(bounds_for_node, SNAPSHOT), RESOLVENT_ARGUMENTS),
+    "resolvent_column": (partial(resolvent_column, snapshot=SNAPSHOT), RESOLVENT_ARGUMENTS),
+    "bounds_for_node": (partial(bounds_for_node, snapshot=SNAPSHOT), RESOLVENT_ARGUMENTS),
     "kendall_tau": (kendall_tau, dict(x=SCORES, y=SCORES)),
     "build_snapshots": (partial(build_snapshots, [EdgeEvent(1, 2, 1, 0.0)]), dict(
         sample_instants=([0.0, 1.0], [["a"], "ab", [], [1.0, 0.0], [NAN], [[0.0]]]),
@@ -499,7 +503,8 @@ ENTRY_POINTS = {
         instant_scale=(1.0, ["x", None, 0.0, -1.0, NAN, INF]))),
     "sample_grid": (sample_grid, dict(start=(0.0, ["x", None, NAN, INF]),
                                       step=(1.0, ["x", None, 0.0, -1.0, NAN]),
-                                      count=(3, [2.5, "3", None, 0, -1]))),
+                                      count=(3, [2.5, "3", None, 0, -1]),
+                                      unit=(1.0, ["x", None, 0.0, -1.0, NAN, INF]))),
     "QuadratureConfig": (QuadratureConfig, dict(
         tol=(1e-10, ["x", None, -1e-10, 0.0, NAN, INF]),
         max_subdivisions=(16, [-3, 2.5, "x", None]))),
@@ -531,7 +536,12 @@ class TestDegenerateArguments:
     @example(case=("build_snapshots", dict(sample_instants=[0.0], n="2"), True))
     @example(case=("build_snapshots", dict(sample_instants=[0.0], instant_scale="x"), True))
     @example(case=("build_snapshots", dict(sample_instants=["a"]), True))
+    @example(case=("resolvent_column", dict(snapshot="x", damping=0.85, node=0,
+                                            u=[0.5, 0.5], tol=1e-12), True))
+    @example(case=("bounds_for_node", dict(snapshot=THREE_FLAGS, damping=0.85, node=0,
+                                           u=[0.5, 0.5], tol=1e-12), True))
     @example(case=("sample_grid", dict(start=0, step=1, count=2.5), True))
+    @example(case=("sample_grid", dict(start=0, step=1, count=3, unit="x"), True))
     @example(case=("QuadratureConfig", dict(tol=-1e-10), True))
     @example(case=("QuadratureConfig", dict(tol="x"), True))
     @example(case=("QuadratureConfig", dict(max_subdivisions=-3), True))

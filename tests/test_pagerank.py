@@ -35,14 +35,13 @@ from temporank import (
     truncate,
 )
 from temporank import accumulate, cli, localization, pagerank
-from temporank.accumulate import _continuous_accumulated
 from temporank.quadrature import QuadratureConfig
 from temporank.schedules import (CustomPersonalization, InputPersonalization,
                                  InverseInputPersonalization, LinearDamping,
                                  PersonalizationSchedule, TabulatedPersonalization, damping_at,
                                  personalization_at)
 from temporank.timefuncs import parse
-from test_accumulate import instant_setups
+from test_accumulate import continuous_accumulated, instant_setups
 from test_graph import EDGE_EXPRESSIONS
 
 TWO_NODE = np.array([[0.0, 1.0], [1.0, 1.0]])
@@ -509,7 +508,7 @@ def per_instant_vectors(net, kernel, damping, personalization, dangling_dist, gr
                                         setup.damping, setup.v, setup.u) for setup in setups]
     order = np.argsort(grid, kind="stable")
     vectors = [None] * len(grid)
-    accumulated = _continuous_accumulated(net, kernel, grid[order], QuadratureConfig())
+    accumulated = continuous_accumulated(net, kernel, grid[order], QuadratureConfig())
     for position, (t, values, _) in zip(order.tolist(), accumulated):
         k, adjacency = position + 1, oracles.coo_adjacency_at(net, t)
         matrix, dangling = oracles.row_normalize_csr(
@@ -531,18 +530,14 @@ class TestStackedDirectPath:
                                             InverseInputPersonalization()]),
            dangling_dist=st.sampled_from([None, InputPersonalization(),
                                           InverseInputPersonalization()]),
-           entries=st.sampled_from([1, 30, 100, 2 ** 20]),
-           block=st.sampled_from([1, 40, 2 ** 20]))
+           entries=st.sampled_from([1, 30, 100, 2 ** 20]))
     def test_matches_per_instant_solves_bit_for_bit(self, threads, problem, rate,
-                                                    personalization, dangling_dist, entries,
-                                                    block):
-        # a chunk holds max(1, entries // n**2) instants and a normalized
-        # block max(1, block // (edges + n + 1)), so small values cut the
-        # grid into many of each
+                                                    personalization, dangling_dist, entries):
+        # a chunk holds max(1, entries // n**2) instants, so small values cut
+        # the grid into many
         net, grid = problem
         kernel, damping = ExponentialDecay(rate), LinearDamping(0.3, 0.9)
-        with mock.patch.object(accumulate, "_CHUNK_ENTRIES", entries), \
-                mock.patch.object(accumulate, "_BLOCK_ENTRIES", block):
+        with mock.patch.object(accumulate, "_CHUNK_ENTRIES", entries):
             if grid is None:
                 trajectory = trajectory_discrete(net, kernel, damping, personalization,
                                                  dangling_dist, threads=threads)
