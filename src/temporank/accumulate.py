@@ -13,10 +13,16 @@ alike, the same record: chunks of consecutive instants, each with its
 scales yield (t, B, A(t)) per instant, and :func:`_grouped` is the one
 step that turns B into P.  For :class:`ExponentialDecay` both feed one
 recurrence, :func:`_exponential`: B(t_k) = e^{-r(t_k - t_{k-1})} B(t_{k-1})
-plus a term, the snapshot A_k on the discrete scale and the integral of
-the piece [t_{k-1}, t_k] on the continuous one, with every row stored up to
-a positive factor (which row normalization ignores).  B is one dense n x n
-array for the direct solve and CSR otherwise.  Any other kernel goes
+plus a term, with every row stored up to a positive factor (which row
+normalization ignores).  The term is the snapshot A_k of a discrete
+network; the integral of the piece [t_{k-1}, t_k] of a continuous one; or,
+on the discrete scale of a continuous network (:class:`_Truncation`, what
+`converge` runs), its samples A(t_k) at the partition instants, the
+snapshots :func:`truncate` would build.  A discrete network's B is one
+dense n x n array for the direct solve and CSR otherwise; a continuous
+network's edge set never changes, so on either of its scales B is one
+vector on the edge order, placed in the dense stack or wrapped in one CSR
+snapshot per instant only when it becomes P.  Any other kernel goes
 through :func:`accumulate_discrete` / the integral of
 :func:`accumulate_continuous` per instant, the reference path.  Only the
 running B is kept between instants; a continuous grid's piece integrals
@@ -30,12 +36,13 @@ import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
+from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _check_samples,
+                    _csr_arrays, _edge_entries)
 from .quadrature import QuadratureConfig, adaptive_simpson
 from .schedules import (DampingSchedule, DecayKernel, ExponentialDecay,
                         PersonalizationSchedule, damping_at, personalization_at)
@@ -93,17 +100,21 @@ def _check_kernel_at(kernel: DecayKernel, t: float) -> None:
             f"decay kernel must be positive at s == t (got {weight!r} at t={t})")
 
 
-def _check_finite(matrix, t: float) -> None:
-    if isinstance(matrix, np.ndarray):
-        if np.isfinite(matrix).all():
-            return
-        from scipy import sparse
-        matrix = sparse.csr_array(matrix)
-    bad = ~np.isfinite(matrix.data)
-    if bad.any():
-        row = int(np.searchsorted(matrix.indptr, np.flatnonzero(bad)[0], side="right"))
+def _check_finite(matrix, t: float, rows: np.ndarray | None = None) -> None:
+    """Name the first row, 1-based, with a non-finite entry of M: an n x n array or CSR, or
+    given ``rows`` a data vector whose entry e lies in row rows[e]."""
+    data = matrix if isinstance(matrix, np.ndarray) else matrix.data
+    finite = np.isfinite(data)
+    if not finite.all():
+        first = np.flatnonzero(~finite)[0]   # in row-major order
+        if rows is not None:
+            row = rows[first]
+        elif isinstance(matrix, np.ndarray):
+            row = first // matrix.shape[1]
+        else:
+            row = np.searchsorted(matrix.indptr, first, side="right") - 1
         raise InvalidInputError(
-            f"accumulated row {row} is not finite at t={t}; "
+            f"accumulated row {int(row) + 1} is not finite at t={t}; "
             "the decay kernel or an edge weight is out of floating-point range")
 
 
@@ -172,8 +183,7 @@ def _integrated(net: ContinuousTemporalNetwork, kernel: DecayKernel, t: float,
     rate = kernel.rate if isinstance(kernel, ExponentialDecay) else math.inf
     values = _edge_integrals(net, lambda s: kernel.weights(s, t), np.array([t0, t]),
                              rate, quad)[:, 0]
-    if not np.isfinite(values).all():
-        _check_finite(net.edge_csr(values), t)
+    _check_finite(values, t, net.edge_order.rows)
     return values
 
 
@@ -214,6 +224,30 @@ def truncate(net: ContinuousTemporalNetwork, count: int) -> DiscreteTemporalNetw
 
     Snapshot k is the pointwise adjacency at s_k = t0 + (k-1)(t1-t0)/(count-1).
     """
+    return _truncation(net, count).discrete()
+
+
+class _Truncation(NamedTuple):
+    """What :func:`truncate` builds, kept as the edge values of its snapshots: the discrete
+    scale of ``network`` at ``instants``, snapshot k holding column k of the (edges, K)
+    ``values`` on the edge order.  :func:`_instant_chunks` feeds the columns to the one
+    recurrence as they are, building no snapshot for it."""
+
+    network: ContinuousTemporalNetwork
+    instants: np.ndarray
+    values: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.network.n
+
+    def discrete(self) -> DiscreteTemporalNetwork:
+        return DiscreteTemporalNetwork(self.n, self.instants,
+                                       tuple(self.network.edge_csrs(self.values)))
+
+
+def _truncation(net: ContinuousTemporalNetwork, count: int) -> _Truncation:
+    """:func:`truncate`'s network as a :class:`_Truncation`, failing as that network would."""
     try:
         count = operator.index(count)
     except TypeError:
@@ -221,7 +255,9 @@ def truncate(net: ContinuousTemporalNetwork, count: int) -> DiscreteTemporalNetw
     if count < 2:
         raise InvalidInputError(f"partition needs at least 2 points, got {count}")
     instants = _partition(net, count)
-    return DiscreteTemporalNetwork(net.n, instants, tuple(net.edge_csrs(net.values_at(instants))))
+    values = net.values_at(instants)
+    _check_samples(instants, values)
+    return _Truncation(net, instants, values)
 
 
 def _partition(net: ContinuousTemporalNetwork, count: int) -> np.ndarray:
@@ -246,15 +282,12 @@ def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, 
     the records (ks, P, dangling, dampings, vs, us) of consecutive instants in time order, ks
     their 1-based k in the caller's order.  For the ``direct`` solve a chunk holds up to
     max(1, _CHUNK_ENTRIES // n^2) instants and P is their (K, n, n) stack; otherwise it holds
-    one instant and P is the 1-tuple of its CSR snapshot.  A bad grid fails here, before any
-    chunk."""
-    if isinstance(net, DiscreteTemporalNetwork):
-        if grid is not None:
-            raise InvalidInputError("a discrete network uses its own instants; give no grid")
-        times = np.asarray(net.instants, dtype=float)
-        order = np.arange(len(times))
-        steps, adjacencies = _discrete_steps(net, kernel, direct), tuple
-    else:
+    one instant and P is the 1-tuple of its CSR snapshot.  ``net`` is a discrete network, a
+    continuous one evaluated on ``grid``, or the :class:`_Truncation` of a continuous one,
+    its discrete scale.  A bad grid fails here, before any chunk."""
+    if isinstance(net, _Truncation) and not isinstance(kernel, ExponentialDecay):
+        net = net.discrete()   # any other kernel takes the reference path
+    if isinstance(net, ContinuousTemporalNetwork):
         if grid is None:
             raise InvalidInputError("continuous networks need an evaluation grid")
         times = np.asarray(grid, dtype=float)
@@ -265,10 +298,18 @@ def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, 
             raise InvalidInputError(f"t={float(outside[0])} outside the network "
                                     f"interval [{net.t0}, {net.t1}]")
         order = np.argsort(times, kind="stable")
-        steps = _continuous_steps(net, kernel, times[order], quad, direct)
+        steps, edges = _continuous_steps(net, kernel, times[order], quad), net
+    else:
+        if grid is not None:
+            raise InvalidInputError("a discrete network uses its own instants; give no grid")
+        times = np.asarray(net.instants, dtype=float)
+        order = np.arange(len(times))
+        steps = _discrete_steps(net, kernel, direct)
+        # a truncation's B and A(t) are on the edge order of its continuous network
+        edges = net.network if isinstance(net, _Truncation) else None
 
-        def adjacencies(columns):
-            return net.edge_csrs(np.column_stack(columns))
+    def adjacencies(sampled):
+        return sampled if edges is None else edges.edge_csrs(np.column_stack(sampled))
 
     def at(position, adjacency, dangling):   # adjacency() is A(t), built if a schedule reads it
         k = int(position) + 1
@@ -285,7 +326,7 @@ def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, 
     def chunks():
         positions = iter(order)
         size = max(1, _CHUNK_ENTRIES // max(1, net.n * net.n)) if direct else 1
-        for transitions, dangling, sampled in _grouped(steps, size, direct):
+        for transitions, dangling, sampled in _grouped(steps, size, direct, edges):
             built = cache(lambda: tuple(adjacencies(sampled)))
             instants = enumerate(zip(islice(positions, len(dangling)), dangling))
             ks, dampings, vs, us = zip(*(at(position, lambda i=i: built()[i], flags)
@@ -294,19 +335,38 @@ def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, 
     return times, np.argsort(order), chunks()
 
 
-def _grouped(steps, size: int, dense: bool):
+def _grouped(steps, size: int, dense: bool, edges: ContinuousTemporalNetwork | None):
     """(P, dangling, a) of ``size`` steps (t, B, a) at a time, the one place B becomes P: the
     (K, n, n) stack of the Bs normalized by :func:`_normalize_dense` when ``dense``, else
-    their :func:`row_normalize` snapshots; a the steps' A(t), or what A(t) is built from."""
+    their CSR snapshots; a the steps' A(t), or what A(t) is built from.  B is on the edge
+    order of the continuous network ``edges``, or, without one, an n x n array or CSR."""
     steps = iter(steps)
     for block in iter(lambda: list(islice(steps, size)), []):
         times, matrices, sampled = zip(*block)
-        if dense:
+        if edges is not None:
+            transitions, dangling = _edge_transitions(edges, times, np.array(matrices), dense)
+        elif dense:
             transitions, dangling = _normalize_dense(np.array(matrices))
         else:
             transitions = tuple(map(row_normalize, map(AccumulatedMatrix, matrices, times)))
             dangling = np.array([snapshot.dangling for snapshot in transitions])
         yield transitions, dangling, sampled
+
+
+def _edge_transitions(net: ContinuousTemporalNetwork, times, values: np.ndarray,
+                      dense: bool):
+    """(P, dangling) of the (K, edges) ``values`` of B on the edge order: placed in a (K, n, n)
+    stack for :func:`_normalize_dense` when ``dense``; else the nonzeros of each, normalized
+    in one pass with the bits of :func:`row_normalize` and wrapped in one CSR snapshot."""
+    if dense:
+        rows, cols, _ = net.edge_order
+        stack = np.zeros((len(values), net.n, net.n))
+        stack[:, rows, cols] = values
+        return _normalize_dense(stack)
+    data, indices, indptr, starts = _edge_entries(net, values.T)
+    data, dangling = _normalize_columns(data, indptr, starts)
+    matrices = _csr_arrays(net.n, data, indices, indptr, starts)
+    return tuple(map(StochasticSnapshot, matrices, dangling, times)), dangling
 
 
 def _normalize_dense(stack: np.ndarray):
@@ -347,7 +407,16 @@ def _checked_rate(kernel: ExponentialDecay, span: float) -> float:
     return rate
 
 
-def _scale_rows(matrix, factors: np.ndarray):
+def _row_sums(matrix, n: int, rows: np.ndarray | None) -> np.ndarray:
+    """Row sums of M, an n x n array or CSR, or given ``rows`` a data vector whose entry e
+    lies in row rows[e]."""
+    return matrix.sum(axis=1) if rows is None else np.bincount(rows, matrix, n)
+
+
+def _scale_rows(matrix, factors: np.ndarray, rows: np.ndarray | None):
+    """diag(factors) @ M, M as in :func:`_row_sums`."""
+    if rows is not None:
+        return matrix * factors[rows]
     if isinstance(matrix, np.ndarray):
         return factors[:, None] * matrix
     scaled = matrix.copy()
@@ -370,12 +439,16 @@ def _merge_scales(old_log: np.ndarray, old_alive: np.ndarray,
             np.exp(np.minimum(new_log - log_scale, 0.0)))
 
 
-def _exponential(terms, n: int, dense: bool):
+def _exponential(terms, n: int, dense: bool = False, rows: np.ndarray | None = None):
     """(M, log_scale) after each term (t, decay, X, log_weight), B = diag(e^{log_scale}) @ M:
     B <- e^{decay} B + e^{log_weight} X from B = 0; X None adds nothing.  M is one n x n
     array when ``dense``, a zero where scipy's sum stores no entry and the same bits
-    elsewhere, else CSR."""
-    if dense:
+    elsewhere, else CSR; given ``rows``, M and every X are instead data vectors on a fixed
+    pattern (the edge order) whose entry e lies in row rows[e], holding the bits the array
+    holds at those entries."""
+    if rows is not None:
+        matrix = np.zeros(len(rows))
+    elif dense:
         matrix = np.zeros((n, n))
     else:
         from scipy import sparse
@@ -385,64 +458,63 @@ def _exponential(terms, n: int, dense: bool):
         if term is not None:
             with np.errstate(over="ignore", invalid="ignore"):   # a non-finite B fails below
                 log_scale, old_factor, new_factor = _merge_scales(
-                    log_scale + decay, matrix.sum(axis=1) != 0,
-                    log_weight, term.sum(axis=1) != 0)
-                matrix = _scale_rows(matrix, old_factor) + _scale_rows(term, new_factor)
-            _check_finite(matrix, t)
+                    log_scale + decay, _row_sums(matrix, n, rows) != 0,
+                    log_weight, _row_sums(term, n, rows) != 0)
+                matrix = _scale_rows(matrix, old_factor, rows) \
+                    + _scale_rows(term, new_factor, rows)
+            _check_finite(matrix, t, rows)
         yield matrix, log_scale
 
 
-def _discrete_steps(net: DiscreteTemporalNetwork, kernel: DecayKernel, dense: bool):
-    """(t_k, B_k, A_k) at every instant, B_k an n x n array when ``dense``, else CSR; for
-    :class:`ExponentialDecay` B_k = e^{-r(t_k - t_{k-1})} B_{k-1} + A_k, up to row factors."""
+def _discrete_steps(net, kernel: DecayKernel, dense: bool):
+    """(t_k, B_k, a_k) at every instant of a discrete network, a_k = A_k and B_k an n x n
+    array when ``dense``, else CSR; or of a :class:`_Truncation`, a_k its samples and B_k on
+    the edge order.  For :class:`ExponentialDecay` B_k = e^{-r(t_k - t_{k-1})} B_{k-1} + a_k,
+    up to row factors: the recurrence of the continuous scale, fed snapshots or samples
+    with log weight 0 instead of piece integrals."""
     instants = net.instants.tolist()
     if not instants:
         return
+    rows = net.network.edge_order.rows if isinstance(net, _Truncation) else None
+    adjacencies = net.snapshots if rows is None else net.values.T
     if isinstance(kernel, ExponentialDecay):
         rate = _checked_rate(kernel, instants[-1] - instants[0])
-        terms = ((t, -rate * (t - previous), adjacency.toarray() if dense else adjacency, 0.0)
+        terms = ((t, -rate * (t - previous), adjacency.toarray() if dense and rows is None
+                  else adjacency, 0.0)
                  for t, previous, adjacency in zip(instants, instants[:1] + instants,
-                                                   net.snapshots))
-        accumulated = (matrix for matrix, _ in _exponential(terms, net.n, dense))
+                                                   adjacencies))
+        accumulated = (matrix for matrix, _ in _exponential(terms, net.n, dense, rows))
     else:
         accumulated = (accumulate_discrete(net, kernel, k).matrix
                        for k in range(1, len(instants) + 1))
         accumulated = (matrix.toarray() for matrix in accumulated) if dense else accumulated
-    yield from zip(instants, accumulated, net.snapshots)
+    yield from zip(instants, accumulated, adjacencies)
 
 
 def _continuous_steps(net: ContinuousTemporalNetwork, kernel: DecayKernel, times: np.ndarray,
-                      quad: QuadratureConfig, dense: bool):
-    """(t, B(t), a(t)) at ascending in-interval ``times``, a(t) the edge values of A(t) and B
-    an n x n array when ``dense``, else CSR; at t == t0, B is A(t0).  The grid is sampled in
-    one call after the first B, so that the clean errors of its quadrature come first."""
-    rows, cols, _ = net.edge_order
-
-    def placed(values):   # a matrix given on the edge order, in B's representation
-        if not dense:
-            return net.edge_csr(values)
-        matrix = np.zeros((net.n, net.n))
-        matrix[rows, cols] = values
-        return matrix
-
+                      quad: QuadratureConfig):
+    """(t, B(t), a(t)) at ascending in-interval ``times``, B and the values a(t) of A(t) on
+    the edge order; at t == t0, B is A(t0).  The grid is sampled in one call after the first
+    B, so that the clean errors of its quadrature come first."""
     if isinstance(kernel, ExponentialDecay):
-        terms = _continuous_terms(net, kernel, times, quad, placed)
-        accumulated = (matrix for matrix, _ in _exponential(terms, net.n, dense))
+        terms = _continuous_terms(net, kernel, times, quad)
+        accumulated = (matrix for matrix, _ in _exponential(terms, net.n,
+                                                            rows=net.edge_order.rows))
     else:
-        accumulated = (None if t == net.t0 else placed(_integrated(net, kernel, t, quad))
+        accumulated = (None if t == net.t0 else _integrated(net, kernel, t, quad)
                        for t in times.tolist())
     samples = None
     for k, (t, matrix) in enumerate(zip(times.tolist(), accumulated)):
         if samples is None:
             samples = net.values_at(times)
-        yield t, placed(samples[:, k]) if t == net.t0 else matrix, samples[:, k]
+        yield t, samples[:, k] if t == net.t0 else matrix, samples[:, k]
 
 
 def _continuous_terms(net: ContinuousTemporalNetwork, kernel: ExponentialDecay,
-                      times: np.ndarray, quad: QuadratureConfig, place):
+                      times: np.ndarray, quad: QuadratureConfig):
     """The terms of :func:`_exponential` at ascending in-interval ``times``, from B(t0) = 0:
     term k decays B by e^{-r(t_k - t_{k-1})} and adds the integral over [t_{k-1}, t_k] of
-    e^{-r(anchor_k - s)} a(s) ds, ``place``d from its values on the edge order, with log
+    e^{-r(anchor_k - s)} a(s) ds, on the edge order, with log
     weight -r(t_k - anchor_k); it adds nothing at a repeated time.
 
     One quadrature call integrates every edge over every piece; piece k
@@ -462,7 +534,7 @@ def _continuous_terms(net: ContinuousTemporalNetwork, kernel: ExponentialDecay,
         return np.exp(-rate * (anchors[np.searchsorted(breakpoints[1:-1], s)] - s))
 
     pieces = _edge_integrals(net, weight, breakpoints, rate, quad)
-    return ((t, -rate * (t - previous), place(piece) if t > previous else None,
+    return ((t, -rate * (t - previous), piece if t > previous else None,
              -rate * (t - anchor))
             for t, previous, anchor, piece in zip(times.tolist(), breakpoints.tolist(),
                                                   anchors.tolist(), pieces.T))

@@ -28,7 +28,7 @@ import numpy as np
 from . import config as configmod
 from . import ingest as ingestmod
 from . import netfile
-from .accumulate import truncate
+from .accumulate import _truncation
 from .errors import InvalidInputError, TemporankError
 from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
 from .localization import bounds_trajectory
@@ -282,13 +282,14 @@ def _fmts(values) -> list[str]:
 # --------------------------------------------------------------- commands
 
 def _trajectory_for(cfg: configmod.RunConfig, network=None, grid=None):
-    """The configured trajectory; a continuous network runs on ``grid`` if given."""
+    """The configured trajectory; a continuous network runs on ``grid`` if given, and the
+    :func:`_truncation` of one is its discrete scale."""
     if network is None:
         network = configmod.build_network(cfg)
     kernel = configmod.build_kernel(cfg)
     damping = configmod.build_damping(cfg)
     personalization = configmod.build_personalization(cfg)
-    if isinstance(network, DiscreteTemporalNetwork):
+    if not isinstance(network, ContinuousTemporalNetwork):
         trajectory = trajectory_discrete(
             network, kernel, damping, personalization,
             solver=cfg.solver_method, tol=cfg.solver_tol,
@@ -334,7 +335,7 @@ def cmd_converge(args) -> int:
         raise InvalidInputError("partition sizes must be >= 2")
     results = []
     for size in sizes:
-        truncated = truncate(network, size)
+        truncated = _truncation(network, size)
         _, discrete = _trajectory_for(cfg, truncated)
         _, continuous = _trajectory_for(cfg, network, truncated.instants)
         errors = np.abs(discrete.vectors - continuous.vectors)

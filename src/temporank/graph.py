@@ -189,19 +189,7 @@ class ContinuousTemporalNetwork:
     def edge_csrs(self, values: np.ndarray) -> Iterator[sparse.csr_array]:
         """:meth:`edge_csr` of every column of (edges, K) ``values``, in column order; the
         nonzero entries of all the columns are found in one pass."""
-        from scipy import sparse
-        rows, cols, _ = self.edge_order
-        kept = values.T != 0
-        count = np.zeros((len(kept), len(rows) + 1), dtype=np.int64)
-        np.cumsum(kept, axis=1, out=count[:, 1:])
-        indptr = count[:, np.searchsorted(rows, np.arange(self.n + 1))]
-        starts = np.concatenate(([0], np.cumsum(count[:, -1]))).tolist()
-        data, indices = values.T[kept], np.broadcast_to(cols, kept.shape)[kept]
-        if not len(rows):   # as sparse.csr_array((n, n)), the matrix of no edges
-            indices, indptr = indices.astype(np.int32), indptr.astype(np.int32)
-        for column, (start, end) in enumerate(zip(starts, starts[1:])):
-            yield sparse.csr_array((data[start:end], indices[start:end], indptr[column]),
-                                   shape=(self.n, self.n))
+        return _csr_arrays(self.n, *_edge_entries(self, values))
 
     def values_at(self, times) -> np.ndarray:
         """(edges, times) values of the :attr:`edge_order` functions, one array call each.
@@ -217,6 +205,30 @@ class ContinuousTemporalNetwork:
     def adjacency_at(self, t: float) -> sparse.csr_array:
         """Pointwise evaluation A(t) as a sparse matrix."""
         return self.edge_csr(self.values_at([t])[:, 0])
+
+
+def _edge_entries(net: ContinuousTemporalNetwork, values: np.ndarray):
+    """(data, indices, indptr, starts) of the nonzeros of each column of (edges, K)
+    ``values`` on the edge order, found in one pass: K CSR matrices stored one after
+    another, matrix k with data[starts[k]:starts[k + 1]] and row pointer indptr[k]."""
+    rows, cols, _ = net.edge_order
+    kept = values.T != 0
+    count = np.zeros((len(kept), len(rows) + 1), dtype=np.int64)
+    np.cumsum(kept, axis=1, out=count[:, 1:])
+    indptr = count[:, np.searchsorted(rows, np.arange(net.n + 1))]
+    starts = np.concatenate(([0], np.cumsum(count[:, -1]))).tolist()
+    data, indices = values.T[kept], np.broadcast_to(cols, kept.shape)[kept]
+    if not len(rows):   # as sparse.csr_array((n, n)), the matrix of no edges
+        indices, indptr = indices.astype(np.int32), indptr.astype(np.int32)
+    return data, indices, indptr, starts
+
+
+def _csr_arrays(n: int, data, indices, indptr, starts) -> Iterator[sparse.csr_array]:
+    """The n x n CSR matrices stored one after another as :func:`_edge_entries` gives them."""
+    from scipy import sparse
+    for column, (start, end) in enumerate(zip(starts, starts[1:])):
+        yield sparse.csr_array((data[start:end], indices[start:end], indptr[column]),
+                               shape=(n, n))
 
 
 def _called(fn: TimeFunction, times: np.ndarray, label: str) -> np.ndarray:
@@ -247,20 +259,42 @@ def _validate_discrete(net: DiscreteTemporalNetwork) -> None:
     if len(net.instants) != len(net.snapshots):
         problems.append(
             f"{len(net.instants)} instants but {len(net.snapshots)} snapshots")
-    if not np.isfinite(net.instants).all():
-        problems.append("instants contain non-finite values")
-    if np.any(np.diff(net.instants[np.isfinite(net.instants)]) <= 0):
-        problems.append("instants not strictly increasing")
+    problems += _instant_problems(net.instants)
     labelled = [(f"snapshot {k}", matrix) for k, matrix in enumerate(net.snapshots, start=1)]
     if net.initial_adjacency is not None:
         labelled.append(("initial adjacency", net.initial_adjacency))
     for label, matrix in labelled:
         if matrix.shape != (net.n, net.n):
             problems.append(f"{label}: shape {matrix.shape}, expected ({net.n}, {net.n})")
-        if matrix.nnz and not np.isfinite(matrix.data).all():
-            problems.append(f"{label}: non-finite weight")
-        if matrix.nnz and (matrix.data < 0).any():
-            problems.append(f"{label}: negative weight")
+        problems += _weight_problems(label, matrix.data)
+    if problems:
+        raise InvalidInputError("; ".join(problems))
+
+
+def _instant_problems(instants: np.ndarray) -> list[str]:
+    problems = []
+    if not np.isfinite(instants).all():
+        problems.append("instants contain non-finite values")
+    if np.any(np.diff(instants[np.isfinite(instants)]) <= 0):
+        problems.append("instants not strictly increasing")
+    return problems
+
+
+def _weight_problems(label: str, weights: np.ndarray) -> list[str]:
+    problems = []
+    if not np.isfinite(weights).all():
+        problems.append(f"{label}: non-finite weight")
+    if (weights < 0).any():
+        problems.append(f"{label}: negative weight")
+    return problems
+
+
+def _check_samples(instants: np.ndarray, values: np.ndarray) -> None:
+    """Raise what a discrete network at ``instants`` whose snapshot k holds column k of the
+    (edges, K) ``values`` on the edge order raises when it is built, as one error."""
+    problems = _instant_problems(instants) + [
+        problem for k, column in enumerate(values.T, start=1)
+        for problem in _weight_problems(f"snapshot {k}", column)]
     if problems:
         raise InvalidInputError("; ".join(problems))
 

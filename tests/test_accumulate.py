@@ -61,14 +61,13 @@ def instant_setups(net, kernel, damping, personalization=None, dangling_dist=Non
 
 
 def continuous_accumulated(net, kernel, times, quad):
-    """(t, values, log_scale) at ascending ``times`` of the pipeline's continuous recurrence,
-    CSR route: B(t) = diag(e^{log_scale}) @ B0, B0 holding ``values[e]`` on edge e of the
-    edge order (B(t0) = 0 here; the pipeline hands on A(t0) there instead)."""
-    rows, cols, _ = net.edge_order
-    recurrence = _exponential(_continuous_terms(net, kernel, times, quad, net.edge_csr), net.n,
-                              dense=False)
-    for t, (matrix, log_scale) in zip(times.tolist(), recurrence):
-        yield t, matrix.toarray()[rows, cols], log_scale
+    """(t, values, log_scale) at ascending ``times`` of the pipeline's continuous recurrence:
+    B(t) = diag(e^{log_scale}) @ B0, B0 holding ``values[e]`` on edge e of the edge order
+    (B(t0) = 0 here; the pipeline hands on A(t0) there instead)."""
+    recurrence = _exponential(_continuous_terms(net, kernel, times, quad), net.n,
+                              rows=net.edge_order.rows)
+    for t, (values, log_scale) in zip(times.tolist(), recurrence):
+        yield t, values.copy(), log_scale
 
 
 def two_snapshot_network(step=1.0):

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -50,15 +51,19 @@ def imported_modules(*args):
 
 
 # each of scipy.linalg and scipy.sparse adds 0.1-0.2 s to a process's start-up:
-# solves use np.linalg, and scipy.sparse loads with the first CSR matrix built
+# solves use np.linalg, and scipy.sparse loads with the first CSR matrix built;
+# converge feeds the samples of its partitions to the recurrence as they are, and
+# builds A(t) only for a schedule that reads it
 @pytest.mark.parametrize("args, module, loaded", [
     (["-c", "import temporank.cli"], "scipy.linalg", False),
     (["-c", "import temporank"], "scipy.sparse", False),
     (["-m", "temporank", "compute", "--preset", "paper-synthetic", "--grid-count", "11",
       "--output", os.devnull], "scipy.sparse", False),
     (["-m", "temporank", "converge", "--preset", "paper-synthetic", "--sizes", "3,5",
-      "--output", os.devnull], "scipy.sparse", True),
-], ids=["cli", "package", "compute", "converge"])
+      "--output", os.devnull], "scipy.sparse", False),
+    (["-m", "temporank", "converge", "--preset", "paper-synthetic", "--sizes", "3,5",
+      "--personalization", "input", "--output", os.devnull], "scipy.sparse", True),
+], ids=["cli", "package", "compute", "converge", "converge-input"])
 def test_start_up_loads_module_only_when_used(args, module, loaded):
     modules = imported_modules(*args)
     assert "numpy" in modules
@@ -406,6 +411,29 @@ class TestConverge:
         payload = json.loads(out)
         assert [entry["size"] for entry in payload] == [2, 3]
         assert payload[0]["max_error"] > payload[1]["max_error"]
+
+    # an edge function is checked on 33 points when the network is built; these are
+    # negative or not finite only between them, at samples of the larger partition
+    @pytest.mark.parametrize("weight, sizes, problem, warns", [
+        ("cos(64*pi*t)+0.9", (5, 65), "negative weight", False),   # -0.1 at odd k/64
+        ("0/((t-1/3)*(t-2/3))+1", (3, 4), "non-finite weight", True),   # 0/0 at 1/3, 2/3
+    ], ids=["negative", "not-finite"])
+    def test_bad_sample_fails_as_truncate_does(self, capsys, tmp_path, weight, sizes,
+                                               problem, warns):
+        path = tmp_path / "net.txt"
+        path.write_text(f"nodes 3\ninterval 0 1\nedge 1 2 {weight}\nedge 2 3 1\nedge 3 1 1\n")
+        first, last = sizes
+        with pytest.warns(RuntimeWarning, match="invalid value") if warns else nullcontext():
+            with pytest.raises(tr.InvalidInputError) as caught:
+                truncate(tr.load_network(str(path)), last)
+            code, out, err = run_cli(capsys, "converge", "--network", str(path),
+                                     "--sizes", f"{first},{last}")
+        bad = range(2, last, 2) if problem == "negative weight" else (2, 3)
+        assert str(caught.value) == "; ".join(f"snapshot {k}: {problem}" for k in bad)
+        assert code == 1 and out == ""
+        # a 3-cycle ranks its nodes alike at any weights, so the first size has no error
+        assert err.splitlines() == [f"N={first}: max |discrete - continuous| = 0.000000e+00",
+                                    f"error: {caught.value}"]
 
     def test_rejects_discrete_network(self, capsys, synthetic5_file):
         code, _, err = run_cli(capsys, "converge", "--network", synthetic5_file)

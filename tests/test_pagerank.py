@@ -42,7 +42,7 @@ from temporank.schedules import (CustomPersonalization, InputPersonalization,
                                  personalization_at)
 from temporank.timefuncs import parse
 from test_accumulate import continuous_accumulated, instant_setups
-from test_graph import EDGE_EXPRESSIONS
+from test_graph import EDGE_EXPRESSIONS, continuous_networks
 
 TWO_NODE = np.array([[0.0, 1.0], [1.0, 1.0]])
 HALF = np.array([0.5, 0.5])
@@ -706,6 +706,29 @@ class TestStackedDirectPath:
                          "--threads", "1", "--no-header", "--output", str(tmp_path / "s.csv")])
         assert code == 0
         assert calls == {"solve": 1}
+
+
+class TestSampledDiscreteScale:
+    """converge's discrete scale, the samples of a partition fed to the recurrence as they
+    are, is the trajectory of the network's truncation, bit for bit."""
+
+    @settings(max_examples=60)
+    @given(net=continuous_networks(), count=st.integers(2, 9), rate=st.floats(-2.0, 4.0),
+           custom=st.booleans(), solver=st.sampled_from(["direct", "power"]),
+           threads=st.sampled_from([1, 2]),
+           personalization=st.sampled_from([UniformPersonalization(), InputPersonalization()]))
+    def test_matches_truncate_bit_for_bit(self, net, count, rate, custom, solver, threads,
+                                          personalization):
+        kernel = CustomDecay(lambda s, t: math.exp(-rate * (t - s))) if custom \
+            else ExponentialDecay(rate)
+
+        def run(source):
+            trajectory = trajectory_discrete(source, kernel, ConstantDamping(0.85),
+                                             personalization, solver=solver, threads=threads)
+            return (trajectory.instants.tobytes(), trajectory.vectors.tobytes(),
+                    trajectory.metadata)
+
+        assert run(accumulate._truncation(net, count)) == run(truncate(net, count))
 
 
 class RecordingSchedule(PersonalizationSchedule):
