@@ -19,7 +19,9 @@ network; the integral of the piece [t_{k-1}, t_k] of a continuous one; or,
 on the discrete scale of a continuous network (:class:`_Truncation`, what
 `converge` runs), its samples A(t_k) at the partition instants, the
 snapshots :func:`truncate` would build.  A discrete network's B is one
-dense n x n array for the direct solve and CSR otherwise; a continuous
+dense n x n array for the direct solve, each A_k scattered into it from
+the network's record of entries with no CSR built, and CSR otherwise,
+from the network's ``snapshots``; a continuous
 network's edge set never changes, so on either of its scales B is one
 vector on the edge order, placed in the dense stack or wrapped in one CSR
 snapshot per instant only when it becomes P.  Any other kernel goes
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _check_samples,
-                    _csr_arrays, _edge_entries)
+                    _csr_arrays, _dense_arrays, _edge_entries)
 from .quadrature import QuadratureConfig, adaptive_simpson
 from .schedules import (DampingSchedule, DecayKernel, ExponentialDecay,
                         PersonalizationSchedule, damping_at, personalization_at)
@@ -242,8 +244,9 @@ class _Truncation(NamedTuple):
         return self.network.n
 
     def discrete(self) -> DiscreteTemporalNetwork:
-        return DiscreteTemporalNetwork(self.n, self.instants,
-                                       tuple(self.network.edge_csrs(self.values)))
+        return DiscreteTemporalNetwork._of_entries(
+            self.n, self.instants, _edge_entries(self.network, self.values),
+            len(self.instants), patterned=True)
 
 
 def _truncation(net: ContinuousTemporalNetwork, count: int) -> _Truncation:
@@ -308,8 +311,10 @@ def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, 
         # a truncation's B and A(t) are on the edge order of its continuous network
         edges = net.network if isinstance(net, _Truncation) else None
 
-    def adjacencies(sampled):
-        return sampled if edges is None else edges.edge_csrs(np.column_stack(sampled))
+    def adjacencies(sampled):   # A(t) of the steps' samples, or of their snapshot indices
+        if edges is None:
+            return [net.snapshots[index] for index in sampled]
+        return edges.edge_csrs(np.column_stack(sampled))
 
     def at(position, adjacency, dangling):   # adjacency() is A(t), built if a schedule reads it
         k = int(position) + 1
@@ -467,22 +472,24 @@ def _exponential(terms, n: int, dense: bool = False, rows: np.ndarray | None = N
 
 
 def _discrete_steps(net, kernel: DecayKernel, dense: bool):
-    """(t_k, B_k, a_k) at every instant of a discrete network, a_k = A_k and B_k an n x n
-    array when ``dense``, else CSR; or of a :class:`_Truncation`, a_k its samples and B_k on
-    the edge order.  For :class:`ExponentialDecay` B_k = e^{-r(t_k - t_{k-1})} B_{k-1} + a_k,
-    up to row factors: the recurrence of the continuous scale, fed snapshots or samples
-    with log weight 0 instead of piece integrals."""
+    """(t_k, B_k, a_k) at every instant of a discrete network, a_k = k - 1, the index of A_k
+    in its snapshots, and B_k an n x n array when ``dense``, else CSR; or of a
+    :class:`_Truncation`, a_k its samples and B_k on the edge order.  For
+    :class:`ExponentialDecay` B_k = e^{-r(t_k - t_{k-1})} B_{k-1} + A_k, up to row factors:
+    the recurrence of the continuous scale, fed snapshots or samples with log weight 0
+    instead of piece integrals.  The direct route scatters the network's entry record into
+    each dense A_k, building no CSR."""
     instants = net.instants.tolist()
     if not instants:
         return
     rows = net.network.edge_order.rows if isinstance(net, _Truncation) else None
-    adjacencies = net.snapshots if rows is None else net.values.T
+    adjacencies = range(len(instants)) if rows is None else net.values.T
     if isinstance(kernel, ExponentialDecay):
         rate = _checked_rate(kernel, instants[-1] - instants[0])
-        terms = ((t, -rate * (t - previous), adjacency.toarray() if dense and rows is None
-                  else adjacency, 0.0)
-                 for t, previous, adjacency in zip(instants, instants[:1] + instants,
-                                                   adjacencies))
+        terms = (net.values.T if rows is not None
+                 else _dense_arrays(net.n, *net._entries) if dense else net.snapshots)
+        terms = ((t, -rate * (t - previous), term, 0.0)
+                 for t, previous, term in zip(instants, instants[:1] + instants, terms))
         accumulated = (matrix for matrix, _ in _exponential(terms, net.n, dense, rows))
     else:
         accumulated = (accumulate_discrete(net, kernel, k).matrix

@@ -25,22 +25,51 @@ if TYPE_CHECKING:
 __all__ = ["DiscreteTemporalNetwork", "ContinuousTemporalNetwork"]
 
 
-def _entries_to_csr(entries: dict, n: int) -> sparse.csr_array:
-    """n x n CSR matrix from a {(i, j): weight} mapping of 0-based pairs."""
+def _sorted_entries(entries: dict):
+    """0-based int64 rows and columns and float weights of a {(i, j): weight} mapping,
+    sorted by (row, col)."""
     items = sorted(entries.items())
-    return _sorted_to_csr(np.array([key[0] for key, _ in items], dtype=np.int64),
-                          np.array([key[1] for key, _ in items], dtype=np.int64),
-                          np.array([value for _, value in items], dtype=float), n)
+    return (np.array([key[0] for key, _ in items], dtype=np.int64),
+            np.array([key[1] for key, _ in items], dtype=np.int64),
+            np.array([value for _, value in items], dtype=float))
 
 
-def _sorted_to_csr(rows, cols, data, n: int) -> sparse.csr_array:
-    """n x n CSR matrix from 0-based int64 entries sorted by (row, col), none repeated."""
-    from scipy import sparse
-    if not len(data):
-        return sparse.csr_array((n, n))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return sparse.csr_array((data, cols, indptr), shape=(n, n))
+def _stacked(n: int, blocks) -> tuple:
+    """The record (data, indices, indptr, starts) of :func:`_edge_entries` of the n x n
+    matrices ``blocks``, each (rows, cols, data) of 0-based int64 entries sorted by
+    (row, col), none repeated; its indices and row pointers are int64."""
+    sizes = [len(data) for _, _, data in blocks]
+    rows, indices, data = (np.concatenate(part) for part in zip(*blocks))
+    block = np.repeat(np.arange(len(blocks), dtype=np.int64), sizes)
+    indptr = np.zeros((len(blocks), n + 1), dtype=np.int64)
+    np.cumsum(np.bincount(block * n + rows, minlength=len(blocks) * n).reshape(len(blocks), n),
+              axis=1, out=indptr[:, 1:])
+    return data, indices, indptr, np.concatenate(([0], np.cumsum(sizes))).tolist()
+
+
+def _joined(parts) -> tuple:
+    """(record, shapes): one record of the matrices of ``parts``, each a canonical CSR matrix
+    or a record of n x n ones, stored one after another, and the shape of each matrix, None
+    for a record's.  Joined, its indptr is the list of the row pointers of every matrix."""
+    records = [part if isinstance(part, tuple) else
+               (part.data, part.indices, part.indptr[None], [0, part.nnz]) for part in parts]
+    shapes = [shape for part, record in zip(parts, records)
+              for shape in [getattr(part, "shape", None)] * (len(record[3]) - 1)]
+    if len(records) == 1:
+        return records[0], shapes
+    return (np.concatenate([np.zeros(0), *(record[0] for record in records)]),
+            np.concatenate([np.zeros(0, dtype=np.int64), *(record[1] for record in records)]),
+            [row for record in records for row in record[2]],
+            np.concatenate([[0], *(np.diff(record[3]) for record in records)]).cumsum().tolist()
+            ), shapes
+
+
+def _rows_stacked(n: int, record: tuple) -> tuple:
+    """``record`` of :func:`_joined`, of n x n matrices, with its row pointers in one array."""
+    data, indices, indptr, starts = record
+    if isinstance(indptr, list):
+        indptr = np.array(indptr, dtype=np.int64).reshape(-1, n + 1)
+    return data, indices, indptr, starts
 
 
 def _as_csr(matrix) -> sparse.csr_array:
@@ -76,32 +105,90 @@ def _pair(values, convert) -> tuple:
     return convert(first), convert(second)
 
 
-@dataclass(frozen=True)
 class DiscreteTemporalNetwork:
     """A fixed node set observed at strictly increasing instants.
 
     ``snapshots[k]`` holds the instantaneous nonnegative adjacency at
     ``instants[k]``; an optional ``initial_adjacency`` records the day-zero
-    baseline an event stream was replayed from.  Every matrix is stored as
-    canonical CSR, and a network that breaks an invariant is not built.
+    baseline an event stream was replayed from.  A network that breaks an
+    invariant is not built.
+
+    The matrices are stored as one record of their entries: canonical CSR
+    matrices one after another, the snapshots and then the initial
+    adjacency, as :func:`_edge_entries` lays them out.  ``snapshots`` and
+    ``initial_adjacency`` are canonical float64 ``csr_array`` matrices,
+    those given to the constructor or built from the record on first read.
+    Networks read from a file or built by ``build_snapshots`` and
+    ``truncate`` start from the record alone, so loading, checking and
+    writing them needs no scipy.
     """
 
-    n: int
-    instants: np.ndarray
-    snapshots: tuple
-    initial_adjacency: sparse.csr_array | None = None
+    #: whether the record holds the nonzeros of one edge order, as ``edge_csrs`` gives them
+    _patterned = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _node_count(self.n))
-        object.__setattr__(self, "instants", _coerced(
-            "instants must be a 1-d sequence of numbers", np.fromiter, self.instants, float))
-        object.__setattr__(self, "snapshots", _coerced(
-            "snapshots must be a sequence of matrices of numbers",
-            lambda: tuple(map(_as_csr, self.snapshots))))
-        if self.initial_adjacency is not None:
-            object.__setattr__(self, "initial_adjacency", _coerced(
-                "initial adjacency must be a matrix of numbers", _as_csr, self.initial_adjacency))
-        _validate_discrete(self)
+    def __init__(self, n, instants, snapshots, initial_adjacency=None):
+        snapshots = _coerced("snapshots must be a sequence of matrices of numbers",
+                             lambda: tuple(map(_as_csr, snapshots)))
+        self._store(n, instants, snapshots, len(snapshots), initial_adjacency)
+        self.snapshots = snapshots
+        if initial_adjacency is None:
+            self.initial_adjacency = None
+
+    @classmethod
+    def _of_entries(cls, n, instants, entries: tuple, count: int, initial_adjacency=None,
+                    patterned: bool = False) -> DiscreteTemporalNetwork:
+        """The network whose ``count`` snapshots, and initial adjacency if it holds one more
+        matrix, are the record ``entries``; else ``initial_adjacency``, any matrix.  A
+        snapshot of no entries reads as ``sparse.csr_array((n, n))``, or, if ``patterned``,
+        as :meth:`ContinuousTemporalNetwork.edge_csrs` builds it."""
+        network = cls.__new__(cls)
+        network._patterned = patterned
+        network._store(n, instants, (entries,), count, initial_adjacency)
+        return network
+
+    def _store(self, n, instants, parts: tuple, count: int, initial_adjacency) -> None:
+        """Check the network whose matrices are ``parts``, each a canonical CSR matrix or a
+        record of them, followed by ``initial_adjacency`` if it is given; keep its record if
+        a part is one."""
+        self.n = _node_count(n)
+        self.instants = _coerced("instants must be a 1-d sequence of numbers",
+                                 np.fromiter, instants, float)
+        if initial_adjacency is not None:
+            self.initial_adjacency = _coerced("initial adjacency must be a matrix of numbers",
+                                              _as_csr, initial_adjacency)
+            parts += (self.initial_adjacency,)
+        record, shapes = _joined(parts)
+        _validate_discrete(self.n, self.instants, count, record[0], record[3], shapes)
+        built = any(isinstance(part, tuple) for part in parts)
+        self._record = _rows_stacked(self.n, record) if built else None
+
+    @property
+    def _entries(self) -> tuple:
+        """The record (data, indices, indptr, starts) of the matrices: kept by a network built
+        from entries, stacked on each read for one built from matrices, which keeps only those."""
+        if self._record is not None:
+            return self._record
+        held = self.snapshots + (() if self.initial_adjacency is None
+                                 else (self.initial_adjacency,))
+        return _rows_stacked(self.n, _joined(held)[0])
+
+    @cached_property
+    def _matrices(self) -> tuple:
+        """The CSR matrices of the record, built once."""
+        matrices = _csr_arrays(self.n, *self._entries)
+        if self._patterned:
+            return tuple(matrices)
+        from scipy import sparse
+        return tuple(matrix if matrix.nnz else sparse.csr_array((self.n, self.n))
+                     for matrix in matrices)
+
+    @cached_property
+    def snapshots(self) -> tuple:
+        return self._matrices[:self.instant_count]
+
+    @cached_property
+    def initial_adjacency(self) -> sparse.csr_array | None:
+        return self._matrices[-1] if len(self._entries[3]) > self.instant_count + 1 else None
 
     @property
     def instant_count(self) -> int:
@@ -109,9 +196,9 @@ class DiscreteTemporalNetwork:
 
     def snapshot_at(self, k: int) -> sparse.csr_array:
         """Adjacency at 1-based instant index ``k``."""
-        if not 1 <= k <= len(self.snapshots):
+        if not 1 <= k <= self.instant_count:
             raise InvalidInputError(
-                f"instant index {k} outside 1..{len(self.snapshots)}")
+                f"instant index {k} outside 1..{self.instant_count}")
         return self.snapshots[k - 1]
 
 
@@ -195,12 +282,15 @@ class ContinuousTemporalNetwork:
         """(edges, times) values of the :attr:`edge_order` functions, one array call each.
 
         An exception a callable edge function raises is an :class:`InvalidInputError`
-        naming the edge and the first of ``times`` it raises at.
+        naming the edge and the first of ``times`` it raises at.  Floating-point
+        errors warn of nothing: a value that is not finite is returned as it is, and
+        every caller checks what it reads.
         """
         times = np.asarray(times, dtype=float).ravel()
-        return np.reshape([fn(times) if fn.source is not None else _called(fn, times, label)
-                           for fn, label in zip(self.edge_order.functions, self.edge_labels)],
-                          (len(self.edges), times.size))
+        with np.errstate(all="ignore"):
+            values = [fn(times) if fn.source is not None else _called(fn, times, label)
+                      for fn, label in zip(self.edge_order.functions, self.edge_labels)]
+        return np.reshape(values, (len(self.edges), times.size))
 
     def adjacency_at(self, t: float) -> sparse.csr_array:
         """Pointwise evaluation A(t) as a sparse matrix."""
@@ -231,6 +321,15 @@ def _csr_arrays(n: int, data, indices, indptr, starts) -> Iterator[sparse.csr_ar
                                shape=(n, n))
 
 
+def _dense_arrays(n: int, data, indices, indptr, starts) -> Iterator[np.ndarray]:
+    """The matrices of :func:`_csr_arrays` as n x n arrays, with the bits of ``toarray``."""
+    for block, (start, end) in enumerate(zip(starts, starts[1:])):
+        dense = np.zeros((n, n))
+        dense[np.repeat(np.arange(n), np.diff(indptr[block])), indices[start:end]] \
+            += data[start:end]
+        yield dense
+
+
 def _called(fn: TimeFunction, times: np.ndarray, label: str) -> np.ndarray:
     """``fn(times)`` of a callable edge function ``label``; see ``values_at``.  An opaque
     callable may raise any exception, so any is caught."""
@@ -252,21 +351,23 @@ def _called(fn: TimeFunction, times: np.ndarray, label: str) -> np.ndarray:
 _CONTINUOUS_SAMPLES = 33
 
 
-def _validate_discrete(net: DiscreteTemporalNetwork) -> None:
+def _validate_discrete(n: int, instants: np.ndarray, count: int, data: np.ndarray,
+                       starts: list, shapes: list) -> None:
+    """Raise, as one error, every problem of the network of ``n`` nodes at ``instants``
+    whose ``count`` snapshots, and then its initial adjacency, are the matrices of
+    weights ``data[starts[k]:starts[k + 1]]`` and shape ``shapes[k]`` (None for n x n)."""
     problems = []
-    if net.n < 0:   # n = 0 is the empty network, with empty bounds
-        problems.append(f"node count must not be negative, got {net.n}")
-    if len(net.instants) != len(net.snapshots):
-        problems.append(
-            f"{len(net.instants)} instants but {len(net.snapshots)} snapshots")
-    problems += _instant_problems(net.instants)
-    labelled = [(f"snapshot {k}", matrix) for k, matrix in enumerate(net.snapshots, start=1)]
-    if net.initial_adjacency is not None:
-        labelled.append(("initial adjacency", net.initial_adjacency))
-    for label, matrix in labelled:
-        if matrix.shape != (net.n, net.n):
-            problems.append(f"{label}: shape {matrix.shape}, expected ({net.n}, {net.n})")
-        problems += _weight_problems(label, matrix.data)
+    if n < 0:   # n = 0 is the empty network, with empty bounds
+        problems.append(f"node count must not be negative, got {n}")
+    if len(instants) != count:
+        problems.append(f"{len(instants)} instants but {count} snapshots")
+    problems += _instant_problems(instants)
+    found = {k: [f"shape {shape}, expected ({n}, {n})"]
+             for k, shape in enumerate(shapes) if shape not in (None, (n, n))}
+    for k, problem in _weight_problems(data, starts):
+        found.setdefault(k, []).append(problem)
+    problems += [f"{'initial adjacency' if k == count else f'snapshot {k + 1}'}: {problem}"
+                 for k in sorted(found) for problem in found[k]]
     if problems:
         raise InvalidInputError("; ".join(problems))
 
@@ -280,21 +381,24 @@ def _instant_problems(instants: np.ndarray) -> list[str]:
     return problems
 
 
-def _weight_problems(label: str, weights: np.ndarray) -> list[str]:
-    problems = []
-    if not np.isfinite(weights).all():
-        problems.append(f"{label}: non-finite weight")
-    if (weights < 0).any():
-        problems.append(f"{label}: negative weight")
-    return problems
+def _weight_problems(data: np.ndarray, starts) -> list[tuple[int, str]]:
+    """(k, problem) of the matrices of weights ``data[starts[k]:starts[k + 1]]``, in order
+    of k and, for each, non-finite before negative."""
+    found = [(k, problem)
+             for problem, bad in (("non-finite weight", ~np.isfinite(data)),
+                                  ("negative weight", data < 0))
+             for k in np.unique(np.searchsorted(starts, np.flatnonzero(bad),
+                                                side="right") - 1).tolist()]
+    return sorted(found, key=lambda item: item[0])
 
 
 def _check_samples(instants: np.ndarray, values: np.ndarray) -> None:
     """Raise what a discrete network at ``instants`` whose snapshot k holds column k of the
     (edges, K) ``values`` on the edge order raises when it is built, as one error."""
+    edges, count = values.shape
     problems = _instant_problems(instants) + [
-        problem for k, column in enumerate(values.T, start=1)
-        for problem in _weight_problems(f"snapshot {k}", column)]
+        f"snapshot {k + 1}: {problem}" for k, problem in
+        _weight_problems(values.T.ravel(), np.arange(count + 1) * edges)]
     if problems:
         raise InvalidInputError("; ".join(problems))
 
@@ -312,8 +416,7 @@ def _validate_continuous(net: ContinuousTemporalNetwork) -> None:
         problems.append(f"interval [{t0}, {t1}] is empty")
     else:   # finiteness and sign of an arbitrary evaluator are only sampled
         try:
-            with np.errstate(all="ignore"):
-                samples = net.values_at(np.linspace(t0, t1, _CONTINUOUS_SAMPLES))
+            samples = net.values_at(np.linspace(t0, t1, _CONTINUOUS_SAMPLES))
         except InvalidInputError as exc:   # a callable that raises
             problems.append(str(exc))
     for i, j, values, label in zip(rows.tolist(), cols.tolist(), samples, net.edge_labels):

@@ -46,7 +46,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConsistencyError, EventParseError, InvalidInputError, read_bytes
-from .graph import DiscreteTemporalNetwork, _coerced, _node_count, _sorted_to_csr
+from .graph import DiscreteTemporalNetwork, _coerced, _node_count, _stacked
 from .netfile import _NotSure, _fields, _read
 
 __all__ = [
@@ -336,17 +336,16 @@ def build_snapshots(events, sample_instants, n: int | None = None,
     # a row is an edge's state from its own event up to the edge's next one
     following = np.append(order[1:], last)
     following[np.flatnonzero(np.diff(key) != 0)] = last
-    snapshots = []
+    blocks = []
     for count in applied:
         current = (order < count) & (following >= count)
         values = state[current]
         kept = values != 0
         entries = key[current][kept]
-        snapshots.append(_sorted_to_csr(entries // n, entries % n, values[kept], n))
+        blocks.append((entries // n, entries % n, values[kept]))
 
-    network = DiscreteTemporalNetwork(
-        n=n, instants=instants / instant_scale, snapshots=tuple(snapshots),
-        initial_adjacency=baseline)
+    network = DiscreteTemporalNetwork._of_entries(
+        n, instants / instant_scale, _stacked(n, blocks), len(blocks), baseline)
     return network, int(np.count_nonzero(clamped))
 
 

@@ -28,7 +28,11 @@ an integer is beyond int64; the reader warns), the per-line parser reads
 the whole input again, so both give the same network or the same
 line-numbered error.  The per-line parser also reads iterables of lines.
 Files are read once, as bytes, as event streams are, and written a block
-at a time.
+at a time.  Both parsers turn a discrete file's blocks into the one
+record of entries a :class:`DiscreteTemporalNetwork` keeps, and the
+writer reads that record, so neither builds a sparse matrix or loads
+scipy.  A network the reader would refuse, of no nodes or no instants,
+is refused by the writer before it writes a byte.
 """
 
 from __future__ import annotations
@@ -44,8 +48,7 @@ import numpy as np
 
 from . import timefuncs
 from .errors import InvalidInputError, NetworkFormatError, TemporankError, decode, read_bytes
-from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _entries_to_csr,
-                    _sorted_to_csr)
+from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork, _sorted_entries, _stacked
 
 __all__ = ["load_network", "loads_network", "save_network", "dumps_network"]
 
@@ -136,8 +139,8 @@ def _parse(lines):
         if text and not text.startswith("#"):
             _parse_line(p, text)
     if p.initial is not None:
-        p.initial = _entries_to_csr(p.initial, p.n)
-    p.blocks = [(t, _entries_to_csr(entries, p.n)) for t, entries in p.blocks]
+        p.initial = _sorted_entries(p.initial)
+    p.blocks = [(t, _sorted_entries(entries)) for t, entries in p.blocks]
     return _finish(p)
 
 
@@ -228,7 +231,7 @@ def _fields(body: bytes, dtype: str, start: int = 0):
 
 
 def _close_block(p: _Parser, pieces: list):
-    """Store the open block as a CSR matrix; no entry may repeat."""
+    """Store the open block as its entries sorted by (row, col); none may repeat."""
     if p.current is None:
         return
     rows, cols, weights = (np.concatenate(part) for part in zip(*pieces or [_NO_TRIPLES]))
@@ -238,11 +241,10 @@ def _close_block(p: _Parser, pieces: list):
         key, rows, cols, weights = key[order], rows[order], cols[order], weights[order]
         if not (np.diff(key) > 0).all():
             raise _NotSure      # a duplicate entry
-    matrix = _sorted_to_csr(rows, cols, weights, p.n)
     if p.current is p.initial:
-        p.initial = matrix
+        p.initial = rows, cols, weights
     else:
-        p.blocks[-1] = (p.blocks[-1][0], matrix)
+        p.blocks[-1] = (p.blocks[-1][0], (rows, cols, weights))
     p.current = None
     pieces.clear()
 
@@ -369,8 +371,10 @@ def _finish(p: _Parser):
     try:   # the constructor checks the network and names every problem
         if continuous:
             return ContinuousTemporalNetwork(p.n, p.interval, p.edges, p.symmetric)
-        instants, snapshots = zip(*p.blocks)
-        return DiscreteTemporalNetwork(p.n, instants, snapshots, p.initial)
+        instants, blocks = zip(*p.blocks)
+        blocks += () if p.initial is None else (p.initial,)
+        return DiscreteTemporalNetwork._of_entries(p.n, instants, _stacked(p.n, blocks),
+                                                   len(instants))
     except InvalidInputError as err:
         raise NetworkFormatError(str(err)) from None
 
@@ -390,7 +394,14 @@ def dumps_network(network) -> str:
 
 
 def _pieces(network):
-    """The text of ``network``, header first, a block a piece; checked before it returns."""
+    """The text of ``network``, header first, a block a piece; checked before it returns.
+
+    A network the reader would refuse (no nodes, or no instants) is refused here.
+    """
+    if isinstance(network, (ContinuousTemporalNetwork, DiscreteTemporalNetwork)) \
+            and network.n == 0:
+        raise NetworkFormatError("a network of no nodes cannot be written: "
+                                 "the format needs a positive node count")
     if isinstance(network, ContinuousTemporalNetwork):
         lines = [f"nodes {network.n}",
                  f"interval {float(network.t0)!r} {float(network.t1)!r}"]
@@ -403,26 +414,29 @@ def _pieces(network):
             lines.append(f"edge {i + 1} {j + 1} {fn.source}")
         return ["\n".join(lines) + "\n"]
     if isinstance(network, DiscreteTemporalNetwork):
-        blocks = [] if network.initial_adjacency is None else [
-            ("initial", network.initial_adjacency)]
-        blocks += [(f"instant {float(t_k)!r}", matrix)
-                   for t_k, matrix in zip(network.instants, network.snapshots)]
-        labels = [str(i) for i in range(1, network.n + 1)]
-        return itertools.chain([f"nodes {network.n}\n"], (
-            "\n".join([header, *_matrix_lines(matrix, labels)]) + "\n"
-            for header, matrix in blocks))
+        if not network.instant_count:
+            raise NetworkFormatError("a network of no instants cannot be written: "
+                                     "the format needs an `instant` block")
+        return itertools.chain([f"nodes {network.n}\n"], _blocks(network))
     raise NetworkFormatError(f"not a temporal network: {type(network).__name__}")
 
 
-def _matrix_lines(matrix, labels: list):
-    """`i j w` lines of the nonzero entries of the canonical CSR ``matrix``.
-
-    Node i is written as ``labels[i]``, and each distinct weight is
-    formatted once.
-    """
-    keep = matrix.data != 0
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))[keep]
-    values, index = np.unique(matrix.data[keep], return_inverse=True)
+def _blocks(network: DiscreteTemporalNetwork):
+    """The `initial` block, if any, and then the `instant` blocks of ``network``, read from
+    its entry record: `i j w` lines of the nonzero entries, each distinct weight formatted
+    once."""
+    data, indices, indptr, starts = network._entries
+    headers = [f"instant {t!r}" for t in network.instants.tolist()] + ["initial"]
+    count = network.instant_count
+    keep = data != 0
+    values, index = np.unique(data[keep], return_inverse=True)
     weights = [repr(w) for w in values.tolist()]
-    return [f"{labels[i]} {labels[j]} {weights[k]}"
-            for i, j, k in zip(rows.tolist(), matrix.indices[keep].tolist(), index.tolist())]
+    labels = [str(i) for i in range(1, network.n + 1)]
+    firsts = np.concatenate(([0], np.cumsum(keep)))[starts].tolist()   # of each block in index
+    for block in [*range(count, len(starts) - 1), *range(count)]:
+        start, end, first = starts[block], starts[block + 1], firsts[block]
+        rows = np.repeat(np.arange(network.n), np.diff(indptr[block]))[keep[start:end]]
+        lines = [f"{labels[i]} {labels[j]} {weights[k]}" for i, j, k in zip(
+            rows.tolist(), indices[start:end][keep[start:end]].tolist(),
+            index[first:firsts[block + 1]].tolist())]
+        yield "\n".join([headers[block], *lines]) + "\n"

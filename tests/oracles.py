@@ -433,6 +433,43 @@ def summarize_with_sets(n, events, warnings, clamped=0):
 
 
 # ---------------------------------------------------------------------------
+# discrete networks built one scipy CSR matrix per block
+#
+# How network files and build_snapshots built each snapshot before a
+# discrete network kept its matrices as one record of entries: an empty
+# block is scipy's empty matrix, with int32 indices; any other has the
+# int64 indices and row pointer it was built from.  The tests require the
+# matrices a network reads out of its record to be these, dtypes included.
+
+
+def sorted_to_csr(rows, cols, data, n):
+    """n x n CSR matrix from 0-based int64 entries sorted by (row, col), none repeated."""
+    if not len(data):
+        return sparse.csr_array((n, n))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sparse.csr_array((data, cols, indptr), shape=(n, n))
+
+
+def entries_to_csr(entries, n):
+    """n x n CSR matrix from a {(i, j): weight} mapping of 0-based pairs."""
+    items = sorted(entries.items())
+    return sorted_to_csr(np.array([key[0] for key, _ in items], dtype=np.int64),
+                         np.array([key[1] for key, _ in items], dtype=np.int64),
+                         np.array([value for _, value in items], dtype=float), n)
+
+
+def nonzeros_to_csr(matrix):
+    """The matrix a network file holding the nonzero entries of CSR ``matrix`` loads as."""
+    coo = sparse.coo_array(matrix)
+    keep = coo.data != 0
+    rows, cols = coo.row[keep].astype(np.int64), coo.col[keep].astype(np.int64)
+    order = np.lexsort((cols, rows))
+    return sorted_to_csr(rows[order], cols[order], coo.data[keep][order].astype(float),
+                         matrix.shape[0])
+
+
+# ---------------------------------------------------------------------------
 # UTF-8 errors, found line by line
 
 

@@ -7,7 +7,6 @@ import re
 import shutil
 import subprocess
 import sys
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -52,8 +51,10 @@ def imported_modules(*args):
 
 # each of scipy.linalg and scipy.sparse adds 0.1-0.2 s to a process's start-up:
 # solves use np.linalg, and scipy.sparse loads with the first CSR matrix built;
-# converge feeds the samples of its partitions to the recurrence as they are, and
-# builds A(t) only for a schedule that reads it
+# a discrete network keeps its matrices as one record of entries, so reading,
+# checking, ingesting, truncating and writing one builds none, and neither does the
+# direct route; converge feeds the samples of its partitions to the recurrence as
+# they are; power iteration and a schedule that reads A(t) build CSR matrices
 @pytest.mark.parametrize("args, module, loaded", [
     (["-c", "import temporank.cli"], "scipy.linalg", False),
     (["-c", "import temporank"], "scipy.sparse", False),
@@ -63,9 +64,26 @@ def imported_modules(*args):
       "--output", os.devnull], "scipy.sparse", False),
     (["-m", "temporank", "converge", "--preset", "paper-synthetic", "--sizes", "3,5",
       "--personalization", "input", "--output", os.devnull], "scipy.sparse", True),
-], ids=["cli", "package", "compute", "converge", "converge-input"])
-def test_start_up_loads_module_only_when_used(args, module, loaded):
-    modules = imported_modules(*args)
+    (["-m", "temporank", "validate", "{network}"], "scipy.sparse", False),
+    (["-m", "temporank", "ingest", "--events", "{events}", "--grid", "0,1,3",
+      "--output", os.devnull], "scipy.sparse", False),
+    (["-c", "import temporank; temporank.load_network({network!r})"], "scipy.sparse", False),
+    (["-c", "import temporank as t; t.truncate(t.preset('paper-synthetic'), 5)"],
+     "scipy.sparse", False),
+    (["-m", "temporank", "compute", "--network", "{network}", "--output", os.devnull],
+     "scipy.sparse", False),
+    (["-m", "temporank", "compute", "--network", "{network}", "--solver", "power",
+      "--output", os.devnull], "scipy.sparse", True),
+    (["-m", "temporank", "compute", "--network", "{network}", "--personalization", "input",
+      "--output", os.devnull], "scipy.sparse", True),
+], ids=["cli", "package", "compute", "converge", "converge-input", "validate", "ingest",
+        "load", "truncate", "compute-discrete", "compute-power", "compute-input"])
+def test_start_up_loads_module_only_when_used(tmp_path, args, module, loaded):
+    network, events = tmp_path / "net.txt", tmp_path / "events.tsv"
+    network.write_text(THREE_NODE)
+    events.write_text("1 2 +1 0\n2 3 +1 1\n1 2 -1 2\n")
+    modules = imported_modules(*(arg.format(network=str(network), events=str(events))
+                                 for arg in args))
     assert "numpy" in modules
     assert any(name == module or name.startswith(module + ".") for name in modules) == loaded
 
@@ -413,27 +431,41 @@ class TestConverge:
         assert payload[0]["max_error"] > payload[1]["max_error"]
 
     # an edge function is checked on 33 points when the network is built; these are
-    # negative or not finite only between them, at samples of the larger partition
-    @pytest.mark.parametrize("weight, sizes, problem, warns", [
-        ("cos(64*pi*t)+0.9", (5, 65), "negative weight", False),   # -0.1 at odd k/64
-        ("0/((t-1/3)*(t-2/3))+1", (3, 4), "non-finite weight", True),   # 0/0 at 1/3, 2/3
+    # negative or not finite only between them, at samples of the larger partition;
+    # pytest turns a RuntimeWarning from either into an error
+    @pytest.mark.parametrize("weight, sizes, problem", [
+        ("cos(64*pi*t)+0.9", (5, 65), "negative weight"),   # -0.1 at odd k/64
+        ("0/((t-1/3)*(t-2/3))+1", (3, 4), "non-finite weight"),   # 0/0 at 1/3, 2/3
     ], ids=["negative", "not-finite"])
-    def test_bad_sample_fails_as_truncate_does(self, capsys, tmp_path, weight, sizes,
-                                               problem, warns):
+    def test_bad_sample_fails_as_truncate_does(self, capsys, tmp_path, weight, sizes, problem):
         path = tmp_path / "net.txt"
         path.write_text(f"nodes 3\ninterval 0 1\nedge 1 2 {weight}\nedge 2 3 1\nedge 3 1 1\n")
         first, last = sizes
-        with pytest.warns(RuntimeWarning, match="invalid value") if warns else nullcontext():
-            with pytest.raises(tr.InvalidInputError) as caught:
-                truncate(tr.load_network(str(path)), last)
-            code, out, err = run_cli(capsys, "converge", "--network", str(path),
-                                     "--sizes", f"{first},{last}")
+        with pytest.raises(tr.InvalidInputError) as caught:
+            truncate(tr.load_network(str(path)), last)
+        code, out, err = run_cli(capsys, "converge", "--network", str(path),
+                                 "--sizes", f"{first},{last}")
         bad = range(2, last, 2) if problem == "negative weight" else (2, 3)
         assert str(caught.value) == "; ".join(f"snapshot {k}: {problem}" for k in bad)
         assert code == 1 and out == ""
         # a 3-cycle ranks its nodes alike at any weights, so the first size has no error
         assert err.splitlines() == [f"N={first}: max |discrete - continuous| = 0.000000e+00",
                                     f"error: {caught.value}"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["converge", "--sizes", "3,4"], 1), (["compute", "--grid-count", "4"], 0)],
+        ids=["converge", "compute"])
+    def test_non_finite_sample_warns_of_nothing(self, tmp_path, argv, code):
+        # 0/0 at t = 1/3 and 2/3, samples of both commands: a clean error or none,
+        # and no RuntimeWarning to turn into a traceback
+        path = tmp_path / "net.txt"
+        path.write_text("nodes 3\ninterval 0 1\nedge 1 2 0/((t-1/3)*(t-2/3))+1\n"
+                        "edge 2 3 1\nedge 3 1 1\n")
+        args = ["-m", "temporank", *argv, "--network", str(path), "--no-header"]
+        plain, strict = run_python(*args), run_python("-W", "error::RuntimeWarning", *args)
+        assert (strict.returncode, strict.stdout, strict.stderr) == \
+            (plain.returncode, plain.stdout, plain.stderr)
+        assert plain.returncode == code and "Warning" not in plain.stderr
 
     def test_rejects_discrete_network(self, capsys, synthetic5_file):
         code, _, err = run_cli(capsys, "converge", "--network", synthetic5_file)

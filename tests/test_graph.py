@@ -34,7 +34,7 @@ from temporank import (
     trajectory_discrete,
     truncate,
 )
-from temporank.graph import _entries_to_csr
+from temporank.graph import _sorted_entries, _stacked
 from temporank.timefuncs import parse
 
 
@@ -118,7 +118,7 @@ class TestEntriesToCsr:
     @given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
                            st.floats(0.0, 1e300)))
     def test_bit_identical_to_scipy_coo_build(self, entries):
-        # the array builder must give what scipy's COO -> CSR conversion gives
+        # a one-block record must read out as what scipy's COO -> CSR conversion gives
         n = 7
         items = sorted(entries.items())
         if items:
@@ -128,7 +128,8 @@ class TestEntriesToCsr:
                   np.array([j for (_, j), _ in items], dtype=np.int64))), shape=(n, n))
         else:
             expected = sparse.csr_array((n, n))
-        got = _entries_to_csr(entries, n)
+        got = DiscreteTemporalNetwork._of_entries(
+            n, [0.0], _stacked(n, [_sorted_entries(entries)]), 1).snapshot_at(1)
         assert got.shape == expected.shape
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(expected, name)
@@ -460,6 +461,25 @@ class TestDegenerateFields:
                                                         r"raised ZeroDivisionError\('window'\) "
                                                         r"at t=0\.40"):
                 call()
+
+
+@st.composite
+def zero_bearing_networks(draw, weights=st.floats(0.0, 10.0) | st.sampled_from(
+        [0.0, 0.0, 1.0, 1.0 / 3.0, 5e-324])):
+    """Discrete networks built from canonical CSR matrices that store explicit zeros, with
+    empty snapshots and, half of the time, an initial adjacency."""
+    n = draw(st.integers(1, 7))
+    count = draw(st.integers(1, 4))
+
+    def matrix():
+        return oracles.entries_to_csr(draw(st.dictionaries(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), weights,
+            max_size=draw(st.sampled_from([0, n, n * n])))), n)
+
+    instants = sorted(draw(st.sets(st.floats(-100.0, 100.0), min_size=count,
+                                   max_size=count)))
+    initial = matrix() if draw(st.booleans()) else None
+    return DiscreteTemporalNetwork(n, instants, tuple(matrix() for _ in instants), initial)
 
 
 class TestSnapshotsStoredAsFloatCsr:

@@ -25,6 +25,7 @@ from temporank import (
     summarize,
 )
 from temporank import ingest
+from test_graph import assert_same_csr
 
 DAY = 86400.0
 
@@ -418,6 +419,9 @@ def _assert_same_replay(events, oracle_events, instants, n, initial=None, policy
     (network, clamped), (snapshots, want_clamped) = got[1], want[1]
     assert clamped == want_clamped
     assert [_csr_parts(m) for m in network.snapshots] == [_csr_parts(m) for m in snapshots]
+    for got, want in zip(network.snapshots, snapshots, strict=True):
+        # as built per instant from the sorted nonzero counts, index dtypes included
+        assert_same_csr(got, oracles.nonzeros_to_csr(want))
     return clamped
 
 

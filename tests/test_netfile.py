@@ -25,6 +25,7 @@ from temporank import (
 )
 from temporank import graph, netfile
 from temporank.timefuncs import TimeFunction
+from test_graph import assert_same_csr, zero_bearing_networks
 
 CONTINUOUS = """\
 # a two-node demo
@@ -197,6 +198,23 @@ class TestErrors:
             save_network(net, tmp_path / "net.txt")
         assert not (tmp_path / "net.txt").exists()
 
+    # the reader refuses `nodes 0` and a file of no blocks, so the writer writes neither
+    @pytest.mark.parametrize("net, message", [
+        (DiscreteTemporalNetwork(2, [], ()),
+         "a network of no instants cannot be written: the format needs an `instant` block"),
+        (DiscreteTemporalNetwork(0, [0.0], (np.zeros((0, 0)),)),
+         "a network of no nodes cannot be written: the format needs a positive node count"),
+        (ContinuousTemporalNetwork(0, (0.0, 1.0)),
+         "a network of no nodes cannot be written: the format needs a positive node count"),
+    ], ids=["no-instants", "no-nodes-discrete", "no-nodes-continuous"])
+    def test_network_the_reader_refuses_cannot_be_written(self, tmp_path, net, message):
+        with pytest.raises(NetworkFormatError) as caught:
+            dumps_network(net)
+        assert str(caught.value) == message
+        with pytest.raises(NetworkFormatError):
+            save_network(net, tmp_path / "net.txt")
+        assert not (tmp_path / "net.txt").exists()
+
     def test_non_network_rejected(self):
         with pytest.raises(NetworkFormatError):
             dumps_network({"not": "a network"})
@@ -273,10 +291,12 @@ def fingerprint(net):
     matrices = list(net.snapshots)
     if net.initial_adjacency is not None:
         matrices.append(net.initial_adjacency)
+    data, indices, indptr, starts = net._entries      # the record they are read out of
     return ("discrete", net.n, net.instants.dtype.str, net.instants.tobytes(),
             net.initial_adjacency is None,
             [(m.shape, *((a.dtype.str, a.tobytes()) for a in (m.indptr, m.indices, m.data)))
-             for m in matrices])
+             for m in matrices],
+            [(a.dtype.str, a.shape, a.tobytes()) for a in (data, indices, indptr)], starts)
 
 
 def outcome(parse, text):
@@ -337,6 +357,23 @@ def discrete_files(draw):
 
 def joined(lines, trailing=True):
     return "\n".join(lines) + ("\n" if trailing else "")
+
+
+class TestLoadedMatricesAreTheCsrOracle:
+    @given(zero_bearing_networks())
+    def test_both_parsers_read_out_the_oracle_csrs(self, net):
+        # the file holds the nonzero entries; each block reads out as the CSR matrix
+        # built from them alone, an empty one as scipy's empty matrix
+        text = dumps_network(net)
+        given = list(net.snapshots) + [net.initial_adjacency] * (net.initial_adjacency
+                                                                 is not None)
+        for loaded in (loads_network(text), load_network(text.splitlines())):
+            got = list(loaded.snapshots) + [loaded.initial_adjacency] * (
+                loaded.initial_adjacency is not None)
+            assert len(got) == len(given)
+            for matrix, original in zip(got, given):
+                assert_same_csr(matrix, oracles.nonzeros_to_csr(original))
+            assert dumps_network(loaded) == text
 
 
 class TestBlockParser:
@@ -553,7 +590,7 @@ def canonical_networks(draw):
     def matrix():
         entries = draw(st.dictionaries(st.tuples(st.integers(0, n - 1),
                                                  st.integers(0, n - 1)), weights))
-        return netfile._entries_to_csr(entries, n)
+        return oracles.entries_to_csr(entries, n)
 
     count = draw(st.integers(1, 3))
     instants = sorted(draw(st.sets(st.floats(-1e6, 1e6, allow_nan=False),

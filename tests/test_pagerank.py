@@ -25,7 +25,9 @@ from temporank import (
     TemporankError,
     UniformPersonalization,
     bounds_trajectory,
+    dumps_network,
     google_apply_transpose,
+    loads_network,
     pagerank_direct,
     pagerank_power,
     row_normalize,
@@ -42,7 +44,7 @@ from temporank.schedules import (CustomPersonalization, InputPersonalization,
                                  personalization_at)
 from temporank.timefuncs import parse
 from test_accumulate import continuous_accumulated, instant_setups
-from test_graph import EDGE_EXPRESSIONS, continuous_networks
+from test_graph import EDGE_EXPRESSIONS, continuous_networks, zero_bearing_networks
 
 TWO_NODE = np.array([[0.0, 1.0], [1.0, 1.0]])
 HALF = np.array([0.5, 0.5])
@@ -797,3 +799,44 @@ class TestAdjacencyOnDemand:
                          RecordingSchedule()):
             with pytest.raises(InvalidInputError, match="reads the adjacency"):
                 personalization_at(schedule, 5, 1, 0.5)
+
+
+def _solved(call):
+    """The arrays a solve returns, as bytes, or its error."""
+    try:
+        result = call()
+    except TemporankError as err:
+        return type(err).__name__, str(err)
+    arrays = (result.vectors,) if hasattr(result, "vectors") else (result.lo, result.hi)
+    return [(array.dtype.str, array.shape, array.tobytes()) for array in arrays]
+
+
+class TestEntryRecordNetworks:
+    @settings(max_examples=60, deadline=None)
+    @given(net=zero_bearing_networks(),
+           personalization=st.sampled_from([UniformPersonalization(), InputPersonalization()]),
+           kernel=st.sampled_from([ExponentialDecay(0.0), ExponentialDecay(0.7),
+                                   CustomDecay(lambda s, t: 1.0 / (1.0 + (t - s)))]))
+    def test_rank_and_bound_as_networks_of_the_oracle_csrs(self, net, personalization,
+                                                           kernel):
+        # a loaded network holds one entry record; the oracle network holds the CSR
+        # matrices a file's blocks were once built as, and its direct route takes the
+        # dense terms from their toarray().  Every route gives the same bits
+        loaded = loads_network(dumps_network(net))
+        oracle = DiscreteTemporalNetwork(
+            net.n, net.instants, tuple(map(oracles.nonzeros_to_csr, net.snapshots)),
+            None if net.initial_adjacency is None
+            else oracles.nonzeros_to_csr(net.initial_adjacency))
+        damping = ConstantDamping(0.85)
+        calls = [lambda network, solver=solver: trajectory_discrete(
+            network, kernel, damping, personalization, solver=solver)
+            for solver in ("direct", "power")]
+        calls += [lambda network: bounds_trajectory(network, kernel, damping, nodes=[0],
+                                                    dangling_dist=personalization)] * 2
+        limits = [pagerank.DIRECT_SOLVE_MAX_N] * 3 + [0]   # bounds direct, then Neumann
+        for call, limit in zip(calls, limits):
+            with mock.patch.object(pagerank, "DIRECT_SOLVE_MAX_N", limit):
+                got = _solved(lambda: call(loaded))
+                with mock.patch.object(accumulate, "_dense_arrays", lambda n, *entries: (
+                        matrix.toarray() for matrix in oracle.snapshots)):
+                    assert got == _solved(lambda: call(oracle))
