@@ -15,20 +15,22 @@ step that turns B into P.  For :class:`ExponentialDecay` both feed one
 recurrence, :func:`_exponential`: B(t_k) = e^{-r(t_k - t_{k-1})} B(t_{k-1})
 plus a term, with every row stored up to a positive factor (which row
 normalization ignores).  The term is the snapshot A_k of a discrete
-network; the integral of the piece [t_{k-1}, t_k] of a continuous one; or,
-on the discrete scale of a continuous network (:class:`_Truncation`, what
-`converge` runs), its samples A(t_k) at the partition instants, the
-snapshots :func:`truncate` would build.  A discrete network's B is one
-dense n x n array for the direct solve, each A_k scattered into it from
-the network's record of entries with no CSR built, and CSR otherwise,
-from the network's ``snapshots``; a continuous
-network's edge set never changes, so on either of its scales B is one
-vector on the edge order, placed in the dense stack or wrapped in one CSR
-snapshot per instant only when it becomes P.  Any other kernel goes
-through :func:`accumulate_discrete` / the integral of
-:func:`accumulate_continuous` per instant, the reference path.  Only the
-running B is kept between instants; a continuous grid's piece integrals
-and its A(t) samples are computed once, before the first chunk.
+network, or the integral of the piece [t_{k-1}, t_k] of a continuous one.
+The discrete scale of a continuous network, what `converge` ranks, is the
+discrete network :func:`truncate` builds from its samples.
+
+B has two representations.  It is one vector on a fixed pattern of
+entries sorted by (row, col): a continuous network's edge order, on either
+route, or on the direct route the union of a discrete network's snapshot
+entries, each A_k placed on it from the network's record of entries with
+no CSR built.  The vector is placed in the dense stack, or wrapped in one
+CSR snapshot per instant, only when it becomes P.  Otherwise (a discrete
+network under power iteration or the Neumann series) B is CSR, from the
+network's ``snapshots``.  Any other kernel goes through
+:func:`accumulate_discrete` / the integral of :func:`accumulate_continuous`
+per instant, the reference path.  Only the running B is kept between
+instants; a continuous grid's piece integrals and its A(t) samples are
+computed once, before the first chunk.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _check_samples,
-                    _csr_arrays, _dense_arrays, _edge_entries)
+from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _csr_arrays,
+                    _edge_entries, _entry_keys)
 from .quadrature import QuadratureConfig, adaptive_simpson
 from .schedules import (DampingSchedule, DecayKernel, ExponentialDecay,
                         PersonalizationSchedule, damping_at, personalization_at)
@@ -103,18 +105,14 @@ def _check_kernel_at(kernel: DecayKernel, t: float) -> None:
 
 
 def _check_finite(matrix, t: float, rows: np.ndarray | None = None) -> None:
-    """Name the first row, 1-based, with a non-finite entry of M: an n x n array or CSR, or
-    given ``rows`` a data vector whose entry e lies in row rows[e]."""
-    data = matrix if isinstance(matrix, np.ndarray) else matrix.data
+    """Name the first row, 1-based, with a non-finite entry of M: a CSR matrix, or given
+    ``rows`` a data vector whose entry e lies in row rows[e]."""
+    data = matrix.data if rows is None else matrix
     finite = np.isfinite(data)
     if not finite.all():
         first = np.flatnonzero(~finite)[0]   # in row-major order
-        if rows is not None:
-            row = rows[first]
-        elif isinstance(matrix, np.ndarray):
-            row = first // matrix.shape[1]
-        else:
-            row = np.searchsorted(matrix.indptr, first, side="right") - 1
+        row = np.searchsorted(matrix.indptr, first, side="right") - 1 if rows is None \
+            else rows[first]
         raise InvalidInputError(
             f"accumulated row {int(row) + 1} is not finite at t={t}; "
             "the decay kernel or an edge weight is out of floating-point range")
@@ -225,32 +223,8 @@ def truncate(net: ContinuousTemporalNetwork, count: int) -> DiscreteTemporalNetw
     """Sample the network on the uniform partition with ``count`` points.
 
     Snapshot k is the pointwise adjacency at s_k = t0 + (k-1)(t1-t0)/(count-1).
+    The samples are kept as the network's record of entries, on the edge order.
     """
-    return _truncation(net, count).discrete()
-
-
-class _Truncation(NamedTuple):
-    """What :func:`truncate` builds, kept as the edge values of its snapshots: the discrete
-    scale of ``network`` at ``instants``, snapshot k holding column k of the (edges, K)
-    ``values`` on the edge order.  :func:`_instant_chunks` feeds the columns to the one
-    recurrence as they are, building no snapshot for it."""
-
-    network: ContinuousTemporalNetwork
-    instants: np.ndarray
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.network.n
-
-    def discrete(self) -> DiscreteTemporalNetwork:
-        return DiscreteTemporalNetwork._of_entries(
-            self.n, self.instants, _edge_entries(self.network, self.values),
-            len(self.instants), patterned=True)
-
-
-def _truncation(net: ContinuousTemporalNetwork, count: int) -> _Truncation:
-    """:func:`truncate`'s network as a :class:`_Truncation`, failing as that network would."""
     try:
         count = operator.index(count)
     except TypeError:
@@ -258,9 +232,10 @@ def _truncation(net: ContinuousTemporalNetwork, count: int) -> _Truncation:
     if count < 2:
         raise InvalidInputError(f"partition needs at least 2 points, got {count}")
     instants = _partition(net, count)
-    values = net.values_at(instants)
-    _check_samples(instants, values)
-    return _Truncation(net, instants, values)
+    rows, cols, _ = net.edge_order
+    return DiscreteTemporalNetwork._of_entries(
+        net.n, instants, _edge_entries(net.n, rows, cols, net.values_at(instants)), count,
+        patterned=True)
 
 
 def _partition(net: ContinuousTemporalNetwork, count: int) -> np.ndarray:
@@ -285,11 +260,11 @@ def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, 
     the records (ks, P, dangling, dampings, vs, us) of consecutive instants in time order, ks
     their 1-based k in the caller's order.  For the ``direct`` solve a chunk holds up to
     max(1, _CHUNK_ENTRIES // n^2) instants and P is their (K, n, n) stack; otherwise it holds
-    one instant and P is the 1-tuple of its CSR snapshot.  ``net`` is a discrete network, a
-    continuous one evaluated on ``grid``, or the :class:`_Truncation` of a continuous one,
-    its discrete scale.  A bad grid fails here, before any chunk."""
-    if isinstance(net, _Truncation) and not isinstance(kernel, ExponentialDecay):
-        net = net.discrete()   # any other kernel takes the reference path
+    one instant and P is the 1-tuple of its CSR snapshot.  ``net`` is a discrete network or a
+    continuous one evaluated on ``grid``.  B lies on a fixed pattern of entries: a continuous
+    network's edge order, or on the direct route the union of a discrete network's snapshot
+    entries; a discrete network's B is CSR otherwise.  A bad grid fails here, before any
+    chunk."""
     if isinstance(net, ContinuousTemporalNetwork):
         if grid is None:
             raise InvalidInputError("continuous networks need an evaluation grid")
@@ -301,20 +276,21 @@ def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, 
             raise InvalidInputError(f"t={float(outside[0])} outside the network "
                                     f"interval [{net.t0}, {net.t1}]")
         order = np.argsort(times, kind="stable")
-        steps, edges = _continuous_steps(net, kernel, times[order], quad), net
+        steps = _continuous_steps(net, kernel, times[order], quad)
+        pattern = net.edge_order
+
+        def adjacencies(sampled):   # A(t) of the steps' samples on the edge order
+            return net.edge_csrs(np.column_stack(sampled))
     else:
         if grid is not None:
             raise InvalidInputError("a discrete network uses its own instants; give no grid")
         times = np.asarray(net.instants, dtype=float)
         order = np.arange(len(times))
-        steps = _discrete_steps(net, kernel, direct)
-        # a truncation's B and A(t) are on the edge order of its continuous network
-        edges = net.network if isinstance(net, _Truncation) else None
+        pattern = _snapshot_pattern(net) if direct else None
+        steps = _discrete_steps(net, kernel, pattern)
 
-    def adjacencies(sampled):   # A(t) of the steps' samples, or of their snapshot indices
-        if edges is None:
+        def adjacencies(sampled):   # A(t) of the steps' snapshot indices
             return [net.snapshots[index] for index in sampled]
-        return edges.edge_csrs(np.column_stack(sampled))
 
     def at(position, adjacency, dangling):   # adjacency() is A(t), built if a schedule reads it
         k = int(position) + 1
@@ -331,7 +307,7 @@ def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, 
     def chunks():
         positions = iter(order)
         size = max(1, _CHUNK_ENTRIES // max(1, net.n * net.n)) if direct else 1
-        for transitions, dangling, sampled in _grouped(steps, size, direct, edges):
+        for transitions, dangling, sampled in _grouped(steps, size, direct, net.n, pattern):
             built = cache(lambda: tuple(adjacencies(sampled)))
             instants = enumerate(zip(islice(positions, len(dangling)), dangling))
             ks, dampings, vs, us = zip(*(at(position, lambda i=i: built()[i], flags)
@@ -340,37 +316,50 @@ def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, 
     return times, np.argsort(order), chunks()
 
 
-def _grouped(steps, size: int, dense: bool, edges: ContinuousTemporalNetwork | None):
-    """(P, dangling, a) of ``size`` steps (t, B, a) at a time, the one place B becomes P: the
-    (K, n, n) stack of the Bs normalized by :func:`_normalize_dense` when ``dense``, else
-    their CSR snapshots; a the steps' A(t), or what A(t) is built from.  B is on the edge
-    order of the continuous network ``edges``, or, without one, an n x n array or CSR."""
+def _snapshot_pattern(net: DiscreteTemporalNetwork):
+    """(rows, cols, places, data, starts): the union of the stored entries of a discrete
+    network's snapshots, sorted by (row, col), and snapshot k's entries as they lie in the
+    network's record, weights data[starts[k]:starts[k + 1]] at those places on the union.
+    The initial adjacency is no term of B and stays out."""
+    data, indices, indptr, starts = net._entries
+    count = net.instant_count
+    keys, places = np.unique(_entry_keys(net.n, indices[:starts[count]], indptr[:count]),
+                             return_inverse=True)
+    rows, cols = np.divmod(keys, net.n)
+    return rows, cols, places, data, starts[:count + 1]
+
+
+def _grouped(steps, size: int, dense: bool, n: int, pattern: tuple | None):
+    """(P, dangling, a) of ``size`` steps (t, B, a) at a time, the one place B becomes P; a
+    the steps' A(t), or what A(t) is built from.  B is a vector on ``pattern``, whose first
+    two fields are the rows and columns of n x n entries sorted by (row, col), and P is made
+    by :func:`_edge_transitions`, a (K, n, n) stack when ``dense``; without a pattern B is
+    CSR and P its CSR snapshots."""
     steps = iter(steps)
     for block in iter(lambda: list(islice(steps, size)), []):
         times, matrices, sampled = zip(*block)
-        if edges is not None:
-            transitions, dangling = _edge_transitions(edges, times, np.array(matrices), dense)
-        elif dense:
-            transitions, dangling = _normalize_dense(np.array(matrices))
+        if pattern is not None:
+            transitions, dangling = _edge_transitions(n, *pattern[:2], times,
+                                                      np.array(matrices), dense)
         else:
             transitions = tuple(map(row_normalize, map(AccumulatedMatrix, matrices, times)))
             dangling = np.array([snapshot.dangling for snapshot in transitions])
         yield transitions, dangling, sampled
 
 
-def _edge_transitions(net: ContinuousTemporalNetwork, times, values: np.ndarray,
+def _edge_transitions(n: int, rows: np.ndarray, cols: np.ndarray, times, values: np.ndarray,
                       dense: bool):
-    """(P, dangling) of the (K, edges) ``values`` of B on the edge order: placed in a (K, n, n)
-    stack for :func:`_normalize_dense` when ``dense``; else the nonzeros of each, normalized
-    in one pass with the bits of :func:`row_normalize` and wrapped in one CSR snapshot."""
+    """(P, dangling) of the (K, entries) ``values`` of B on the pattern of n x n entries
+    (rows, cols) sorted by (row, col): placed in a (K, n, n) stack for
+    :func:`_normalize_dense` when ``dense``; else the nonzeros of each, normalized in one
+    pass with the bits of :func:`row_normalize` and wrapped in one CSR snapshot."""
     if dense:
-        rows, cols, _ = net.edge_order
-        stack = np.zeros((len(values), net.n, net.n))
+        stack = np.zeros((len(values), n, n))
         stack[:, rows, cols] = values
         return _normalize_dense(stack)
-    data, indices, indptr, starts = _edge_entries(net, values.T)
+    data, indices, indptr, starts = _edge_entries(n, rows, cols, values.T)
     data, dangling = _normalize_columns(data, indptr, starts)
-    matrices = _csr_arrays(net.n, data, indices, indptr, starts)
+    matrices = _csr_arrays(n, data, indices, indptr, starts)
     return tuple(map(StochasticSnapshot, matrices, dangling, times)), dangling
 
 
@@ -413,8 +402,8 @@ def _checked_rate(kernel: ExponentialDecay, span: float) -> float:
 
 
 def _row_sums(matrix, n: int, rows: np.ndarray | None) -> np.ndarray:
-    """Row sums of M, an n x n array or CSR, or given ``rows`` a data vector whose entry e
-    lies in row rows[e]."""
+    """Row sums of M, a CSR matrix, or given ``rows`` a data vector whose entry e lies in row
+    rows[e]."""
     return matrix.sum(axis=1) if rows is None else np.bincount(rows, matrix, n)
 
 
@@ -422,8 +411,6 @@ def _scale_rows(matrix, factors: np.ndarray, rows: np.ndarray | None):
     """diag(factors) @ M, M as in :func:`_row_sums`."""
     if rows is not None:
         return matrix * factors[rows]
-    if isinstance(matrix, np.ndarray):
-        return factors[:, None] * matrix
     scaled = matrix.copy()
     scaled.data = scaled.data * np.repeat(factors, np.diff(matrix.indptr))
     return scaled
@@ -444,17 +431,14 @@ def _merge_scales(old_log: np.ndarray, old_alive: np.ndarray,
             np.exp(np.minimum(new_log - log_scale, 0.0)))
 
 
-def _exponential(terms, n: int, dense: bool = False, rows: np.ndarray | None = None):
+def _exponential(terms, n: int, rows: np.ndarray | None = None):
     """(M, log_scale) after each term (t, decay, X, log_weight), B = diag(e^{log_scale}) @ M:
-    B <- e^{decay} B + e^{log_weight} X from B = 0; X None adds nothing.  M is one n x n
-    array when ``dense``, a zero where scipy's sum stores no entry and the same bits
-    elsewhere, else CSR; given ``rows``, M and every X are instead data vectors on a fixed
-    pattern (the edge order) whose entry e lies in row rows[e], holding the bits the array
-    holds at those entries."""
+    B <- e^{decay} B + e^{log_weight} X from B = 0; X None adds nothing.  M and every X are
+    CSR, or given ``rows`` data vectors on a fixed pattern of entries whose entry e lies in
+    row rows[e]; on the pattern M holds zeros where scipy's sum stores no entry, and the
+    same bits elsewhere."""
     if rows is not None:
         matrix = np.zeros(len(rows))
-    elif dense:
-        matrix = np.zeros((n, n))
     else:
         from scipy import sparse
         matrix = sparse.csr_array((n, n))
@@ -471,31 +455,43 @@ def _exponential(terms, n: int, dense: bool = False, rows: np.ndarray | None = N
         yield matrix, log_scale
 
 
-def _discrete_steps(net, kernel: DecayKernel, dense: bool):
-    """(t_k, B_k, a_k) at every instant of a discrete network, a_k = k - 1, the index of A_k
-    in its snapshots, and B_k an n x n array when ``dense``, else CSR; or of a
-    :class:`_Truncation`, a_k its samples and B_k on the edge order.  For
-    :class:`ExponentialDecay` B_k = e^{-r(t_k - t_{k-1})} B_{k-1} + A_k, up to row factors:
-    the recurrence of the continuous scale, fed snapshots or samples with log weight 0
-    instead of piece integrals.  The direct route scatters the network's entry record into
-    each dense A_k, building no CSR."""
+def _discrete_steps(net: DiscreteTemporalNetwork, kernel: DecayKernel, pattern: tuple | None):
+    """(t_k, B_k, k - 1) at every instant of a discrete network, k - 1 the index of A_k in
+    its snapshots, and B_k CSR, or given the ``pattern`` of :func:`_snapshot_pattern` a
+    vector on it.  For :class:`ExponentialDecay`
+    B_k = e^{-r(t_k - t_{k-1})} B_{k-1} + A_k, up to row factors: the recurrence of the
+    continuous scale, fed snapshots with log weight 0 instead of piece integrals; on the
+    pattern each A_k is placed there from the network's entry record, building no CSR.  Any
+    other kernel's B_k is the CSR of :func:`accumulate_discrete`, placed on the pattern if
+    it is given."""
     instants = net.instants.tolist()
     if not instants:
         return
-    rows = net.network.edge_order.rows if isinstance(net, _Truncation) else None
-    adjacencies = range(len(instants)) if rows is None else net.values.T
+    rows, cols, places, data, starts = (None,) * 5 if pattern is None else pattern
     if isinstance(kernel, ExponentialDecay):
         rate = _checked_rate(kernel, instants[-1] - instants[0])
-        terms = (net.values.T if rows is not None
-                 else _dense_arrays(net.n, *net._entries) if dense else net.snapshots)
+        adjacencies = net.snapshots if pattern is None else (
+            _placed(len(rows), places[start:end], data[start:end])
+            for start, end in zip(starts, starts[1:]))
         terms = ((t, -rate * (t - previous), term, 0.0)
-                 for t, previous, term in zip(instants, instants[:1] + instants, terms))
-        accumulated = (matrix for matrix, _ in _exponential(terms, net.n, dense, rows))
+                 for t, previous, term in zip(instants, instants[:1] + instants, adjacencies))
+        accumulated = (matrix for matrix, _ in _exponential(terms, net.n, rows))
     else:
         accumulated = (accumulate_discrete(net, kernel, k).matrix
                        for k in range(1, len(instants) + 1))
-        accumulated = (matrix.toarray() for matrix in accumulated) if dense else accumulated
-    yield from zip(instants, accumulated, adjacencies)
+        if pattern is not None:
+            keys = rows * net.n + cols
+            accumulated = (_placed(len(rows), np.searchsorted(keys, _entry_keys(
+                net.n, matrix.indices, matrix.indptr[None])), matrix.data)
+                           for matrix in accumulated)
+    yield from zip(instants, accumulated, range(len(instants)))
+
+
+def _placed(size: int, places: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The vector of ``size`` zeros holding ``values`` at ``places``."""
+    vector = np.zeros(size)
+    vector[places] = values
+    return vector
 
 
 def _continuous_steps(net: ContinuousTemporalNetwork, kernel: DecayKernel, times: np.ndarray,
@@ -505,8 +501,7 @@ def _continuous_steps(net: ContinuousTemporalNetwork, kernel: DecayKernel, times
     B, so that the clean errors of its quadrature come first."""
     if isinstance(kernel, ExponentialDecay):
         terms = _continuous_terms(net, kernel, times, quad)
-        accumulated = (matrix for matrix, _ in _exponential(terms, net.n,
-                                                            rows=net.edge_order.rows))
+        accumulated = (matrix for matrix, _ in _exponential(terms, net.n, net.edge_order.rows))
     else:
         accumulated = (None if t == net.t0 else _integrated(net, kernel, t, quad)
                        for t in times.tolist())

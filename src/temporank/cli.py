@@ -28,7 +28,7 @@ import numpy as np
 from . import config as configmod
 from . import ingest as ingestmod
 from . import netfile
-from .accumulate import _truncation
+from .accumulate import truncate
 from .errors import InvalidInputError, TemporankError
 from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
 from .localization import bounds_trajectory
@@ -282,8 +282,8 @@ def _fmts(values) -> list[str]:
 # --------------------------------------------------------------- commands
 
 def _trajectory_for(cfg: configmod.RunConfig, network=None, grid=None):
-    """The configured trajectory; a continuous network runs on ``grid`` if given, and the
-    :func:`_truncation` of one is its discrete scale."""
+    """The configured trajectory: a continuous network runs on ``grid`` if given, and a
+    discrete one, such as the :func:`truncate` network of `converge`, on its instants."""
     if network is None:
         network = configmod.build_network(cfg)
     kernel = configmod.build_kernel(cfg)
@@ -335,7 +335,7 @@ def cmd_converge(args) -> int:
         raise InvalidInputError("partition sizes must be >= 2")
     results = []
     for size in sizes:
-        truncated = _truncation(network, size)
+        truncated = truncate(network, size)
         _, discrete = _trajectory_for(cfg, truncated)
         _, continuous = _trajectory_for(cfg, network, truncated.instants)
         errors = np.abs(discrete.vectors - continuous.vectors)

@@ -47,29 +47,11 @@ def _stacked(n: int, blocks) -> tuple:
     return data, indices, indptr, np.concatenate(([0], np.cumsum(sizes))).tolist()
 
 
-def _joined(parts) -> tuple:
-    """(record, shapes): one record of the matrices of ``parts``, each a canonical CSR matrix
-    or a record of n x n ones, stored one after another, and the shape of each matrix, None
-    for a record's.  Joined, its indptr is the list of the row pointers of every matrix."""
-    records = [part if isinstance(part, tuple) else
-               (part.data, part.indices, part.indptr[None], [0, part.nnz]) for part in parts]
-    shapes = [shape for part, record in zip(parts, records)
-              for shape in [getattr(part, "shape", None)] * (len(record[3]) - 1)]
-    if len(records) == 1:
-        return records[0], shapes
-    return (np.concatenate([np.zeros(0), *(record[0] for record in records)]),
-            np.concatenate([np.zeros(0, dtype=np.int64), *(record[1] for record in records)]),
-            [row for record in records for row in record[2]],
-            np.concatenate([[0], *(np.diff(record[3]) for record in records)]).cumsum().tolist()
-            ), shapes
-
-
-def _rows_stacked(n: int, record: tuple) -> tuple:
-    """``record`` of :func:`_joined`, of n x n matrices, with its row pointers in one array."""
-    data, indices, indptr, starts = record
-    if isinstance(indptr, list):
-        indptr = np.array(indptr, dtype=np.int64).reshape(-1, n + 1)
-    return data, indices, indptr, starts
+def _entry_keys(n: int, indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The int64 keys i*n + j of the entries of n x n CSR matrices stored one after another,
+    with column ``indices`` and row pointers ``indptr[k]`` (a 2-d array) of matrix k."""
+    return np.repeat(np.tile(np.arange(n, dtype=np.int64) * n, len(indptr)),
+                     np.diff(indptr, axis=1).ravel()) + indices
 
 
 def _as_csr(matrix) -> sparse.csr_array:
@@ -129,38 +111,37 @@ class DiscreteTemporalNetwork:
     def __init__(self, n, instants, snapshots, initial_adjacency=None):
         snapshots = _coerced("snapshots must be a sequence of matrices of numbers",
                              lambda: tuple(map(_as_csr, snapshots)))
-        self._store(n, instants, snapshots, len(snapshots), initial_adjacency)
-        self.snapshots = snapshots
-        if initial_adjacency is None:
-            self.initial_adjacency = None
+        self._set_nodes_and_instants(n, instants)
+        if initial_adjacency is not None:
+            initial_adjacency = _coerced("initial adjacency must be a matrix of numbers",
+                                         _as_csr, initial_adjacency)
+        held = snapshots + (() if initial_adjacency is None else (initial_adjacency,))
+        # the weights are checked matrix by matrix, where they lie: no copy of them is made
+        _validate_discrete(self.n, self.instants, len(snapshots),
+                           [(matrix.data, [0, matrix.nnz]) for matrix in held],
+                           [matrix.shape for matrix in held])
+        self._record = None
+        self.snapshots, self.initial_adjacency = snapshots, initial_adjacency
 
     @classmethod
-    def _of_entries(cls, n, instants, entries: tuple, count: int, initial_adjacency=None,
+    def _of_entries(cls, n, instants, entries: tuple, count: int,
                     patterned: bool = False) -> DiscreteTemporalNetwork:
         """The network whose ``count`` snapshots, and initial adjacency if it holds one more
-        matrix, are the record ``entries``; else ``initial_adjacency``, any matrix.  A
-        snapshot of no entries reads as ``sparse.csr_array((n, n))``, or, if ``patterned``,
-        as :meth:`ContinuousTemporalNetwork.edge_csrs` builds it."""
+        matrix, are the record ``entries`` of n x n matrices.  A snapshot of no entries
+        reads as ``sparse.csr_array((n, n))``, or, if ``patterned``, as
+        :meth:`ContinuousTemporalNetwork.edge_csrs` builds it."""
         network = cls.__new__(cls)
         network._patterned = patterned
-        network._store(n, instants, (entries,), count, initial_adjacency)
+        network._set_nodes_and_instants(n, instants)
+        data, _, _, starts = entries
+        _validate_discrete(network.n, network.instants, count, [(data, starts)], [])
+        network._record = entries
         return network
 
-    def _store(self, n, instants, parts: tuple, count: int, initial_adjacency) -> None:
-        """Check the network whose matrices are ``parts``, each a canonical CSR matrix or a
-        record of them, followed by ``initial_adjacency`` if it is given; keep its record if
-        a part is one."""
+    def _set_nodes_and_instants(self, n, instants) -> None:
         self.n = _node_count(n)
         self.instants = _coerced("instants must be a 1-d sequence of numbers",
                                  np.fromiter, instants, float)
-        if initial_adjacency is not None:
-            self.initial_adjacency = _coerced("initial adjacency must be a matrix of numbers",
-                                              _as_csr, initial_adjacency)
-            parts += (self.initial_adjacency,)
-        record, shapes = _joined(parts)
-        _validate_discrete(self.n, self.instants, count, record[0], record[3], shapes)
-        built = any(isinstance(part, tuple) for part in parts)
-        self._record = _rows_stacked(self.n, record) if built else None
 
     @property
     def _entries(self) -> tuple:
@@ -170,7 +151,12 @@ class DiscreteTemporalNetwork:
             return self._record
         held = self.snapshots + (() if self.initial_adjacency is None
                                  else (self.initial_adjacency,))
-        return _rows_stacked(self.n, _joined(held)[0])
+        return (np.concatenate([np.zeros(0), *(matrix.data for matrix in held)]),
+                np.concatenate([np.zeros(0, dtype=np.int64),
+                                *(matrix.indices for matrix in held)]),
+                np.array([matrix.indptr for matrix in held], dtype=np.int64)
+                .reshape(-1, self.n + 1),
+                np.cumsum([0] + [matrix.nnz for matrix in held]).tolist())
 
     @cached_property
     def _matrices(self) -> tuple:
@@ -276,7 +262,8 @@ class ContinuousTemporalNetwork:
     def edge_csrs(self, values: np.ndarray) -> Iterator[sparse.csr_array]:
         """:meth:`edge_csr` of every column of (edges, K) ``values``, in column order; the
         nonzero entries of all the columns are found in one pass."""
-        return _csr_arrays(self.n, *_edge_entries(self, values))
+        rows, cols, _ = self.edge_order
+        return _csr_arrays(self.n, *_edge_entries(self.n, rows, cols, values))
 
     def values_at(self, times) -> np.ndarray:
         """(edges, times) values of the :attr:`edge_order` functions, one array call each.
@@ -297,18 +284,18 @@ class ContinuousTemporalNetwork:
         return self.edge_csr(self.values_at([t])[:, 0])
 
 
-def _edge_entries(net: ContinuousTemporalNetwork, values: np.ndarray):
-    """(data, indices, indptr, starts) of the nonzeros of each column of (edges, K)
-    ``values`` on the edge order, found in one pass: K CSR matrices stored one after
+def _edge_entries(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
+    """(data, indices, indptr, starts) of the nonzeros of each column of (entries, K)
+    ``values`` on the fixed pattern of n x n entries (rows, cols) sorted by (row, col), such
+    as a continuous network's edge order, found in one pass: K CSR matrices stored one after
     another, matrix k with data[starts[k]:starts[k + 1]] and row pointer indptr[k]."""
-    rows, cols, _ = net.edge_order
     kept = values.T != 0
     count = np.zeros((len(kept), len(rows) + 1), dtype=np.int64)
     np.cumsum(kept, axis=1, out=count[:, 1:])
-    indptr = count[:, np.searchsorted(rows, np.arange(net.n + 1))]
+    indptr = count[:, np.searchsorted(rows, np.arange(n + 1))]
     starts = np.concatenate(([0], np.cumsum(count[:, -1]))).tolist()
     data, indices = values.T[kept], np.broadcast_to(cols, kept.shape)[kept]
-    if not len(rows):   # as sparse.csr_array((n, n)), the matrix of no edges
+    if not len(rows):   # as sparse.csr_array((n, n)), the matrix of no entries
         indices, indptr = indices.astype(np.int32), indptr.astype(np.int32)
     return data, indices, indptr, starts
 
@@ -319,15 +306,6 @@ def _csr_arrays(n: int, data, indices, indptr, starts) -> Iterator[sparse.csr_ar
     for column, (start, end) in enumerate(zip(starts, starts[1:])):
         yield sparse.csr_array((data[start:end], indices[start:end], indptr[column]),
                                shape=(n, n))
-
-
-def _dense_arrays(n: int, data, indices, indptr, starts) -> Iterator[np.ndarray]:
-    """The matrices of :func:`_csr_arrays` as n x n arrays, with the bits of ``toarray``."""
-    for block, (start, end) in enumerate(zip(starts, starts[1:])):
-        dense = np.zeros((n, n))
-        dense[np.repeat(np.arange(n), np.diff(indptr[block])), indices[start:end]] \
-            += data[start:end]
-        yield dense
 
 
 def _called(fn: TimeFunction, times: np.ndarray, label: str) -> np.ndarray:
@@ -351,11 +329,12 @@ def _called(fn: TimeFunction, times: np.ndarray, label: str) -> np.ndarray:
 _CONTINUOUS_SAMPLES = 33
 
 
-def _validate_discrete(n: int, instants: np.ndarray, count: int, data: np.ndarray,
-                       starts: list, shapes: list) -> None:
+def _validate_discrete(n: int, instants: np.ndarray, count: int, weights: list,
+                       shapes: list) -> None:
     """Raise, as one error, every problem of the network of ``n`` nodes at ``instants``
-    whose ``count`` snapshots, and then its initial adjacency, are the matrices of
-    weights ``data[starts[k]:starts[k + 1]]`` and shape ``shapes[k]`` (None for n x n)."""
+    whose ``count`` snapshots, and then its initial adjacency, are the matrices whose
+    weights are ``weights`` (see :func:`_weight_problems`); matrix k has shape
+    ``shapes[k]``, or is n x n past the end of ``shapes``."""
     problems = []
     if n < 0:   # n = 0 is the empty network, with empty bounds
         problems.append(f"node count must not be negative, got {n}")
@@ -363,8 +342,8 @@ def _validate_discrete(n: int, instants: np.ndarray, count: int, data: np.ndarra
         problems.append(f"{len(instants)} instants but {count} snapshots")
     problems += _instant_problems(instants)
     found = {k: [f"shape {shape}, expected ({n}, {n})"]
-             for k, shape in enumerate(shapes) if shape not in (None, (n, n))}
-    for k, problem in _weight_problems(data, starts):
+             for k, shape in enumerate(shapes) if shape != (n, n)}
+    for k, problem in _weight_problems(weights):
         found.setdefault(k, []).append(problem)
     problems += [f"{'initial adjacency' if k == count else f'snapshot {k + 1}'}: {problem}"
                  for k in sorted(found) for problem in found[k]]
@@ -381,26 +360,19 @@ def _instant_problems(instants: np.ndarray) -> list[str]:
     return problems
 
 
-def _weight_problems(data: np.ndarray, starts) -> list[tuple[int, str]]:
-    """(k, problem) of the matrices of weights ``data[starts[k]:starts[k + 1]]``, in order
+def _weight_problems(weights: list) -> list[tuple[int, str]]:
+    """(k, problem) of the matrices whose weights are ``weights``, pieces (data, starts) of
+    consecutive matrices, one of a piece holding data[starts[i]:starts[i + 1]]; in order
     of k and, for each, non-finite before negative."""
-    found = [(k, problem)
-             for problem, bad in (("non-finite weight", ~np.isfinite(data)),
-                                  ("negative weight", data < 0))
-             for k in np.unique(np.searchsorted(starts, np.flatnonzero(bad),
-                                                side="right") - 1).tolist()]
+    found, first = [], 0
+    for data, starts in weights:
+        found += [(first + k, problem)
+                  for problem, bad in (("non-finite weight", ~np.isfinite(data)),
+                                       ("negative weight", data < 0))
+                  for k in np.unique(np.searchsorted(starts, np.flatnonzero(bad),
+                                                     side="right") - 1).tolist()]
+        first += len(starts) - 1
     return sorted(found, key=lambda item: item[0])
-
-
-def _check_samples(instants: np.ndarray, values: np.ndarray) -> None:
-    """Raise what a discrete network at ``instants`` whose snapshot k holds column k of the
-    (edges, K) ``values`` on the edge order raises when it is built, as one error."""
-    edges, count = values.shape
-    problems = _instant_problems(instants) + [
-        f"snapshot {k + 1}: {problem}" for k, problem in
-        _weight_problems(values.T.ravel(), np.arange(count + 1) * edges)]
-    if problems:
-        raise InvalidInputError("; ".join(problems))
 
 
 def _validate_continuous(net: ContinuousTemporalNetwork) -> None:

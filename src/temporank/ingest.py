@@ -46,7 +46,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ConsistencyError, EventParseError, InvalidInputError, read_bytes
-from .graph import DiscreteTemporalNetwork, _coerced, _node_count, _stacked
+from .graph import (DiscreteTemporalNetwork, _as_csr, _coerced, _entry_keys, _node_count,
+                    _stacked)
 from .netfile import _NotSure, _fields, _read
 
 __all__ = [
@@ -280,7 +281,8 @@ def build_snapshots(events, sample_instants, n: int | None = None,
     the adjacency after every event before the first one timestamped
     after sample_instants[k-1].  The running matrix starts from
     ``initial`` (a dense or sparse n-by-n count matrix in compacted node
-    order) or empty.  A decrement that would push an entry below zero is
+    order, repeated coordinates summed, as the network's ``initial_adjacency``
+    holds it) or empty.  A decrement that would push an entry below zero is
     an error under ``policy="strict"`` and pins the entry at 0 under
     ``"clamp"``.  Returns the network and the number of clamped events.
 
@@ -310,9 +312,9 @@ def build_snapshots(events, sample_instants, n: int | None = None,
         n = _node_count(n)
     if n < 1:
         raise InvalidInputError("no nodes: supply events, an initial matrix, or n")
-    baseline, seed_keys, seed_weights = None, np.zeros(0, dtype=np.int64), np.zeros(0)
+    seed_keys, seed_weights = np.zeros(0, dtype=np.int64), np.zeros(0)
     if initial is not None:
-        baseline, seed_keys, seed_weights = _seed(initial, n)
+        seed_keys, seed_weights = _seed(initial, n)
 
     # event i is applied by t_k unless some event up to i lies after t_k (NaN never does)
     latest = np.maximum.accumulate(
@@ -343,17 +345,17 @@ def build_snapshots(events, sample_instants, n: int | None = None,
         kept = values != 0
         entries = key[current][kept]
         blocks.append((entries // n, entries % n, values[kept]))
+    if initial is not None:
+        blocks.append((seed_keys // n, seed_keys % n, seed_weights))
 
     network = DiscreteTemporalNetwork._of_entries(
-        n, instants / instant_scale, _stacked(n, blocks), len(blocks), baseline)
+        n, instants / instant_scale, _stacked(n, blocks), len(applied))
     return network, int(np.count_nonzero(clamped))
 
 
 def _seed(initial, n):
-    """``initial`` as CSR, and its nonzero entries as sorted edge keys i*n + j and weights.
-
-    Of repeated coordinates the last nonzero one counts.
-    """
+    """The nonzero entries of ``initial`` as sorted edge keys i*n + j and weights, read from
+    its canonical CSR, so repeated coordinates are summed."""
     from scipy import sparse
     first = sparse.coo_array(initial)
     if first.shape != (n, n):
@@ -364,13 +366,10 @@ def _seed(initial, n):
         at = bad[0]
         raise InvalidInputError(f"initial adjacency entry ({first.row[at] + 1}, "
                                 f"{first.col[at] + 1}) is {first.data[at]}")
-    nonzero = first.data != 0
-    keys = first.row[nonzero].astype(np.int64) * n + first.col[nonzero]
-    weights = first.data[nonzero].astype(float)
-    order = np.argsort(keys, kind="stable")
-    keys, weights = keys[order], weights[order]
-    last = np.diff(keys, append=keys[-1:] + 1) != 0
-    return sparse.csr_array(first), keys[last], weights[last]
+    matrix = _as_csr(first)
+    keys = _entry_keys(n, matrix.indices, matrix.indptr[None])
+    nonzero = matrix.data != 0
+    return keys[nonzero], matrix.data[nonzero]
 
 
 def _replay(keys, deltas, seed_keys, seed_weights):

@@ -395,8 +395,8 @@ def replay_events_per_event(events, instants, n, initial=None, policy="strict"):
         for i, j, w in zip(first.row, first.col, first.data):
             if not np.isfinite(w) or w < 0:
                 raise InvalidInputError(f"initial adjacency entry ({i + 1}, {j + 1}) is {w}")
-            if w != 0:
-                running[(int(i), int(j))] = float(w)
+            if w != 0:   # repeated coordinates are summed
+                running[(int(i), int(j))] = running.get((int(i), int(j)), 0.0) + float(w)
     clamped, cursor, snapshots = 0, 0, []
     for t_k in instants:
         while cursor < len(events):

@@ -42,7 +42,7 @@ from temporank.pagerank import _run_instants
 from temporank.schedules import (InputPersonalization, InverseInputPersonalization,
                                  LinearDamping, damping_at, personalization_at)
 from temporank.timefuncs import TimeFunction
-from test_graph import assert_same_csr, continuous_networks
+from test_graph import assert_same_csr, continuous_networks, zero_bearing_networks
 
 
 def instant_setups(net, kernel, damping, personalization=None, dangling_dist=None, grid=None,
@@ -349,10 +349,14 @@ def discrete_networks():
 
 @st.composite
 def scale_cases(draw):
-    """(network, grid, rate) on either scale; the grid is None for a discrete network."""
-    if draw(st.booleans()):
+    """(network, grid, rate) on either scale; the grid is None for a discrete network, which
+    may store explicit zeros and an initial adjacency (no term of B)."""
+    kind = draw(st.sampled_from(["discrete", "zero-bearing", "continuous"]))
+    if kind == "discrete":
         net, kernel = draw(discrete_networks())
         return net, None, kernel.rate
+    if kind == "zero-bearing":   # a span of at most 200, so e^{|rate| span} stays in range
+        return draw(zero_bearing_networks()), None, draw(st.floats(-2.0, 2.0))
     grid = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
                          min_size=1, max_size=8))
     return draw(continuous_networks()), grid, draw(st.floats(-2.0, 4.0))
@@ -361,6 +365,9 @@ def scale_cases(draw):
 class TestStreamedAccumulation:
     @settings(max_examples=60)
     @given(case=scale_cases(), custom=st.booleans(), entries=st.sampled_from([1, 30, 2 ** 20]))
+    @example(case=(DiscreteTemporalNetwork(3, [0.0, 1.0], [sparse.csr_array((3, 3))] * 2,
+                                           np.ones((3, 3))), None, 1.0),
+             custom=False, entries=30)   # no snapshot entries: an empty pattern
     def test_dense_and_csr_routes_agree_bit_for_bit(self, case, custom, entries):
         # B becomes P in one place on either route: each row of a direct
         # chunk's stack is that instant's CSR snapshot, densified

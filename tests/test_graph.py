@@ -1,6 +1,7 @@
 """Temporal network data model, checked when a network is built."""
 
 import math
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -465,9 +466,9 @@ class TestDegenerateFields:
 
 @st.composite
 def zero_bearing_networks(draw, weights=st.floats(0.0, 10.0) | st.sampled_from(
-        [0.0, 0.0, 1.0, 1.0 / 3.0, 5e-324])):
-    """Discrete networks built from canonical CSR matrices that store explicit zeros, with
-    empty snapshots and, half of the time, an initial adjacency."""
+        [0.0, 0.0, -0.0, 1.0, 1.0 / 3.0, 5e-324])):
+    """Discrete networks built from canonical CSR matrices that store explicit zeros (-0.0
+    among them), with empty snapshots and, half of the time, an initial adjacency."""
     n = draw(st.integers(1, 7))
     count = draw(st.integers(1, 4))
 
@@ -487,6 +488,22 @@ class TestSnapshotsStoredAsFloatCsr:
         canonical = sparse.csr_array(np.array([[0.0, 1.0], [2.0, 0.0]]))
         net = DiscreteTemporalNetwork(2, [0.0], (canonical,), canonical)
         assert net.snapshots[0] is canonical and net.initial_adjacency is canonical
+
+    def test_building_from_matrices_copies_none_of_them(self):
+        # each matrix's weights are checked where they lie, so the constructor's peak
+        # stays below the bytes of any one of the matrices it is given
+        rng = np.random.default_rng(5)
+        matrices = [sparse.random_array((2000, 2000), density=0.02, format="csr", rng=rng)
+                    for _ in range(5)]
+        smallest = min(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in matrices)
+        tracemalloc.start()
+        try:
+            net = DiscreteTemporalNetwork(2000, range(5), matrices)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(got is given for got, given in zip(net.snapshots, matrices, strict=True))
+        assert peak < smallest
 
     def test_integer_snapshots_are_stored_as_float64(self):
         dense = np.array([[0, 1], [1, 0]])

@@ -387,12 +387,17 @@ class TestAgainstPerEventOracle:
                                    oracles.parse_events_per_line(lines)[1],
                                    [1.5, 2.5, 3.5, 6.0], 2, initial, policy) == clamped
 
-    def test_repeated_initial_coordinates_keep_the_last_nonzero(self):
+    def test_repeated_initial_coordinates_are_summed(self):
         initial = sparse.coo_array(([2.0, 5.0, 0.0, 1.0], ([0, 0, 0, 1], [1, 1, 1, 0])),
                                    shape=(2, 2))
         events = parse_events(["1 2 -1 1", "2 1 -1 2"]).events
         _assert_same_replay(events, events, [0.0, 5.0], 2, initial)
-        assert build_snapshots(events, [0.0], initial=initial)[0].snapshot_at(1)[0, 1] == 5.0
+        # the replay starts from the initial adjacency the network keeps and writes
+        net = build_snapshots(parse_events(["2 1 +1 1"]).events, [0.0], n=2,
+                              initial=initial)[0]
+        assert net.snapshot_at(1)[0, 1] == net.initial_adjacency[0, 1] == 7.0
+        text = dumps_network(net)
+        assert text == "nodes 2\ninitial\n1 2 7.0\n2 1 1.0\ninstant 0.0\n1 2 7.0\n2 1 1.0\n"
 
     @pytest.mark.parametrize("policy", ["strict", "clamp"])
     def test_unsorted_and_nan_timestamps_replay_in_given_order(self, policy):

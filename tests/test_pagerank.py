@@ -711,8 +711,9 @@ class TestStackedDirectPath:
 
 
 class TestSampledDiscreteScale:
-    """converge's discrete scale, the samples of a partition fed to the recurrence as they
-    are, is the trajectory of the network's truncation, bit for bit."""
+    """converge's discrete scale, the network truncate keeps as the entry record of a
+    partition's samples, ranks as the network of the same samples built as CSR matrices,
+    bit for bit."""
 
     @settings(max_examples=60)
     @given(net=continuous_networks(), count=st.integers(2, 9), rate=st.floats(-2.0, 4.0),
@@ -730,7 +731,10 @@ class TestSampledDiscreteScale:
             return (trajectory.instants.tobytes(), trajectory.vectors.tobytes(),
                     trajectory.metadata)
 
-        assert run(accumulate._truncation(net, count)) == run(truncate(net, count))
+        truncated = truncate(net, count)
+        oracle = DiscreteTemporalNetwork(
+            net.n, truncated.instants, oracles.coo_truncate_snapshots(net, truncated.instants))
+        assert run(truncated) == run(oracle)
 
 
 class RecordingSchedule(PersonalizationSchedule):
@@ -820,8 +824,7 @@ class TestEntryRecordNetworks:
     def test_rank_and_bound_as_networks_of_the_oracle_csrs(self, net, personalization,
                                                            kernel):
         # a loaded network holds one entry record; the oracle network holds the CSR
-        # matrices a file's blocks were once built as, and its direct route takes the
-        # dense terms from their toarray().  Every route gives the same bits
+        # matrices a file's blocks were once built as.  Every route gives the same bits
         loaded = loads_network(dumps_network(net))
         oracle = DiscreteTemporalNetwork(
             net.n, net.instants, tuple(map(oracles.nonzeros_to_csr, net.snapshots)),
@@ -836,7 +839,4 @@ class TestEntryRecordNetworks:
         limits = [pagerank.DIRECT_SOLVE_MAX_N] * 3 + [0]   # bounds direct, then Neumann
         for call, limit in zip(calls, limits):
             with mock.patch.object(pagerank, "DIRECT_SOLVE_MAX_N", limit):
-                got = _solved(lambda: call(loaded))
-                with mock.patch.object(accumulate, "_dense_arrays", lambda n, *entries: (
-                        matrix.toarray() for matrix in oracle.snapshots)):
-                    assert got == _solved(lambda: call(oracle))
+                assert _solved(lambda: call(loaded)) == _solved(lambda: call(oracle))
