@@ -10,6 +10,10 @@ so identical configurations produce byte-identical files; the only
 nondeterministic line is the leading timestamp comment, suppressed by
 ``--no-header`` (JSON output never has one).  Node indices are 1-based
 on every file and flag; internals are 0-based.
+
+Each command imports the modules it runs when it runs, so a process
+loads only those: `ingest` and `validate` never load the solvers, and a
+preset run never loads the network-file reader.
 """
 
 from __future__ import annotations
@@ -22,18 +26,14 @@ import re
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import config as configmod
-from . import ingest as ingestmod
-from . import netfile
-from .accumulate import truncate
 from .errors import InvalidInputError, TemporankError
-from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
-from .localization import bounds_trajectory
-from .pagerank import trajectory_continuous, trajectory_discrete
-from .ranking import compare_trajectories
+
+if TYPE_CHECKING:
+    from . import config as configmod
 
 __all__ = ["main"]
 
@@ -166,6 +166,7 @@ def _add_output_flags(parser: argparse.ArgumentParser):
 
 
 def _resolve(args) -> configmod.RunConfig:
+    from . import config as configmod
     base = configmod.read_config(args.config) if args.config else None
     if args.network is not None and args.preset is not None:
         raise InvalidInputError("give --network or --preset, not both")
@@ -284,6 +285,9 @@ def _fmts(values) -> list[str]:
 def _trajectory_for(cfg: configmod.RunConfig, network=None, grid=None):
     """The configured trajectory: a continuous network runs on ``grid`` if given, and a
     discrete one, such as the :func:`truncate` network of `converge`, on its instants."""
+    from . import config as configmod
+    from .graph import ContinuousTemporalNetwork
+    from .pagerank import trajectory_continuous, trajectory_discrete
     if network is None:
         network = configmod.build_network(cfg)
     kernel = configmod.build_kernel(cfg)
@@ -326,6 +330,9 @@ def cmd_compute(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    from . import config as configmod
+    from .accumulate import truncate
+    from .graph import ContinuousTemporalNetwork
     cfg = _resolve(args)
     network = configmod.build_network(cfg)
     if not isinstance(network, ContinuousTemporalNetwork):
@@ -366,6 +373,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_localize(args) -> int:
+    from . import config as configmod
+    from .localization import bounds_trajectory
     cfg = _resolve(args)
     network = configmod.build_network(cfg)
     if args.nodes.strip() == "all":
@@ -401,6 +410,8 @@ def cmd_localize(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import config as configmod
+    from .ranking import compare_trajectories
     cfg_a = configmod.resolve_config(configmod.read_config(args.config_a),
                                      threads=args.threads)
     cfg_b = configmod.resolve_config(configmod.read_config(args.config_b),
@@ -432,6 +443,9 @@ def _network_source(cfg: configmod.RunConfig):
 
 
 def cmd_ingest(args) -> int:
+    from . import ingest as ingestmod
+    from . import netfile
+    from .graph import DiscreteTemporalNetwork
     start, step, count = _grid_spec(args.grid)
     unit = _UNIT_SECONDS[args.unit]
     grid_seconds = ingestmod.sample_grid(start, step, count, unit)
@@ -457,6 +471,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import netfile
+    from .graph import ContinuousTemporalNetwork
     try:
         network = netfile.load_network(args.network)
     except TemporankError as err:

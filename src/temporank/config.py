@@ -53,7 +53,6 @@ from functools import partial
 
 import numpy as np
 
-from . import netfile, presets
 from .accumulate import _partition
 from .errors import InvalidInputError, decode, read_bytes
 from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
@@ -245,9 +244,11 @@ def dump_config(cfg: RunConfig) -> str:
 
 def build_network(cfg: RunConfig):
     if cfg.network_preset is not None:
+        from . import presets
         return presets.preset(cfg.network_preset)
     if cfg.network_file is None:
         raise InvalidInputError("no network source configured")
+    from . import netfile
     return netfile.load_network(cfg.network_file)
 
 

@@ -369,6 +369,7 @@ def _weight_problems(weights: list) -> list[tuple[int, str]]:
         found += [(first + k, problem)
                   for problem, bad in (("non-finite weight", ~np.isfinite(data)),
                                        ("negative weight", data < 0))
+                  if bad.any()  # np.unique imports numpy.ma: call it only when needed
                   for k in np.unique(np.searchsorted(starts, np.flatnonzero(bad),
                                                      side="right") - 1).tolist()]
         first += len(starts) - 1

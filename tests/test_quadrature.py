@@ -6,12 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
-from temporank import IntegrationError, QuadratureConfig, adaptive_simpson
+from temporank import IntegrationError, QuadratureConfig, adaptive_simpson, quadrature
 
 
 def scalar(fn):
     """A one-component integrand: fn over the points as a (1, points) array."""
     return lambda s: fn(s)[None, :]
+
+
+def test_gauss_weights_are_leggauss():
+    gauss = np.polynomial.legendre.leggauss(7)[1]
+    assert quadrature._WG.tobytes() == gauss.tobytes()
+    assert quadrature._GAUSS[1::2].tobytes() == gauss.tobytes()
+    assert not quadrature._GAUSS[::2].any()
 
 
 def test_exponential_integral():
