@@ -23,10 +23,11 @@ B has two representations.  It is one vector on a fixed pattern of
 entries sorted by (row, col): a continuous network's edge order, on either
 route, or on the direct route the union of a discrete network's snapshot
 entries, each A_k placed on it from the network's record of entries with
-no CSR built.  The vector is placed in the dense stack, or wrapped in one
-CSR snapshot per instant, only when it becomes P.  Otherwise (a discrete
-network under power iteration or the Neumann series) B is CSR, from the
-network's ``snapshots``.  Any other kernel goes through
+no CSR built.  Otherwise (a discrete network under power iteration or the
+Neumann series) B is CSR, from the network's ``snapshots``.  Either way
+:func:`_grouped` takes a chunk's B as one record of its nonzeros, normalizes
+it in one pass and only then places it in the dense stack or wraps it in one
+CSR snapshot per instant.  Any other kernel goes through
 :func:`accumulate_discrete` / the integral of :func:`accumulate_continuous`
 per instant, the reference path.  Only the running B is kept between
 instants; a continuous grid's piece integrals and its A(t) samples are
@@ -332,45 +333,31 @@ def _snapshot_pattern(net: DiscreteTemporalNetwork):
 def _grouped(steps, size: int, dense: bool, n: int, pattern: tuple | None):
     """(P, dangling, a) of ``size`` steps (t, B, a) at a time, the one place B becomes P; a
     the steps' A(t), or what A(t) is built from.  B is a vector on ``pattern``, whose first
-    two fields are the rows and columns of n x n entries sorted by (row, col), and P is made
-    by :func:`_edge_transitions`, a (K, n, n) stack when ``dense``; without a pattern B is
-    CSR and P its CSR snapshots."""
+    two fields are the rows and columns of n x n entries sorted by (row, col), or without a
+    pattern one instant's CSR.  Either way the chunk's B is one record of its nonzeros, as
+    :func:`_edge_entries` gives them, normalized in one :func:`_normalize_columns` pass; P
+    is the record scattered into a (K, n, n) stack when ``dense``, else one CSR snapshot per
+    instant, which may share B's index arrays."""
     steps = iter(steps)
     for block in iter(lambda: list(islice(steps, size)), []):
         times, matrices, sampled = zip(*block)
-        if pattern is not None:
-            transitions, dangling = _edge_transitions(n, *pattern[:2], times,
-                                                      np.array(matrices), dense)
+        if pattern is None:
+            (matrix,) = matrices
+            data, indices, indptr, starts = (matrix.data, matrix.indices, matrix.indptr[None],
+                                             [0, matrix.nnz])
         else:
-            transitions = tuple(map(row_normalize, map(AccumulatedMatrix, matrices, times)))
-            dangling = np.array([snapshot.dangling for snapshot in transitions])
+            data, indices, indptr, starts = _edge_entries(n, *pattern[:2], np.array(matrices).T)
+        data, dangling = _normalize_columns(data, indptr, starts)
+        if dense:
+            transitions = np.zeros((len(times), n * n))
+            transitions[np.repeat(np.arange(len(times)), np.diff(starts)),
+                        _entry_keys(n, indices, indptr)] = data
+            transitions = transitions.reshape(len(times), n, n)
+        else:
+            transitions = tuple(map(StochasticSnapshot,
+                                    _csr_arrays(n, data, indices, indptr, starts),
+                                    dangling, times))
         yield transitions, dangling, sampled
-
-
-def _edge_transitions(n: int, rows: np.ndarray, cols: np.ndarray, times, values: np.ndarray,
-                      dense: bool):
-    """(P, dangling) of the (K, entries) ``values`` of B on the pattern of n x n entries
-    (rows, cols) sorted by (row, col): placed in a (K, n, n) stack for
-    :func:`_normalize_dense` when ``dense``; else the nonzeros of each, normalized in one
-    pass with the bits of :func:`row_normalize` and wrapped in one CSR snapshot."""
-    if dense:
-        stack = np.zeros((len(values), n, n))
-        stack[:, rows, cols] = values
-        return _normalize_dense(stack)
-    data, indices, indptr, starts = _edge_entries(n, rows, cols, values.T)
-    data, dangling = _normalize_columns(data, indptr, starts)
-    matrices = _csr_arrays(n, data, indices, indptr, starts)
-    return tuple(map(StochasticSnapshot, matrices, dangling, times)), dangling
-
-
-def _normalize_dense(stack: np.ndarray):
-    """(P, dangling) of a (K, n, n) stack of B, normalized in place; row-major order is
-    a canonical CSR's, so the nonzeros get the bits of :func:`row_normalize`."""
-    kept = stack != 0
-    indptr = np.pad(np.cumsum(kept.sum(axis=2), axis=1), ((0, 0), (1, 0)))
-    starts = np.concatenate(([0], np.cumsum(indptr[:, -1]))).tolist()
-    stack[kept], dangling = _normalize_columns(stack[kept], indptr, starts)
-    return stack, dangling
 
 
 def _normalize_columns(data: np.ndarray, indptr: np.ndarray, starts: list):

@@ -37,7 +37,7 @@ from temporank import (
 )
 from temporank import accumulate
 from temporank.accumulate import (_continuous_terms, _edge_integrals, _exponential,
-                                  _instant_chunks, _normalize_dense)
+                                  _grouped, _instant_chunks)
 from temporank.pagerank import _run_instants
 from temporank.schedules import (InputPersonalization, InverseInputPersonalization,
                                  LinearDamping, damping_at, personalization_at)
@@ -368,6 +368,10 @@ class TestStreamedAccumulation:
     @example(case=(DiscreteTemporalNetwork(3, [0.0, 1.0], [sparse.csr_array((3, 3))] * 2,
                                            np.ones((3, 3))), None, 1.0),
              custom=False, entries=30)   # no snapshot entries: an empty pattern
+    @example(case=(ContinuousTemporalNetwork(2, (-1.0, 1.0), {(0, 1): TimeFunction.parse("0*t"),
+                                                              (1, 0): 1.0}),
+                   [-1.0, 0.0, 1.0], 1.0),
+             custom=False, entries=2 ** 20)   # A(t0) samples -0.0, no entry of P on either route
     def test_dense_and_csr_routes_agree_bit_for_bit(self, case, custom, entries):
         # B becomes P in one place on either route: each row of a direct
         # chunk's stack is that instant's CSR snapshot, densified
@@ -609,7 +613,9 @@ class TestNormalizeColumns:
            full_row=st.booleans())
     def test_row_sums_over_nonzeros_match_row_normalize(self, seed, n, count, full_row):
         # values over 16 decades and rows of up to 12 entries, so the order of
-        # the additions shows in the bits; an explicit zero would shift it
+        # the additions shows in the bits; an explicit zero would shift it.
+        # _grouped normalizes B on every route: vectors on the edge order for
+        # the dense stack and for CSR snapshots, and CSR B one instant at a time
         rng = np.random.default_rng(seed)
         mask = rng.random((n, n)) < rng.uniform(0.0, 1.0)
         mask[0] |= full_row
@@ -621,14 +627,31 @@ class TestNormalizeColumns:
         values[rng.random(values.shape) < 0.3] = 0.0
         raw = list(net.edge_csrs(values))
         assert len(raw) == count
-        scaled, dangling = _normalize_dense(
-            np.array([matrix.toarray() for matrix in raw]).reshape(count, n, n))
-        for k, (matrix, snapshot) in enumerate(zip(raw, scaled, strict=True)):
-            adjacency = oracles.coo_edge_matrix(net, values[:, k])
-            expected, expected_dangling = oracles.row_normalize_csr(adjacency)
+        expected = []
+        for matrix, column in zip(raw, values.T):
+            adjacency = oracles.coo_edge_matrix(net, column)
             assert_same_csr(matrix, adjacency)
-            assert snapshot.tobytes() == expected.toarray().tobytes()
-            assert_same_array(dangling[k], expected_dangling)
+            expected.append(oracles.row_normalize_csr(adjacency))
+
+        def grouped(dense, csr):   # (P, dangling) per instant
+            steps = [(float(k), matrix if csr else column, k)
+                     for k, (matrix, column) in enumerate(zip(raw, values.T))]
+            chunks = _grouped(steps, 1 if csr else max(count, 1), dense, n,
+                              None if csr else net.edge_order)
+            return [pair for transitions, dangling, _ in chunks
+                    for pair in zip(transitions, dangling)]
+
+        for dense, csr in [(True, False), (False, False), (False, True)]:
+            route = grouped(dense, csr)
+            assert len(route) == count
+            for (P, dangling), (matrix, expected_dangling) in zip(route, expected):
+                if dense:
+                    assert P.tobytes() == matrix.toarray().tobytes()
+                else:
+                    assert P.matrix.data.tobytes() == matrix.data.tobytes()
+                    assert P.matrix.toarray().tobytes() == matrix.toarray().tobytes()
+                    assert_same_array(P.dangling, expected_dangling)
+                assert_same_array(dangling, expected_dangling)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12))
     def test_row_normalize_matches_scipy_row_sums(self, seed, n):
