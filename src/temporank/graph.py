@@ -25,26 +25,25 @@ if TYPE_CHECKING:
 __all__ = ["DiscreteTemporalNetwork", "ContinuousTemporalNetwork"]
 
 
-def _sorted_entries(entries: dict):
-    """0-based int64 rows and columns and float weights of a {(i, j): weight} mapping,
-    sorted by (row, col)."""
+def _sorted_entries(n: int, entries: dict):
+    """The CSR piece (indptr, indices, data) of the n x n matrix of a {(i, j): weight}
+    mapping of 0-based entries: int64 row pointer and columns, float weights."""
     items = sorted(entries.items())
-    return (np.array([key[0] for key, _ in items], dtype=np.int64),
+    rows = np.array([key[0] for key, _ in items], dtype=np.int64)
+    return (np.searchsorted(rows, np.arange(n + 1)),
             np.array([key[1] for key, _ in items], dtype=np.int64),
             np.array([value for _, value in items], dtype=float))
 
 
 def _stacked(n: int, blocks) -> tuple:
     """The record (data, indices, indptr, starts) of :func:`_edge_entries` of the n x n
-    matrices ``blocks``, each (rows, cols, data) of 0-based int64 entries sorted by
-    (row, col), none repeated; its indices and row pointers are int64."""
-    sizes = [len(data) for _, _, data in blocks]
-    rows, indices, data = (np.concatenate(part) for part in zip(*blocks))
-    block = np.repeat(np.arange(len(blocks), dtype=np.int64), sizes)
-    indptr = np.zeros((len(blocks), n + 1), dtype=np.int64)
-    np.cumsum(np.bincount(block * n + rows, minlength=len(blocks) * n).reshape(len(blocks), n),
-              axis=1, out=indptr[:, 1:])
-    return data, indices, indptr, np.concatenate(([0], np.cumsum(sizes))).tolist()
+    matrices ``blocks``, each a CSR piece (indptr, indices, data) with sorted columns in each
+    row, none repeated: their data and indices one after another, and their row pointers
+    stacked.  Its indices and row pointers are int64; no block's rows are needed."""
+    return (np.concatenate([np.zeros(0), *(data for _, _, data in blocks)]),
+            np.concatenate([np.zeros(0, dtype=np.int64), *(indices for _, indices, _ in blocks)]),
+            np.array([indptr for indptr, _, _ in blocks], dtype=np.int64).reshape(-1, n + 1),
+            np.cumsum([0] + [len(data) for _, _, data in blocks]).tolist())
 
 
 def _entry_keys(n: int, indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -151,12 +150,8 @@ class DiscreteTemporalNetwork:
             return self._record
         held = self.snapshots + (() if self.initial_adjacency is None
                                  else (self.initial_adjacency,))
-        return (np.concatenate([np.zeros(0), *(matrix.data for matrix in held)]),
-                np.concatenate([np.zeros(0, dtype=np.int64),
-                                *(matrix.indices for matrix in held)]),
-                np.array([matrix.indptr for matrix in held], dtype=np.int64)
-                .reshape(-1, self.n + 1),
-                np.cumsum([0] + [matrix.nnz for matrix in held]).tolist())
+        return _stacked(self.n, [(matrix.indptr, matrix.indices, matrix.data)
+                                 for matrix in held])
 
     @cached_property
     def _matrices(self) -> tuple:

@@ -338,15 +338,17 @@ def build_snapshots(events, sample_instants, n: int | None = None,
     # a row is an edge's state from its own event up to the edge's next one
     following = np.append(order[1:], last)
     following[np.flatnonzero(np.diff(key) != 0)] = last
+    # each block is born a CSR piece: key i*n is where row i opens
+    opens = np.arange(n + 1, dtype=np.int64) * n
     blocks = []
     for count in applied:
         current = (order < count) & (following >= count)
         values = state[current]
         kept = values != 0
         entries = key[current][kept]
-        blocks.append((entries // n, entries % n, values[kept]))
+        blocks.append((np.searchsorted(entries, opens), entries % n, values[kept]))
     if initial is not None:
-        blocks.append((seed_keys // n, seed_keys % n, seed_weights))
+        blocks.append((np.searchsorted(seed_keys, opens), seed_keys % n, seed_weights))
 
     network = DiscreteTemporalNetwork._of_entries(
         n, instants / instant_scale, _stacked(n, blocks), len(applied))

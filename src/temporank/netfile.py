@@ -139,8 +139,8 @@ def _parse(lines):
         if text and not text.startswith("#"):
             _parse_line(p, text)
     if p.initial is not None:
-        p.initial = _sorted_entries(p.initial)
-    p.blocks = [(t, _sorted_entries(entries)) for t, entries in p.blocks]
+        p.initial = _sorted_entries(p.n, p.initial)
+    p.blocks = [(t, _sorted_entries(p.n, entries)) for t, entries in p.blocks]
     return _finish(p)
 
 
@@ -231,22 +231,24 @@ def _fields(body: bytes, dtype: str, start: int = 0):
 
 
 def _close_block(p: _Parser, pieces: list):
-    """Store the open block as its entries sorted by (row, col); none may repeat."""
+    """Store the open block as the CSR piece (indptr, indices, data) of its entries, sorted
+    by (row, col); none may repeat.  Its rows are dropped once the row pointer is found."""
     if p.current is None:
         return
     rows, cols, weights = (np.concatenate(part) for part in zip(*pieces or [_NO_TRIPLES]))
+    pieces.clear()
     key = rows * p.n + cols
     if not (np.diff(key) > 0).all():
         order = np.argsort(key)
         key, rows, cols, weights = key[order], rows[order], cols[order], weights[order]
         if not (np.diff(key) > 0).all():
             raise _NotSure      # a duplicate entry
+    piece = np.searchsorted(rows, np.arange(p.n + 1)), cols, weights
     if p.current is p.initial:
-        p.initial = rows, cols, weights
+        p.initial = piece
     else:
-        p.blocks[-1] = (p.blocks[-1][0], (rows, cols, weights))
+        p.blocks[-1] = (p.blocks[-1][0], piece)
     p.current = None
-    pieces.clear()
 
 
 def _parse_line(p: _Parser, text: str):
@@ -423,20 +425,19 @@ def _pieces(network):
 
 def _blocks(network: DiscreteTemporalNetwork):
     """The `initial` block, if any, and then the `instant` blocks of ``network``, read from
-    its entry record: `i j w` lines of the nonzero entries, each distinct weight formatted
-    once."""
+    its entry record: `i j w` lines of the nonzero entries, each distinct weight of a block
+    formatted once.  Only one block's lines and weight table are held at a time."""
     data, indices, indptr, starts = network._entries
     headers = [f"instant {t!r}" for t in network.instants.tolist()] + ["initial"]
     count = network.instant_count
-    keep = data != 0
-    values, index = np.unique(data[keep], return_inverse=True)
-    weights = [repr(w) for w in values.tolist()]
     labels = [str(i) for i in range(1, network.n + 1)]
-    firsts = np.concatenate(([0], np.cumsum(keep)))[starts].tolist()   # of each block in index
     for block in [*range(count, len(starts) - 1), *range(count)]:
-        start, end, first = starts[block], starts[block + 1], firsts[block]
-        rows = np.repeat(np.arange(network.n), np.diff(indptr[block]))[keep[start:end]]
-        lines = [f"{labels[i]} {labels[j]} {weights[k]}" for i, j, k in zip(
-            rows.tolist(), indices[start:end][keep[start:end]].tolist(),
-            index[first:firsts[block + 1]].tolist())]
+        weights = data[starts[block]:starts[block + 1]]
+        keep = weights != 0
+        values, index = np.unique(weights[keep], return_inverse=True)
+        texts = [repr(w) for w in values.tolist()]
+        rows = np.repeat(np.arange(network.n), np.diff(indptr[block]))[keep]
+        lines = [f"{labels[i]} {labels[j]} {texts[k]}" for i, j, k in zip(
+            rows.tolist(), indices[starts[block]:starts[block + 1]][keep].tolist(),
+            index.tolist())]
         yield "\n".join([headers[block], *lines]) + "\n"

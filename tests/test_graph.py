@@ -130,7 +130,7 @@ class TestEntriesToCsr:
         else:
             expected = sparse.csr_array((n, n))
         got = DiscreteTemporalNetwork._of_entries(
-            n, [0.0], _stacked(n, [_sorted_entries(entries)]), 1).snapshot_at(1)
+            n, [0.0], _stacked(n, [_sorted_entries(n, entries)]), 1).snapshot_at(1)
         assert got.shape == expected.shape
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(expected, name)
