@@ -172,13 +172,14 @@ def accumulate_continuous(net: ContinuousTemporalNetwork, kernel: DecayKernel,
 
 def _integrated(net: ContinuousTemporalNetwork, kernel: DecayKernel, t: float,
                 quad: QuadratureConfig) -> np.ndarray:
-    """B(t) of :func:`accumulate_continuous` on the edge order, A(t0) at t == t0."""
+    """B(t) of :func:`accumulate_continuous` on the edge order, A(t0) at t == t0, each row
+    divided by its power of two c_i (see :func:`_edge_integrals`)."""
     t0, t1 = net.interval
     if not t0 <= t <= t1:
         raise InvalidInputError(f"t={t} outside the network interval [{t0}, {t1}]")
     _check_kernel_at(kernel, t)
     if t == t0:
-        return net.values_at([t0])[:, 0]
+        return net.values_at([t0])[:, 0] / net._edge_scales
 
     # a kernel of unknown decay is split toward s = t as far as floats go
     rate = kernel.rate if isinstance(kernel, ExponentialDecay) else math.inf
@@ -190,7 +191,10 @@ def _integrated(net: ContinuousTemporalNetwork, kernel: DecayKernel, t: float,
 
 def _edge_integrals(net: ContinuousTemporalNetwork, weight, breakpoints: np.ndarray,
                     rate: float, quad: QuadratureConfig) -> np.ndarray:
-    """(edges, pieces) integrals of weight(s) * a_e(s); a non-finite value names its edge.
+    """(edges, pieces) integrals of weight(s) * a_e(s) / c_e; a non-finite value names its
+    edge.  c_e is the power of two of edge e's row (``net._edge_scales``): row
+    normalization ignores it, and quad.tol bounds each row's error relative to it, so the
+    weights' scale does not matter.
 
     A weight like e^{-|rate| d}, d the distance from the right end of a
     piece (the left for rate < 0), has its mass within 1/|rate| of that
@@ -200,7 +204,7 @@ def _edge_integrals(net: ContinuousTemporalNetwork, weight, breakpoints: np.ndar
     """
     def integrand(s):
         with np.errstate(all="ignore"):
-            values = net.values_at(s) * weight(s)
+            values = net.values_at(s) / net._edge_scales[:, None] * weight(s)
         bad = ~np.isfinite(values)
         if bad.any():
             edge, point = np.argwhere(bad)[0]
@@ -484,8 +488,9 @@ def _placed(size: int, places: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _continuous_steps(net: ContinuousTemporalNetwork, kernel: DecayKernel, times: np.ndarray,
                       quad: QuadratureConfig):
     """(t, B(t), a(t)) at ascending in-interval ``times``, B and the values a(t) of A(t) on
-    the edge order; at t == t0, B is A(t0).  The grid is sampled in one call after the first
-    B, so that the clean errors of its quadrature come first."""
+    the edge order, B's rows divided by their powers of two c_i (see
+    :func:`_edge_integrals`); at t == t0, B is A(t0) so divided.  The grid is sampled in one
+    call after the first B, so that the clean errors of its quadrature come first."""
     if isinstance(kernel, ExponentialDecay):
         terms = _continuous_terms(net, kernel, times, quad)
         accumulated = (matrix for matrix, _ in _exponential(terms, net.n, net.edge_order.rows))
@@ -496,7 +501,7 @@ def _continuous_steps(net: ContinuousTemporalNetwork, kernel: DecayKernel, times
     for k, (t, matrix) in enumerate(zip(times.tolist(), accumulated)):
         if samples is None:
             samples = net.values_at(times)
-        yield t, samples[:, k] if t == net.t0 else matrix, samples[:, k]
+        yield t, samples[:, k] / net._edge_scales if t == net.t0 else matrix, samples[:, k]
 
 
 def _continuous_terms(net: ContinuousTemporalNetwork, kernel: ExponentialDecay,

@@ -283,8 +283,9 @@ def _fmts(values) -> list[str]:
 # --------------------------------------------------------------- commands
 
 def _trajectory_for(cfg: configmod.RunConfig, network=None, grid=None):
-    """The configured trajectory: a continuous network runs on ``grid`` if given, and a
-    discrete one, such as the :func:`truncate` network of `converge`, on its instants."""
+    """The configured trajectory: a continuous network runs on ``grid``, by default the
+    configured one, and a discrete one, such as the :func:`truncate` network of `converge`,
+    on its instants; a discrete network refuses a configured explicit grid."""
     from . import config as configmod
     from .graph import ContinuousTemporalNetwork
     from .pagerank import trajectory_continuous, trajectory_discrete
@@ -293,6 +294,8 @@ def _trajectory_for(cfg: configmod.RunConfig, network=None, grid=None):
     kernel = configmod.build_kernel(cfg)
     damping = configmod.build_damping(cfg)
     personalization = configmod.build_personalization(cfg)
+    if grid is None:
+        grid = configmod.build_grid(cfg, network)
     if not isinstance(network, ContinuousTemporalNetwork):
         trajectory = trajectory_discrete(
             network, kernel, damping, personalization,
@@ -300,8 +303,7 @@ def _trajectory_for(cfg: configmod.RunConfig, network=None, grid=None):
             max_iter=cfg.solver_max_iter, threads=cfg.threads)
     else:
         trajectory = trajectory_continuous(
-            network, kernel, damping, personalization,
-            configmod.build_grid(cfg, network) if grid is None else grid,
+            network, kernel, damping, personalization, grid,
             quad=configmod.build_quadrature(cfg),
             solver=cfg.solver_method, tol=cfg.solver_tol,
             max_iter=cfg.solver_max_iter, threads=cfg.threads)
@@ -333,7 +335,8 @@ def cmd_converge(args) -> int:
     from . import config as configmod
     from .accumulate import truncate
     from .graph import ContinuousTemporalNetwork
-    cfg = _resolve(args)
+    # the partitions are the study's grids: a configured grid is not read
+    cfg = replace(_resolve(args), grid_start=None, grid_step=None)
     network = configmod.build_network(cfg)
     if not isinstance(network, ContinuousTemporalNetwork):
         raise InvalidInputError("convergence studies need a continuous network")

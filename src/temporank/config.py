@@ -289,9 +289,12 @@ def build_quadrature(cfg: RunConfig) -> QuadratureConfig:
 def build_grid(cfg: RunConfig, network) -> np.ndarray | None:
     """Evaluation instants: explicit progression, or uniform over the interval.
 
-    Discrete networks carry their own instants, so the grid is None there.
+    Discrete networks carry their own instants, so the grid is None there,
+    and an explicit one is refused.
     """
     if isinstance(network, DiscreteTemporalNetwork):
+        if cfg.grid_start is not None:
+            raise InvalidInputError("a discrete network uses its own instants; give no grid")
         return None
     if not isinstance(network, ContinuousTemporalNetwork):
         raise InvalidInputError(f"not a temporal network: {type(network).__name__}")

@@ -41,7 +41,7 @@ def _stacked(n: int, blocks) -> tuple:
     row, none repeated: their data and indices one after another, and their row pointers
     stacked.  Its indices and row pointers are int64; no block's rows are needed."""
     return (np.concatenate([np.zeros(0), *(data for _, _, data in blocks)]),
-            np.concatenate([np.zeros(0, dtype=np.int64), *(indices for _, indices, _ in blocks)]),
+            np.concatenate([np.zeros(0, dtype=np.int64), *(cols for _, cols, _ in blocks)]),
             np.array([indptr for indptr, _, _ in blocks], dtype=np.int64).reshape(-1, n + 1),
             np.cumsum([0] + [len(data) for _, _, data in blocks]).tolist())
 
@@ -223,7 +223,8 @@ class ContinuousTemporalNetwork:
             if self.symmetric:
                 mirrored.setdefault((j, i), fn)
         object.__setattr__(self, "edges", mirrored)
-        _validate_continuous(self)
+        object.__setattr__(self, "_edge_scales", _row_scales(
+            self.n, self.edge_order.rows, _validate_continuous(self)))
 
     @property
     def t0(self) -> float:
@@ -371,7 +372,22 @@ def _weight_problems(weights: list) -> list[tuple[int, str]]:
     return sorted(found, key=lambda item: item[0])
 
 
-def _validate_continuous(net: ContinuousTemporalNetwork) -> None:
+def _row_scales(n: int, rows: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Per edge, c_i of its row i: the power of two nearest (in ratio) the largest of the
+    ``samples`` of row i's edges, or 1 if they are all 0.  Dividing by a power of two is
+    exact, and a row divided by c_i peaks between 1/sqrt(2) and sqrt(2) on the samples
+    (below 2 past 2^1023 sqrt(2), as 2^1024 is no float); a network whose weights are all
+    scaled by 2^j has every c_i scaled by 2^j."""
+    peak = np.zeros(n)
+    np.maximum.at(peak, rows, samples.max(axis=1, initial=0.0))
+    fraction, exponent = np.frexp(peak)
+    exponent -= fraction < np.sqrt(0.5)
+    return np.where(peak > 0, np.ldexp(1.0, np.minimum(exponent, 1023)), 1.0)[rows]
+
+
+def _validate_continuous(net: ContinuousTemporalNetwork) -> np.ndarray:
+    """The (edges, _CONTINUOUS_SAMPLES) samples of a valid network's edges; raise, as one
+    error, every problem of an invalid one."""
     problems = []
     if net.n < 0:   # n = 0 is the empty network, as on the discrete scale
         problems.append(f"node count must not be negative, got {net.n}")
@@ -396,3 +412,4 @@ def _validate_continuous(net: ContinuousTemporalNetwork) -> None:
             problems.append(f"{label}: negative value on sample grid")
     if problems:
         raise InvalidInputError("; ".join(problems))
+    return samples

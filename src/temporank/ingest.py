@@ -289,6 +289,10 @@ def build_snapshots(events, sample_instants, n: int | None = None,
     ``instant_scale`` converts stored instants to a coarser unit: with
     events timestamped in seconds and a scale of 86400 the network's
     instants come out in days, ready for per-day decay rates.
+
+    Each sampled block, and the ``initial`` one, is made as a CSR piece from
+    its sorted edge keys, holding no row array, and the pieces are stacked
+    once into the network's record of entries.
     """
     if policy not in ("strict", "clamp"):
         raise InvalidInputError(f"unknown policy {policy!r}")

@@ -67,8 +67,9 @@ def resolvent_column(snapshot: StochasticSnapshot, damping: float, node: int,
     """Column ``node`` (0-based) of X = (1-damping)(Id - damping*M)^{-1}.
 
     Up to DIRECT_SOLVE_MAX_N nodes :func:`_resolvent_chunk` on one instant, else
-    the Neumann series of :func:`_resolvent_columns`: its diagonal carries the bound of the rest
-    and lies in [exact, exact + tol], every other entry in [exact - tol, exact].
+    the Neumann series of :func:`_resolvent_columns`: every entry carries the lower bound
+    of the rest of the series and the diagonal its upper bound, so the diagonal lies in
+    [exact, exact + tol] and every other entry in [exact - tol, exact].
     """
     _check_tol(tol)
     _check_snapshot(snapshot)
@@ -128,10 +129,12 @@ def _resolvent_columns(snapshot: StochasticSnapshot, damping: float, nodes,
     """Columns ``nodes`` of X as an (n, len(nodes)) array, by the Neumann series.
 
     A column sums the terms damping^m M^m e_i >= 0 up to the first term t
-    with damping * max(t) <= tol, at most ceil(log tol / log damping)
-    terms.  M is row stochastic, so the rest adds 0 to damping * max(t) to
-    each entry; the diagonal gets that bound added, so the column minimum
-    and the diagonal enclose the exact pair within tol.  ``u`` is read only
+    with damping * (max(t) - min(t)) <= tol, at most ceil(log tol / log
+    damping) terms, and fewer the sooner the terms even out.  M is row
+    stochastic, so every later term lies entrywise in [min(t), max(t)] and
+    the rest adds damping * min(t) to damping * max(t) to each entry: every
+    entry gets the lower bound and the diagonal the upper one, so the column
+    minimum and the diagonal enclose the exact pair within tol.  ``u`` is read only
     when the snapshot has dangling rows, and is required then; ``instant``
     names the instant in that error.
     """
@@ -151,11 +154,11 @@ def _resolvent_column_neumann(snapshot: StochasticSnapshot, damping: float,
     term = np.zeros(snapshot.n)
     term[node] = 1.0
     total = term.copy()
-    while damping * term.max() > tol:
+    while damping * (term.max() - term.min()) > tol:
         term = damping * _apply_m(snapshot, u, term)
         total += term
-    column = (1.0 - damping) * total
-    column[node] += damping * term.max()
+    column = (1.0 - damping) * total + damping * term.min()
+    column[node] += damping * (term.max() - term.min())
     return column
 
 

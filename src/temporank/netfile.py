@@ -28,11 +28,12 @@ an integer is beyond int64; the reader warns), the per-line parser reads
 the whole input again, so both give the same network or the same
 line-numbered error.  The per-line parser also reads iterables of lines.
 Files are read once, as bytes, as event streams are, and written a block
-at a time.  Both parsers turn a discrete file's blocks into the one
-record of entries a :class:`DiscreteTemporalNetwork` keeps, and the
-writer reads that record, so neither builds a sparse matrix or loads
-scipy.  A network the reader would refuse, of no nodes or no instants,
-is refused by the writer before it writes a byte.
+at a time.  Both parsers make each block of a discrete file a CSR piece
+as it closes and stack the pieces once into the one record of entries a
+:class:`DiscreteTemporalNetwork` keeps, and the writer reads that record
+a block at a time, so neither builds a sparse matrix or loads scipy.  A
+network the reader would refuse, of no nodes or no instants, is refused
+by the writer before it writes a byte.
 """
 
 from __future__ import annotations
@@ -432,12 +433,11 @@ def _blocks(network: DiscreteTemporalNetwork):
     count = network.instant_count
     labels = [str(i) for i in range(1, network.n + 1)]
     for block in [*range(count, len(starts) - 1), *range(count)]:
-        weights = data[starts[block]:starts[block + 1]]
-        keep = weights != 0
-        values, index = np.unique(weights[keep], return_inverse=True)
-        texts = [repr(w) for w in values.tolist()]
+        start, end = starts[block], starts[block + 1]
+        keep = data[start:end] != 0
+        values, index = np.unique(data[start:end][keep], return_inverse=True)
+        weights = [repr(w) for w in values.tolist()]
         rows = np.repeat(np.arange(network.n), np.diff(indptr[block]))[keep]
-        lines = [f"{labels[i]} {labels[j]} {texts[k]}" for i, j, k in zip(
-            rows.tolist(), indices[starts[block]:starts[block + 1]][keep].tolist(),
-            index.tolist())]
+        lines = [f"{labels[i]} {labels[j]} {weights[k]}" for i, j, k in zip(
+            rows.tolist(), indices[start:end][keep].tolist(), index.tolist())]
         yield "\n".join([headers[block], *lines]) + "\n"

@@ -226,6 +226,45 @@ class TestAccumulateContinuous:
         with pytest.raises(IntegrationError, match="edge"):
             accumulate_continuous(net, ExponentialDecay(6.0), 1.0, quad)
 
+    @pytest.mark.parametrize("scale", ["1e7", "1e300"])
+    def test_large_weights_integrate(self, scale):
+        # quad_tol bounds each row relative to its power of two, not absolutely: at 1e7
+        # an absolute panel test never passed, after 65536 subdivisions
+        def network(scale):
+            return ContinuousTemporalNetwork(3, (0.0, 1.0), {
+                (0, 1): TimeFunction.parse(f"{scale}*(1+t)"),
+                (0, 2): TimeFunction.parse(scale),
+                (1, 2): TimeFunction.parse(f"{scale}*(2-t)")})
+
+        got = accumulate_continuous(network(scale), ExponentialDecay(1.0), 0.7)
+        want = accumulate_continuous(network("1"), ExponentialDecay(1.0), 0.7)
+        assert np.abs(got.matrix.toarray() - want.matrix.toarray()).max() <= 1e-12
+        assert np.array_equal(got.dangling, want.dangling)
+
+    @given(st.data(), st.integers(-900, 900), st.floats(-3.0, 3.0))
+    @settings(max_examples=60)
+    def test_scaling_by_a_power_of_two_changes_no_bit(self, data, j, rate):
+        # every weight times 2^j divides out exactly in each row's power of two.  The
+        # expressions here lie in [0, 3] and are 0 or above 1e-20 wherever they are
+        # sampled, so 2^-900 makes none of them subnormal and 2^900 none infinite;
+        # EDGE_EXPRESSIONS' "1e-300*t" is left out, as it would be subnormal
+        n = data.draw(st.integers(1, 5))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=n * n, unique=True))
+        shapes = [data.draw(st.sampled_from(["0", "t", "1 - t", "t*t", "sin(pi*t)",
+                                             "0.5*(sin(2*pi*t)+1)", "exp(-t)", "3"]))
+                  for _ in pairs]
+        grid = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+
+        def ranks(factor):
+            net = ContinuousTemporalNetwork(n, (0.0, 1.0), {
+                pair: TimeFunction.parse(f"({shape})*{factor!r}")
+                for pair, shape in zip(pairs, shapes)})
+            return trajectory_continuous(net, ExponentialDecay(rate), ConstantDamping(0.85),
+                                         UniformPersonalization(), grid).vectors
+
+        assert ranks(math.ldexp(1.0, j)).tobytes() == ranks(1.0).tobytes()
+
 
 class TestTruncate:
     def test_uniform_partition(self):
@@ -302,13 +341,15 @@ class TestOverflowIsAnError:
 
     @pytest.mark.parametrize("solver", ["direct", "power"])
     def test_overflowing_integral_is_the_same_clean_error_on_either_route(self, solver):
-        # every 2-wide piece integrates to 2e307, and their sum leaves float
-        # range at t = 18, with no floating-point warning on the way
-        net = ContinuousTemporalNetwork(2, (0.0, 40.0), {(0, 1): 1e307})
+        # a row is integrated divided by its power of two, here 1, so the size of its
+        # weights cannot overflow it, but the length of the interval can: every
+        # 8e306-wide piece integrates to 1.12e307, and their sum leaves float range at
+        # t = 1.36e308, with no floating-point warning on the way
+        net = ContinuousTemporalNetwork(2, (0.0, 1.6e308), {(0, 1): 1.4})
         with pytest.raises(InvalidInputError,
-                           match=r"^accumulated row 1 is not finite at t=18.0;"):
+                           match=r"^accumulated row 1 is not finite at t=1\.36"):
             trajectory_continuous(net, ExponentialDecay(0.0), ConstantDamping(0.85),
-                                  UniformPersonalization(), np.linspace(0.0, 40.0, 21),
+                                  UniformPersonalization(), np.linspace(0.0, 1.6e308, 21),
                                   QuadratureConfig(tol=1e300), solver=solver)
 
     @pytest.mark.parametrize("rate", [-1.0, 1.0, 5.0])

@@ -409,6 +409,20 @@ class TestCompute:
         assert code == 1
         assert "not both" in err
 
+    @pytest.mark.parametrize("command", ["compute", "localize", "compare"])
+    def test_explicit_grid_on_a_discrete_network_refused(self, capsys, tmp_path, command):
+        # a discrete network ranks its own instants; a grid given for it is an error
+        network = tmp_path / "three.net"
+        network.write_text(THREE_NODE)
+        if command == "compare":
+            config = tmp_path / "grid.cfg"
+            config.write_text(f"[network]\nfile = {network}\n[grid]\nstart = 0\nstep = 1\n")
+            argv = ["compare", str(config), str(config)]
+        else:
+            argv = [command, "--network", str(network), "--grid", "0,1,2"]
+        assert run_cli(capsys, *argv) == (
+            1, "", "error: a discrete network uses its own instants; give no grid\n")
+
 
 class TestConverge:
     def test_error_shrinks_with_partition_size(self, capsys):

@@ -189,6 +189,23 @@ class TestNeumannEnclosure:
         assert terms <= math.ceil(math.log(tol) / math.log(lam) + 1e-9)
 
 
+class TestNeumannStopsOnTheSpread:
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 30), lam=st.floats(0.05, 0.95))
+    def test_equal_positive_rows_need_two_terms(self, seed, n, lam):
+        # every row of M is the same positive distribution w, so M e_i = w_i * 1 is flat:
+        # the series stops after e_i and damping M e_i, the rest added exactly
+        rng = np.random.default_rng(seed)
+        snap = snapshot_of(np.tile(rng.uniform(0.5, 2.0, n), (n, 1)))
+        node = int(rng.integers(0, n))
+        want_lo, want_hi = localization._column_bounds(
+            column(snap, lam, node, None, "direct"), node)
+        with mock.patch.object(localization, "_apply_m", wraps=_apply_m) as products:
+            lo, hi = localization._column_bounds(
+                column(snap, lam, node, None, "neumann", tol=1e-12), node)
+        assert products.call_count + 1 <= 2
+        assert (lo, hi) == pytest.approx((want_lo, want_hi), abs=1e-14)
+
+
 class TestBoundsForNode:
     def test_two_node_bounds_contain_the_rank(self):
         snap = snapshot_of(TWO_NODE)

@@ -71,7 +71,8 @@ def test_ingesting_holds_under_three_and_a_quarter_records():
     rng = np.random.default_rng(21)
     count = 30000
     events = EventColumns(rng.integers(1, NODES + 1, count), rng.integers(1, NODES + 1, count),
-                          np.ones(count, dtype=np.int64), np.sort(rng.uniform(0, BLOCKS, count)))
+                          np.ones(count, dtype=np.int64),
+                          np.sort(rng.uniform(0, BLOCKS, count)))
     (network, _), peak = traced_peak(
         lambda: build_snapshots(events, np.arange(1.0, BLOCKS + 1), n=NODES))
     assert len(network._entries[0]) > 200000
