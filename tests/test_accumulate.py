@@ -246,15 +246,17 @@ class TestAccumulateContinuous:
     def test_scaling_by_a_power_of_two_changes_no_bit(self, data, j, rate):
         # every weight times 2^j divides out exactly in each row's power of two.  The
         # expressions here lie in [0, 3] and are 0 or above 1e-20 wherever they are
-        # sampled, so 2^-900 makes none of them subnormal and 2^900 none infinite;
-        # EDGE_EXPRESSIONS' "1e-300*t" is left out, as it would be subnormal
+        # sampled, so 2^-900 makes none of them subnormal and 2^900 none infinite.
+        # Left out for that reason: EDGE_EXPRESSIONS' "1e-300*t", and grid instants
+        # near 0, where "t" and "t*t" are as small; the grid is a multiple of 1/20
         n = data.draw(st.integers(1, 5))
         pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                    max_size=n * n, unique=True))
         shapes = [data.draw(st.sampled_from(["0", "t", "1 - t", "t*t", "sin(pi*t)",
                                              "0.5*(sin(2*pi*t)+1)", "exp(-t)", "3"]))
                   for _ in pairs]
-        grid = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+        grid = data.draw(st.lists(st.integers(0, 20), min_size=1, max_size=5))
+        grid = [k / 20 for k in grid]
 
         def ranks(factor):
             net = ContinuousTemporalNetwork(n, (0.0, 1.0), {
