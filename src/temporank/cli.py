@@ -311,9 +311,21 @@ def _trajectory_for(cfg: configmod.RunConfig, network=None, grid=None):
     return network, trajectory
 
 
+def _network(cfg: configmod.RunConfig, args):
+    """The configured network.  A discrete one refuses the --grid-count flag, as
+    ``build_grid`` refuses an explicit grid, but not a config's count, which
+    --dump-config always writes."""
+    from . import config as configmod
+    from .graph import ContinuousTemporalNetwork
+    network = configmod.build_network(cfg)
+    if args.grid_count is not None and not isinstance(network, ContinuousTemporalNetwork):
+        raise InvalidInputError(configmod._OWN_INSTANTS)
+    return network
+
+
 def cmd_compute(args) -> int:
     cfg = _resolve(args)
-    network, trajectory = _trajectory_for(cfg)
+    network, trajectory = _trajectory_for(cfg, _network(cfg, args))
     if cfg.output_format == "csv":
         rows = [f"{t},{node},{score!r}"
                 for t, scores in zip(_fmts(trajectory.instants), trajectory.vectors.tolist())
@@ -335,8 +347,10 @@ def cmd_converge(args) -> int:
     from . import config as configmod
     from .accumulate import truncate
     from .graph import ContinuousTemporalNetwork
-    # the partitions are the study's grids: a configured grid is not read
-    cfg = replace(_resolve(args), grid_start=None, grid_step=None)
+    cfg = _resolve(args)
+    if cfg.grid_start is not None or args.grid_count is not None:
+        raise InvalidInputError("a convergence study's grids are its partitions "
+                                "(--sizes); give no grid")
     network = configmod.build_network(cfg)
     if not isinstance(network, ContinuousTemporalNetwork):
         raise InvalidInputError("convergence studies need a continuous network")
@@ -379,7 +393,7 @@ def cmd_localize(args) -> int:
     from . import config as configmod
     from .localization import bounds_trajectory
     cfg = _resolve(args)
-    network = configmod.build_network(cfg)
+    network = _network(cfg, args)
     if args.nodes.strip() == "all":
         nodes = None
     else:

@@ -286,6 +286,10 @@ def build_quadrature(cfg: RunConfig) -> QuadratureConfig:
     return QuadratureConfig(tol=cfg.quad_tol, max_subdivisions=cfg.quad_max_subdiv)
 
 
+#: the refusal of a grid given for a discrete network
+_OWN_INSTANTS = "a discrete network uses its own instants; give no grid"
+
+
 def build_grid(cfg: RunConfig, network) -> np.ndarray | None:
     """Evaluation instants: explicit progression, or uniform over the interval.
 
@@ -294,7 +298,7 @@ def build_grid(cfg: RunConfig, network) -> np.ndarray | None:
     """
     if isinstance(network, DiscreteTemporalNetwork):
         if cfg.grid_start is not None:
-            raise InvalidInputError("a discrete network uses its own instants; give no grid")
+            raise InvalidInputError(_OWN_INSTANTS)
         return None
     if not isinstance(network, ContinuousTemporalNetwork):
         raise InvalidInputError(f"not a temporal network: {type(network).__name__}")

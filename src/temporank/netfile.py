@@ -28,10 +28,17 @@ an integer is beyond int64; the reader warns), the per-line parser reads
 the whole input again, so both give the same network or the same
 line-numbered error.  The per-line parser also reads iterables of lines.
 Files are read once, as bytes, as event streams are, and written a block
-at a time.  Both parsers make each block of a discrete file a CSR piece
+at a time.  Before numpy's reader, the block parser passes over the bytes
+four times, each pass in C: an ASCII test, a search for `\\r` (the line
+ends are rewritten only if one is found), a test for characters it does
+not read, and one scan for keyword and comment lines, which leaves a
+line at once if it opens with a digit.  It counts lines only to number
+the error of a keyword line, and checks the triples' ranges by minima
+and maxima.  Both parsers make each block of a discrete file a CSR piece
 as it closes and stack the pieces once into the one record of entries a
-:class:`DiscreteTemporalNetwork` keeps, and the writer reads that record
-a block at a time, so neither builds a sparse matrix or loads scipy.  A
+:class:`DiscreteTemporalNetwork` keeps, the block parser after the bytes
+are dropped, and the writer reads that record a block at a time, so
+neither builds a sparse matrix or loads scipy.  A
 network the reader would refuse, of no nodes or no instants, is refused
 by the writer before it writes a byte.
 """
@@ -57,39 +64,45 @@ __all__ = ["load_network", "loads_network", "save_network", "dumps_network"]
 def load_network(source):
     """Parse a network description from a path, an open file (text or binary,
     read once and parsed as the file at a path is) or an iterable of lines."""
+    # the bytes read go to `_read` alone, which frees them before the blocks are stacked
     if isinstance(source, (str, os.PathLike)):
-        source = read_bytes(source, "network source")
-    elif hasattr(source, "read"):
-        source = source.read()
-    else:
-        return _parse(source)
-    return _read(source, _parse_blocks, _parse, NetworkFormatError)
+        return _read(read_bytes(source, "network source"), _parse_blocks, _parse,
+                     NetworkFormatError, _finish)
+    if hasattr(source, "read"):
+        return _read(source.read(), _parse_blocks, _parse, NetworkFormatError, _finish)
+    return _parse(source)
 
 
 def loads_network(text: str):
     """Parse a network description from text as :func:`load_network` parses a file,
     whose lines end at \\n, \\r\\n and \\r only; a block at a time if it can."""
-    return _read(text, _parse_blocks, _parse, NetworkFormatError)
+    return _read(text, _parse_blocks, _parse, NetworkFormatError, _finish)
 
 
-def _read(raw: bytes | str, fast, slow, error: type):
+def _read(raw: bytes | str, fast, slow, error: type, finish=None):
     """Parse a file's bytes with ``fast`` if it is sure of them, else its lines with ``slow``.
 
     Lines end at \\n, \\r\\n and \\r; bytes that are not UTF-8 raise ``error``,
     which places the first bad byte in the bytes as given.  A text that is
-    not ASCII goes to ``slow`` as it is.
+    not ASCII goes to ``slow`` as it is.  Given ``finish``, ``fast`` returns
+    what ``finish`` completes once the bytes are dropped, so that a caller
+    holding no other reference to them has them freed by then.
     """
     if isinstance(raw, str):
         if not raw.isascii():
             return slow(_lines(raw))
         raw = raw.encode("ascii")
     if raw.isascii():
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if b"\r" in raw:
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         if not raw.translate(None, _PLAIN):
             try:
-                return fast(raw)
+                parsed = fast(raw)
             except _NotSure:
                 pass
+            else:
+                del raw
+                return parsed if finish is None else finish(parsed)
     return slow(_lines(decode(raw, error)))
 
 
@@ -106,7 +119,7 @@ class _Parser:
         self.blocks = []            # (instant, entries) in file order
         self.initial = None         # entries of the `initial` block
         self.current = None         # entries the next bare triple goes into
-        self.line_number = 0
+        self.line_number = None     # of the line being parsed; None: numbered by the caller
 
     def fail(self, message: str):
         raise NetworkFormatError(message, line_number=self.line_number)
@@ -148,8 +161,10 @@ def _parse(lines):
 #: a comment line, or a line opening with a keyword (group 2); the line is group 1
 _KEYWORD = rb"([ \t]*(?:#|(nodes|symmetric|interval|edge|initial|instant)(?![^ \t\n])).*)"
 _FIRST_LINE = re.compile(rb"\A" + _KEYWORD)
-#: such a line after its newline: finditer runs twice as fast on it as on (?m)^
-_KEYWORD_LINE = re.compile(rb"\n" + _KEYWORD)
+#: such a line after its newline.  The lookahead passes over a triple's line at its first
+#: digit, before the keywords are tried, and finditer runs 2.4 times as fast as without it;
+#: it consumes nothing, so a blank line's newline still leaves the next line's to be found
+_KEYWORD_LINE = re.compile(rb"\n(?=[^0-9])" + _KEYWORD)
 #: the characters the block parser reads: tab, newline and printable ASCII
 _PLAIN = bytes([ord("\t"), ord("\n"), *range(ord(" "), ord("~") + 1)])
 #: the node count limit, so that i*n + j fits in int64
@@ -163,17 +178,18 @@ class _NotSure(Exception):
     """The block parser cannot vouch for its result."""
 
 
-def _parse_blocks(raw: bytes):
+def _parse_blocks(raw: bytes) -> _Parser:
     """The block parser: keyword lines one by one, the triples between them as arrays.
 
-    Raises :class:`_NotSure` wherever the per-line parser could read ``raw``
-    differently; any `NetworkFormatError` comes from a keyword line, with
-    the parser state the per-line parser would have there.
+    Returns the parser state for :func:`_finish`, which holds no reference
+    to ``raw``.  Raises :class:`_NotSure` wherever the per-line parser could
+    read ``raw`` differently; any `NetworkFormatError` comes from a keyword
+    line, with the parser state the per-line parser would have there, and
+    is given that line's number, counted only then.
     """
     p = _Parser()
     pieces = []                 # (rows, cols, weights) of the open block
     start = 0                   # offset of the first line not yet parsed
-    p.line_number = 1           # and its line number
     for match in itertools.chain(_FIRST_LINE.finditer(raw), _KEYWORD_LINE.finditer(raw)):
         _add_body(p, pieces, raw[start:match.start(1)])
         keyword = match.group(2)
@@ -182,12 +198,15 @@ def _parse_blocks(raw: bytes):
         elif keyword is not None and p.current is not None:
             raise _NotSure      # a header amid blocks: never in a valid discrete file
         if keyword is not None:
-            _parse_line(p, match.group(1).decode("ascii").strip())
+            try:
+                _parse_line(p, match.group(1).decode("ascii").strip())
+            except NetworkFormatError as err:
+                raise NetworkFormatError(
+                    str(err), line_number=raw.count(b"\n", 0, match.start(1)) + 1) from None
         start = match.end() + 1
-        p.line_number += 1
     _add_body(p, pieces, raw[start:])
     _close_block(p, pieces)
-    return _finish(p)
+    return p
 
 
 def _add_body(p: _Parser, pieces: list, body: bytes):
@@ -196,13 +215,13 @@ def _add_body(p: _Parser, pieces: list, body: bytes):
         if p.current is None:
             raise _NotSure
         rows, cols, weights = _fields(body, "i8,i8,f8")
-        if ((rows < 1) | (rows > p.n) | (cols < 1) | (cols > p.n)).any() \
-                or not np.isfinite(weights).all() or (weights < 0).any():
+        # a NaN weight fails the bounds: min and max carry it through
+        if not (1 <= rows.min() and rows.max() <= p.n and 1 <= cols.min()
+                and cols.max() <= p.n and 0 <= weights.min() and weights.max() < math.inf):
             raise _NotSure
         rows -= 1               # 0-based, in place
         cols -= 1
         pieces.append((rows, cols, weights))
-    p.line_number += body.count(b"\n")
 
 
 def _fields(body: bytes, dtype: str, start: int = 0):

@@ -218,12 +218,12 @@ class TestCompute:
     @pytest.mark.parametrize("flag", ["--network", "--preset"])
     def test_flag_replaces_the_config_network(self, capsys, tmp_path, synthetic5_file, flag):
         # the config names the other source; the flag replaces it instead of conflicting
-        value, other = synthetic5_file, "preset = paper-synthetic"
-        if flag == "--preset":
+        value, other, run = synthetic5_file, "preset = paper-synthetic", ["--no-header"]
+        if flag == "--preset":      # a discrete network refuses --grid-count
             value, other = "paper-synthetic", f"file = {synthetic5_file}"
+            run += ["--grid-count", "3", "--quad-tol", "1e-8"]
         config = tmp_path / "run.cfg"
         config.write_text(f"[network]\n{other}\n", encoding="utf-8")
-        run = ["--no-header", "--grid-count", "3", "--quad-tol", "1e-8"]
         want = run_cli(capsys, "compute", flag, value, *run)
         assert want[0] == 0
         assert run_cli(capsys, "compute", "--config", str(config), flag, value, *run) == want
@@ -409,9 +409,14 @@ class TestCompute:
         assert code == 1
         assert "not both" in err
 
-    @pytest.mark.parametrize("command", ["compute", "localize", "compare"])
-    def test_explicit_grid_on_a_discrete_network_refused(self, capsys, tmp_path, command):
-        # a discrete network ranks its own instants; a grid given for it is an error
+    @pytest.mark.parametrize("command, grid", [
+        ("compute", "--grid"), ("localize", "--grid"), ("compare", None),
+        ("compute", "--grid-count"), ("localize", "--grid-count")],
+        ids=["compute", "localize", "compare", "compute-count", "localize-count"])
+    def test_explicit_grid_on_a_discrete_network_refused(self, capsys, tmp_path, command,
+                                                          grid):
+        # a discrete network ranks its own instants; a grid given for it is an error, and
+        # so is the --grid-count flag, though not a config's count (--dump-config writes one)
         network = tmp_path / "three.net"
         network.write_text(THREE_NODE)
         if command == "compare":
@@ -419,9 +424,14 @@ class TestCompute:
             config.write_text(f"[network]\nfile = {network}\n[grid]\nstart = 0\nstep = 1\n")
             argv = ["compare", str(config), str(config)]
         else:
-            argv = [command, "--network", str(network), "--grid", "0,1,2"]
+            argv = [command, "--network", str(network), grid,
+                    "0,1,2" if grid == "--grid" else "5"]
         assert run_cli(capsys, *argv) == (
             1, "", "error: a discrete network uses its own instants; give no grid\n")
+        if grid == "--grid-count":
+            config = tmp_path / "count.cfg"
+            config.write_text(f"[network]\nfile = {network}\n[grid]\ncount = 5\n")
+            assert run_cli(capsys, command, "--config", str(config))[0] == 0
 
 
 class TestConverge:
@@ -499,6 +509,28 @@ class TestConverge:
         assert (strict.returncode, strict.stdout, strict.stderr) == \
             (plain.returncode, plain.stdout, plain.stderr)
         assert plain.returncode == code and "Warning" not in plain.stderr
+
+    @pytest.mark.parametrize("grid", [["--grid", "0,0.1,3"], ["--grid-count", "5"],
+                                      "[grid]\nstart = 0\nstep = 0.1\n"],
+                             ids=["grid", "grid-count", "config"])
+    def test_a_grid_is_refused(self, capsys, tmp_path, grid):
+        # the partitions are the study's grids; a grid given besides would go unread
+        if isinstance(grid, str):
+            config = tmp_path / "grid.cfg"
+            config.write_text(f"[network]\npreset = paper-synthetic\n{grid}")
+            grid = ["--config", str(config)]
+        assert run_cli(capsys, "converge", "--preset", "paper-synthetic", "--sizes", "2,3",
+                       *grid) == (1, "", "error: a convergence study's grids are its "
+                                         "partitions (--sizes); give no grid\n")
+
+    def test_a_configured_grid_count_is_read_as_no_grid(self, capsys, tmp_path):
+        # --dump-config writes a count always, so a config's count is accepted
+        config = tmp_path / "count.cfg"
+        config.write_text("[network]\npreset = paper-synthetic\n[grid]\ncount = 5\n")
+        run = ["converge", "--sizes", "2,3", "--no-header"]
+        want = run_cli(capsys, *run, "--preset", "paper-synthetic")
+        assert want[0] == 0
+        assert run_cli(capsys, *run, "--config", str(config)) == want
 
     def test_rejects_discrete_network(self, capsys, synthetic5_file):
         code, _, err = run_cli(capsys, "converge", "--network", synthetic5_file)

@@ -4,12 +4,14 @@ Reading, ingesting and writing a discrete network may hold only a few
 copies of its entry record at once.  The peak is what ``tracemalloc``
 sees (numpy reports its buffers to it), as a multiple of the record's
 bytes: data, column indices and row pointers.  Each block is made as a
-CSR piece and stacked once, so a load holds the text, the pieces and the
-stacked record, and a write one block's lines: here loading peaks at 2.7
-records, ingesting at 2.4 and writing at 1.5.  A reader or ingest that
-keeps every block's rows beside the record and builds whole-record
-temporaries to stack it (4.4 and 4.1 records), or a writer that tables
-the weights of the whole record at once (2.8), goes past these bounds.
+CSR piece and stacked once, and the file's bytes are dropped before the
+stacking, so a load peaks holding the pieces and the stacked record, and
+a write one block's lines: here loading peaks at 2.1 records, ingesting
+at 2.4 and writing at 1.5.  A reader that still holds the bytes while it
+stacks (2.7 records), a reader or ingest that keeps every block's rows
+beside the record and builds whole-record temporaries to stack it (4.4
+and 4.1), or a writer that tables the weights of the whole record at
+once (2.8), goes past these bounds.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from temporank import build_snapshots, dumps_network, loads_network
+from temporank import build_snapshots, dumps_network, load_network, loads_network
 from temporank.ingest import EventColumns
 
 NODES, BLOCKS, PER_BLOCK = 4000, 20, 15000
@@ -58,6 +60,14 @@ def test_loading_holds_under_three_and_a_half_records(network_text):
     network, peak = traced_peak(lambda: loads_network(network_text))
     assert len(network._entries[0]) == BLOCKS * PER_BLOCK
     assert peak <= 3.5 * record_bytes(network)
+
+
+def test_loading_a_file_holds_under_two_and_a_half_records(network_text, tmp_path):
+    path = tmp_path / "net.txt"
+    path.write_text(network_text, encoding="ascii")
+    network, peak = traced_peak(lambda: load_network(path))
+    assert len(network._entries[0]) == BLOCKS * PER_BLOCK
+    assert peak <= 2.5 * record_bytes(network)
 
 
 def test_writing_holds_under_two_records(network_text):

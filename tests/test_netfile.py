@@ -440,6 +440,30 @@ class TestBlockParser:
         assert fast[0] == "ok"
         assert fast == outcome(reference, text)
 
+    @pytest.mark.parametrize("text", [
+        "nodes 2\ninstant 0\n1 2 1\n\ninstant 1\n2 1 1\n",         # a blank line first
+        "nodes 2\ninstant 0\n1 2 1\n \t\ninstant 1\n2 1 1\n",      # a whitespace-only one
+        "nodes 2\ninstant 0\n1 2 1\n  instant 1\n2 1 1\n\tinitial\n1 1 1\n",  # indented
+        "nodes 12\ninstant 0\n+1 2 1\n01 1 1\n+12 012 1\n3 3 1\n",    # +1 and 01 first
+        "nodes 2\rinstant 0\r1 2 1\r\rinstant 1\r2 1 1\r",             # CR
+        "nodes 2\r\ninstant 0\r\n1 2 1\r\n\r\n instant 1\r\n2 1 1\r\n",  # CRLF
+    ], ids=["blank", "whitespace", "indented", "signed-and-padded", "cr", "crlf"])
+    def test_keyword_lines_are_found_after_any_line(self, text):
+        # the scan skips a line at its first digit only; any other line is tried
+        with mock.patch.object(netfile, "_parse", side_effect=AssertionError("fell back")):
+            fast = outcome(loads_network, text)
+        assert fast[0] == "ok"
+        assert fast == outcome(reference, text)
+
+    def test_a_bad_keyword_line_after_many_triples_keeps_its_line(self):
+        # the line number is counted only when a keyword line fails
+        triples = "".join(f"{k // 40 + 1} {k % 40 + 1} {k}.5\n" for k in range(1600))
+        text = f"nodes 40\ninstant 0\n{triples}\n# note\n  instant x\n"
+        want = ("NetworkFormatError", "line 1605: instant 'x' is not a number", 1605)
+        with mock.patch.object(netfile, "_parse", side_effect=AssertionError("fell back")):
+            assert outcome(loads_network, text) == want
+        assert outcome(reference, text) == want
+
     def test_errors_after_unusual_characters_keep_their_line(self, tmp_path):
         path = tmp_path / "net.txt"
         path.write_text("# caf\u00e9\nnodes 2\ninstant 0\n1 2 1\n1 2 1\n", encoding="utf-8")
