@@ -45,9 +45,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _csr_arrays,
-                    _edge_entries, _entry_keys)
+from .errors import InvalidInputError, _calling
+from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _coerced,
+                    _csr_arrays, _edge_entries, _entry_keys)
 from .quadrature import QuadratureConfig, adaptive_simpson
 from .schedules import (DampingSchedule, DecayKernel, ExponentialDecay,
                         PersonalizationSchedule, damping_at, personalization_at)
@@ -59,6 +59,9 @@ __all__ = [
 
 if TYPE_CHECKING:
     from scipy import sparse
+
+#: the refusal of a grid given for a discrete network
+_OWN_INSTANTS = "a discrete network uses its own instants; give no grid"
 
 #: a chunk of instants for the direct solve holds at most this many dense system entries (8 MB)
 _CHUNK_ENTRIES = 2 ** 20
@@ -90,12 +93,13 @@ class StochasticSnapshot:
 
 
 def _weight(kernel: DecayKernel, s: float, t: float) -> float:
-    try:
-        return kernel.weight(s, t)
-    except OverflowError:
-        raise InvalidInputError(
-            f"decay kernel overflows at s={s}, t={t}; {kernel!r} is out of "
-            "floating-point range over this time span") from None
+    with _calling("the decay kernel", lambda: f"s={s}, t={t}"):
+        try:
+            return kernel.weight(s, t)
+        except OverflowError:
+            raise InvalidInputError(
+                f"decay kernel overflows at s={s}, t={t}; {kernel!r} is out of "
+                "floating-point range over this time span") from None
 
 
 def _check_kernel_at(kernel: DecayKernel, t: float) -> None:
@@ -166,7 +170,7 @@ def accumulate_continuous(net: ContinuousTemporalNetwork, kernel: DecayKernel,
     At t == t0 the integral degenerates, so the snapshot is the row
     normalization of the pointwise adjacency A(t0) instead.
     """
-    t = float(t)
+    t = _coerced(f"instant must be a number, got {t!r}", float, t)
     return row_normalize(AccumulatedMatrix(net.edge_csr(_integrated(net, kernel, t, quad)), t))
 
 
@@ -183,8 +187,12 @@ def _integrated(net: ContinuousTemporalNetwork, kernel: DecayKernel, t: float,
 
     # a kernel of unknown decay is split toward s = t as far as floats go
     rate = kernel.rate if isinstance(kernel, ExponentialDecay) else math.inf
-    values = _edge_integrals(net, lambda s: kernel.weights(s, t), np.array([t0, t]),
-                             rate, quad)[:, 0]
+
+    def weights(s):
+        with _calling("the decay kernel", lambda: f"t={t}"):
+            return kernel.weights(s, t)
+
+    values = _edge_integrals(net, weights, np.array([t0, t]), rate, quad)[:, 0]
     _check_finite(values, t, net.edge_order.rows)
     return values
 
@@ -273,9 +281,10 @@ def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, 
     if isinstance(net, ContinuousTemporalNetwork):
         if grid is None:
             raise InvalidInputError("continuous networks need an evaluation grid")
-        times = np.asarray(grid, dtype=float)
+        what = "grid must be a non-empty 1-d sequence of numbers"
+        times = _coerced(what, np.asarray, grid, float)
         if times.ndim != 1 or times.size == 0:
-            raise InvalidInputError("grid must be a non-empty 1-d sequence")
+            raise InvalidInputError(what)
         outside = times[~((net.t0 <= times) & (times <= net.t1))]
         if outside.size:
             raise InvalidInputError(f"t={float(outside[0])} outside the network "
@@ -288,7 +297,7 @@ def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, 
             return net.edge_csrs(np.column_stack(sampled))
     else:
         if grid is not None:
-            raise InvalidInputError("a discrete network uses its own instants; give no grid")
+            raise InvalidInputError(_OWN_INSTANTS)
         times = np.asarray(net.instants, dtype=float)
         order = np.arange(len(times))
         pattern = _snapshot_pattern(net) if direct else None

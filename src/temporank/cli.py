@@ -5,6 +5,16 @@ localize (per-node rank bounds), compare (per-instant tau between two
 runs), ingest (event stream to network file), validate (diagnose a
 network file).
 
+Each run flag is declared once: its ``dest`` is the :class:`RunConfig`
+field it sets, and :func:`_resolve` lays the given ones over the config
+file.  One builder, :func:`_build_run`, turns the resolved config into a
+run's inputs, and refuses a flag the run would leave unread (its
+``unread`` table: a grid on a discrete network or in `converge`, a
+quadrature setting on a discrete network, a solver method or iteration
+budget in `localize`); a config's keys are never refused, as
+``--dump-config`` writes them all.  Every command writes its table
+through :func:`_write_table`.
+
 Score and time columns are printed with shortest round-trip precision,
 so identical configurations produce byte-identical files; the only
 nondeterministic line is the leading timestamp comment, suppressed by
@@ -24,7 +34,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
+from collections import namedtuple
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
@@ -102,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare", help="per-instant Kendall tau-b between two configured runs")
     compare.add_argument("config_a", help="configuration of the first run")
     compare.add_argument("config_b", help="configuration of the second run")
-    compare.add_argument("--threads", type=int)
+    compare.add_argument("--threads", type=int, dest="threads")
     _add_output_flags(compare)
     compare.set_defaults(func=cmd_compare)
 
@@ -133,20 +144,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser):
+    """The run flags.  Each one's dest is the RunConfig field it sets, but for --config,
+    --dump-config and the four whose value is a spec of fields (--damping,
+    --personalization, --grid, --no-header)."""
     parser.add_argument("--config", metavar="FILE", help="run configuration file")
-    parser.add_argument("--network", metavar="FILE", help="network description file")
-    parser.add_argument("--preset", metavar="NAME",
+    parser.add_argument("--network", metavar="FILE", dest="network_file",
+                        help="network description file")
+    parser.add_argument("--preset", metavar="NAME", dest="network_preset",
                         help="built-in network, e.g. paper-synthetic")
-    parser.add_argument("--rate", type=float, metavar="ALPHA",
+    parser.add_argument("--rate", type=float, metavar="ALPHA", dest="kernel_rate",
                         help="exponential decay rate")
     parser.add_argument("--damping", metavar="SPEC",
                         help="constant value like 0.85, or linear:START:END")
     parser.add_argument("--personalization", metavar="SPEC",
                         help="uniform | input | inverse-input | file:PATH")
-    parser.add_argument("--solver", choices=("auto", "direct", "power"))
-    parser.add_argument("--tol", type=float, help="solver tolerance")
-    parser.add_argument("--max-iter", type=int, dest="max_iter")
-    parser.add_argument("--threads", type=int)
+    parser.add_argument("--solver", choices=("auto", "direct", "power"),
+                        dest="solver_method")
+    parser.add_argument("--tol", type=float, dest="solver_tol", help="solver tolerance")
+    parser.add_argument("--max-iter", type=int, dest="solver_max_iter")
+    parser.add_argument("--threads", type=int, dest="threads")
     parser.add_argument("--quad-tol", type=float, dest="quad_tol")
     parser.add_argument("--quad-max-subdiv", type=int, dest="quad_max_subdiv")
     parser.add_argument("--grid-count", type=int, dest="grid_count",
@@ -159,8 +175,9 @@ def _add_run_flags(parser: argparse.ArgumentParser):
 
 
 def _add_output_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--format", choices=("csv", "json"), dest="format")
-    parser.add_argument("--output", metavar="FILE", help="- is stdout (default)")
+    parser.add_argument("--format", choices=("csv", "json"), dest="output_format")
+    parser.add_argument("--output", metavar="FILE", dest="output_path",
+                        help="- is stdout (default)")
     parser.add_argument("--no-header", action="store_true", dest="no_header",
                         help="omit the timestamp comment line from CSV output")
 
@@ -168,37 +185,22 @@ def _add_output_flags(parser: argparse.ArgumentParser):
 def _resolve(args) -> configmod.RunConfig:
     from . import config as configmod
     base = configmod.read_config(args.config) if args.config else None
-    if args.network is not None and args.preset is not None:
+    if args.network_file is not None and args.network_preset is not None:
         raise InvalidInputError("give --network or --preset, not both")
-    if base is not None and args.network is not None:
-        base = replace(base, network_preset=None)
-    if base is not None and args.preset is not None:
-        base = replace(base, network_file=None)
+    if base is not None and (args.network_file, args.network_preset) != (None, None):
+        base = replace(base, network_file=None, network_preset=None)
 
-    overrides = {
-        "network_file": args.network,
-        "network_preset": args.preset,
-        "kernel_rate": args.rate,
-        "solver_method": args.solver,
-        "solver_tol": args.tol,
-        "solver_max_iter": args.max_iter,
-        "threads": args.threads,
-        "quad_tol": args.quad_tol,
-        "quad_max_subdiv": args.quad_max_subdiv,
-        "output_format": args.format,
-        "output_path": args.output,
-    }
+    overrides = {field.name: getattr(args, field.name, None)
+                 for field in fields(configmod.RunConfig)}
     if args.damping is not None:
         overrides.update(_damping_spec(args.damping))
     if args.personalization is not None:
         overrides.update(_personalization_spec(args.personalization))
     if args.grid is not None:
         start, step, count = _grid_spec(args.grid)
-        overrides.update(grid_start=start, grid_step=step, grid_count=count)
-    if args.grid_count is not None:
-        if args.grid is not None:
+        if args.grid_count is not None:
             raise InvalidInputError("give --grid or --grid-count, not both")
-        overrides["grid_count"] = args.grid_count
+        overrides.update(grid_start=start, grid_step=step, grid_count=count)
     if args.no_header:
         overrides["output_header"] = False
     cfg = configmod.resolve_config(base, **overrides)
@@ -254,25 +256,20 @@ def _int(text: str, what: str) -> int:
 
 # ----------------------------------------------------------------- output
 
-def _write_text(path: str, text: str):
-    if path == "-" or path is None:
+def _write_table(out_format: str, path: str, stamped: bool, header: str, rows, records):
+    """Write a command's table to ``path`` (- is stdout): as CSV, the ``header`` line and the
+    ``rows`` lines, after a timestamp comment if ``stamped``, or as JSON, the list of
+    ``records``.  ``rows`` and ``records`` are lazy; only the one written is drawn."""
+    if out_format == "csv":
+        stamp = ["# " + datetime.now(timezone.utc).isoformat()] if stamped else []
+        text = "\n".join([*stamp, header, *rows]) + "\n"
+    else:
+        text = json.dumps(list(records), indent=2) + "\n"
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def _csv_document(header_row: str, rows, stamped: bool) -> str:
-    lines = []
-    if stamped:
-        lines.append("# " + datetime.now(timezone.utc).isoformat())
-    lines.append(header_row)
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_document(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _fmts(values) -> list[str]:
@@ -282,86 +279,98 @@ def _fmts(values) -> list[str]:
 
 # --------------------------------------------------------------- commands
 
-def _trajectory_for(cfg: configmod.RunConfig, network=None, grid=None):
-    """The configured trajectory: a continuous network runs on ``grid``, by default the
-    configured one, and a discrete one, such as the :func:`truncate` network of `converge`,
-    on its instants; a discrete network refuses a configured explicit grid."""
+#: the inputs of one configured run, as :func:`_build_run` makes them
+_Run = namedtuple("_Run", "cfg network kernel damping personalization grid quad")
+
+
+def _build_run(cfg: configmod.RunConfig, args, network=None) -> _Run:
+    """The inputs of the run of ``args.command`` configured by ``cfg``; ``network``, if
+    given, is the one ``cfg`` names, already built.  A flag given in ``args`` that the run
+    leaves unread is refused, by the table below; so is an explicit grid from a config,
+    as the flag is, but no other config key, as --dump-config writes them all."""
     from . import config as configmod
-    from .graph import ContinuousTemporalNetwork
-    from .pagerank import trajectory_continuous, trajectory_discrete
+    from .graph import DiscreteTemporalNetwork
+    # (kind of run, the flags it leaves unread by dest, the refusal)
+    unread = [
+        ("converge", ("grid", "grid_count"),
+         "a convergence study's grids are its partitions (--sizes); give no grid"),
+        ("localize", ("solver_method", "solver_max_iter"),
+         "localization bounds choose their own solver; give no --solver or --max-iter"),
+        ("discrete", ("grid", "grid_count"), configmod._OWN_INSTANTS),
+        ("discrete", ("quad_tol", "quad_max_subdiv"), "a discrete network is summed, "
+         "not integrated; give no --quad-tol or --quad-max-subdiv"),
+    ]
+    given = {name for name, value in vars(args).items() if value is not None}
+    if cfg.grid_start is not None:
+        given.add("grid")
+
+    def refuse(kind):
+        for row_kind, flags, refusal in unread:
+            if row_kind == kind and given.intersection(flags):
+                raise InvalidInputError(refusal)
+
+    refuse(args.command)
     if network is None:
         network = configmod.build_network(cfg)
-    kernel = configmod.build_kernel(cfg)
-    damping = configmod.build_damping(cfg)
-    personalization = configmod.build_personalization(cfg)
-    if grid is None:
-        grid = configmod.build_grid(cfg, network)
-    if not isinstance(network, ContinuousTemporalNetwork):
-        trajectory = trajectory_discrete(
-            network, kernel, damping, personalization,
-            solver=cfg.solver_method, tol=cfg.solver_tol,
-            max_iter=cfg.solver_max_iter, threads=cfg.threads)
-    else:
-        trajectory = trajectory_continuous(
-            network, kernel, damping, personalization, grid,
-            quad=configmod.build_quadrature(cfg),
-            solver=cfg.solver_method, tol=cfg.solver_tol,
-            max_iter=cfg.solver_max_iter, threads=cfg.threads)
-    trajectory.metadata.setdefault("label", cfg.personalization_kind)
-    return network, trajectory
+    if isinstance(network, DiscreteTemporalNetwork):
+        if args.command == "converge":
+            raise InvalidInputError("convergence studies need a continuous network")
+        refuse("discrete")
+    return _Run(cfg, network, configmod.build_kernel(cfg), configmod.build_damping(cfg),
+                configmod.build_personalization(cfg),
+                None if args.command == "converge" else configmod.build_grid(cfg, network),
+                configmod.build_quadrature(cfg))
 
 
-def _network(cfg: configmod.RunConfig, args):
-    """The configured network.  A discrete one refuses the --grid-count flag, as
-    ``build_grid`` refuses an explicit grid, but not a config's count, which
-    --dump-config always writes."""
-    from . import config as configmod
+def _trajectory_for(run: _Run, network=None, grid=None):
+    """The configured trajectory of ``network``, by default the run's: a continuous one runs
+    on ``grid``, by default the run's, and a discrete one, such as the :func:`truncate`
+    network of `converge`, on its instants."""
     from .graph import ContinuousTemporalNetwork
-    network = configmod.build_network(cfg)
-    if args.grid_count is not None and not isinstance(network, ContinuousTemporalNetwork):
-        raise InvalidInputError(configmod._OWN_INSTANTS)
-    return network
+    from .pagerank import trajectory_continuous, trajectory_discrete
+    cfg, network = run.cfg, run.network if network is None else network
+    solver = {"solver": cfg.solver_method, "tol": cfg.solver_tol,
+              "max_iter": cfg.solver_max_iter, "threads": cfg.threads}
+    if isinstance(network, ContinuousTemporalNetwork):
+        trajectory = trajectory_continuous(
+            network, run.kernel, run.damping, run.personalization,
+            run.grid if grid is None else grid, quad=run.quad, **solver)
+    else:
+        trajectory = trajectory_discrete(network, run.kernel, run.damping,
+                                         run.personalization, **solver)
+    trajectory.metadata.setdefault("label", cfg.personalization_kind)
+    return trajectory
 
 
 def cmd_compute(args) -> int:
     cfg = _resolve(args)
-    network, trajectory = _trajectory_for(cfg, _network(cfg, args))
-    if cfg.output_format == "csv":
-        rows = [f"{t},{node},{score!r}"
-                for t, scores in zip(_fmts(trajectory.instants), trajectory.vectors.tolist())
-                for node, score in enumerate(scores, start=1)]
-        text = _csv_document("instant,node,score", rows, cfg.output_header)
-    else:
-        text = _json_document([
-            {"instant": float(t), "scores": [float(s) for s in trajectory.vectors[k]]}
-            for k, t in enumerate(trajectory.instants)])
-    _write_text(cfg.output_path, text)
+    trajectory = _trajectory_for(_build_run(cfg, args))
+    instants, vectors = trajectory.instants, trajectory.vectors
+    _write_table(
+        cfg.output_format, cfg.output_path, cfg.output_header, "instant,node,score",
+        (f"{t},{node},{score!r}" for k, t in enumerate(_fmts(instants))
+         for node, score in enumerate(vectors[k].tolist(), start=1)),
+        ({"instant": float(t), "scores": [float(s) for s in vectors[k]]}
+         for k, t in enumerate(instants)))
     solved = "direct solve" if trajectory.metadata["solver"] == "direct" else \
         f"power iterations <= {max(trajectory.metadata['iterations'])}"
-    print(f"{len(trajectory.instants)} instants, n={trajectory.n}, {solved}, "
+    print(f"{len(instants)} instants, n={trajectory.n}, {solved}, "
           f"residual <= {max(trajectory.metadata['residuals']):.3e}", file=sys.stderr)
     return 0
 
 
 def cmd_converge(args) -> int:
-    from . import config as configmod
     from .accumulate import truncate
-    from .graph import ContinuousTemporalNetwork
     cfg = _resolve(args)
-    if cfg.grid_start is not None or args.grid_count is not None:
-        raise InvalidInputError("a convergence study's grids are its partitions "
-                                "(--sizes); give no grid")
-    network = configmod.build_network(cfg)
-    if not isinstance(network, ContinuousTemporalNetwork):
-        raise InvalidInputError("convergence studies need a continuous network")
+    run = _build_run(cfg, args)
     sizes = sorted({_int(part, "partition size") for part in args.sizes.split(",")})
     if any(size < 2 for size in sizes):
         raise InvalidInputError("partition sizes must be >= 2")
     results = []
     for size in sizes:
-        truncated = truncate(network, size)
-        _, discrete = _trajectory_for(cfg, truncated)
-        _, continuous = _trajectory_for(cfg, network, truncated.instants)
+        truncated = truncate(run.network, size)
+        discrete = _trajectory_for(run, truncated)
+        continuous = _trajectory_for(run, grid=truncated.instants)
         errors = np.abs(discrete.vectors - continuous.vectors)
         line = f"N={size}: max |discrete - continuous| = {errors.max():.6e}"
         if results and results[-1][2].max() > 0 and errors.max() > 0:
@@ -373,83 +382,64 @@ def cmd_converge(args) -> int:
         print(line, file=sys.stderr)
         results.append((size, truncated.instants, errors))
 
-    if cfg.output_format == "csv":
-        rows = [f"{size},{t},{node},{err!r}"
-                for size, instants, errors in results
-                for t, row in zip(_fmts(instants), errors.tolist())
-                for node, err in enumerate(row, start=1)]
-        text = _csv_document("size,instant,node,abs_error", rows, cfg.output_header)
-    else:
-        text = _json_document([
-            {"size": size, "max_error": float(errors.max()),
-             "instants": [float(t) for t in instants],
-             "errors": [[float(e) for e in row] for row in errors]}
-            for size, instants, errors in results])
-    _write_text(cfg.output_path, text)
+    _write_table(
+        cfg.output_format, cfg.output_path, cfg.output_header, "size,instant,node,abs_error",
+        (f"{size},{t},{node},{err!r}" for size, instants, errors in results
+         for t, row in zip(_fmts(instants), errors.tolist())
+         for node, err in enumerate(row, start=1)),
+        ({"size": size, "max_error": float(errors.max()),
+          "instants": [float(t) for t in instants],
+          "errors": [[float(e) for e in row] for row in errors]}
+         for size, instants, errors in results))
     return 0
 
 
 def cmd_localize(args) -> int:
-    from . import config as configmod
     from .localization import bounds_trajectory
     cfg = _resolve(args)
-    network = _network(cfg, args)
+    run = _build_run(cfg, args)
     if args.nodes.strip() == "all":
         nodes = None
     else:
         nodes = [_int(part, "node") - 1 for part in args.nodes.split(",")]
-        if not all(0 <= node < network.n for node in nodes):
-            raise InvalidInputError(f"node subset outside 1..{network.n}")
+        if not all(0 <= node < run.network.n for node in nodes):
+            raise InvalidInputError(f"node subset outside 1..{run.network.n}")
     bounds = bounds_trajectory(
-        network, configmod.build_kernel(cfg), configmod.build_damping(cfg),
-        nodes=nodes, grid=configmod.build_grid(cfg, network),
-        quad=configmod.build_quadrature(cfg),
-        dangling_dist=configmod.build_personalization(cfg),
-        tol=cfg.solver_tol, threads=cfg.threads)
-    if cfg.output_format == "csv":
-        nodes = (bounds.nodes + 1).tolist()
-        rows = [f"{t},{node},{lo!r},{hi!r}"
-                for t, los, his in zip(_fmts(bounds.instants), bounds.lo.tolist(),
-                                       bounds.hi.tolist())
-                for node, lo, hi in zip(nodes, los, his)]
-        text = _csv_document("instant,node,lo,hi", rows, cfg.output_header)
-    else:
-        text = _json_document([
-            {"instant": float(t),
-             "nodes": [int(node) + 1 for node in bounds.nodes],
-             "lo": [float(x) for x in bounds.lo[k]],
-             "hi": [float(x) for x in bounds.hi[k]]}
-            for k, t in enumerate(bounds.instants)])
-    _write_text(cfg.output_path, text)
+        run.network, run.kernel, run.damping, nodes=nodes, grid=run.grid, quad=run.quad,
+        dangling_dist=run.personalization, tol=cfg.solver_tol, threads=cfg.threads)
+    numbers = (bounds.nodes + 1).tolist()
+    _write_table(
+        cfg.output_format, cfg.output_path, cfg.output_header, "instant,node,lo,hi",
+        (f"{t},{node},{lo!r},{hi!r}" for k, t in enumerate(_fmts(bounds.instants))
+         for node, lo, hi in zip(numbers, bounds.lo[k].tolist(), bounds.hi[k].tolist())),
+        ({"instant": float(t), "nodes": numbers,
+          "lo": [float(x) for x in bounds.lo[k]], "hi": [float(x) for x in bounds.hi[k]]}
+         for k, t in enumerate(bounds.instants)))
     print(f"{len(bounds.instants)} instants, {len(bounds.nodes)} nodes bounded",
           file=sys.stderr)
     return 0
 
 
 def cmd_compare(args) -> int:
+    """Output settings come from compare's own flags only, never from a config's [output]."""
     from . import config as configmod
     from .ranking import compare_trajectories
-    cfg_a = configmod.resolve_config(configmod.read_config(args.config_a),
-                                     threads=args.threads)
-    cfg_b = configmod.resolve_config(configmod.read_config(args.config_b),
-                                     threads=args.threads)
-    network, trajectory_a = _trajectory_for(cfg_a)
-    _, trajectory_b = _trajectory_for(
-        cfg_b, network if _network_source(cfg_b) == _network_source(cfg_a) else None)
+    cfg_a, cfg_b = (configmod.resolve_config(configmod.read_config(path), threads=args.threads)
+                    for path in (args.config_a, args.config_b))
+    run_a = _build_run(cfg_a, args)
+    trajectory_a = _trajectory_for(run_a)
+    shared = _network_source(cfg_b) == _network_source(cfg_a)
+    trajectory_b = _trajectory_for(_build_run(cfg_b, args, run_a.network if shared else None))
     series = compare_trajectories(
         trajectory_a, trajectory_b,
         labels=(cfg_a.personalization_kind, cfg_b.personalization_kind))
     pair_label = f"{series.labels[0]} vs {series.labels[1]}"
-    out_format = args.format or "csv"
-    if out_format == "csv":
-        rows = [f"{t},{tau},{pair_label}"
-                for t, tau in zip(_fmts(series.instants), _fmts(series.taus))]
-        text = _csv_document("instant,tau,pair_label", rows, not args.no_header)
-    else:
-        text = _json_document([
-            {"instant": float(t), "tau": float(tau), "pair_label": pair_label}
-            for t, tau in zip(series.instants, series.taus)])
-    _write_text(args.output or "-", text)
+    _write_table(
+        args.output_format or "csv", args.output_path or "-", not args.no_header,
+        "instant,tau,pair_label",
+        (f"{t},{tau},{pair_label}" for t, tau in zip(_fmts(series.instants), _fmts(series.taus))),
+        ({"instant": float(t), "tau": float(tau), "pair_label": pair_label}
+         for t, tau in zip(series.instants, series.taus)))
     return 0
 
 

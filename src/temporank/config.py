@@ -53,7 +53,7 @@ from functools import partial
 
 import numpy as np
 
-from .accumulate import _partition
+from .accumulate import _OWN_INSTANTS, _partition
 from .errors import InvalidInputError, decode, read_bytes
 from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
 from .quadrature import QuadratureConfig
@@ -284,10 +284,6 @@ def build_personalization(cfg: RunConfig):
 
 def build_quadrature(cfg: RunConfig) -> QuadratureConfig:
     return QuadratureConfig(tol=cfg.quad_tol, max_subdivisions=cfg.quad_max_subdiv)
-
-
-#: the refusal of a grid given for a discrete network
-_OWN_INSTANTS = "a discrete network uses its own instants; give no grid"
 
 
 def build_grid(cfg: RunConfig, network) -> np.ndarray | None:

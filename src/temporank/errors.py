@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all temporank modules."""
 
+from contextlib import contextmanager
+
 
 class TemporankError(Exception):
     """Base class for all errors raised by this package."""
@@ -28,11 +30,8 @@ class ConvergenceError(TemporankError):
         self.residual = residual
 
 
-class EventParseError(TemporankError):
-    """A line of an edge-event stream could not be parsed.
-
-    ``line_number`` is 1-based.
-    """
+class _LineError(TemporankError):
+    """An error at a line of a file; ``line_number`` is 1-based, or None where unknown."""
 
     def __init__(self, message: str, line_number: int | None = None):
         if line_number is not None:
@@ -41,17 +40,12 @@ class EventParseError(TemporankError):
         self.line_number = line_number
 
 
-class NetworkFormatError(TemporankError):
-    """A network description file violates the documented grammar.
+class EventParseError(_LineError):
+    """A line of an edge-event stream could not be parsed."""
 
-    ``line_number`` is 1-based.
-    """
 
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
+class NetworkFormatError(_LineError):
+    """A network description file violates the documented grammar."""
 
 
 class ConsistencyError(TemporankError):
@@ -83,3 +77,15 @@ def decode(raw: bytes, error: type) -> str:
         column = err.start - raw.rfind(b"\n", 0, err.start)
         raise error(f"not UTF-8 text: byte 0x{raw[err.start]:02x} at column {column}",
                     line_number=raw.count(b"\n", 0, err.start) + 1) from None
+
+
+@contextmanager
+def _calling(what: str, where):
+    """Run the user's callable ``what``: an exception it raises, other than a TemporankError,
+    ends as an InvalidInputError naming it and ``where()``, the instant, chained to it."""
+    try:
+        yield
+    except TemporankError:
+        raise
+    except Exception as exc:
+        raise InvalidInputError(f"{what} raised {exc!r} at {where()}") from exc

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, ScheduleRangeError
+from .errors import InvalidInputError, ScheduleRangeError, _calling
 
 __all__ = [
     "DecayKernel", "ExponentialDecay", "CustomDecay",
@@ -153,7 +153,8 @@ def damping_at(schedule: DampingSchedule, k: int, count: int, t: float | None = 
     """Damping for 1-based instant ``k`` of ``count``; range-checked."""
     if not 1 <= k <= count:
         raise InvalidInputError(f"instant index {k} outside 1..{count}")
-    value = float(schedule.value(k, count, t))
+    with _calling("the damping schedule", lambda: f"instant k={k}, t={t}"):
+        value = float(schedule.value(k, count, t))
     if not 0.0 < value < 1.0 or not math.isfinite(value):
         raise ScheduleRangeError(
             f"damping schedule produced {value!r} at instant {k}; must lie in (0, 1)")
@@ -257,7 +258,8 @@ def personalization_at(schedule: PersonalizationSchedule, adjacency,
     if schedule.reads_adjacency and n is adjacency:   # given the count, not A(t)
         raise InvalidInputError(f"{type(schedule).__name__} reads the adjacency, "
                                 f"not only the node count {n}")
-    raw = np.asarray(schedule.raw(adjacency, k, t), dtype=float).ravel()
+    with _calling("the personalization schedule", lambda: f"instant k={k}, t={t}"):
+        raw = np.asarray(schedule.raw(adjacency, k, t), dtype=float).ravel()
     if raw.shape != (n,):
         raise ScheduleRangeError(
             f"personalization produced shape {raw.shape}, expected ({n},)")

@@ -220,6 +220,11 @@ class TestAccumulateContinuous:
         with pytest.raises(InvalidInputError):
             accumulate_continuous(net, ExponentialDecay(1.0), 1.5)
 
+    @pytest.mark.parametrize("t", ["x", None, [0.5, 0.6]])
+    def test_time_not_a_number_rejected(self, t):
+        with pytest.raises(InvalidInputError, match="instant must be a number, got "):
+            accumulate_continuous(synthetic_five_node(), ExponentialDecay(1.0), t)
+
     def test_quadrature_failure_names_the_edge(self):
         net = synthetic_five_node()
         quad = QuadratureConfig(tol=1e-15, max_subdivisions=2)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, driven in process via cli.main."""
 
+import argparse
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -285,7 +287,7 @@ class TestCompute:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("argv,dest,expected", [
-        (["compute", "--tol", "-2.5E+3"], "tol", -2500.0),
+        (["compute", "--tol", "-2.5E+3"], "solver_tol", -2500.0),
         (["converge", "--quad-tol", "-.5e1"], "quad_tol", -5.0),
         (["localize", "--damping", "-1e-3"], "damping", "-1e-3"),
         (["compute", "--grid", "-1e-3,0.5,3"], "grid", "-1e-3,0.5,3"),
@@ -615,6 +617,256 @@ class TestLocalize:
         assert "not an integer" in err
 
 
+# ------------------------------------------------------------ no run flag goes unread
+
+#: the run builder's refusals of a flag that a run leaves unread
+OWN_INSTANTS = "a discrete network uses its own instants; give no grid"
+PARTITIONS = "a convergence study's grids are its partitions (--sizes); give no grid"
+OWN_SOLVER = "localization bounds choose their own solver; give no --solver or --max-iter"
+NOT_INTEGRATED = ("a discrete network is summed, not integrated; "
+                  "give no --quad-tol or --quad-max-subdiv")
+#: a value for each flag that some run refuses
+REFUSED_VALUES = {"--grid": "0,0.5,3", "--grid-count": "3", "--quad-tol": "1e-8",
+                  "--quad-max-subdiv": "100", "--solver": "direct", "--max-iter": "50"}
+
+
+def refusal(command, kind, flag):
+    """The refusal of ``flag`` in a `command` run on a ``kind`` network, or None if it reads it."""
+    if command == "localize" and flag in ("--solver", "--max-iter"):
+        return OWN_SOLVER
+    if command == "converge" and flag in ("--grid", "--grid-count"):
+        return PARTITIONS
+    if kind == "discrete" and flag in ("--grid", "--grid-count"):
+        return OWN_INSTANTS
+    if kind == "discrete" and flag in ("--quad-tol", "--quad-max-subdiv"):
+        return NOT_INTEGRATED
+    return None
+
+
+def run_flag_cases():
+    """(command, network kind, flag) for every option of the run commands, as the parser
+    declares them; converge runs on the preset only, as it takes no discrete network."""
+    commands = next(action for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    for command, kinds in (("compute", ("preset", "discrete")), ("converge", ("preset",)),
+                           ("localize", ("preset", "discrete"))):
+        for action in commands[command]._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            flag = max(action.option_strings, key=len)
+            for kind in kinds:
+                yield pytest.param(command, kind, flag, id=f"{command}-{kind}{flag}")
+
+
+def instants_of(out):
+    return sorted({row[0] for row in csv_rows(out)[1]}, key=float)
+
+
+def changes_bytes(*argv):
+    def check(run, ctx):
+        base, changed = run(), run(*argv)
+        assert base[0] == changed[0] == 0, changed[2]
+        assert changed[1] != base[1]
+    return check
+
+
+def check_source(run, ctx):
+    # the run ranks the network named, and without one there is no run
+    assert run(source=[]) == (1, "", "error: no network source configured\n")
+    preset = run(source=["--preset", "paper-synthetic"])
+    assert preset[0] == 0
+    assert run(source=["--network", ctx.discrete]) != preset
+
+
+def check_personalization(run, ctx):
+    if ctx.command == "localize" and ctx.kind == "preset":
+        # no row of the preset dangles, so the bounds hold for every personalization;
+        # the setting is still built and checked
+        table = ctx.tmp_path / "v.txt"
+        table.write_text("abc\n")
+        code, _, err = run("--personalization", f"file:{table}")
+        assert code == 1 and "not a table of numbers" in err
+    else:
+        changes_bytes("--personalization", "input")(run, ctx)
+
+
+def check_solver(run, ctx):
+    # the direct solve of these small networks reads no iteration budget; power iteration
+    # reads it
+    assert run("--max-iter", "1")[0] == 0
+    assert run("--solver", "power")[0] == 0
+    code, out, err = run("--solver", "power", "--max-iter", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: power iteration did not reach 1e-12 within 1 iterations")
+
+
+def check_tol(run, ctx):
+    if ctx.command == "localize":
+        # the Neumann series, which bounds a network of n > 2000, stops at tol
+        n = 2001
+        big = ctx.tmp_path / "big.net"
+        big.write_text(f"nodes {n}\ninstant 0.0\n"
+                       + "".join(f"{i + 1} {(i + 1) % n + 1} 1.0\n" for i in range(n))
+                       + "".join(f"{i + 1} {7 * i % n + 1} 0.5\n" for i in range(0, n, 3)))
+        runs = [run("--nodes", "1", *tol, source=["--network", str(big)])
+                for tol in ([], ["--tol", "1e-2"])]
+    else:   # power iteration stops at tol
+        runs = [run("--solver", "power", *tol) for tol in ([], ["--tol", "1e-3"])]
+    assert runs[0][0] == runs[1][0] == 0
+    assert runs[0][1] != runs[1][1]
+
+
+def check_threads(run, ctx):
+    # the thread count reaches the solver, and the bytes stay the same
+    seen = []
+    for module, name in ((tr.pagerank, "trajectory_discrete"),
+                         (tr.pagerank, "trajectory_continuous"),
+                         (tr.localization, "bounds_trajectory")):
+        solve = getattr(module, name)
+        ctx.monkeypatch.setattr(module, name, lambda *args, solve=solve, **kwargs:
+                                seen.append(kwargs["threads"]) or solve(*args, **kwargs))
+    ctx.monkeypatch.delenv("TEMPORANK_THREADS", raising=False)
+    base = run()
+    assert base[0] == 0
+    assert set(seen) == {1}
+    assert run("--threads", "2") == base
+    assert set(seen) == {1, 2}
+
+
+def check_quad_tol(run, ctx):
+    code, out, err = run("--quad-tol", "1e-300")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: quadrature did not converge within 65536 subdivisions")
+
+
+def check_quad_max_subdiv(run, ctx):
+    small = [] if ctx.command == "converge" else ["--grid-count", "3"]
+    assert run("--quad-tol", "1e-16", *small)[0] == 0
+    code, out, err = run("--quad-tol", "1e-16", "--quad-max-subdiv", "0", *small)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: quadrature did not converge within 0 subdivisions")
+
+
+def check_grid_count(run, ctx):
+    code, out, _ = run("--grid-count", "3")
+    assert code == 0
+    assert instants_of(out) == ["0.0", "0.5", "1.0"]
+
+
+def check_grid(run, ctx):
+    code, out, _ = run("--grid", "0,0.25,3")
+    assert code == 0
+    assert instants_of(out) == ["0.0", "0.25", "0.5"]
+
+
+def check_config(run, ctx):
+    config = ctx.tmp_path / "run.cfg"
+    config.write_text("[kernel]\nrate = 3\n")
+    configured = run("--config", str(config))
+    assert configured[0] == 0
+    assert configured == run("--rate", "3") != run()
+
+
+def check_dump_config(run, ctx):
+    dumped = ctx.tmp_path / "dumped.cfg"
+    first = run("--rate", "3", "--dump-config", str(dumped))
+    assert first[0] == 0
+    assert run("--config", str(dumped), source=[]) == first
+
+
+def check_format(run, ctx):
+    code, out, _ = run("--format", "json")
+    assert code == 0
+    assert isinstance(json.loads(out), list)
+    assert not run()[1].startswith("[")
+
+
+def check_output(run, ctx):
+    target = ctx.tmp_path / "table.out"
+    code, out, err = run("--output", str(target))
+    assert (code, out, err) == (0, "", run()[2])
+    assert target.read_text() == run()[1]
+
+
+def check_no_header(run, ctx):
+    # the base run is given --no-header; without it the table opens with a timestamp
+    code, out, _ = run_cli(ctx.capsys, ctx.command, *ctx.source, *ctx.sizes)
+    assert code == 0
+    assert out.startswith("# ") and out.split("\n", 1)[1] == run()[1]
+
+
+def check_sizes(run, ctx):
+    code, out, _ = run("--sizes", "3")
+    assert code == 0
+    assert {row[0] for row in csv_rows(out)[1]} == {"3"}
+
+
+def check_nodes(run, ctx):
+    code, out, _ = run("--nodes", "2")
+    assert code == 0
+    assert {row[1] for row in csv_rows(out)[1]} == {"2"}
+
+
+#: every flag a run reads, with a check of its effect
+READ = {"--network": check_source, "--preset": check_source,
+        "--rate": changes_bytes("--rate", "3"), "--damping": changes_bytes("--damping", "0.5"),
+        "--personalization": check_personalization, "--solver": check_solver,
+        "--max-iter": check_solver, "--tol": check_tol, "--threads": check_threads,
+        "--quad-tol": check_quad_tol, "--quad-max-subdiv": check_quad_max_subdiv,
+        "--grid-count": check_grid_count, "--grid": check_grid, "--config": check_config,
+        "--dump-config": check_dump_config, "--format": check_format,
+        "--output": check_output, "--no-header": check_no_header, "--sizes": check_sizes,
+        "--nodes": check_nodes}
+
+
+@pytest.mark.parametrize("command, kind, flag", run_flag_cases())
+def test_no_run_flag_is_silently_ignored(capsys, monkeypatch, tmp_path, command, kind, flag):
+    # each flag is refused by the run builder's table, or read with an effect seen here;
+    # a flag that is neither fails, so that no new flag goes unread unnoticed
+    discrete = tmp_path / "three.net"
+    discrete.write_text(THREE_NODE)   # node 3 dangles
+    source = ["--preset", "paper-synthetic"] if kind == "preset" else ["--network", str(discrete)]
+    sizes = ["--sizes", "3,5"] if command == "converge" else []
+    ctx = SimpleNamespace(command=command, kind=kind, source=source, sizes=sizes,
+                          discrete=str(discrete), tmp_path=tmp_path, monkeypatch=monkeypatch,
+                          capsys=capsys)
+
+    def run(*argv, source=source):
+        return run_cli(capsys, command, *source, *sizes, "--no-header", *argv)
+
+    refused = refusal(command, kind, flag)
+    if refused is not None:
+        assert run(flag, REFUSED_VALUES[flag]) == (1, "", f"error: {refused}\n")
+    elif flag in READ:
+        READ[flag](run, ctx)
+    else:
+        pytest.fail(f"{command} {flag} on a {kind} network is neither refused nor read")
+
+
+def test_unread_settings_in_a_config_still_run(capsys, tmp_path):
+    # --dump-config writes every key, so a config's keys are read where a run reads them
+    # and left alone elsewhere, unlike the flags
+    network = tmp_path / "three.net"
+    network.write_text(THREE_NODE)
+    config = tmp_path / "all.cfg"
+    config.write_text(f"[network]\nfile = {network}\n[solver]\nmethod = power\nmax-iter = 500\n"
+                      "[quadrature]\ntol = 1e-8\nmax-subdiv = 100\n[grid]\ncount = 3\n")
+    for command in ("compute", "localize"):
+        assert run_cli(capsys, command, "--config", str(config))[0] == 0
+
+
+def test_dump_config_of_a_discrete_run_runs_again(capsys, tmp_path):
+    network = tmp_path / "three.net"
+    network.write_text(THREE_NODE)
+    dumped = tmp_path / "dumped.cfg"
+    first = run_cli(capsys, "compute", "--network", str(network), "--no-header",
+                    "--dump-config", str(dumped))
+    text = dumped.read_text()
+    assert "[quadrature]\n" in text and "[grid]\ncount = 101\n" in text
+    assert first[0] == 0
+    assert run_cli(capsys, "compute", "--config", str(dumped)) == first
+
+
 class TestFileSystemErrors:
     @pytest.mark.parametrize("argv", [
         ["compute", "--network", "{dir}"],
@@ -691,6 +943,17 @@ class TestCompare:
         assert code == 0
         assert calls == [synthetic5_file, str(copy)]
         assert separate == shared
+
+    def test_output_settings_come_from_its_own_flags(self, capsys, tmp_path, config_pair):
+        # each config's [output] section is left unread: two configs could disagree
+        target = tmp_path / "x.json"
+        for path in config_pair:
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(f"\n[output]\nformat = json\npath = {target}\nheader = no\n")
+        code, out, _ = run_cli(capsys, "compare", *config_pair)
+        assert code == 0
+        assert out.startswith("# ") and out.split("\n")[1] == "instant,tau,pair_label"
+        assert not target.exists()
 
     def test_missing_config(self, capsys, tmp_path, config_pair):
         code, _, err = run_cli(capsys, "compare", config_pair[0],

@@ -15,6 +15,7 @@ from temporank import (
     ConstantDamping,
     ContinuousTemporalNetwork,
     ConvergenceError,
+    CustomDamping,
     CustomDecay,
     DiscreteTemporalNetwork,
     ExponentialDecay,
@@ -431,7 +432,7 @@ class TestTrajectoryContinuous:
                                      UniformPersonalization(), grid=[0.0, 0.5])
         assert traj.metadata["scale"] == "continuous"
 
-    @pytest.mark.parametrize("grid", [[], [[0.0, 0.5]]])
+    @pytest.mark.parametrize("grid", [[], [[0.0, 0.5]], "abc", [[0.0, 0.5], [0.25]]])
     def test_empty_or_nested_grid_rejected(self, grid):
         with pytest.raises(InvalidInputError, match="grid must be a non-empty 1-d sequence"):
             trajectory_continuous(synthetic_five_node(), ExponentialDecay(1.0),
@@ -840,3 +841,37 @@ class TestEntryRecordNetworks:
         for call, limit in zip(calls, limits):
             with mock.patch.object(pagerank, "DIRECT_SOLVE_MAX_N", limit):
                 assert _solved(lambda: call(loaded)) == _solved(lambda: call(oracle))
+
+
+#: the callable of each kind that raises at every call, what the error calls it, and the
+#: kernel, damping and personalization of a run that holds it
+RAISING = {
+    "kernel": ("decay kernel", CustomDecay(lambda s, t: 1 / 0), ConstantDamping(0.85),
+               UniformPersonalization()),
+    "damping": ("damping schedule", ExponentialDecay(1.0), CustomDamping(lambda t: 1 / 0),
+                UniformPersonalization()),
+    "personalization": ("personalization schedule", ExponentialDecay(1.0),
+                        ConstantDamping(0.85), CustomPersonalization(lambda t: 1 / 0)),
+}
+
+
+@pytest.mark.parametrize("entry", ["discrete", "continuous", "bounds"])
+@pytest.mark.parametrize("raising", sorted(RAISING))
+def test_a_raising_callable_is_a_clean_error(raising, entry):
+    # as for an edge function that raises: an InvalidInputError naming the instant, chained
+    name, kernel, damping, personalization = RAISING[raising]
+    dangling = loads_network("nodes 3\ninstant 2.0\n1 2 1.0\n2 1 1.0\n")   # node 3 dangles
+    calls = {
+        "discrete": lambda: trajectory_discrete(dangling, kernel, damping, personalization),
+        "continuous": lambda: trajectory_continuous(synthetic_five_node(), kernel, damping,
+                                                    personalization, grid=[0.5, 0.75]),
+        "bounds": lambda: bounds_trajectory(dangling, kernel, damping,
+                                            dangling_dist=personalization),
+    }
+    t = 0.5 if entry == "continuous" else 2.0
+    where = f"s={t}, t={t}" if raising == "kernel" else f"instant k=1, t={t}"
+    with pytest.raises(InvalidInputError) as caught:
+        calls[entry]()
+    assert str(caught.value) == f"the {name} raised ZeroDivisionError('division by zero') " \
+                                f"at {where}"
+    assert isinstance(caught.value.__cause__, ZeroDivisionError)
