@@ -46,8 +46,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidInputError, _calling
-from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _coerced,
-                    _csr_arrays, _edge_entries, _entry_keys)
+from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _check_kind,
+                    _coerced, _csr_arrays, _edge_entries, _entry_keys, _instant_index)
 from .quadrature import QuadratureConfig, adaptive_simpson
 from .schedules import (DampingSchedule, DecayKernel, ExponentialDecay,
                         PersonalizationSchedule, damping_at, personalization_at)
@@ -130,8 +130,7 @@ def accumulate_discrete(net: DiscreteTemporalNetwork, kernel: DecayKernel,
     Terms are added in ascending l so results are bit-reproducible.
     """
     from scipy import sparse
-    if not 1 <= k <= net.instant_count:
-        raise InvalidInputError(f"instant index {k} outside 1..{net.instant_count}")
+    k = _instant_index(k, net.instant_count)
     t_k = float(net.instants[k - 1])
     _check_kernel_at(kernel, t_k)
     total = sparse.csr_array((net.n, net.n))
@@ -238,10 +237,8 @@ def truncate(net: ContinuousTemporalNetwork, count: int) -> DiscreteTemporalNetw
     Snapshot k is the pointwise adjacency at s_k = t0 + (k-1)(t1-t0)/(count-1).
     The samples are kept as the network's record of entries, on the edge order.
     """
-    try:
-        count = operator.index(count)
-    except TypeError:
-        raise InvalidInputError(f"partition needs an integer count, got {count!r}") from None
+    _check_kind(net, ContinuousTemporalNetwork, "continuous temporal network")
+    count = _coerced(f"partition needs an integer count, got {count!r}", operator.index, count)
     if count < 2:
         raise InvalidInputError(f"partition needs at least 2 points, got {count}")
     instants = _partition(net, count)
@@ -276,8 +273,10 @@ def _instant_chunks(net, kernel, damping, personalization, dangling_dist, grid, 
     one instant and P is the 1-tuple of its CSR snapshot.  ``net`` is a discrete network or a
     continuous one evaluated on ``grid``.  B lies on a fixed pattern of entries: a continuous
     network's edge order, or on the direct route the union of a discrete network's snapshot
-    entries; a discrete network's B is CSR otherwise.  A bad grid fails here, before any
-    chunk."""
+    entries; a discrete network's B is CSR otherwise.  A bad grid or schedule fails here,
+    before any chunk."""
+    for schedule in (personalization, dangling_dist):
+        _check_kind(schedule, (PersonalizationSchedule, type(None)), "personalization schedule")
     if isinstance(net, ContinuousTemporalNetwork):
         if grid is None:
             raise InvalidInputError("continuous networks need an evaluation grid")
@@ -394,7 +393,7 @@ def _normalize_columns(data: np.ndarray, indptr: np.ndarray, starts: list):
 
 
 def _checked_rate(kernel: ExponentialDecay, span: float) -> float:
-    rate = float(kernel.rate)
+    rate = _coerced(f"decay rate must be a number, got {kernel.rate!r}", float, kernel.rate)
     if not math.isfinite(rate * span):
         raise InvalidInputError(
             f"decay exponent {kernel!r} over a span of {span} is not finite")

@@ -299,6 +299,8 @@ def _build_run(cfg: configmod.RunConfig, args, network=None) -> _Run:
         ("discrete", ("grid", "grid_count"), configmod._OWN_INSTANTS),
         ("discrete", ("quad_tol", "quad_max_subdiv"), "a discrete network is summed, "
          "not integrated; give no --quad-tol or --quad-max-subdiv"),
+        ("direct", ("solver_tol", "solver_max_iter"), "the direct solver takes no tolerance "
+         "or iteration budget; give no --tol or --max-iter"),
     ]
     given = {name for name, value in vars(args).items() if value is not None}
     if cfg.grid_start is not None:
@@ -310,6 +312,8 @@ def _build_run(cfg: configmod.RunConfig, args, network=None) -> _Run:
                 raise InvalidInputError(refusal)
 
     refuse(args.command)
+    if args.command in ("compute", "converge") and cfg.solver_method == "direct":
+        refuse("direct")
     if network is None:
         network = configmod.build_network(cfg)
     if isinstance(network, DiscreteTemporalNetwork):

@@ -55,7 +55,7 @@ import numpy as np
 
 from .accumulate import _OWN_INSTANTS, _partition
 from .errors import InvalidInputError, decode, read_bytes
-from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork
+from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork, _check_kind
 from .quadrature import QuadratureConfig
 from .schedules import (ConstantDamping, ExponentialDecay, InputPersonalization,
                         InverseInputPersonalization, LinearDamping,
@@ -296,8 +296,7 @@ def build_grid(cfg: RunConfig, network) -> np.ndarray | None:
         if cfg.grid_start is not None:
             raise InvalidInputError(_OWN_INSTANTS)
         return None
-    if not isinstance(network, ContinuousTemporalNetwork):
-        raise InvalidInputError(f"not a temporal network: {type(network).__name__}")
+    _check_kind(network, ContinuousTemporalNetwork)
     if cfg.grid_start is not None:
         from .ingest import sample_grid
         return sample_grid(cfg.grid_start, cfg.grid_step, cfg.grid_count)

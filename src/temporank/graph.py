@@ -81,6 +81,15 @@ def _node_count(n) -> int:
     return _coerced(f"node count must be an integer, got {n!r}", operator.index, n)
 
 
+def _instant_index(k, count) -> int:
+    """``k`` as an int in 1..``count``: a 1-based index of one of ``count`` instants."""
+    count = _coerced(f"instant count must be an integer, got {count!r}", operator.index, count)
+    k = _coerced(f"instant index must be an integer, got {k!r}", operator.index, k)
+    if not 1 <= k <= count:
+        raise InvalidInputError(f"instant index {k} outside 1..{count}")
+    return k
+
+
 def _pair(values, convert) -> tuple:
     first, second = values
     return convert(first), convert(second)
@@ -177,10 +186,7 @@ class DiscreteTemporalNetwork:
 
     def snapshot_at(self, k: int) -> sparse.csr_array:
         """Adjacency at 1-based instant index ``k``."""
-        if not 1 <= k <= self.instant_count:
-            raise InvalidInputError(
-                f"instant index {k} outside 1..{self.instant_count}")
-        return self.snapshots[k - 1]
+        return self.snapshots[_instant_index(k, self.instant_count) - 1]
 
 
 class EdgeOrder(NamedTuple):
@@ -278,6 +284,13 @@ class ContinuousTemporalNetwork:
     def adjacency_at(self, t: float) -> sparse.csr_array:
         """Pointwise evaluation A(t) as a sparse matrix."""
         return self.edge_csr(self.values_at([t])[:, 0])
+
+
+def _check_kind(value, kinds=(DiscreteTemporalNetwork, ContinuousTemporalNetwork),
+                what: str = "temporal network") -> None:
+    """``value`` is one of ``kinds``, a ``what``."""
+    if not isinstance(value, kinds):
+        raise InvalidInputError(f"not a {what}: {type(value).__name__}")
 
 
 def _edge_entries(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):

@@ -4,8 +4,8 @@ The matrix X = (1 - damping) * (Id - damping * M)^{-1}, with M the
 stochastic transition matrix (dangling rows patched), satisfies
 pi = X^T v for every admissible personalization vector v.  Node i's rank
 is therefore a convex combination of column i of X, pinned between the
-column minimum and the diagonal entry, whatever v is chosen.  X comes from
-the ranks' dense chunks up to DIRECT_SOLVE_MAX_N nodes, else from the Neumann series.
+column minimum and the diagonal entry, whatever v is chosen.  X comes from the ranks' chunk
+records (:func:`_resolvent_columns`), and bounds from X by array operations (:func:`_bounds`).
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import numpy as np
 
 from .accumulate import StochasticSnapshot, _instant_chunks
 from .errors import InternalError, InvalidInputError
-from .pagerank import (DIRECT_SOLVE_MAX_N, _check_damping, _check_probabilities,
-                       _check_count, _check_tol, _patch_dangling, _run_instants,
-                       _solver_by_size)
+from .graph import _check_kind
+from .pagerank import (DIRECT_SOLVE_MAX_N, _check_count, _check_snapshot, _check_tol,
+                       _checked_inputs, _patch_dangling, _run_instants, _solver_by_size)
 from .quadrature import QuadratureConfig
 from .schedules import DampingSchedule, DecayKernel, PersonalizationSchedule
 
@@ -66,32 +66,30 @@ def resolvent_column(snapshot: StochasticSnapshot, damping: float, node: int,
                      u: np.ndarray | None = None, tol: float = 1e-12) -> ResolventColumn:
     """Column ``node`` (0-based) of X = (1-damping)(Id - damping*M)^{-1}.
 
-    Up to DIRECT_SOLVE_MAX_N nodes :func:`_resolvent_chunk` on one instant, else
-    the Neumann series of :func:`_resolvent_columns`: every entry carries the lower bound
-    of the rest of the series and the diagonal its upper bound, so the diagonal lies in
-    [exact, exact + tol] and every other entry in [exact - tol, exact].
+    Up to DIRECT_SOLVE_MAX_N nodes by a dense solve, else by the Neumann series of
+    :func:`_resolvent_column_neumann`: every entry carries the lower bound of the rest of
+    the series and the diagonal its upper bound, so the diagonal lies in [exact, exact + tol]
+    and every other entry in [exact - tol, exact].
     """
     _check_tol(tol)
     _check_snapshot(snapshot)
-    n = snapshot.n
-    node = int(_checked_nodes([node], n)[0])
-    u = _dangling_u(snapshot.dangling, u, "this instant")
-    if _solver_by_size("auto", n, "neumann", "method") == "direct":
-        column = _resolvent_chunk([node], (1,), snapshot.matrix.toarray()[None],
-                                  snapshot.dangling[None], [damping], None, [u])[0][:, 0]
-    else:
-        column = _resolvent_columns(snapshot, damping, [node], u, tol, "this instant")[:, 0]
-    return ResolventColumn(node, column, damping, snapshot.instant)
+    nodes = _checked_nodes([node], snapshot.n)
+    direct = _solver_by_size("auto", snapshot.n, "neumann", "method") == "direct"
+    matrix = snapshot.matrix.toarray()[None] if direct else (snapshot,)
+    columns = _resolvent_columns(nodes, tol, (None,), matrix, snapshot.dangling[None],
+                                 (damping,), None, (u if snapshot.dangling.any() else None,))
+    return ResolventColumn(int(nodes[0]), columns[0, :, 0], damping, snapshot.instant)
 
 
-def _check_snapshot(snapshot) -> None:
-    """``snapshot`` is a StochasticSnapshot: a sparse n x n matrix and n integer dangling flags."""
-    from scipy import sparse
-    if not (isinstance(snapshot, StochasticSnapshot) and sparse.issparse(snapshot.matrix)
-            and isinstance(snapshot.dangling, np.ndarray) and snapshot.dangling.dtype.kind in "biu"
-            and snapshot.matrix.shape == snapshot.dangling.shape * 2):
-        raise InvalidInputError("snapshot must be a StochasticSnapshot of a sparse n x n "
-                                "matrix and n integer dangling flags")
+def bounds_for_node(snapshot: StochasticSnapshot, damping: float, node: int,
+                    u: np.ndarray | None = None, tol: float = 1e-12) -> tuple[float, float]:
+    """(lo, hi) = (min of column ``node`` of X, its diagonal entry).
+
+    The diagonal must also be the column maximum; a violation beyond
+    tolerance means the solver broke and raises :class:`InternalError`.
+    """
+    x = resolvent_column(snapshot, damping, node, u, tol)
+    return tuple(float(bound[0, 0]) for bound in _bounds(x.column[None, :, None], [x.node]))
 
 
 def _checked_nodes(nodes, n: int) -> np.ndarray:
@@ -103,54 +101,41 @@ def _checked_nodes(nodes, n: int) -> np.ndarray:
     return nodes.astype(int)
 
 
-def _dangling_u(dangling: np.ndarray, u: np.ndarray | None, instant: str):
-    """``u`` if the ``dangling`` flags mark a row, where it is required, else None."""
-    if dangling.any() and u is None:
-        raise InvalidInputError(f"network has dangling rows at {instant}; "
-                                "a dangling distribution u is required")
-    return u if dangling.any() else None
-
-
-def _resolvent_chunk(nodes, ks, transitions, dangling, dampings, vs, us) -> np.ndarray:
-    """Columns ``nodes`` of X, (K, n, len(nodes)), at the K instants ``ks`` of a dense chunk
-    (``vs`` unread): (Id - damping M) X = (1 - damping) E_nodes in one stacked solve, or none."""
-    us = [_dangling_u(flags, u, f"instant {k}") for k, flags, u in zip(ks, dangling, us)]
-    dampings, _ = _patch_dangling(transitions, dangling, dampings, None, us)
+def _resolvent_columns(nodes, tol, ks, transitions, dangling, dampings, vs, us) -> np.ndarray:
+    """Columns ``nodes`` of X, (K, n, len(nodes)), at the K instants of a chunk record
+    (``vs`` unread): of a dense (K, n, n) stack P by one stacked solve of
+    (Id - damping M) X = (1 - damping) E_nodes, of a tuple of CSR snapshots by the Neumann
+    series to ``tol``.  u is None at an instant with no dangling rows, and required at any
+    other; k names the instant in that error, None "this instant"."""
+    for k, flags, u in zip(ks, dangling, us):
+        if flags.any() and u is None:
+            where = "this instant" if k is None else f"instant {k}"
+            raise InvalidInputError(f"network has dangling rows at {where}; "
+                                    "a dangling distribution u is required")
     n = dangling.shape[1]
-    if not len(nodes):
-        return np.zeros((len(ks), n, 0))
-    systems = dampings[:, None, None] * transitions
-    np.subtract(np.eye(n), systems, out=systems)
-    return (1.0 - dampings)[:, None, None] * np.linalg.solve(systems, np.eye(n)[:, nodes])
-
-
-def _resolvent_columns(snapshot: StochasticSnapshot, damping: float, nodes,
-                       u: np.ndarray | None, tol: float, instant: str) -> np.ndarray:
-    """Columns ``nodes`` of X as an (n, len(nodes)) array, by the Neumann series.
-
-    A column sums the terms damping^m M^m e_i >= 0 up to the first term t
-    with damping * (max(t) - min(t)) <= tol, at most ceil(log tol / log
-    damping) terms, and fewer the sooner the terms even out.  M is row
-    stochastic, so every later term lies entrywise in [min(t), max(t)] and
-    the rest adds damping * min(t) to damping * max(t) to each entry: every
-    entry gets the lower bound and the diagonal the upper one, so the column
-    minimum and the diagonal enclose the exact pair within tol.  ``u`` is read only
-    when the snapshot has dangling rows, and is required then; ``instant``
-    names the instant in that error.
-    """
-    _check_damping(damping)
-    u = _dangling_u(snapshot.dangling, u, instant)
-    if u is not None:
-        u = _check_probabilities([u], snapshot.n, "dangling distribution")[0]
-    _check_tol(tol)
-    columns = np.zeros((snapshot.n, len(nodes)))
-    for m, node in enumerate(nodes):
-        columns[:, m] = _resolvent_column_neumann(snapshot, damping, node, u, tol)
+    if isinstance(transitions, np.ndarray):
+        dampings, _ = _patch_dangling(transitions, dangling, dampings, None, us)
+        if not len(nodes):
+            return np.zeros((len(ks), n, 0))
+        systems = dampings[:, None, None] * transitions
+        np.subtract(np.eye(n), systems, out=systems)
+        return (1.0 - dampings)[:, None, None] * np.linalg.solve(systems, np.eye(n)[:, nodes])
+    _check_tol(tol)   # the series would never stop at tol <= 0
+    dampings, _, checked = _checked_inputs(n, dampings, None, us)
+    columns = np.zeros((len(ks), n, len(nodes)))
+    for i, m in np.ndindex(len(ks), len(nodes)):
+        u = None if us[i] is None else checked[i]
+        columns[i, :, m] = _resolvent_column_neumann(transitions[i], dampings[i], nodes[m], u, tol)
     return columns
 
 
-def _resolvent_column_neumann(snapshot: StochasticSnapshot, damping: float,
-                              node: int, u: np.ndarray | None, tol: float) -> np.ndarray:
+def _resolvent_column_neumann(snapshot: StochasticSnapshot, damping: float, node: int,
+                              u: np.ndarray | None, tol: float) -> np.ndarray:
+    """Column ``node`` of X by the Neumann series: the terms damping^m M^m e_i >= 0 up to
+    the first term t with damping * (max(t) - min(t)) <= tol, at most ceil(log tol / log
+    damping) of them.  M is row stochastic, so the rest adds damping * min(t) to
+    damping * max(t) to each entry: every entry gets the lower bound and the diagonal the
+    upper one, and the column minimum and the diagonal enclose the exact pair within tol."""
     term = np.zeros(snapshot.n)
     term[node] = 1.0
     total = term.copy()
@@ -162,23 +147,18 @@ def _resolvent_column_neumann(snapshot: StochasticSnapshot, damping: float,
     return column
 
 
-def bounds_for_node(snapshot: StochasticSnapshot, damping: float, node: int,
-                    u: np.ndarray | None = None, tol: float = 1e-12) -> tuple[float, float]:
-    """(lo, hi) = (min of column ``node`` of X, its diagonal entry).
-
-    The diagonal must also be the column maximum; a violation beyond
-    tolerance means the solver broke and raises :class:`InternalError`.
-    """
-    return _column_bounds(resolvent_column(snapshot, damping, node, u, tol).column, node)
-
-
-def _column_bounds(column: np.ndarray, node: int) -> tuple[float, float]:
-    hi = float(column[node])
-    top = float(column.max())
-    if top > hi + _DOMINANCE_TOL:
-        raise InternalError(
-            f"resolvent column {node}: diagonal {hi!r} is not the maximum {top!r}")
-    return float(column.min()), hi
+def _bounds(columns: np.ndarray, nodes: np.ndarray | list) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), each (K, m): the minimum and the diagonal entry of each of the (K, n, m)
+    ``columns`` of X for ``nodes``.  The diagonal must also be the column maximum; the
+    first violation beyond tolerance means the solver broke and raises InternalError."""
+    hi = columns[:, nodes, np.arange(len(nodes))]
+    top = columns.max(axis=1, initial=-np.inf)   # initial: n = 0 leaves an empty axis
+    broken = np.argwhere(top > hi + _DOMINANCE_TOL)
+    if broken.size:
+        k, m = broken[0]
+        raise InternalError(f"resolvent column {nodes[m]}: diagonal {float(hi[k, m])!r} "
+                            f"is not the maximum {float(top[k, m])!r}")
+    return columns.min(axis=1, initial=np.inf), hi
 
 
 def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
@@ -196,25 +176,22 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
     ``dangling_dist`` (trajectories default theirs to the personalization
     schedule, so pass the same one here to bound them).
     """
+    _check_kind(net)
     _check_tol(tol)
     threads = _check_count(threads, "threads")
-    method = _solver_by_size("auto", net.n, "neumann", "method")
+    direct = _solver_by_size("auto", net.n, "neumann", "method") == "direct"
     instants, places, chunks = _instant_chunks(net, kernel, damping, None, dangling_dist, grid,
-                                               quad, method == "direct")
+                                               quad, direct)
     if nodes is None:
-        if method == "neumann":
+        if not direct:
             raise InvalidInputError(
                 f"with n={net.n} > {DIRECT_SOLVE_MAX_N} an explicit node subset is required")
         nodes = np.arange(net.n)
     nodes = _checked_nodes(nodes, net.n)
 
     def solve(task):   # P a dense stack, or CSR snapshots for the Neumann series
-        ks, transitions, _, dampings, _, us = task
-        columns = _resolvent_chunk(nodes, *task) if method == "direct" else [
-            _resolvent_columns(snapshot, damping_k, nodes, u, tol, f"instant {k}")
-            for k, snapshot, damping_k, u in zip(ks, transitions, dampings, us)]
-        return [[_column_bounds(x[:, m], node) for m, node in enumerate(nodes)] for x in columns]
+        return list(zip(*_bounds(_resolvent_columns(nodes, tol, *task), nodes)))
 
-    results = _run_instants(chunks, solve, threads)
-    bounds = np.array(results, dtype=float).reshape(len(results), nodes.size, 2)[places]
-    return LocalizationBounds(instants, nodes, bounds[:, :, 0], bounds[:, :, 1])
+    bounds = np.reshape(_run_instants(chunks, solve, threads),
+                        (len(instants), 2, nodes.size))[places]
+    return LocalizationBounds(instants, nodes, bounds[:, 0], bounds[:, 1])

@@ -20,7 +20,7 @@ import numpy as np
 
 from .accumulate import StochasticSnapshot, _instant_chunks
 from .errors import ConvergenceError, InternalError, InvalidInputError
-from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork, _coerced
+from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork, _check_kind, _coerced
 from .quadrature import QuadratureConfig
 from .schedules import DampingSchedule, DecayKernel, PersonalizationSchedule
 
@@ -54,11 +54,6 @@ def _check_probabilities(vectors, n: int, name: str) -> np.ndarray:
     return stack
 
 
-def _check_damping(damping: float) -> None:
-    if not (isinstance(damping, numbers.Real) and 0.0 < damping < 1.0):
-        raise InvalidInputError(f"damping {damping} outside (0, 1)")
-
-
 def _check_tol(tol: float) -> None:
     if not (isinstance(tol, numbers.Real) and 0 < tol < np.inf):
         raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
@@ -66,10 +61,7 @@ def _check_tol(tol: float) -> None:
 
 def _check_count(value, name: str) -> int:
     """``value`` as an int of at least 1; ``name`` names it in the error."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+    count = _coerced(f"{name} must be an integer, got {value!r}", operator.index, value)
     if count < 1:
         raise InvalidInputError(f"{name} must be at least 1, got {count}")
     return count
@@ -78,13 +70,24 @@ def _check_count(value, name: str) -> int:
 def _checked_inputs(n: int, dampings, vs, us):
     """Damping (K,), v (K, n) and u (K, n) of K instants, checked; u defaults to v (or 0)."""
     for damping in dampings:
-        _check_damping(damping)
+        if not (isinstance(damping, numbers.Real) and 0.0 < damping < 1.0):
+            raise InvalidInputError(f"damping {damping} outside (0, 1)")
     v = None if vs is None else _check_probabilities(vs, n, "personalization")
     u = np.zeros((len(dampings), n)) if v is None else v.copy()
     given = [k for k, vector in enumerate(us) if vector is not None]
     if given:
         u[given] = _check_probabilities([us[k] for k in given], n, "dangling distribution")
     return np.array(dampings, dtype=float), v, u
+
+
+def _check_snapshot(snapshot) -> None:
+    """``snapshot`` is a StochasticSnapshot: a sparse n x n matrix and n integer dangling flags."""
+    from scipy import sparse
+    if not (isinstance(snapshot, StochasticSnapshot) and sparse.issparse(snapshot.matrix)
+            and isinstance(snapshot.dangling, np.ndarray) and snapshot.dangling.dtype.kind in "biu"
+            and snapshot.matrix.shape == snapshot.dangling.shape * 2):
+        raise InvalidInputError("snapshot must be a StochasticSnapshot of a sparse n x n "
+                                "matrix and n integer dangling flags")
 
 
 def _sampled_rows(n: int) -> np.ndarray:
@@ -117,6 +120,7 @@ class GoogleOperator:
     u: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_snapshot(self.snapshot)
         dampings, v, u = _checked_inputs(self.n, [self.damping], [self.v], [self.u])
         object.__setattr__(self, "v", v[0])
         object.__setattr__(self, "u", u[0])
@@ -142,7 +146,7 @@ class GoogleOperator:
 
 def google_apply_transpose(op: GoogleOperator, x: np.ndarray) -> np.ndarray:
     """G^T x via the sparse P plus the dangling and teleport rank-one terms."""
-    x = np.asarray(x, dtype=float).ravel()
+    x = _coerced("vector must hold numbers", np.asarray, x, float).ravel()
     if x.shape != (op.n,):
         raise InvalidInputError(f"vector has shape {x.shape}, expected ({op.n},)")
     if not np.isfinite(x).all():
@@ -160,8 +164,9 @@ def pagerank_direct(snapshot: StochasticSnapshot, damping: float, v: np.ndarray,
     unit 1-norm to absorb rounding.  This is the one-instant call of the
     solver trajectories use for a chunk of instants.
     """
-    return _direct_chunk((1,), snapshot.matrix.toarray()[None],
-                         np.asarray(snapshot.dangling)[None], [damping], [v], [u])[0][0]
+    _check_snapshot(snapshot)
+    return _direct_chunk((1,), snapshot.matrix.toarray()[None], snapshot.dangling[None],
+                         [damping], [v], [u])[0][0]
 
 
 def _patch_dangling(transitions, dangling, dampings, vs, us):
@@ -284,6 +289,7 @@ def _run_instants(tasks, solve, threads: int) -> list:
 def _trajectory(net, kernel, damping, personalization, dangling_dist, grid, quad, solver,
                 tol, max_iter, threads) -> PageRankTrajectory:
     """The rank trajectory on either scale, the network's type naming the scale."""
+    _check_kind(net)
     threads = _check_count(threads, "threads")
     max_iter = _check_count(max_iter, "max_iter")
     _check_tol(tol)

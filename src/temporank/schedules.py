@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, ScheduleRangeError, _calling
+from .graph import _instant_index
 
 __all__ = [
     "DecayKernel", "ExponentialDecay", "CustomDecay",
@@ -151,8 +152,7 @@ class CustomDamping(DampingSchedule):
 
 def damping_at(schedule: DampingSchedule, k: int, count: int, t: float | None = None) -> float:
     """Damping for 1-based instant ``k`` of ``count``; range-checked."""
-    if not 1 <= k <= count:
-        raise InvalidInputError(f"instant index {k} outside 1..{count}")
+    k = _instant_index(k, count)
     with _calling("the damping schedule", lambda: f"instant k={k}, t={t}"):
         value = float(schedule.value(k, count, t))
     if not 0.0 < value < 1.0 or not math.isfinite(value):

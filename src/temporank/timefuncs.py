@@ -135,8 +135,9 @@ class TimeFunction:
 
     def __call__(self, t):
         times = np.asarray(t, dtype=float)
-        # constants in the expression collapse arrays, e.g. "0.5"
-        out = np.broadcast_to(np.asarray(self._array(times), dtype=float), times.shape)
+        # flat: a scalar gets an array's bits; constants collapse arrays, e.g. "0.5"
+        out = np.broadcast_to(np.asarray(self._array(times.ravel()), dtype=float), (times.size,))
+        out = out.reshape(times.shape)
         return out.copy() if isinstance(t, np.ndarray) else float(out)
 
     def __repr__(self):

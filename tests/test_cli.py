@@ -625,6 +625,8 @@ PARTITIONS = "a convergence study's grids are its partitions (--sizes); give no 
 OWN_SOLVER = "localization bounds choose their own solver; give no --solver or --max-iter"
 NOT_INTEGRATED = ("a discrete network is summed, not integrated; "
                   "give no --quad-tol or --quad-max-subdiv")
+DIRECT_SOLVE = ("the direct solver takes no tolerance or iteration budget; "
+                "give no --tol or --max-iter")
 #: a value for each flag that some run refuses
 REFUSED_VALUES = {"--grid": "0,0.5,3", "--grid-count": "3", "--quad-tol": "1e-8",
                   "--quad-max-subdiv": "100", "--solver": "direct", "--max-iter": "50"}
@@ -690,10 +692,17 @@ def check_personalization(run, ctx):
         changes_bytes("--personalization", "input")(run, ctx)
 
 
+def refuses_under_direct(run, ctx, flag, value):
+    """An explicit --solver direct, which reads neither --tol nor --max-iter, refuses them."""
+    if ctx.command != "localize":
+        assert run("--solver", "direct", flag, value) == (1, "", f"error: {DIRECT_SOLVE}\n")
+
+
 def check_solver(run, ctx):
-    # the direct solve of these small networks reads no iteration budget; power iteration
-    # reads it
+    # the direct solve of these small networks reads no iteration budget, and refuses it
+    # when named; power iteration reads it
     assert run("--max-iter", "1")[0] == 0
+    refuses_under_direct(run, ctx, "--max-iter", "1")
     assert run("--solver", "power")[0] == 0
     code, out, err = run("--solver", "power", "--max-iter", "1")
     assert (code, out) == (1, "")
@@ -712,6 +721,7 @@ def check_tol(run, ctx):
                 for tol in ([], ["--tol", "1e-2"])]
     else:   # power iteration stops at tol
         runs = [run("--solver", "power", *tol) for tol in ([], ["--tol", "1e-3"])]
+        refuses_under_direct(run, ctx, "--tol", "1e-3")
     assert runs[0][0] == runs[1][0] == 0
     assert runs[0][1] != runs[1][1]
 
@@ -853,6 +863,25 @@ def test_unread_settings_in_a_config_still_run(capsys, tmp_path):
                       "[quadrature]\ntol = 1e-8\nmax-subdiv = 100\n[grid]\ncount = 3\n")
     for command in ("compute", "localize"):
         assert run_cli(capsys, command, "--config", str(config))[0] == 0
+
+
+def test_direct_solver_of_a_config_refuses_tol_and_max_iter_flags(capsys, tmp_path):
+    # the resolved solver decides: a config's direct solve refuses the flags, while its own
+    # tol and max-iter keys, and the flags under auto, still run
+    network = tmp_path / "three.net"
+    network.write_text(THREE_NODE)
+    config = tmp_path / "direct.cfg"
+    config.write_text(f"[network]\nfile = {network}\n[solver]\nmethod = direct\ntol = 0.5\n"
+                      "max-iter = 1\n")
+    base = run_cli(capsys, "compute", "--config", str(config), "--no-header")
+    assert base[0] == 0
+    for flag, value in (("--tol", "1e-3"), ("--max-iter", "7")):
+        assert run_cli(capsys, "compute", "--config", str(config), "--no-header",
+                       flag, value) == (1, "", f"error: {DIRECT_SOLVE}\n")
+        assert run_cli(capsys, "compute", "--config", str(config), "--no-header",
+                       "--solver", "auto", flag, value) == base
+    assert run_cli(capsys, "compute", "--config", str(config), "--no-header",
+                   "--solver", "power", "--max-iter", "500", "--tol", "1e-3")[0] == 0
 
 
 def test_dump_config_of_a_discrete_run_runs_again(capsys, tmp_path):

@@ -18,16 +18,22 @@ from temporank import (
     DiscreteTemporalNetwork,
     EdgeEvent,
     ExponentialDecay,
+    GoogleOperator,
     InvalidInputError,
+    LinearDamping,
     QuadratureConfig,
     StochasticSnapshot,
     TemporankError,
     UniformPersonalization,
+    accumulate_discrete,
     bounds_for_node,
     bounds_trajectory,
     build_snapshots,
+    damping_at,
     dumps_network,
+    google_apply_transpose,
     kendall_tau,
+    pagerank_direct,
     resolvent_column,
     row_normalize,
     sample_grid,
@@ -526,6 +532,13 @@ RESOLVENT_ARGUMENTS = dict(
     node=(0, ["x", None, [0], -1, 2, 0.5, NAN]),
     u=([0.5, 0.5], [None, "x", [1.0], [0.5, 0.6], [-0.5, 1.5], [NAN, 1.0], [0.0, 1.0]]),
     tol=(1e-12, ["x", None, -1, 0.0, NAN, INF]))
+#: (valid value, spoilt values) of the arguments of GoogleOperator and pagerank_direct
+VECTOR_SPOILERS = ["x", [1.0], [0.5, 0.6], [-0.5, 1.5], [NAN, 1.0], [0.0, 1.0]]
+OPERATOR_ARGUMENTS = dict(snapshot=RESOLVENT_ARGUMENTS["snapshot"],
+                          damping=RESOLVENT_ARGUMENTS["damping"],
+                          v=([0.5, 0.5], [None, *VECTOR_SPOILERS]),
+                          u=([0.5, 0.5], VECTOR_SPOILERS))
+OPERATOR = GoogleOperator(SNAPSHOT, 0.85, np.array([0.5, 0.5]))
 SCORES = ([1.0, 2.0, 3.0], [["a", "b", "c"], None, [1.0], [1.0, NAN, 2.0], [1.0, INF, 2.0],
                             [1.0, 1.0, 1.0], [[1.0, 2.0], [3.0]]])
 
@@ -533,6 +546,12 @@ SCORES = ([1.0, 2.0, 3.0], [["a", "b", "c"], None, [1.0], [1.0, NAN, 2.0], [1.0,
 ENTRY_POINTS = {
     "resolvent_column": (partial(resolvent_column, snapshot=SNAPSHOT), RESOLVENT_ARGUMENTS),
     "bounds_for_node": (partial(bounds_for_node, snapshot=SNAPSHOT), RESOLVENT_ARGUMENTS),
+    "GoogleOperator": (GoogleOperator, OPERATOR_ARGUMENTS),
+    "pagerank_direct": (pagerank_direct, OPERATOR_ARGUMENTS),
+    "google_apply_transpose": (partial(google_apply_transpose, OPERATOR), dict(
+        x=([0.5, 0.5], ["ab", [1, "a"], None, [1.0], [NAN, 1.0], [INF, 0.0], [[0.5], [0.5, 1]]]))),
+    "damping_at": (partial(damping_at, LinearDamping(0.9, 0.5)), dict(
+        k=(2, ["a", 1.5, None, [2], 0, 4]), count=(3, ["a", 2.5, None, 0]))),
     "kendall_tau": (kendall_tau, dict(x=SCORES, y=SCORES)),
     "build_snapshots": (partial(build_snapshots, [EdgeEvent(1, 2, 1, 0.0)]), dict(
         sample_instants=([0.0, 1.0], [["a"], "ab", [], [1.0, 0.0], [NAN], [[0.0]]]),
@@ -579,6 +598,15 @@ class TestDegenerateArguments:
                                            u=[0.5, 0.5], tol=1e-12), True))
     @example(case=("sample_grid", dict(start=0, step=1, count=2.5), True))
     @example(case=("sample_grid", dict(start=0, step=1, count=3, unit="x"), True))
+    @example(case=("GoogleOperator", dict(snapshot="x", damping=0.85, v=[0.5, 0.5]), True))
+    @example(case=("GoogleOperator", dict(snapshot=THREE_FLAGS, damping=0.85, v=[0.5, 0.5]),
+                   True))
+    @example(case=("pagerank_direct", dict(snapshot="x", damping=0.85, v=[0.5, 0.5]), True))
+    @example(case=("google_apply_transpose", dict(x="ab"), True))
+    @example(case=("google_apply_transpose", dict(x=[1, "a"]), True))
+    @example(case=("damping_at", dict(k="a", count=3), True))
+    @example(case=("damping_at", dict(k=2, count="a"), True))
+    @example(case=("damping_at", dict(k=1.5, count=3), True))
     @example(case=("QuadratureConfig", dict(tol=-1e-10), True))
     @example(case=("QuadratureConfig", dict(tol="x"), True))
     @example(case=("QuadratureConfig", dict(max_subdivisions=-3), True))
@@ -590,3 +618,31 @@ class TestDegenerateArguments:
             return
         with pytest.raises(TemporankError):
             function(**arguments)
+
+    @pytest.mark.parametrize("case", [
+        "trajectory_discrete", "trajectory_continuous", "bounds_trajectory", "truncate",
+        "personalization", "dangling distribution", "rate", "accumulate_discrete 1.5",
+        "accumulate_discrete a", "snapshot_at 1.5", "snapshot_at a"])
+    def test_network_entry_refuses_an_argument_of_the_wrong_kind(self, case):
+        # each escaped as a raw AttributeError, IndexError, TypeError or ValueError
+        net = DiscreteTemporalNetwork(2, [0.0, 1.0], (np.array([[0.0, 1.0], [1.0, 0.0]]),) * 2)
+        kernel, damping, uniform = (ExponentialDecay(1.0), ConstantDamping(0.85),
+                                    UniformPersonalization())
+        calls = {
+            "trajectory_discrete": lambda: trajectory_discrete("x", kernel, damping, uniform),
+            "trajectory_continuous": lambda: trajectory_continuous("x", kernel, damping, uniform,
+                                                                   grid=[0.5]),
+            "bounds_trajectory": lambda: bounds_trajectory("x", kernel, damping),
+            "truncate": lambda: truncate(net, 3),
+            "personalization": lambda: trajectory_discrete(net, kernel, damping, "x"),
+            "dangling distribution": lambda: bounds_trajectory(net, kernel, damping,
+                                                               dangling_dist="x"),
+            "rate": lambda: trajectory_discrete(net, ExponentialDecay("a"), damping, uniform),
+            "accumulate_discrete 1.5": lambda: accumulate_discrete(net, kernel, 1.5),
+            "accumulate_discrete a": lambda: accumulate_discrete(net, kernel, "a"),
+            "snapshot_at 1.5": lambda: net.snapshot_at(1.5),
+            "snapshot_at a": lambda: net.snapshot_at("a"),
+        }
+        with pytest.raises(InvalidInputError, match=r"^(not a|instant index must be an integer"
+                                                    r"|decay rate must be a number)"):
+            calls[case]()

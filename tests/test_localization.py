@@ -20,6 +20,7 @@ from temporank import (
     ExponentialDecay,
     GoogleOperator,
     InputPersonalization,
+    InternalError,
     InvalidInputError,
     StochasticSnapshot,
     TabulatedPersonalization,
@@ -36,7 +37,7 @@ from temporank import (
     truncate,
 )
 from temporank import accumulate, localization
-from temporank.localization import _apply_m, _resolvent_columns
+from temporank.localization import _apply_m, _bounds, _resolvent_columns
 
 TWO_NODE = np.array([[0.0, 1.0], [1.0, 1.0]])
 
@@ -50,7 +51,14 @@ def column(snap, damping, node, u, method, tol=1e-12):
     "neumann" series, whatever the size."""
     if method == "direct":
         return resolvent_column(snap, damping, node, u, tol).column
-    return _resolvent_columns(snap, damping, [node], u, tol, "this instant")[:, 0]
+    return _resolvent_columns(np.array([node]), tol, (None,), (snap,), snap.dangling[None],
+                              (damping,), None, (u,))[0, :, 0]
+
+
+def column_bounds(column, node):
+    """(lo, hi) of one column of X, as bounds_for_node takes them."""
+    lo, hi = _bounds(column[None, :, None], np.array([node]))
+    return float(lo[0, 0]), float(hi[0, 0])
 
 
 def full_x(snap, damping, u=None, method="direct"):
@@ -136,6 +144,16 @@ class TestResolventColumn:
         with pytest.raises(InvalidInputError, match="dangling"):
             resolvent_column(snap, 0.85, 0)
 
+    @pytest.mark.parametrize("n", [2, 2001])
+    def test_u_is_unread_without_dangling_rows(self, n):
+        # u is read, and checked, only at an instant with dangling rows; n = 2001 takes the
+        # Neumann series, n = 2 the direct solve
+        snap = snapshot_of(TWO_NODE) if n == 2 else row_normalize(sparse.csr_array(
+            (np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)), shape=(n, n)))
+        for call in (resolvent_column, bounds_for_node):
+            got, want = call(snap, 0.85, 1, u="x"), call(snap, 0.85, 1)
+            assert np.array_equal(getattr(got, "column", got), getattr(want, "column", want))
+
     def test_node_and_damping_checked(self):
         snap = snapshot_of(TWO_NODE)
         with pytest.raises(InvalidInputError):
@@ -163,6 +181,42 @@ class TestResolventColumn:
             column(snapshot_of(TWO_NODE), 0.85, 0, None, "neumann", tol=tol)
 
 
+class TestBounds:
+    def test_minimum_and_diagonal_of_every_column(self, rng):
+        columns = rng.random((3, 6, 2))
+        nodes = np.array([4, 1])
+        columns[:, 4, 0] = columns[:, 1, 1] = 2.0
+        lo, hi = _bounds(columns, nodes)
+        assert lo.tobytes() == columns.min(axis=1).tobytes()
+        assert (hi == 2.0).all()
+
+    @pytest.mark.parametrize("shape, nodes", [((2, 0, 0), []), ((2, 5, 0), []),
+                                              ((0, 5, 2), [0, 3])])
+    def test_empty_network_subset_or_chunk(self, shape, nodes):
+        # a bare min over a zero-length axis of nodes raises
+        lo, hi = _bounds(np.zeros(shape), np.array(nodes, dtype=int))
+        assert lo.shape == hi.shape == (shape[0], shape[2])
+
+    def test_first_column_whose_diagonal_is_not_its_maximum_is_named(self):
+        columns = np.full((2, 3, 2), 0.25)
+        columns[:, [0, 2], [0, 1]] = 0.5   # nodes 0 and 2 on their diagonals
+        columns[1, 1, 1] = 0.75            # instant 2, node 2
+        columns[1, 2, 0] = 0.625           # instant 2, node 0: the first in (instant, node)
+        with pytest.raises(InternalError, match=r"^resolvent column 0: diagonal 0\.5 is not "
+                                                r"the maximum 0\.625$"):
+            _bounds(columns, np.array([0, 2]))
+
+    def test_no_node_network_has_empty_bounds(self):
+        net = DiscreteTemporalNetwork(0, [0.0, 1.0], (np.zeros((0, 0)),) * 2)
+        bounds = bounds_trajectory(net, ExponentialDecay(1.0), ConstantDamping(0.85))
+        assert bounds.lo.shape == bounds.hi.shape == (2, 0)
+
+    def test_network_of_no_instants_has_empty_bounds(self):
+        net = DiscreteTemporalNetwork(3, [], ())
+        bounds = bounds_trajectory(net, ExponentialDecay(1.0), ConstantDamping(0.85))
+        assert bounds.lo.shape == bounds.hi.shape == (0, 3)
+
+
 class TestNeumannEnclosure:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30), dangling=st.booleans(),
            lam=st.floats(0.05, 0.95), tol=st.sampled_from([1e-6, 1e-10]))
@@ -174,10 +228,10 @@ class TestNeumannEnclosure:
         snap = snapshot_of(A)
         u = oracles.random_simplex_vector(rng, n) if snap.dangling.any() else None
         node = int(rng.integers(0, n))
-        want_lo, want_hi = localization._column_bounds(
+        want_lo, want_hi = column_bounds(
             column(snap, lam, node, u, "direct"), node)
         with mock.patch.object(localization, "_apply_m", wraps=_apply_m) as products:
-            lo, hi = localization._column_bounds(
+            lo, hi = column_bounds(
                 column(snap, lam, node, u, "neumann", tol=tol), node)
         # the truncated entries lie below the exact ones, the diagonal above
         assert want_lo - tol <= lo <= want_lo + 1e-14
@@ -197,10 +251,10 @@ class TestNeumannStopsOnTheSpread:
         rng = np.random.default_rng(seed)
         snap = snapshot_of(np.tile(rng.uniform(0.5, 2.0, n), (n, 1)))
         node = int(rng.integers(0, n))
-        want_lo, want_hi = localization._column_bounds(
+        want_lo, want_hi = column_bounds(
             column(snap, lam, node, None, "direct"), node)
         with mock.patch.object(localization, "_apply_m", wraps=_apply_m) as products:
-            lo, hi = localization._column_bounds(
+            lo, hi = column_bounds(
                 column(snap, lam, node, None, "neumann", tol=1e-12), node)
         assert products.call_count + 1 <= 2
         assert (lo, hi) == pytest.approx((want_lo, want_hi), abs=1e-14)

@@ -36,6 +36,17 @@ def test_array_evaluation_matches_scalar():
     assert np.array_equal(out, np.array([fn(float(t)) for t in ts]))
 
 
+@pytest.mark.parametrize("t", [0.6587926808047674, np.array(0.6587926808047674)])
+def test_scalar_has_the_bits_of_the_same_time_in_an_array(t):
+    # numpy's power of a float64 scalar rounds (t - 0.5)**2 one ulp away from its power of an
+    # array here
+    fn = parse("(t - 0.5)**2")
+    got = fn(t)
+    assert np.shape(got) == np.shape(t)
+    assert np.float64(got).tobytes() == fn(np.array([t, 0.0]))[0].tobytes()
+    assert fn(np.zeros((2, 3))).shape == (2, 3)
+
+
 def test_source_round_trip():
     src = "0.5*(cos(2*pi*t)+1)"
     assert parse(src).source == src
