@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidInputError, _calling
-from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _check_kind,
+from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _check_kind, _check_points,
                     _coerced, _csr_arrays, _edge_entries, _entry_keys, _instant_index)
 from .quadrature import QuadratureConfig, adaptive_simpson
 from .schedules import (DampingSchedule, DecayKernel, ExponentialDecay,
@@ -251,6 +251,7 @@ def truncate(net: ContinuousTemporalNetwork, count: int) -> DiscreteTemporalNetw
 def _partition(net: ContinuousTemporalNetwork, count: int) -> np.ndarray:
     """The uniform partition of the network interval with ``count`` >= 1 points, [t0] for one."""
     t0, t1 = net.interval
+    _check_points(count, f"a {count}-point partition of [{t0}, {t1}]")
     if count == 1:
         return np.array([t0])
     with np.errstate(over="ignore"):

@@ -365,11 +365,13 @@ def cmd_compute(args) -> int:
 
 def cmd_converge(args) -> int:
     from .accumulate import truncate
+    from .graph import _check_points
     cfg = _resolve(args)
     run = _build_run(cfg, args)
     sizes = sorted({_int(part, "partition size") for part in args.sizes.split(",")})
     if any(size < 2 for size in sizes):
         raise InvalidInputError("partition sizes must be >= 2")
+    _check_points(sizes[-1], f"partition size {sizes[-1]}")   # before any size is solved
     results = []
     for size in sizes:
         truncated = truncate(run.network, size)

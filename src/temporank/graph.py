@@ -76,6 +76,12 @@ def _coerced(what: str, convert, *args):
         raise InvalidInputError(what) from None
 
 
+def _check_points(count: int, what: str) -> None:
+    """Refuse more float points than an array holds: numpy raises, or past 2^63 returns []."""
+    if count > np.iinfo(np.intp).max // 8:
+        raise InvalidInputError(f"{what}: more points than an array can hold")
+
+
 def _node_count(n) -> int:
     """``n`` as an int: n < 0 is a problem the network check names, n = 0 the empty network."""
     return _coerced(f"node count must be an integer, got {n!r}", operator.index, n)

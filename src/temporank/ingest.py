@@ -46,8 +46,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ConsistencyError, EventParseError, InvalidInputError, read_bytes
-from .graph import (DiscreteTemporalNetwork, _as_csr, _coerced, _entry_keys, _node_count,
-                    _stacked)
+from .graph import (DiscreteTemporalNetwork, _as_csr, _check_points, _coerced, _entry_keys,
+                    _node_count, _stacked)
 from .netfile import _NotSure, _fields, _read
 
 __all__ = [
@@ -263,6 +263,7 @@ def sample_grid(start: float, step: float, count: int, unit: float = 1.0) -> np.
     count = _coerced(f"count must be an integer, got {count!r}", operator.index, count)
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
+    _check_points(count, spec)
     with np.errstate(over="ignore"):
         grid = (start + step * np.arange(count, dtype=float)) * unit
     if not np.isfinite(grid).all():

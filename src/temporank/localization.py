@@ -57,8 +57,8 @@ class LocalizationBounds:
 def _apply_m(snapshot: StochasticSnapshot, u: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     y = snapshot.matrix @ x
     if u is not None:
-        # dangling rows of M contain u^T: (d u^T) x = d * <u, x>
-        y += snapshot.dangling * float(u @ x)
+        # (d u^T) x = d * <u, x>, by numpy's pairwise sum: a BLAS dot's bits follow its threads
+        y += snapshot.dangling * float((u * x).sum())
     return y
 
 
@@ -190,8 +190,7 @@ def bounds_trajectory(net, kernel: DecayKernel, damping: DampingSchedule,
     nodes = _checked_nodes(nodes, net.n)
 
     def solve(task):   # P a dense stack, or CSR snapshots for the Neumann series
-        return list(zip(*_bounds(_resolvent_columns(nodes, tol, *task), nodes)))
+        return _bounds(_resolvent_columns(nodes, tol, *task), nodes)
 
-    bounds = np.reshape(_run_instants(chunks, solve, threads),
-                        (len(instants), 2, nodes.size))[places]
-    return LocalizationBounds(instants, nodes, bounds[:, 0], bounds[:, 1])
+    lo, hi = _run_instants(chunks, solve, places, threads) or (np.zeros((0, nodes.size)),) * 2
+    return LocalizationBounds(instants, nodes, lo, hi)

@@ -20,7 +20,8 @@ import numpy as np
 
 from .accumulate import StochasticSnapshot, _instant_chunks
 from .errors import ConvergenceError, InternalError, InvalidInputError
-from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork, _check_kind, _coerced
+from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _check_kind, _coerced,
+                    _instant_index)
 from .quadrature import QuadratureConfig
 from .schedules import DampingSchedule, DecayKernel, PersonalizationSchedule
 
@@ -183,10 +184,9 @@ def _patch_dangling(transitions, dangling, dampings, vs, us):
     return dampings, v
 
 
-def _direct_chunk(ks, transitions, dangling, dampings, vs, us) -> list[tuple]:
-    """(pi, 0, residual) of the K instants ``ks``, by one stacked ``np.linalg.solve``; each pi
-    on the simplex, residual |damping M^T pi + (1 - damping) v - pi|_1.  LAPACK factorizes
-    each system on its own, so every vector has the bits of a one-instant solve."""
+def _direct_chunk(ks, transitions, dangling, dampings, vs, us) -> tuple:
+    """(pi (K, n), iterations (K,) zeros, residuals |damping M^T pi + (1 - damping) v - pi|_1) of
+    the K instants ``ks``, by one stacked LAPACK solve that keeps each pi's one-instant bits."""
     dampings, v = _patch_dangling(transitions, dangling, dampings, vs, us)
     systems = dampings[:, None, None] * transitions.transpose(0, 2, 1)
     np.subtract(np.eye(dangling.shape[1]), systems, out=systems)
@@ -197,7 +197,7 @@ def _direct_chunk(ks, transitions, dangling, dampings, vs, us) -> list[tuple]:
     pi /= pi.sum(axis=1, keepdims=True)
     _check_simplex(pi)
     moved = dampings[:, None] * (pi[:, None] @ transitions)[:, 0] + (1.0 - dampings)[:, None] * v
-    return list(zip(pi, [0] * len(pi), np.abs(moved - pi).sum(axis=1).tolist()))
+    return pi, np.zeros(len(pi), dtype=int), np.abs(moved - pi).sum(axis=1)
 
 
 def pagerank_power(op: GoogleOperator, tol: float = 1e-12,
@@ -243,7 +243,7 @@ class PageRankTrajectory:
 
     def vector_at(self, k: int) -> np.ndarray:
         """Rank vector at 1-based instant index ``k``."""
-        return self.vectors[k - 1]
+        return self.vectors[_instant_index(k, len(self.instants)) - 1]
 
 
 def _solver_by_size(name: str, n: int, iterative: str, what: str) -> str:
@@ -255,35 +255,21 @@ def _solver_by_size(name: str, n: int, iterative: str, what: str) -> str:
     return name
 
 
-def _power_solve(ks, snapshots, dangling, dampings, vs, us, tol: float,
-                 max_iter: int) -> list[tuple[np.ndarray, int, float]]:
-    """(pi, iterations, residual) of each instant of a chunk of CSR ``snapshots``."""
-    results = [pagerank_power(GoogleOperator(*instant), tol=tol, max_iter=max_iter)
-               for instant in zip(snapshots, dampings, vs, us)]
-    _check_simplex(np.array([pi for pi, _, _ in results]))
-    return results
-
-
-def _run_instants(tasks, solve, threads: int) -> list:
-    """``solve`` each of the streamed tasks, chunks of instants as the pipeline records them.
-
-    ``solve`` maps a task to a list of results, one per instant.  The
-    tasks arrive one at a time, and the next is only drawn once a solve
-    slot is free, so no more than ``threads`` tasks are in flight.  Tasks
-    do not depend on ``threads`` and each solve is deterministic, so
-    results are identical at any thread count; they come back in the
-    order of the tasks, one per instant.
-    """
-    results = []
+def _run_instants(tasks, solve, places, threads: int) -> tuple:
+    """``solve`` each streamed task, a chunk of instants as the pipeline records it, into one
+    record: a tuple of arrays with a row per instant.  A task is drawn only once a solve slot is
+    free, so at most ``threads`` are in flight; tasks do not depend on ``threads`` and solves are
+    deterministic, so results are identical at any thread count.  Returns each field joined over
+    the chunks and indexed by ``places`` (caller order from chunk order); () for no tasks."""
+    records = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
         for task in tasks:
             pending.append(pool.submit(solve, task))
             if len(pending) >= threads:
-                results.extend(pending.popleft().result())
-        for future in pending:
-            results.extend(future.result())
-    return results
+                records.append(pending.popleft().result())
+        records.extend(future.result() for future in pending)
+    return tuple(np.concatenate(field)[places] for field in zip(*records))
 
 
 def _trajectory(net, kernel, damping, personalization, dangling_dist, grid, quad, solver,
@@ -299,18 +285,23 @@ def _trajectory(net, kernel, damping, personalization, dangling_dist, grid, quad
     if not len(instants):
         raise InvalidInputError("the network has no instants")
 
-    def solve(record):
-        return _direct_chunk(*record) if solver == "direct" else \
-            _power_solve(*record, tol, max_iter)
+    def solve(record):   # (pi, iterations, residuals) of a chunk
+        if solver == "direct":
+            return _direct_chunk(*record)
+        _, snapshots, _, dampings, vs, us = record
+        pi, iterations, residuals = map(np.array, zip(*(
+            pagerank_power(GoogleOperator(*instant), tol=tol, max_iter=max_iter)
+            for instant in zip(snapshots, dampings, vs, us))))
+        _check_simplex(pi)
+        return pi, iterations, residuals
 
-    results = _run_instants(chunks, solve, threads)
-    vectors, iterations, residuals = zip(*(results[place] for place in places))
+    vectors, iterations, residuals = _run_instants(chunks, solve, places, threads)
     continuous = isinstance(net, ContinuousTemporalNetwork)
-    return PageRankTrajectory(instants, np.array(vectors), {
+    return PageRankTrajectory(instants, vectors, {
         "scale": "continuous" if continuous else "discrete", "kernel": repr(kernel),
         "damping": repr(damping), "personalization": repr(personalization),
         "solver": solver, "tol": tol, **({"quad_tol": quad.tol} if continuous else {}),
-        "iterations": list(iterations), "residuals": list(residuals),
+        "iterations": iterations.tolist(), "residuals": residuals.tolist(),
     })
 
 

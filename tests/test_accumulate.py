@@ -305,6 +305,11 @@ class TestTruncate:
     def test_node_count_carried_over(self):
         assert truncate(synthetic_five_node(), 3).n == 5
 
+    @pytest.mark.parametrize("count", [2 ** 61, 2 ** 63, 10 ** 20])
+    def test_count_beyond_an_array_refused(self, count):
+        with pytest.raises(InvalidInputError, match="more points than an array can hold"):
+            truncate(synthetic_five_node(), count)
+
     def test_partition_beyond_float_range_rejected(self):
         # the length of the interval is a float, twice it is not
         net = ContinuousTemporalNetwork(2, (0.0, 1e308), {(0, 1): 1.0})
@@ -531,9 +536,10 @@ class TestStreamedAccumulation:
         def solve(setup):
             solved.append(setup.k)
             alive.discard(setup.k)
-            return [setup.k]
+            return (np.array([setup.k]),)
 
-        assert _run_instants(setups(), solve, threads) == list(range(1, 11))
+        ks, = _run_instants(setups(), solve, np.arange(10), threads)
+        assert ks.tolist() == list(range(1, 11))
         assert max(peak) <= threads
         assert sorted(solved) == list(range(1, 11))
 

@@ -405,6 +405,18 @@ class TestCompute:
                                  "--grid", grid)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--grid-count", "{count}"], ["compute", "--grid", "0,0.1,{count}"],
+        ["localize", "--grid-count", "{count}"], ["converge", "--sizes", "3,{count}"],
+        ["localize", "--grid", "0,0.1,{count}"]])
+    @pytest.mark.parametrize("count", [2 ** 63, 10 ** 20])
+    def test_count_beyond_an_array_is_one_error_line(self, capsys, argv, count):
+        # numpy refused these with a raw ValueError; converge refuses before solving N=3
+        argv = [arg.format(count=count) for arg in argv]
+        code, out, err = run_cli(capsys, argv[0], "--preset", "paper-synthetic", *argv[1:])
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: [^\n]*: more points than an array can hold\n", err)
+
     def test_grid_flags_conflict(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--preset", "paper-synthetic",
                                "--grid", "0,0.5,3", "--grid-count", "5")
@@ -996,6 +1008,13 @@ class TestIngest:
         path = tmp_path / name
         path.write_text(text)
         return str(path)
+
+    @pytest.mark.parametrize("count", [2 ** 63, 10 ** 20])
+    def test_count_beyond_an_array_is_one_error_line(self, capsys, tmp_path, count):
+        # 2^63 points made an empty grid, 10^20 a raw ValueError
+        events = self.events_file(tmp_path, "1 2 +1 0\n")
+        assert run_cli(capsys, "ingest", "--events", events, "--grid", f"0,1,{count}") == (
+            1, "", f"error: grid 0.0,1.0,{count}: more points than an array can hold\n")
 
     def test_end_to_end(self, capsys, tmp_path):
         events = self.events_file(tmp_path, "% toy stream\n"

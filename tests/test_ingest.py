@@ -113,6 +113,13 @@ class TestSampleGrid:
         with pytest.raises(InvalidInputError, match=spec):
             sample_grid(start, step, count)
 
+    @pytest.mark.parametrize("count", [2 ** 61, 2 ** 63, 10 ** 20])
+    def test_count_beyond_an_array_refused(self, count):
+        # numpy raised a raw ValueError here, and from 2^63 on made an empty grid
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"grid 0,1,{count}: more points than an array can hold")):
+            sample_grid(0, 1, count)
+
     def test_largest_finite_grid_accepted(self):
         assert sample_grid(0.0, 1e308, 2)[-1] == 1e308
 

@@ -1,6 +1,9 @@
 """Resolvent columns and localization bounds."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
@@ -31,6 +34,7 @@ from temporank import (
     pagerank_power,
     resolvent_column,
     row_normalize,
+    save_network,
     synthetic_five_node,
     trajectory_continuous,
     trajectory_discrete,
@@ -77,14 +81,38 @@ class TestApplyM:
         u = oracles.random_simplex_vector(rng, n) if snap.dangling.any() else None
         x = rng.normal(size=n)
         expected = oracles.csr_matvec(snap.matrix, x)
-        if u is not None:
-            expected += snap.dangling * float(u @ x)
+        if u is not None:   # <u, x> by numpy's pairwise sum, not a BLAS dot
+            expected += snap.dangling * float(np.add.reduce(u * x))
         assert np.array_equal(_apply_m(snap, u, x), expected)
 
     def test_empty_rows_contribute_nothing(self):
         snap = snapshot_of(np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, 1.0]]))
         y = _apply_m(snap, None, np.array([1.0, 10.0, 100.0]))
         np.testing.assert_array_equal(y, [10.0, 0.0, 25.75])
+
+    def test_neumann_bounds_do_not_follow_the_blas_thread_count(self, tmp_path):
+        # a BLAS dot for <u, x> gives other bits under another OPENBLAS_NUM_THREADS from
+        # about 20k nodes on; the count is read when numpy loads, so each run is a child
+        rng = np.random.default_rng(5)
+        n = 80_000
+        live = np.flatnonzero(rng.random(n) >= 0.1)   # about 10% dangling rows
+        rows = np.concatenate([live, live])
+        cols = np.concatenate([(live + 1) % n, rng.integers(0, n, live.size)])
+        matrix = sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        matrix.sum_duplicates()
+        save_network(DiscreteTemporalNetwork(n, [0.0], (matrix,)), tmp_path / "ring.net")
+        src = os.path.dirname(os.path.dirname(localization.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        outputs = []
+        for threads in ("1", "2"):
+            target = tmp_path / f"bounds-{threads}.csv"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            done = subprocess.run([sys.executable, "-m", "temporank", "localize", "--network",
+                                   str(tmp_path / "ring.net"), "--nodes", "1,2", "--no-header",
+                                   "--output", str(target)], capture_output=True, env=env)
+            assert done.returncode == 0, done.stderr
+            outputs.append(target.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestResolventColumn:
@@ -362,12 +390,12 @@ class TestBoundsTrajectory:
         # instants, so each solve call is counted by its results
         chunks = []
 
-        def recording(tasks, solve, threads):
+        def recording(tasks, solve, places, threads):
             def counted(task):
-                results = solve(task)
-                chunks.append(len(results))
-                return results
-            return run_instants(tasks, counted, threads)
+                lo, hi = solve(task)
+                chunks.append(len(lo))
+                return lo, hi
+            return run_instants(tasks, counted, places, threads)
 
         run_instants = localization._run_instants
         monkeypatch.setattr(localization, "_run_instants", recording)

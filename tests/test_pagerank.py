@@ -1,6 +1,7 @@
 """Google operator, solvers, and rank trajectories."""
 
 import math
+import re
 from collections import Counter
 from unittest import mock
 
@@ -378,6 +379,18 @@ class TestTrajectoryDiscrete:
                                    UniformPersonalization())
         assert np.array_equal(traj.vector_at(1), traj.vectors[0])
         assert np.array_equal(traj.vector_at(3), traj.vectors[2])
+        assert np.array_equal(traj.vector_at(np.int64(2)), traj.vectors[1])
+
+    @pytest.mark.parametrize("k, message", [
+        (0, "instant index 0 outside 1..3"), (-1, "instant index -1 outside 1..3"),
+        (4, "instant index 4 outside 1..3"), (1.5, "instant index must be an integer"),
+        ("1", "instant index must be an integer")])
+    def test_vector_at_checks_its_index(self, k, message):
+        # 0 and -1 used to wrap to the last instants; as snapshot_at and damping_at
+        traj = trajectory_discrete(truncate(synthetic_five_node(), 3), ExponentialDecay(1.0),
+                                   ConstantDamping(0.85), UniformPersonalization())
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            traj.vector_at(k)
 
     def test_synthetic_truncation_regression_lock(self):
         # cross-checked at first computation against a dense eigensolver
@@ -616,17 +629,17 @@ class TestStackedDirectPath:
         # their instants spread over the threads
         records = []
 
-        def recording(tasks, solve, threads):
+        def recording(tasks, solve, places, threads):
             def drawn():
                 for task in tasks:
                     records.append(task)
                     yield task
 
             def counted(task):
-                results = solve(task)
-                assert len(results) == len(task[0])
-                return results
-            return run_instants(drawn(), counted, threads)
+                fields = solve(task)
+                assert all(len(field) == len(task[0]) for field in fields)
+                return fields
+            return run_instants(drawn(), counted, places, threads)
 
         run_instants = pagerank._run_instants
         monkeypatch.setattr(pagerank, "_run_instants", recording)
@@ -709,6 +722,36 @@ class TestStackedDirectPath:
                          "--threads", "1", "--no-header", "--output", str(tmp_path / "s.csv")])
         assert code == 0
         assert calls == {"solve": 1}
+
+
+class TestCallerOrderOnOneInstantChunks:
+    # power iteration and the Neumann series solve one instant per chunk, in time order;
+    # row i of an unsorted grid with a repeat is the sorted grid's row for grid[i]
+    GRID = [0.5, 0.0, 1.0, 0.25, 0.5]
+    ROWS = np.searchsorted(sorted(GRID), GRID)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_power_trajectory(self, threads):
+        def run(grid):
+            return trajectory_continuous(synthetic_five_node(), ExponentialDecay(1.0),
+                                         ConstantDamping(0.85), InputPersonalization(), grid,
+                                         solver="power", threads=threads)
+        got, reference = run(self.GRID), run(sorted(self.GRID))
+        assert got.vectors.tobytes() == reference.vectors[self.ROWS].tobytes()
+        for name in ("iterations", "residuals"):
+            assert got.metadata[name] == [reference.metadata[name][row] for row in self.ROWS]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_neumann_bounds(self, threads):
+        def run(grid):
+            return bounds_trajectory(synthetic_five_node(), ExponentialDecay(1.0),
+                                     ConstantDamping(0.85), nodes=[4, 0], grid=grid,
+                                     dangling_dist=UniformPersonalization(), threads=threads)
+        with mock.patch.object(pagerank, "DIRECT_SOLVE_MAX_N", 0):
+            got, reference = run(self.GRID), run(sorted(self.GRID))
+        assert got.lo.tobytes() == reference.lo[self.ROWS].tobytes()
+        assert got.hi.tobytes() == reference.hi[self.ROWS].tobytes()
+        assert got.instants.tolist() == self.GRID
 
 
 class TestSampledDiscreteScale:
