@@ -95,18 +95,14 @@ class RunConfig:
     output_header: bool = True
 
 
-# (section, key) -> (RunConfig field, parser)
-_BOOL = {"yes": True, "no": False, "true": True, "false": False,
-         "1": True, "0": False, "on": True, "off": False}
-
-
 def _parse_bool(text: str) -> bool:
     try:
-        return _BOOL[text.strip().lower()]
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
     except KeyError:
         raise InvalidInputError(f"expected yes/no, got {text!r}") from None
 
 
+# (section, key) -> (RunConfig field, parser)
 _SCHEMA = {
     ("network", "file"): ("network_file", str),
     ("network", "preset"): ("network_preset", str),

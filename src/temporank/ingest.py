@@ -40,7 +40,7 @@ import operator
 import os
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -444,11 +444,7 @@ class IngestSummary:
     warnings: int
 
     def as_dict(self) -> dict:
-        return {"n": self.n, "events": self.events,
-                "adds": self.adds, "removes": self.removes,
-                "distinct_added": self.distinct_added,
-                "distinct_removed": self.distinct_removed,
-                "warnings": self.warnings}
+        return asdict(self)
 
 
 def summarize(parsed: ParsedEvents, clamped: int = 0) -> IngestSummary:

@@ -18,7 +18,7 @@ from .accumulate import StochasticSnapshot, _instant_chunks
 from .errors import InternalError, InvalidInputError
 from .graph import _check_kind
 from .pagerank import (DIRECT_SOLVE_MAX_N, _check_count, _check_snapshot, _check_tol,
-                       _checked_inputs, _patch_dangling, _run_instants, _solver_by_size)
+                       _checked_chunk, _run_instants, _solver_by_size)
 from .quadrature import QuadratureConfig
 from .schedules import DampingSchedule, DecayKernel, PersonalizationSchedule
 
@@ -113,15 +113,14 @@ def _resolvent_columns(nodes, tol, ks, transitions, dangling, dampings, vs, us) 
             raise InvalidInputError(f"network has dangling rows at {where}; "
                                     "a dangling distribution u is required")
     n = dangling.shape[1]
+    dampings, _, checked = _checked_chunk(transitions, dangling, dampings, None, us)
     if isinstance(transitions, np.ndarray):
-        dampings, _ = _patch_dangling(transitions, dangling, dampings, None, us)
         if not len(nodes):
             return np.zeros((len(ks), n, 0))
         systems = dampings[:, None, None] * transitions
         np.subtract(np.eye(n), systems, out=systems)
         return (1.0 - dampings)[:, None, None] * np.linalg.solve(systems, np.eye(n)[:, nodes])
     _check_tol(tol)   # the series would never stop at tol <= 0
-    dampings, _, checked = _checked_inputs(n, dampings, None, us)
     columns = np.zeros((len(ks), n, len(nodes)))
     for i, m in np.ndindex(len(ks), len(nodes)):
         u = None if us[i] is None else checked[i]

@@ -1,10 +1,11 @@
 """Google operator, PageRank solvers, and per-instant trajectories.
 
-The operator G = damping * (P + d u^T) + (1 - damping) e v^T is never
-materialized: power iteration applies its transpose through the sparse P
-plus two rank-one corrections, one CSR snapshot per instant.  Direct dense
-solves handle small problems, a chunk of instants at a time in one stacked
-LAPACK call, taking P as the dense (K, n, n) stack accumulation hands over.
+G = damping * (P + d u^T) + (1 - damping) e v^T is never materialized.  Every solver,
+the bounds' Neumann series too, checks its chunk record in one place, sampled row sums
+of G included (:func:`_checked_chunk`).  Power iteration applies G^T through each
+instant's P^T, built once as CSR, plus two rank-one terms; direct solves take a chunk's
+dense (K, n, n) stack in one stacked LAPACK call.  :func:`pagerank_power` and
+:func:`pagerank_direct` are these chunk solvers called on one instant.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -68,19 +69,6 @@ def _check_count(value, name: str) -> int:
     return count
 
 
-def _checked_inputs(n: int, dampings, vs, us):
-    """Damping (K,), v (K, n) and u (K, n) of K instants, checked; u defaults to v (or 0)."""
-    for damping in dampings:
-        if not (isinstance(damping, numbers.Real) and 0.0 < damping < 1.0):
-            raise InvalidInputError(f"damping {damping} outside (0, 1)")
-    v = None if vs is None else _check_probabilities(vs, n, "personalization")
-    u = np.zeros((len(dampings), n)) if v is None else v.copy()
-    given = [k for k, vector in enumerate(us) if vector is not None]
-    if given:
-        u[given] = _check_probabilities([us[k] for k in given], n, "dangling distribution")
-    return np.array(dampings, dtype=float), v, u
-
-
 def _check_snapshot(snapshot) -> None:
     """``snapshot`` is a StochasticSnapshot: a sparse n x n matrix and n integer dangling flags."""
     from scipy import sparse
@@ -98,11 +86,33 @@ def _sampled_rows(n: int) -> np.ndarray:
     return np.linspace(0, n - 1, min(n, 8)).astype(int)
 
 
-def _check_row_sums(rows: np.ndarray, dangling: np.ndarray, dampings: np.ndarray):
-    """Rows of G sum to one, from (K, s) sums of sampled rows of P and their dangling flags."""
-    sums = dampings[:, None] * (rows + dangling) + (1.0 - dampings[:, None])
+def _checked_chunk(transitions, dangling, dampings, vs, us):
+    """Checked (dampings (K,), v (K, n) or None, u (K, n)) of a chunk record, u defaulting to v
+    (or 0): damping in (0, 1), v and u finite and positive with unit 1-norm, and sampled rows
+    of G summing to 1 within 1e-12.  P is a dense (K, n, n) stack, whose dangling rows get u in
+    place, making M, or a tuple of K sparse snapshots.  The one check of every route."""
+    n = dangling.shape[1]
+    for damping in dampings:
+        if not (isinstance(damping, numbers.Real) and 0.0 < damping < 1.0):
+            raise InvalidInputError(f"damping {damping} outside (0, 1)")
+    dampings = np.array(dampings, dtype=float)
+    v = None if vs is None else _check_probabilities(vs, n, "personalization")
+    u = np.zeros((len(dampings), n)) if v is None else v.copy()
+    given = [k for k, vector in enumerate(us) if vector is not None]
+    if given:
+        u[given] = _check_probabilities([us[k] for k in given], n, "dangling distribution")
+    sample = _sampled_rows(n)
+    if isinstance(transitions, np.ndarray):
+        rows = transitions[:, sample].sum(axis=2)
+        instants, patched = np.nonzero(dangling == 1)
+        transitions[instants, patched] += u[instants]
+    else:   # the sums of the sampled rows' stored entries
+        rows = np.array([[m.data[m.indptr[i]:m.indptr[i + 1]].sum() for i in sample]
+                         for m in (snapshot.matrix.tocsr() for snapshot in transitions)])
+    sums = dampings[:, None] * (rows + dangling[:, sample]) + (1.0 - dampings[:, None])
     if not (np.abs(sums - 1.0) <= _ROWSUM_TOL).all():
         raise InternalError("google matrix row sums differ from 1 on sampled rows")
+    return dampings, v, u
 
 
 def _check_simplex(pi: np.ndarray):
@@ -122,13 +132,11 @@ class GoogleOperator:
 
     def __post_init__(self):
         _check_snapshot(self.snapshot)
-        dampings, v, u = _checked_inputs(self.n, [self.damping], [self.v], [self.u])
+        dampings, v, u = _checked_chunk((self.snapshot,), self.snapshot.dangling[None],
+                                        [self.damping], [self.v], [self.u])
+        object.__setattr__(self, "damping", float(dampings[0]))
         object.__setattr__(self, "v", v[0])
         object.__setattr__(self, "u", u[0])
-        sample = _sampled_rows(self.n)
-        indptr, data = self.snapshot.matrix.indptr, self.snapshot.matrix.data
-        rows = np.array([data[indptr[i]:indptr[i + 1]].sum() for i in sample])
-        _check_row_sums(rows[None], self.snapshot.dangling[None, sample], dampings)
 
     @property
     def n(self) -> int:
@@ -136,7 +144,7 @@ class GoogleOperator:
 
     @cached_property
     def transition_transposed(self):
-        """P^T as CSR, built on first use: only power iteration applies it."""
+        """P^T as CSR, built on first use: only :func:`google_apply_transpose` applies it."""
         return self.snapshot.matrix.T.tocsr()
 
     @cached_property
@@ -170,24 +178,10 @@ def pagerank_direct(snapshot: StochasticSnapshot, damping: float, v: np.ndarray,
                          [damping], [v], [u])[0][0]
 
 
-def _patch_dangling(transitions, dangling, dampings, vs, us):
-    """Checked (dampings, v) of a dense chunk; adds u to the dangling rows of its stack P in
-    place, making M for ranks and bounds, and runs :class:`GoogleOperator`'s checks on M."""
-    n = dangling.shape[1]
-    dampings, v, u = _checked_inputs(n, dampings, vs, us)
-    instants, rows = np.nonzero(dangling == 1)
-    transitions[instants, rows] += u[instants]
-    sample = _sampled_rows(n)
-    flags = dangling[:, sample]
-    _check_row_sums(np.where(flags == 1, 0.0, transitions[:, sample].sum(axis=2)), flags,
-                    dampings)
-    return dampings, v
-
-
 def _direct_chunk(ks, transitions, dangling, dampings, vs, us) -> tuple:
     """(pi (K, n), iterations (K,) zeros, residuals |damping M^T pi + (1 - damping) v - pi|_1) of
     the K instants ``ks``, by one stacked LAPACK solve that keeps each pi's one-instant bits."""
-    dampings, v = _patch_dangling(transitions, dangling, dampings, vs, us)
+    dampings, v, _ = _checked_chunk(transitions, dangling, dampings, vs, us)
     systems = dampings[:, None, None] * transitions.transpose(0, 2, 1)
     np.subtract(np.eye(dangling.shape[1]), systems, out=systems)
     try:
@@ -208,21 +202,42 @@ def pagerank_power(op: GoogleOperator, tol: float = 1e-12,
     1-norm of the last change between iterates, and iteration stops once
     r <= ``tol``: ``tol`` bounds r, not the error.  In exact arithmetic
     the error is then at most damping / (1 - damping) * r in the 1-norm.
+    This is the one-instant call of the solver trajectories use for a chunk.
     """
     _check_tol(tol)
     max_iter = _check_count(max_iter, "max_iter")
-    x = op.v.copy()
-    residual = np.inf
-    for iteration in range(1, max_iter + 1):
-        y = google_apply_transpose(op, x)
-        y /= y.sum()
-        residual = float(np.abs(y - x).sum())
-        x = y
-        if residual <= tol:
-            return x, iteration, residual
-    raise ConvergenceError(
-        f"power iteration did not reach {tol} within {max_iter} iterations "
-        f"(last residual {residual:.3e})", residual=residual)
+    pi, iterations, residuals = _power_chunk(tol, max_iter, (None,), (op.snapshot,),
+                                             op.snapshot.dangling[None], [op.damping], [op.v],
+                                             [op.u])
+    return pi[0], int(iterations[0]), float(residuals[0])
+
+
+def _power_chunk(tol, max_iter, ks, snapshots, dangling, dampings, vs, us) -> tuple:
+    """(pi (K, n), iterations (K,), residuals (K,)) of the K instants ``ks`` of a chunk record
+    of CSR snapshots, each by power iteration from v with P^T built once:
+    x <- damping (P^T x + <d, x> u) + (1 - damping) <e, x> v, then normalized to unit 1-norm.
+    k names the instant in a ConvergenceError (None: no instant named)."""
+    dampings, v, u = _checked_chunk(snapshots, dangling, dampings, vs, us)
+    pi, iterations, residuals = np.empty_like(v), np.zeros(len(ks), dtype=int), np.zeros(len(ks))
+    for i, (k, snapshot, flags, damping) in enumerate(zip(ks, snapshots, dangling, dampings)):
+        transposed, rows = snapshot.matrix.T.tocsr(), np.flatnonzero(flags == 1)
+        x, residual = v[i].copy(), np.inf
+        for iteration in range(1, max_iter + 1):
+            y = transposed @ x
+            y = damping * (y + float(x[rows].sum()) * u[i]) + (1.0 - damping) * x.sum() * v[i]
+            y /= y.sum()
+            residual = float(np.abs(y - x).sum())
+            x = y
+            if not residual > tol:   # NaN too: the simplex check refuses it
+                break
+        else:
+            where = "" if k is None else f" at instant {k}"
+            raise ConvergenceError(
+                f"power iteration did not reach {tol} within {max_iter} iterations{where} "
+                f"(last residual {residual:.3e})", residual=residual)
+        pi[i], iterations[i], residuals[i] = x, iteration, residual
+    _check_simplex(pi)
+    return pi, iterations, residuals
 
 
 @dataclass(frozen=True)
@@ -285,17 +300,9 @@ def _trajectory(net, kernel, damping, personalization, dangling_dist, grid, quad
     if not len(instants):
         raise InvalidInputError("the network has no instants")
 
-    def solve(record):   # (pi, iterations, residuals) of a chunk
-        if solver == "direct":
-            return _direct_chunk(*record)
-        _, snapshots, _, dampings, vs, us = record
-        pi, iterations, residuals = map(np.array, zip(*(
-            pagerank_power(GoogleOperator(*instant), tol=tol, max_iter=max_iter)
-            for instant in zip(snapshots, dampings, vs, us))))
-        _check_simplex(pi)
-        return pi, iterations, residuals
-
-    vectors, iterations, residuals = _run_instants(chunks, solve, places, threads)
+    solve = _direct_chunk if solver == "direct" else partial(_power_chunk, tol, max_iter)
+    vectors, iterations, residuals = _run_instants(chunks, lambda chunk: solve(*chunk), places,
+                                                   threads)
     continuous = isinstance(net, ContinuousTemporalNetwork)
     return PageRankTrajectory(instants, vectors, {
         "scale": "continuous" if continuous else "discrete", "kernel": repr(kernel),

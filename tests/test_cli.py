@@ -153,6 +153,17 @@ class TestCompute:
         assert re.fullmatch(r"5 instants, n=5, power iterations <= \d+, residual <= \S+\n",
                             power)
 
+    def test_power_budget_error_names_its_instant(self, capsys, tmp_path):
+        # instant 1, a 2-cycle under uniform v, converges at the first iteration
+        path = tmp_path / "two.txt"
+        path.write_text("nodes 2\ninstant 0.0\n1 2 1.0\n2 1 1.0\ninstant 1.0\n1 1 1.0\n")
+        for threads in ("1", "2"):
+            code, out, err = run_cli(capsys, "compute", "--network", str(path), "--solver",
+                                     "power", "--max-iter", "1", "--threads", threads)
+            assert (code, out) == (1, "")
+            assert re.fullmatch(r"error: power iteration did not reach 1e-12 within 1 "
+                                r"iterations at instant 2 \(last residual \S+\)\n", err)
+
     def test_scores_round_trip_exactly(self, capsys, synthetic5_file):
         code, out, _ = run_cli(capsys, "compute", "--network", synthetic5_file,
                                "--no-header")

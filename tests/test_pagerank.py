@@ -3,6 +3,7 @@
 import math
 import re
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -135,6 +136,27 @@ class TestGoogleOperator:
                 with pytest.raises(InternalError):
                     GoogleOperator(scaled, 0.85, np.full(20, 0.05))
 
+    def test_damping_stored_as_the_checked_float(self):
+        # a Fraction passes the range check; stored as given, it made G^T x and the power
+        # iterate object arrays, while pagerank_direct returned float64
+        op = GoogleOperator(snapshot_of(TWO_NODE), Fraction(17, 20), HALF)
+        assert type(op.damping) is float and op.damping == 0.85
+        assert google_apply_transpose(op, HALF).dtype == np.float64
+        pi = pagerank_power(op)[0]
+        assert pi.dtype == np.float64
+        float_op = GoogleOperator(snapshot_of(TWO_NODE), 0.85, HALF)
+        assert pi.tobytes() == pagerank_power(float_op)[0].tobytes()
+
+    @pytest.mark.parametrize("form", ["coo", "csc", "lil"])
+    def test_any_sparse_form_checked_by_its_rows(self, form):
+        # the row-sum check read CSR arrays: a COO or LIL matrix escaped as a raw
+        # AttributeError, and a CSC one had its column sums checked
+        snap = snapshot_of(TWO_NODE)
+        other = StochasticSnapshot(snap.matrix.asformat(form), snap.dangling, 0.0)
+        expected = pagerank_power(GoogleOperator(snap, 0.85, HALF))[0]
+        assert pagerank_power(GoogleOperator(other, 0.85, HALF))[0] == pytest.approx(
+            expected, abs=1e-15)
+
     def test_u_defaults_to_v(self):
         op = GoogleOperator(snapshot_of(TWO_NODE), 0.85, np.array([0.3, 0.7]))
         assert np.array_equal(op.u, op.v)
@@ -234,12 +256,18 @@ class TestSolvers:
         snap.matrix.data[snap.matrix.indptr[4]] = np.nan
         with pytest.raises(InternalError, match="simplex"):
             pagerank_direct(snap, 0.85, np.full(10, 0.1))
+        # power iteration stops at the first NaN residual, as the direct solve's check does
+        with pytest.raises(InternalError, match="simplex"):
+            pagerank_power(GoogleOperator(snap, 0.85, np.full(10, 0.1)), max_iter=10 ** 9)
 
     def test_power_iteration_budget_exceeded(self):
         op = GoogleOperator(snapshot_of(TWO_NODE), 0.85, HALF)
         with pytest.raises(ConvergenceError) as info:
             pagerank_power(op, tol=1e-15, max_iter=2)
         assert info.value.residual > 0
+        # one instant of no trajectory: no instant named
+        assert re.fullmatch(r"power iteration did not reach 1e-15 within 2 iterations "
+                            r"\(last residual \S+\)", str(info.value))
 
     def test_bad_tolerance_rejected(self):
         op = GoogleOperator(snapshot_of(TWO_NODE), 0.85, HALF)
@@ -722,6 +750,63 @@ class TestStackedDirectPath:
                          "--threads", "1", "--no-header", "--output", str(tmp_path / "s.csv")])
         assert code == 0
         assert calls == {"solve": 1}
+
+
+class TestOneChunkCheck:
+    """Every route checks its chunk record in one place, ``_checked_chunk``: the direct
+    ranks, power iteration and both bounds solves refuse a sampled row of P summing to 0.5."""
+
+    @staticmethod
+    def record(dense, half):
+        # all 3 rows are sampled; row 1 sums to 0.5 when ``half``
+        P = np.array([[0.0, 1.0, 0.0], [0.25, 0.0, 0.25 if half else 0.75], [1.0, 0.0, 0.0]])
+        flags = np.zeros(3, dtype=int)
+        transitions = P[None] if dense else (StochasticSnapshot(sparse.csr_array(P), flags, 0.0),)
+        return (1,), transitions, flags[None], (0.85,), (np.full(3, 1 / 3),), (None,)
+
+    #: route -> (whether P is the dense stack, the chunk solver given a record)
+    ROUTES = {
+        "direct ranks": (True, lambda record: pagerank._direct_chunk(*record)),
+        "power ranks": (False, lambda record: pagerank._power_chunk(1e-12, 10_000, *record)),
+        "direct bounds": (True, lambda record: localization._resolvent_columns(
+            np.array([0, 1]), 1e-12, *record)),
+        "neumann bounds": (False, lambda record: localization._resolvent_columns(
+            np.array([0, 1]), 1e-12, *record)),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_sampled_row_sums_refused_on_every_route(self, route):
+        dense, solve = self.ROUTES[route]
+        solve(self.record(dense, half=False))
+        with pytest.raises(InternalError,
+                           match="^google matrix row sums differ from 1 on sampled rows$"):
+            solve(self.record(dense, half=True))
+
+    def test_neumann_resolvent_column_checks_row_sums(self):
+        # the Neumann series, above DIRECT_SOLVE_MAX_N nodes, ran on such a P unchecked
+        _, (snapshot,), *_ = self.record(False, half=True)
+        with mock.patch.object(pagerank, "DIRECT_SOLVE_MAX_N", 0), \
+                pytest.raises(InternalError, match="row sums"):
+            localization.resolvent_column(snapshot, 0.85, 0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_power_trajectory_takes_no_one_instant_route(self, threads, monkeypatch):
+        def run(solver):
+            return trajectory_continuous(synthetic_five_node(), ExponentialDecay(1.0),
+                                         ConstantDamping(0.85), InputPersonalization(),
+                                         np.linspace(0.0, 1.0, 7), solver=solver,
+                                         threads=threads)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a power trajectory took the one-instant public route")
+
+        direct = run("direct").vectors
+        for name in ("GoogleOperator", "pagerank_power", "google_apply_transpose"):
+            monkeypatch.setattr(pagerank, name, refuse)
+        monkeypatch.setattr(GoogleOperator, "__init__", refuse)
+        power = run("power")
+        assert power.metadata["solver"] == "power" and min(power.metadata["iterations"]) > 1
+        assert np.abs(power.vectors - direct).max() <= 1e-10
 
 
 class TestCallerOrderOnOneInstantChunks:
