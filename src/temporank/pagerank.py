@@ -4,8 +4,8 @@ G = damping * (P + d u^T) + (1 - damping) e v^T is never materialized.  Every so
 the bounds' Neumann series too, checks its chunk record in one place, sampled row sums
 of G included (:func:`_checked_chunk`).  Power iteration applies G^T through each
 instant's P^T, built once as CSR, plus two rank-one terms; direct solves take a chunk's
-dense (K, n, n) stack in one stacked LAPACK call.  :func:`pagerank_power` and
-:func:`pagerank_direct` are these chunk solvers called on one instant.
+dense (K, n, n) stack in one stacked LAPACK call.  :func:`pagerank_direct` is the
+direct solver called on one instant, and :func:`pagerank_power` the power iteration of one.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class GoogleOperator:
 
     @cached_property
     def transition_transposed(self):
-        """P^T as CSR, built on first use: only :func:`google_apply_transpose` applies it."""
+        """P^T as CSR, built on first use and kept for every later product with G^T."""
         return self.snapshot.matrix.T.tocsr()
 
     @cached_property
@@ -160,9 +160,13 @@ def google_apply_transpose(op: GoogleOperator, x: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"vector has shape {x.shape}, expected ({op.n},)")
     if not np.isfinite(x).all():
         raise InvalidInputError("vector must be finite")
-    y = op.transition_transposed @ x
-    dangling_mass = float(x[op.dangling_rows].sum())
-    return op.damping * (y + dangling_mass * op.u) + (1.0 - op.damping) * x.sum() * op.v
+    return _apply_google_transpose(op.transition_transposed, op.dangling_rows, op.damping, op.u,
+                                   op.v, x)
+
+
+def _apply_google_transpose(transposed, rows, damping, u, v, x) -> np.ndarray:
+    """G^T x from P^T (``transposed``) and P's dangling ``rows``: every solve's one product."""
+    return damping * (transposed @ x + float(x[rows].sum()) * u) + (1.0 - damping) * x.sum() * v
 
 
 def pagerank_direct(snapshot: StochasticSnapshot, damping: float, v: np.ndarray,
@@ -202,42 +206,40 @@ def pagerank_power(op: GoogleOperator, tol: float = 1e-12,
     1-norm of the last change between iterates, and iteration stops once
     r <= ``tol``: ``tol`` bounds r, not the error.  In exact arithmetic
     the error is then at most damping / (1 - damping) * r in the 1-norm.
-    This is the one-instant call of the solver trajectories use for a chunk.
+    Trajectories run the same iteration, each instant's P^T built once.
     """
     _check_tol(tol)
     max_iter = _check_count(max_iter, "max_iter")
-    pi, iterations, residuals = _power_chunk(tol, max_iter, (None,), (op.snapshot,),
-                                             op.snapshot.dangling[None], [op.damping], [op.v],
-                                             [op.u])
-    return pi[0], int(iterations[0]), float(residuals[0])
+    return _power_iterate(tol, max_iter, None, op.transition_transposed, op.dangling_rows,
+                          op.damping, op.u, op.v)
 
 
 def _power_chunk(tol, max_iter, ks, snapshots, dangling, dampings, vs, us) -> tuple:
     """(pi (K, n), iterations (K,), residuals (K,)) of the K instants ``ks`` of a chunk record
-    of CSR snapshots, each by power iteration from v with P^T built once:
-    x <- damping (P^T x + <d, x> u) + (1 - damping) <e, x> v, then normalized to unit 1-norm.
-    k names the instant in a ConvergenceError (None: no instant named)."""
+    of sparse snapshots, checked once, each by :func:`_power_iterate` with P^T built once."""
     dampings, v, u = _checked_chunk(snapshots, dangling, dampings, vs, us)
-    pi, iterations, residuals = np.empty_like(v), np.zeros(len(ks), dtype=int), np.zeros(len(ks))
-    for i, (k, snapshot, flags, damping) in enumerate(zip(ks, snapshots, dangling, dampings)):
-        transposed, rows = snapshot.matrix.T.tocsr(), np.flatnonzero(flags == 1)
-        x, residual = v[i].copy(), np.inf
-        for iteration in range(1, max_iter + 1):
-            y = transposed @ x
-            y = damping * (y + float(x[rows].sum()) * u[i]) + (1.0 - damping) * x.sum() * v[i]
-            y /= y.sum()
-            residual = float(np.abs(y - x).sum())
-            x = y
-            if not residual > tol:   # NaN too: the simplex check refuses it
-                break
-        else:
-            where = "" if k is None else f" at instant {k}"
-            raise ConvergenceError(
-                f"power iteration did not reach {tol} within {max_iter} iterations{where} "
-                f"(last residual {residual:.3e})", residual=residual)
-        pi[i], iterations[i], residuals[i] = x, iteration, residual
-    _check_simplex(pi)
-    return pi, iterations, residuals
+    solved = [_power_iterate(tol, max_iter, k, snapshot.matrix.T.tocsr(),
+                             np.flatnonzero(flags == 1), damping, u_k, v_k)
+              for k, snapshot, flags, damping, u_k, v_k
+              in zip(ks, snapshots, dangling, dampings, u, v)]
+    return tuple(np.array(field) for field in zip(*solved))
+
+
+def _power_iterate(tol, max_iter, k, transposed, rows, damping, u, v) -> tuple:
+    """(pi, iterations, residual) of power iteration from v, x <- normalize1(G^T x), of one
+    checked instant; k names the instant in a ConvergenceError (None: no instant named)."""
+    x, residual = v.copy(), np.inf
+    for iteration in range(1, max_iter + 1):
+        y = _apply_google_transpose(transposed, rows, damping, u, v, x)
+        y /= y.sum()
+        residual = float(np.abs(y - x).sum())
+        x = y
+        if not residual > tol:   # NaN too: the simplex check refuses it
+            _check_simplex(x[None])
+            return x, iteration, residual
+    where = "" if k is None else f" at instant {k}"
+    raise ConvergenceError(f"power iteration did not reach {tol} within {max_iter} iterations"
+                           f"{where} (last residual {residual:.3e})", residual=residual)
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,37 @@ class TestGoogleOperator:
         pi = pagerank_direct(snap, 0.85, v)
         assert pi == pytest.approx(oracles.eig_pagerank(A, 0.85, v), abs=1e-10)
 
+    def test_power_uses_the_operator_as_checked_and_cached(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pagerank_power checked its operator a second time")
+
+        snap, A = random_snapshot(rng, 10)
+        v = oracles.random_simplex_vector(rng, 10)
+        op = GoogleOperator(snap, 0.85, v)
+        monkeypatch.setattr(pagerank, "_checked_chunk", refuse)
+        pi, _, _ = pagerank_power(op)
+        transposed = op.transition_transposed
+        assert pagerank_power(op)[0].tobytes() == pi.tobytes()
+        assert op.transition_transposed is transposed
+        assert pi == pytest.approx(oracles.eig_pagerank(A, 0.85, v), abs=1e-10)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_power_trajectory_applies_the_checked_product(self, threads, monkeypatch):
+        # the product google_apply_transpose returns, pinned bit for bit above, is the one
+        # every power iteration of a trajectory applies
+        applied = []
+
+        def counted(*args):
+            applied.append(1)
+            return apply(*args)
+
+        apply = pagerank._apply_google_transpose
+        monkeypatch.setattr(pagerank, "_apply_google_transpose", counted)
+        run = trajectory_continuous(synthetic_five_node(), ExponentialDecay(1.0),
+                                    ConstantDamping(0.85), InputPersonalization(),
+                                    np.linspace(0.0, 1.0, 7), solver="power", threads=threads)
+        assert len(applied) == sum(run.metadata["iterations"]) > 7
+
     def test_row_sums_checked_to_1e_12(self):
         snap = snapshot_of(np.ones((20, 20)))
         for scale, ok in ((1.0 + 1e-14, True), (1.0 + 1e-11, False)):
