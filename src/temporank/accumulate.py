@@ -37,6 +37,7 @@ computed once, before the first chunk.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cache
@@ -244,8 +245,7 @@ def truncate(net: ContinuousTemporalNetwork, count: int) -> DiscreteTemporalNetw
     instants = _partition(net, count)
     rows, cols, _ = net.edge_order
     return DiscreteTemporalNetwork._of_entries(
-        net.n, instants, _edge_entries(net.n, rows, cols, net.values_at(instants)), count,
-        patterned=True)
+        net.n, instants, _edge_entries(net.n, rows, cols, net.values_at(instants)), count)
 
 
 def _partition(net: ContinuousTemporalNetwork, count: int) -> np.ndarray:
@@ -394,7 +394,9 @@ def _normalize_columns(data: np.ndarray, indptr: np.ndarray, starts: list):
 
 
 def _checked_rate(kernel: ExponentialDecay, span: float) -> float:
-    rate = _coerced(f"decay rate must be a number, got {kernel.rate!r}", float, kernel.rate)
+    if not isinstance(kernel.rate, numbers.Real):
+        raise InvalidInputError(f"decay rate must be a number, got {kernel.rate!r}")
+    rate = float(kernel.rate)
     if not math.isfinite(rate * span):
         raise InvalidInputError(
             f"decay exponent {kernel!r} over a span of {span} is not finite")

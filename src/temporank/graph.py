@@ -25,14 +25,18 @@ if TYPE_CHECKING:
 __all__ = ["DiscreteTemporalNetwork", "ContinuousTemporalNetwork"]
 
 
+def _piece(n: int, keys: np.ndarray, weights: np.ndarray) -> tuple:
+    """The CSR piece (indptr, indices, data) of the n x n matrix holding ``weights`` at the
+    sorted, distinct int64 keys i*n + j: key i*n is where row i opens.  The one builder of a
+    block's row pointer."""
+    return np.searchsorted(keys, np.arange(n + 1) * n), keys % n, weights
+
+
 def _sorted_entries(n: int, entries: dict):
-    """The CSR piece (indptr, indices, data) of the n x n matrix of a {(i, j): weight}
-    mapping of 0-based entries: int64 row pointer and columns, float weights."""
+    """The :func:`_piece` of a {(i, j): weight} mapping of 0-based entries."""
     items = sorted(entries.items())
-    rows = np.array([key[0] for key, _ in items], dtype=np.int64)
-    return (np.searchsorted(rows, np.arange(n + 1)),
-            np.array([key[1] for key, _ in items], dtype=np.int64),
-            np.array([value for _, value in items], dtype=float))
+    return _piece(n, np.array([i * n + j for (i, j), _ in items], dtype=np.int64),
+                  np.array([value for _, value in items], dtype=float))
 
 
 def _stacked(n: int, blocks) -> tuple:
@@ -119,9 +123,6 @@ class DiscreteTemporalNetwork:
     writing them needs no scipy.
     """
 
-    #: whether the record holds the nonzeros of one edge order, as ``edge_csrs`` gives them
-    _patterned = False
-
     def __init__(self, n, instants, snapshots, initial_adjacency=None):
         snapshots = _coerced("snapshots must be a sequence of matrices of numbers",
                              lambda: tuple(map(_as_csr, snapshots)))
@@ -138,14 +139,10 @@ class DiscreteTemporalNetwork:
         self.snapshots, self.initial_adjacency = snapshots, initial_adjacency
 
     @classmethod
-    def _of_entries(cls, n, instants, entries: tuple, count: int,
-                    patterned: bool = False) -> DiscreteTemporalNetwork:
+    def _of_entries(cls, n, instants, entries: tuple, count: int) -> DiscreteTemporalNetwork:
         """The network whose ``count`` snapshots, and initial adjacency if it holds one more
-        matrix, are the record ``entries`` of n x n matrices.  A snapshot of no entries
-        reads as ``sparse.csr_array((n, n))``, or, if ``patterned``, as
-        :meth:`ContinuousTemporalNetwork.edge_csrs` builds it."""
+        matrix, are the record ``entries`` of n x n matrices."""
         network = cls.__new__(cls)
-        network._patterned = patterned
         network._set_nodes_and_instants(n, instants)
         data, _, _, starts = entries
         _validate_discrete(network.n, network.instants, count, [(data, starts)], [])
@@ -170,13 +167,8 @@ class DiscreteTemporalNetwork:
 
     @cached_property
     def _matrices(self) -> tuple:
-        """The CSR matrices of the record, built once."""
-        matrices = _csr_arrays(self.n, *self._entries)
-        if self._patterned:
-            return tuple(matrices)
-        from scipy import sparse
-        return tuple(matrix if matrix.nnz else sparse.csr_array((self.n, self.n))
-                     for matrix in matrices)
+        """The CSR matrices of the record, built once, with its int64 indices."""
+        return tuple(_csr_arrays(self.n, *self._entries))
 
     @cached_property
     def snapshots(self) -> tuple:
@@ -309,10 +301,7 @@ def _edge_entries(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
     np.cumsum(kept, axis=1, out=count[:, 1:])
     indptr = count[:, np.searchsorted(rows, np.arange(n + 1))]
     starts = np.concatenate(([0], np.cumsum(count[:, -1]))).tolist()
-    data, indices = values.T[kept], np.broadcast_to(cols, kept.shape)[kept]
-    if not len(rows):   # as sparse.csr_array((n, n)), the matrix of no entries
-        indices, indptr = indices.astype(np.int32), indptr.astype(np.int32)
-    return data, indices, indptr, starts
+    return values.T[kept], np.broadcast_to(cols, kept.shape)[kept], indptr, starts
 
 
 def _csr_arrays(n: int, data, indices, indptr, starts) -> Iterator[sparse.csr_array]:

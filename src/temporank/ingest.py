@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ConsistencyError, EventParseError, InvalidInputError, read_bytes
 from .graph import (DiscreteTemporalNetwork, _as_csr, _check_points, _coerced, _entry_keys,
-                    _node_count, _stacked)
+                    _node_count, _piece, _stacked)
 from .netfile import _NotSure, _fields, _read
 
 __all__ = [
@@ -343,17 +343,14 @@ def build_snapshots(events, sample_instants, n: int | None = None,
     # a row is an edge's state from its own event up to the edge's next one
     following = np.append(order[1:], last)
     following[np.flatnonzero(np.diff(key) != 0)] = last
-    # each block is born a CSR piece: key i*n is where row i opens
-    opens = np.arange(n + 1, dtype=np.int64) * n
     blocks = []
     for count in applied:
         current = (order < count) & (following >= count)
         values = state[current]
         kept = values != 0
-        entries = key[current][kept]
-        blocks.append((np.searchsorted(entries, opens), entries % n, values[kept]))
+        blocks.append(_piece(n, key[current][kept], values[kept]))
     if initial is not None:
-        blocks.append((np.searchsorted(seed_keys, opens), seed_keys % n, seed_weights))
+        blocks.append(_piece(n, seed_keys, seed_weights))
 
     network = DiscreteTemporalNetwork._of_entries(
         n, instants / instant_scale, _stacked(n, blocks), len(applied))

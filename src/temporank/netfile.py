@@ -56,7 +56,8 @@ import numpy as np
 
 from . import timefuncs
 from .errors import InvalidInputError, NetworkFormatError, TemporankError, decode, read_bytes
-from .graph import ContinuousTemporalNetwork, DiscreteTemporalNetwork, _sorted_entries, _stacked
+from .graph import (ContinuousTemporalNetwork, DiscreteTemporalNetwork, _piece, _sorted_entries,
+                    _stacked)
 
 __all__ = ["load_network", "loads_network", "save_network", "dumps_network"]
 
@@ -251,8 +252,8 @@ def _fields(body: bytes, dtype: str, start: int = 0):
 
 
 def _close_block(p: _Parser, pieces: list):
-    """Store the open block as the CSR piece (indptr, indices, data) of its entries, sorted
-    by (row, col); none may repeat.  Its rows are dropped once the row pointer is found."""
+    """Store the open block as the CSR :func:`_piece` of its entries, sorted by (row, col);
+    none may repeat."""
     if p.current is None:
         return
     rows, cols, weights = (np.concatenate(part) for part in zip(*pieces or [_NO_TRIPLES]))
@@ -260,10 +261,10 @@ def _close_block(p: _Parser, pieces: list):
     key = rows * p.n + cols
     if not (np.diff(key) > 0).all():
         order = np.argsort(key)
-        key, rows, cols, weights = key[order], rows[order], cols[order], weights[order]
+        key, weights = key[order], weights[order]
         if not (np.diff(key) > 0).all():
             raise _NotSure      # a duplicate entry
-    piece = np.searchsorted(rows, np.arange(p.n + 1)), cols, weights
+    piece = _piece(p.n, key, weights)
     if p.current is p.initial:
         p.initial = piece
     else:

@@ -94,7 +94,7 @@ def _checked_chunk(transitions, dangling, dampings, vs, us):
     n = dangling.shape[1]
     for damping in dampings:
         if not (isinstance(damping, numbers.Real) and 0.0 < damping < 1.0):
-            raise InvalidInputError(f"damping {damping} outside (0, 1)")
+            raise InvalidInputError(f"damping must be a real number in (0, 1), got {damping!r}")
     dampings = np.array(dampings, dtype=float)
     v = None if vs is None else _check_probabilities(vs, n, "personalization")
     u = np.zeros((len(dampings), n)) if v is None else v.copy()

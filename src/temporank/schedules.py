@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -147,18 +148,21 @@ class CustomDamping(DampingSchedule):
     def value(self, k, count, t):
         if t is None:
             raise InvalidInputError("custom damping schedule needs the instant value")
-        return float(self.fn(t))
+        return self.fn(t)
 
 
 def damping_at(schedule: DampingSchedule, k: int, count: int, t: float | None = None) -> float:
     """Damping for 1-based instant ``k`` of ``count``; range-checked."""
     k = _instant_index(k, count)
     with _calling("the damping schedule", lambda: f"instant k={k}, t={t}"):
-        value = float(schedule.value(k, count, t))
-    if not 0.0 < value < 1.0 or not math.isfinite(value):
+        value = schedule.value(k, count, t)
+    if not isinstance(value, numbers.Real):
+        raise InvalidInputError(
+            f"damping must be a real number in (0, 1), got {value!r} at instant {k}")
+    if not 0.0 < value < 1.0:
         raise ScheduleRangeError(
-            f"damping schedule produced {value!r} at instant {k}; must lie in (0, 1)")
-    return value
+            f"damping schedule produced {value} at instant {k}; must lie in (0, 1)")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -106,21 +106,25 @@ class TimeFunction:
 
     @classmethod
     def parse(cls, expression: str) -> "TimeFunction":
-        """Compile an expression such as ``0.5*(sin(2*pi*t)+1)``."""
+        """Compile an expression such as ``0.5*(sin(2*pi*t)+1)``.  One nested too deeply for
+        Python's parser, its recursion limit or its compiler is refused as a syntax error is."""
         source = expression.strip()
         if not source:
             raise InvalidInputError("empty expression")
         normalized = source.replace("^", "**")
         try:
             tree = ast.parse(normalized, mode="eval")
+            _check_tree(tree, source)
+            # the namespace must be the lambda's globals: a lambda resolves
+            # free names through __globals__, never through eval's locals
+            tree = _Float64Literals().visit(ast.parse(f"lambda t: ({normalized})", mode="eval"))
+            array = eval(compile(ast.fix_missing_locations(tree), "<timefunction>", "eval"),
+                         {"__builtins__": {}, **_ARRAY_NS})
         except SyntaxError as exc:
             raise InvalidInputError(f"cannot parse {source!r}: {exc.msg}") from None
-        _check_tree(tree, source)
-        # the namespace must be the lambda's globals: a lambda resolves
-        # free names through __globals__, never through eval's locals
-        tree = _Float64Literals().visit(ast.parse(f"lambda t: ({normalized})", mode="eval"))
-        array = eval(compile(ast.fix_missing_locations(tree), "<timefunction>", "eval"),
-                     {"__builtins__": {}, **_ARRAY_NS})
+        except (RecursionError, MemoryError):   # the parser's stack, not the machine's memory
+            raise InvalidInputError(f"expression of {len(source)} characters is nested too "
+                                    "deeply to parse") from None
         return cls(source, array)
 
     @classmethod

@@ -177,7 +177,16 @@ def csr_t_matvec(matrix, x):
 #
 # Sort the edge dict, convert COO to CSR, drop zeros.  The package builds
 # the same matrices from the network's cached edge order straight into
-# CSR; the tests require the two bit for bit, index dtypes included.
+# CSR; the tests require the two bit for bit, index dtypes included.  scipy
+# converts a COO matrix of no entries to int32 indices, so the matrices of
+# a network of no edges are built as the package reads every matrix out:
+# int64 indices and row pointer.
+
+
+def empty_csr(n):
+    """The n x n CSR matrix of no entries, with int64 indices and row pointer."""
+    return sparse.csr_array((np.zeros(0), np.zeros(0, dtype=np.int64),
+                             np.zeros(n + 1, dtype=np.int64)), shape=(n, n))
 
 
 def coo_adjacency_at(net, t):
@@ -189,6 +198,8 @@ def coo_adjacency_at(net, t):
 def coo_edge_matrix(net, values):
     """CSR matrix holding ``values[e]`` on the e-th edge of the sorted edge dict."""
     pairs = sorted(net.edges)
+    if not pairs:
+        return empty_csr(net.n)
     matrix = sparse.csr_array(sparse.coo_array(
         (list(values), ([i for i, _ in pairs], [j for _, j in pairs])), shape=(net.n, net.n)))
     matrix.eliminate_zeros()
@@ -198,6 +209,8 @@ def coo_edge_matrix(net, values):
 def coo_truncate_snapshots(net, instants):
     """Snapshots A(s_k) at ``instants``, each edge through its array evaluator."""
     edge_items = sorted(net.edges.items())
+    if not edge_items:
+        return [empty_csr(net.n) for _ in instants]
     values = np.empty((len(edge_items), len(instants)))
     for row, ((i, j), fn) in enumerate(edge_items):
         values[row] = fn(instants)
@@ -436,16 +449,14 @@ def summarize_with_sets(n, events, warnings, clamped=0):
 # discrete networks built one scipy CSR matrix per block
 #
 # How network files and build_snapshots built each snapshot before a
-# discrete network kept its matrices as one record of entries: an empty
-# block is scipy's empty matrix, with int32 indices; any other has the
-# int64 indices and row pointer it was built from.  The tests require the
-# matrices a network reads out of its record to be these, dtypes included.
+# discrete network kept its matrices as one record of entries: every block,
+# an empty one too, has the int64 indices and row pointer it was built
+# from.  The tests require the matrices a network reads out of its record
+# to be these, dtypes included.
 
 
 def sorted_to_csr(rows, cols, data, n):
     """n x n CSR matrix from 0-based int64 entries sorted by (row, col), none repeated."""
-    if not len(data):
-        return sparse.csr_array((n, n))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return sparse.csr_array((data, cols, indptr), shape=(n, n))

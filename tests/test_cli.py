@@ -1218,6 +1218,18 @@ class TestValidate:
         assert (code, out) == (1, "")
         assert err == "error: edge (1, 2): non-finite value on sample grid\n"
 
+    @pytest.mark.parametrize("expression", ["+".join(["t"] * 1000), "+".join(["t"] * 3000),
+                                            "-" * 100000 + "t"], ids=["sum-1000", "sum-3000",
+                                                                      "minus-100000"])
+    def test_expression_nested_too_deeply_reported(self, capsys, tmp_path, expression):
+        # Python's parser limits ended as a RecursionError or a MemoryError traceback
+        path = tmp_path / "net.txt"
+        path.write_text(f"nodes 2\ninterval 0 1\nedge 2 1 1\nedge 1 2 {expression}\n")
+        error = (f"line 4: bad edge expression: expression of {len(expression)} characters "
+                 "is nested too deeply to parse\n")
+        assert run_cli(capsys, "validate", str(path)) == (1, "", error)
+        assert run_cli(capsys, "compute", "--network", str(path)) == (1, "", "error: " + error)
+
     def test_module_entry_point(self, tmp_path):
         path = tmp_path / "net.txt"
         path.write_text(THREE_NODE)

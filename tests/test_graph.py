@@ -128,13 +128,10 @@ class TestEntriesToCsr:
         # a one-block record must read out as what scipy's COO -> CSR conversion gives
         n = 7
         items = sorted(entries.items())
-        if items:
-            expected = sparse.csr_array(
-                (np.array([w for _, w in items], dtype=float),
-                 (np.array([i for (i, _), _ in items], dtype=np.int64),
-                  np.array([j for (_, j), _ in items], dtype=np.int64))), shape=(n, n))
-        else:
-            expected = sparse.csr_array((n, n))
+        expected = sparse.csr_array(
+            (np.array([w for _, w in items], dtype=float),
+             (np.array([i for (i, _), _ in items], dtype=np.int64),
+              np.array([j for (_, j), _ in items], dtype=np.int64))), shape=(n, n))
         got = DiscreteTemporalNetwork._of_entries(
             n, [0.0], _stacked(n, [_sorted_entries(n, entries)]), 1).snapshot_at(1)
         assert got.shape == expected.shape

@@ -22,6 +22,7 @@ from temporank import (
     loads_network,
     save_network,
     synthetic_five_node,
+    truncate,
 )
 from temporank import graph, netfile
 from temporank.timefuncs import TimeFunction
@@ -162,6 +163,19 @@ class TestErrors:
         with pytest.raises(NetworkFormatError, match=fragment):
             loads_network(text)
 
+    @pytest.mark.parametrize("expression", ["+".join(["t"] * 1000), "+".join(["t"] * 3000),
+                                            "-" * 100000 + "t"], ids=["sum-1000", "sum-3000",
+                                                                      "minus-100000"])
+    def test_expression_nested_too_deeply_is_a_line_numbered_error(self, expression):
+        text = f"nodes 2\ninterval 0 1\nedge 1 2 {expression}\n"
+        for parse in (loads_network, lambda text: load_network(text.splitlines())):
+            with pytest.raises(NetworkFormatError) as caught:
+                parse(text)
+            assert str(caught.value) == (
+                f"line 3: bad edge expression: expression of {len(expression)} characters "
+                "is nested too deeply to parse")
+            assert caught.value.line_number == 3
+
     def test_discrete_file_checked_once(self):
         # the constructor's check is the file route's; its text is kept
         text = "nodes 2\ninstant 1\n1 2 1\ninstant 0\n1 2 1\n"
@@ -269,6 +283,17 @@ class TestRoundTrip:
         assert snap.nnz == 3                    # the caller's matrix is untouched
         assert net.snapshot_at(1).nnz == 2      # the network holds the sum
 
+    def test_truncated_network_reads_out_as_it_loads_back(self):
+        # edge 1 2 t vanishes at t0: the empty first snapshot reads out with int64
+        # indices, as every other matrix of a record does, whatever built the network
+        truncated = truncate(loads_network("nodes 2\ninterval 0 1\nedge 1 2 t\n"), 3)
+        assert truncated.snapshot_at(1).nnz == 0
+        text = dumps_network(truncated)
+        for loaded in (loads_network(text), load_network(text.splitlines())):
+            assert len(loaded.snapshots) == 3
+            for got, expected in zip(loaded.snapshots, truncated.snapshots):
+                assert_same_csr(got, expected)
+
     def test_save_to_file_object(self):
         buffer = io.StringIO()
         save_network(loads_network(DISCRETE), buffer)
@@ -363,7 +388,7 @@ class TestLoadedMatricesAreTheCsrOracle:
     @given(zero_bearing_networks())
     def test_both_parsers_read_out_the_oracle_csrs(self, net):
         # the file holds the nonzero entries; each block reads out as the CSR matrix
-        # built from them alone, an empty one as scipy's empty matrix
+        # built from them alone, an empty one with int64 indices as every other
         text = dumps_network(net)
         given = list(net.snapshots) + [net.initial_adjacency] * (net.initial_adjacency
                                                                  is not None)

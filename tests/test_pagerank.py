@@ -840,6 +840,49 @@ class TestOneChunkCheck:
         assert np.abs(power.vectors - direct).max() <= 1e-10
 
 
+class TestOneTypeRuleForDampingAndRate:
+    """A damping or a decay rate that is not a real number is refused by name wherever it is
+    read, not converted by ``float`` at one entry point and misreported at another."""
+
+    SNAPSHOT = row_normalize(sparse.csr_array(TWO_NODE))
+
+    @pytest.mark.parametrize("call", [
+        lambda snapshot: pagerank_direct(snapshot, "0.85", HALF),
+        lambda snapshot: GoogleOperator(snapshot, "0.85", HALF),
+        lambda snapshot: localization.bounds_for_node(snapshot, "0.85", 0),
+    ], ids=["pagerank_direct", "GoogleOperator", "bounds_for_node"])
+    def test_string_damping_named_not_called_out_of_range(self, call):
+        # each said "damping 0.85 outside (0, 1)"
+        with pytest.raises(InvalidInputError) as caught:
+            call(self.SNAPSHOT)
+        assert str(caught.value) == "damping must be a real number in (0, 1), got '0.85'"
+
+    @pytest.mark.parametrize("kernel, damping, message", [
+        (ExponentialDecay(1.0), ConstantDamping("0.85"),
+         "damping must be a real number in (0, 1), got '0.85' at instant 1"),
+        (ExponentialDecay(1.0), CustomDamping(lambda t: "0.85"),
+         "damping must be a real number in (0, 1), got '0.85' at instant 1"),
+        (ExponentialDecay("1.0"), ConstantDamping(0.85), "decay rate must be a number, got '1.0'"),
+    ], ids=["constant damping", "custom damping", "decay rate"])
+    @pytest.mark.parametrize("entry", ["discrete", "continuous"])
+    def test_string_schedule_values_refused_not_converted(self, kernel, damping, message,
+                                                          entry):
+        # each ran a whole trajectory through float()
+        net = loads_network("nodes 2\ninstant 0.0\n1 2 1.0\ninstant 1.0\n2 1 1.0\n")
+        with pytest.raises(InvalidInputError) as caught:
+            if entry == "discrete":
+                trajectory_discrete(net, kernel, damping, UniformPersonalization())
+            else:
+                trajectory_continuous(synthetic_five_node(), kernel, damping,
+                                      UniformPersonalization(), grid=[0.5])
+        assert str(caught.value) == message
+
+    def test_real_numbers_of_every_kind_are_taken(self):
+        v = [pagerank_direct(self.SNAPSHOT, damping, HALF)
+             for damping in (0.85, np.float64(0.85), Fraction(17, 20))]
+        assert v[0].dtype == float and np.array_equal(v[0], v[1]) and np.array_equal(v[0], v[2])
+
+
 class TestCallerOrderOnOneInstantChunks:
     # power iteration and the Neumann series solve one instant per chunk, in time order;
     # row i of an unsorted grid with a repeat is the sorted grid's row for grid[i]

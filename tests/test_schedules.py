@@ -96,6 +96,14 @@ class TestDamping:
             with pytest.raises(ScheduleRangeError):
                 damping_at(CustomDamping(lambda t, b=bad: b), 1, 1, t=0.0)
 
+    @pytest.mark.parametrize("schedule", [ConstantDamping("0.85"), CustomDamping(lambda t: "0.85"),
+                                          ConstantDamping(np.array(0.85))])
+    def test_value_that_is_not_a_real_number_refused(self, schedule):
+        # float() took the string and the 0-d array as 0.85
+        with pytest.raises(InvalidInputError) as caught:
+            damping_at(schedule, 1, 1, t=0.0)
+        assert str(caught.value).startswith("damping must be a real number in (0, 1), got ")
+
     def test_index_out_of_range(self):
         with pytest.raises(InvalidInputError):
             damping_at(ConstantDamping(0.85), 0, 5)
